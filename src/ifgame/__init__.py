@@ -4,19 +4,17 @@ projection method for the equivalent variational inequality, solver-guarantee
 condition checks, and local Pareto-optimal allocations by a distributed
 augmented-Lagrangian method."""
 
-from .game import (ChannelState, GainAlphabets, GameSpec, LinkDistribution,
-                   PowerProfile, StateSpace, StateSpaceTooLargeError,
-                   average_power, average_powers, enumerate_states,
-                   expected_rate, expected_rates, is_feasible, rate_table,
-                   sinr, sum_rate, weighted_sum_rate)
+from .game import (GainAlphabets, GameSpec, LinkDistribution, PowerProfile,
+                   StateSpace, StateSpaceTooLargeError, average_powers,
+                   enumerate_states, expected_rates, interference,
+                   is_feasible, rate_table, sum_rate)
 from .spectral import (ConditionReport, InterferenceOperator, build_operator,
                        condition_report, contraction_condition, definiteness,
                        rho_blockdiag, spectral_radius)
-from .waterfilling import (IwfReport, WaterfillResult, best_response,
-                           interference_floor, interference_floors,
+from .waterfilling import (IwfReport, WaterfillResult, interference_floors,
                            iterate_waterfilling, waterfill, waterfill_levels,
                            waterfill_map, wf_residual)
-from .vi import (ViProblem, ViReport, eval_F, eval_F_eps, make_vi_problem,
+from .vi import (ViProblem, ViReport, eval_F, make_vi_problem,
                  natural_residual, project_block, project_feasible,
                  solve_regularized, solve_strong)
 from .pareto import (AlConfig, ParetoReport, StartResult, augmented_lagrangian,

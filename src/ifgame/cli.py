@@ -40,6 +40,8 @@ def _build_parser():
 
 
 def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
+    if args.seed is not None and args.seed < 0:
+        raise ConfigError("--seed must be >= 0", field="--seed")
     output = config.output
     if args.out is not None:
         output = dataclasses.replace(output, dir=args.out)

@@ -9,14 +9,17 @@ loaded config serializes back to the identical normalized document.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+import math
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .game import GainAlphabets, GameSpec, LinkDistribution
+from .game import DEFAULT_STATE_CAP, GainAlphabets, GameSpec, LinkDistribution
 from .pareto import AlConfig
 
 SOLVER_CHOICES = ("iwf", "vi", "pareto", "all")
+SCHEME_CHOICES = ("simultaneous", "sequential")
+SWEEP_PARAMETERS = ("pbar",)
 FORMAT_CHOICES = ("csv", "json")
 
 DEFAULT_SWEEP_VALUES = [0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0]
@@ -75,7 +78,7 @@ class ViConfig:
 @dataclass(frozen=True)
 class SolverConfig:
     which: str = "all"
-    state_cap: int = 100_000
+    state_cap: int = DEFAULT_STATE_CAP
     iwf: IwfConfig = field(default_factory=IwfConfig)
     vi: ViConfig = field(default_factory=ViConfig)
     pareto: AlConfig = field(default_factory=AlConfig)
@@ -133,111 +136,132 @@ def _require_keys(node, allowed, required, where):
                               field=f"{where}.{key}")
 
 
-def _vector(node, key, n, where, default=None, positive=True):
-    if key not in node or node[key] is None:
-        return default
-    raw = node[key]
-    values = [float(raw)] * n if isinstance(raw, (int, float)) else [float(v) for v in raw]
-    if len(values) != n:
-        raise ConfigError(f"{where}.{key} must have {n} entries", field=f"{where}.{key}")
-    if positive and any(v <= 0 for v in values):
-        raise ConfigError(f"{where}.{key} entries must be positive", field=f"{where}.{key}")
-    return values
+def _number(value, name, integral=False, low=0.0, high=None):
+    """A finite JSON number within the exclusive bounds (low, high).
 
-
-def _scalar(node, key, where, cast, default, low=None, high=None):
-    if key not in node:
-        return default
+    Booleans are rejected although Python treats them as ints, and an
+    integral field rejects a fractional value instead of truncating it.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{name} must be a number", field=name)
     try:
-        value = cast(node[key])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}.{key}: {exc}", field=f"{where}.{key}") from None
-    if low is not None and value <= low:
-        raise ConfigError(f"{where}.{key} must be > {low}", field=f"{where}.{key}")
-    if high is not None and value >= high:
-        raise ConfigError(f"{where}.{key} must be < {high}", field=f"{where}.{key}")
-    return value
+        number = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{name} must be finite", field=name)
+    if integral and not number.is_integer():
+        raise ConfigError(f"{name} must be an integer", field=name)
+    if low is not None and number <= low:
+        raise ConfigError(f"{name} must be > {low}", field=name)
+    if high is not None and number >= high:
+        raise ConfigError(f"{name} must be < {high}", field=name)
+    return int(value) if integral else number
+
+
+def _positive_list(value, name):
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{name} must be a non-empty list", field=name)
+    return [_number(v, name) for v in value]
+
+
+def _vector(node, key, n, where):
+    """A positive per-player vector, given as n numbers or as one."""
+    if node.get(key) is None:
+        return None
+    raw = node[key] if isinstance(node[key], list) else [node[key]] * n
+    if len(raw) != n:
+        raise ConfigError(f"{where}.{key} must have {n} entries", field=f"{where}.{key}")
+    return [_number(v, f"{where}.{key}") for v in raw]
 
 
 def _parse_game(node) -> GameConfig:
-    _require_keys(node, {"players", "direct_gains", "cross_gains", "link_probs",
-                         "pbar", "alpha", "weights"},
+    _require_keys(node, {f.name for f in fields(GameConfig)},
                   {"players", "direct_gains", "cross_gains", "pbar"}, "game")
-    players = _scalar(node, "players", "game", int, None, low=0)
-    for key in ("direct_gains", "cross_gains"):
-        gains = node[key]
-        if not isinstance(gains, list) or not gains:
-            raise ConfigError(f"game.{key} must be a non-empty list", field=f"game.{key}")
-        if any(float(g) <= 0 for g in gains):
-            raise ConfigError(f"game.{key} must be strictly positive gains",
-                              field=f"game.{key}")
-    link_probs = node.get("link_probs", "uniform")
+    players = _number(node["players"], "game.players", integral=True)
+    direct = _positive_list(node["direct_gains"], "game.direct_gains")
+    cross = _positive_list(node["cross_gains"], "game.cross_gains")
+    link_probs = node.get("link_probs", GameConfig.link_probs)
     if link_probs != "uniform":
         _require_keys(link_probs, {"direct", "cross"}, {"direct", "cross"},
                       "game.link_probs")
     pbar = _vector(node, "pbar", players, "game")
     if pbar is None:
         raise ConfigError("game.pbar must be given", field="game.pbar")
-    return GameConfig(
-        players=players,
-        direct_gains=[float(g) for g in node["direct_gains"]],
-        cross_gains=[float(g) for g in node["cross_gains"]],
-        pbar=pbar,
-        link_probs=link_probs,
-        alpha=_vector(node, "alpha", players, "game"),
-        weights=_vector(node, "weights", players, "game"),
-    )
+    game = GameConfig(players=players, direct_gains=direct, cross_gains=cross,
+                      pbar=pbar, link_probs=link_probs,
+                      alpha=_vector(node, "alpha", players, "game"),
+                      weights=_vector(node, "weights", players, "game"))
+    try:
+        game.build_spec()  # every other input it checks was checked above
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"game.link_probs: {exc}", field="game.link_probs") from None
+    return game
+
+
+#: exclusive (low, high) bounds of numeric fields; unlisted ones must be > 0
+#: (numpy seeds must be >= 0)
+_BOUNDS = {"seed": (-1, None), "decay": (0.0, 1.0)}
+
+
+def _section(cls, node, where, **parsers):
+    """Parse a config object into the dataclass ``cls``.
+
+    The keys are the field names, and an absent key keeps the field's
+    default.  A field named in ``parsers`` is read by that function; any
+    other is a number, integral when its default is an int and bounded
+    by ``_BOUNDS``.
+    """
+    _require_keys(node, {f.name for f in fields(cls)}, set(), where)
+    values = {}
+    for f in fields(cls):
+        if f.name not in node:
+            continue
+        name = f"{where}.{f.name}"
+        if f.name in parsers:
+            values[f.name] = parsers[f.name](node[f.name], name)
+        else:
+            low, high = _BOUNDS.get(f.name, (0.0, None))
+            values[f.name] = _number(node[f.name], name, type(f.default) is int,
+                                     low, high)
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}", field=where) from None
+
+
+def _choice(choices):
+    def parse(value, name):
+        if value not in choices:
+            raise ConfigError(f"{name} must be one of {choices}", field=name)
+        return value
+    return parse
+
+
+def _optional_number(value, name):
+    return None if value is None else _number(value, name)
+
+
+def _formats(value, name):
+    if not isinstance(value, list) or not value or any(
+            f not in FORMAT_CHOICES for f in value):
+        raise ConfigError(f"{name} entries must be among {FORMAT_CHOICES}", field=name)
+    return list(value)
+
+
+def _flag(value, name):
+    if not isinstance(value, bool):
+        raise ConfigError(f"{name} must be true or false", field=name)
+    return value
 
 
 def _parse_solver(node) -> SolverConfig:
-    _require_keys(node, {"which", "state_cap", "iwf", "vi", "pareto"}, set(), "solver")
-    which = node.get("which", "all")
-    if which not in SOLVER_CHOICES:
-        raise ConfigError(f"solver.which must be one of {SOLVER_CHOICES}",
-                          field="solver.which")
-    iwf_node = node.get("iwf", {})
-    _require_keys(iwf_node, {"scheme", "tol", "max_iter"}, set(), "solver.iwf")
-    scheme = iwf_node.get("scheme", "simultaneous")
-    if scheme not in ("simultaneous", "sequential"):
-        raise ConfigError("solver.iwf.scheme must be 'simultaneous' or 'sequential'",
-                          field="solver.iwf.scheme")
-    iwf = IwfConfig(scheme=scheme,
-                    tol=_scalar(iwf_node, "tol", "solver.iwf", float, 1e-8, low=0.0),
-                    max_iter=_scalar(iwf_node, "max_iter", "solver.iwf", int, 500, low=0))
-    vi_node = node.get("vi", {})
-    _require_keys(vi_node, {"eps0", "decay", "outer_tol", "inner_tol",
-                            "max_outer", "max_inner"}, set(), "solver.vi")
-    vi = ViConfig(
-        eps0=_scalar(vi_node, "eps0", "solver.vi", float, 1.0, low=0.0),
-        decay=_scalar(vi_node, "decay", "solver.vi", float, 0.5, low=0.0, high=1.0),
-        outer_tol=_scalar(vi_node, "outer_tol", "solver.vi", float, 1e-7, low=0.0),
-        inner_tol=_scalar(vi_node, "inner_tol", "solver.vi", float, 1e-9, low=0.0),
-        max_outer=_scalar(vi_node, "max_outer", "solver.vi", int, 60, low=0),
-        max_inner=_scalar(vi_node, "max_inner", "solver.vi", int, 200_000, low=0),
-    )
-    al_node = node.get("pareto", {})
-    _require_keys(al_node, {"c", "alpha_mult", "delta", "eps_grad", "eps_feas",
-                            "max_outer", "max_inner", "starts", "seed"},
-                  set(), "solver.pareto")
-    try:
-        pareto = AlConfig(
-            c=_scalar(al_node, "c", "solver.pareto", float, 10.0, low=0.0),
-            alpha_mult=_scalar(al_node, "alpha_mult", "solver.pareto", float, 10.0, low=0.0),
-            delta=_scalar(al_node, "delta", "solver.pareto",
-                          lambda v: None if v is None else float(v), None),
-            eps_grad=_scalar(al_node, "eps_grad", "solver.pareto", float, 1e-4, low=0.0),
-            eps_feas=_scalar(al_node, "eps_feas", "solver.pareto", float, 1e-4, low=0.0),
-            max_outer=_scalar(al_node, "max_outer", "solver.pareto", int, 200, low=0),
-            max_inner=_scalar(al_node, "max_inner", "solver.pareto", int, 300, low=0),
-            starts=_scalar(al_node, "starts", "solver.pareto", int, 10, low=0),
-            seed=_scalar(al_node, "seed", "solver.pareto", int, 0),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"solver.pareto: {exc}", field="solver.pareto") from None
-    return SolverConfig(which=which,
-                        state_cap=_scalar(node, "state_cap", "solver", int,
-                                          100_000, low=0),
-                        iwf=iwf, vi=vi, pareto=pareto)
+    return _section(
+        SolverConfig, node, "solver", which=_choice(SOLVER_CHOICES),
+        iwf=lambda v, name: _section(IwfConfig, v, name,
+                                     scheme=_choice(SCHEME_CHOICES)),
+        vi=lambda v, name: _section(ViConfig, v, name),
+        pareto=lambda v, name: _section(AlConfig, v, name, delta=_optional_number))
 
 
 def load_config(text: str) -> ExperimentConfig:
@@ -247,39 +271,18 @@ def load_config(text: str) -> ExperimentConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"parse error at line {exc.lineno}, column {exc.colno}: "
                           f"{exc.msg}", field=None) from None
-    _require_keys(doc, {"game", "solver", "sweep", "simulate", "output"},
-                  {"game"}, "config")
+    _require_keys(doc, {f.name for f in fields(ExperimentConfig)}, {"game"}, "config")
     game = _parse_game(doc["game"])
     solver = _parse_solver(doc.get("solver", {}))
-    sweep = None
-    if "sweep" in doc and doc["sweep"] is not None:
-        node = doc["sweep"]
-        _require_keys(node, {"parameter", "values"}, set(), "sweep")
-        parameter = node.get("parameter", "pbar")
-        if parameter != "pbar":
-            raise ConfigError("sweep.parameter: only 'pbar' is supported",
-                              field="sweep.parameter")
-        values = [float(v) for v in node.get("values", DEFAULT_SWEEP_VALUES)]
-        if not values or any(v <= 0 for v in values):
-            raise ConfigError("sweep.values must be positive", field="sweep.values")
-        sweep = SweepConfig(parameter=parameter, values=values)
-    simulate = None
-    if "simulate" in doc and doc["simulate"] is not None:
-        node = doc["simulate"]
-        _require_keys(node, {"slots", "seed"}, set(), "simulate")
-        simulate = SimulateConfig(
-            slots=_scalar(node, "slots", "simulate", int, 1_000_000, low=0),
-            seed=_scalar(node, "seed", "simulate", int, 7))
-    out_node = doc.get("output", {})
-    _require_keys(out_node, {"dir", "formats", "pareto_trajectories"}, set(), "output")
-    formats = out_node.get("formats", ["csv", "json"])
-    if not formats or any(f not in FORMAT_CHOICES for f in formats):
-        raise ConfigError(f"output.formats entries must be among {FORMAT_CHOICES}",
-                          field="output.formats")
-    output = OutputConfig(dir=str(out_node.get("dir", "out")),
-                          formats=[str(f) for f in formats],
-                          pareto_trajectories=bool(out_node.get("pareto_trajectories",
-                                                                False)))
+    sweep = simulate = None
+    if doc.get("sweep") is not None:
+        sweep = _section(SweepConfig, doc["sweep"], "sweep",
+                         parameter=_choice(SWEEP_PARAMETERS), values=_positive_list)
+    if doc.get("simulate") is not None:
+        simulate = _section(SimulateConfig, doc["simulate"], "simulate")
+    output = _section(OutputConfig, doc.get("output", {}), "output",
+                      dir=lambda v, name: str(v), formats=_formats,
+                      pareto_trajectories=_flag)
     return ExperimentConfig(game=game, solver=solver, sweep=sweep,
                             simulate=simulate, output=output)
 

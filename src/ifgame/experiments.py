@@ -146,15 +146,12 @@ def run_sweep(config: ExperimentConfig) -> RunResult:
     """
     if config.sweep is None:
         raise ValueError("config has no sweep section")
-    spec0 = config.game.build_spec()
-    condition = condition_report(spec0, enumerate_states(spec0,
-                                                         config.solver.state_cap))
+    condition = condition_report(*build_game(config))
     names = _solver_names(config.solver.which)
     rows = []
     for value in config.sweep.values:
         game = dataclasses.replace(config.game, pbar=[value] * config.game.players)
-        spec = game.build_spec()
-        space = enumerate_states(spec, cap=config.solver.state_cap)
+        spec, space = build_game(dataclasses.replace(config, game=game))
         row = {"pbar": float(value), "ne_iwf": float("nan"),
                "ne_vi": float("nan"), "pareto": float("nan"), "converged": True}
         for name in names:
@@ -206,10 +203,6 @@ def ne_outcome_for_simulation(config: ExperimentConfig
     report = condition_report(spec, space)
     name = "iwf" if report.contraction_ok else "vi"
     return report, _run_one_solver(name, spec, space, config)
-
-
-def ne_profile_for_simulation(config: ExperimentConfig) -> PowerProfile:
-    return ne_outcome_for_simulation(config)[1].profile
 
 
 # ---------------------------------------------------------------------------

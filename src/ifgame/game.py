@@ -79,11 +79,12 @@ class LinkDistribution:
         n = d.shape[0]
         if np.any(d < 0) or np.any(c < 0):
             raise ValueError("link probabilities must be nonnegative")
-        if np.any(np.abs(d.sum(axis=1) - 1.0) > 1e-12):
+        # "not <=" rather than ">" so that NaN probabilities fail too
+        if not np.all(np.abs(d.sum(axis=1) - 1.0) <= 1e-12):
             raise ValueError("direct-link probabilities must sum to 1")
         off = [(i, j) for i in range(n) for j in range(n) if i != j]
         for i, j in off:
-            if abs(c[i, j].sum() - 1.0) > 1e-12:
+            if not abs(c[i, j].sum() - 1.0) <= 1e-12:
                 raise ValueError(f"cross-link ({i},{j}) probabilities must sum to 1")
         d.flags.writeable = False
         c.flags.writeable = False
@@ -133,23 +134,6 @@ class GameSpec:
 
 
 @dataclass(frozen=True)
-class ChannelState:
-    """One joint channel realization; entry (i, j) is the power gain
-    from transmitter j to receiver i."""
-
-    gains: np.ndarray
-
-    def __post_init__(self):
-        g = np.array(self.gains, dtype=float)
-        if g.ndim != 2 or g.shape[0] != g.shape[1]:
-            raise ValueError("state gains must be a square matrix")
-        if not np.all(g > 0):
-            raise ValueError("state gains must be strictly positive")
-        g.flags.writeable = False
-        object.__setattr__(self, "gains", g)
-
-
-@dataclass(frozen=True)
 class StateSpace:
     """Enumerated channel states with their joint probabilities.
 
@@ -182,8 +166,10 @@ class StateSpace:
     def n_players(self):
         return self.gains.shape[1]
 
-    def state(self, k):
-        return ChannelState(gains=self.gains[k])
+    @property
+    def direct_gains(self):
+        """|h_ii|^2 of every player at every state, shape (N1, N)."""
+        return np.einsum('kii->ki', self.gains)
 
 
 @dataclass(frozen=True)
@@ -236,57 +222,39 @@ def enumerate_states(spec: GameSpec, cap: int = DEFAULT_STATE_CAP) -> StateSpace
     return StateSpace(gains=gains, probs=probs)
 
 
-def sinr(spec: GameSpec, state: ChannelState, p, i: int) -> float:
-    """SINR of player i at one state for per-player powers p (noise = 1)."""
-    g = state.gains if isinstance(state, ChannelState) else np.asarray(state, float)
-    p = np.asarray(p, dtype=float)
-    interference = g[i] @ p - g[i, i] * p[i]
-    return float(spec.alpha[i] * g[i, i] * p[i] / (1.0 + interference))
+def interference(spec: GameSpec, space: StateSpace, P):
+    """Received signal and interference of every player at every state.
 
-
-def _sinr_table(spec, space, P):
-    """SINR of every player at every state; P has shape (..., N, N1)."""
-    # received[..., k, i] = sum_j |h_ij|^2 P_j(k)
+    For powers P of shape (..., N, N1) returns (signal, interf), both of
+    shape (..., N1, N): signal = alpha_i |h_ii|^2 P_i(h) and
+    interf = 1 + sum_{j != i} |h_ij|^2 P_j(h).  Every solver builds on
+    these two tables: the SINR is their ratio, the water-filling floors
+    are interf / (alpha_i |h_ii|^2), and they feed the rate gradient.
+    """
     received = np.einsum('kij,...jk->...ki', space.gains, P)
-    diag = np.einsum('kii->ki', space.gains)
-    own = np.einsum('ki,...ik->...ki', diag, P)
-    signal = spec.alpha * own
-    return signal / (1.0 + received - own)
+    own = np.einsum('ki,...ik->...ki', space.direct_gains, P)
+    return spec.alpha * own, 1.0 + received - own
 
 
 def rate_table(spec, space, prof):
-    """Per-state rates log(1 + SINR_i(h)) in nats, shape (N1, N)."""
-    return np.log1p(_sinr_table(spec, space, _powers(prof)))
-
-
-def expected_rate(spec: GameSpec, space: StateSpace, prof, i: int) -> float:
-    """Expected rate of player i, E_h[log(1 + SINR_i)], in nats."""
-    return float(space.probs @ rate_table(spec, space, prof)[:, i])
+    """Per-state rates log(1 + SINR_i(h)) in nats, shape (..., N1, N)."""
+    signal, interf = interference(spec, space, _powers(prof))
+    return np.log1p(signal / interf)
 
 
 def expected_rates(spec, space, prof):
-    """Expected rates of all players at once, shape (..., N)."""
-    P = _powers(prof)
-    rates = np.log1p(_sinr_table(spec, space, P))
-    return np.einsum('k,...ki->...i', space.probs, rates)
-
-
-def average_power(space: StateSpace, prof, i: int) -> float:
-    """Average transmit power E_h[P_i(h)] of player i."""
-    return float(_powers(prof)[i] @ space.probs)
+    """Expected rates E_h[log(1 + SINR_i)] of all players, shape (..., N)."""
+    return np.einsum('k,...ki->...i', space.probs, rate_table(spec, space, prof))
 
 
 def average_powers(space, prof):
+    """Average transmit powers E_h[P_i(h)], shape (..., N)."""
     return _powers(prof) @ space.probs
 
 
 def sum_rate(spec: GameSpec, space: StateSpace, prof) -> float:
     """Total expected rate over all players (nats)."""
     return float(expected_rates(spec, space, prof).sum())
-
-
-def weighted_sum_rate(spec, space, prof):
-    return float(spec.weights @ expected_rates(spec, space, prof))
 
 
 def is_feasible(space: StateSpace, prof, pbar) -> np.ndarray:

@@ -27,7 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import GameSpec, PowerProfile, StateSpace, _powers, expected_rates
+from .game import (GameSpec, PowerProfile, StateSpace, _powers, expected_rates,
+                   interference)
 
 
 @dataclass(frozen=True)
@@ -99,28 +100,29 @@ def _lagrangian(spec, space, P, lam, c):
     return value + np.einsum('...i,...i->...', lam, slack) - c * (slack ** 2).sum(axis=-1)
 
 
-def _grad_all(spec, space, P, lam, c):
-    """Gradient of L w.r.t. every power variable, shape (..., N, N1).
+def _gradient(spec, space, signal, interf, slack, lam, c):
+    """Gradient of L w.r.t. every power variable, shape (..., N, N1), from
+    the interference tables of the profiles and their budget slacks.
 
     Per state h:  dL/dP_i(h) = pi(h) * [ w_i g_ii A_i
         - sum_{j != i} w_j |h_ji|^2 s_j A_j B_j  - lam_i + 2c (pbar_i - E[P_i]) ]
     with g_ii = alpha_i |h_ii|^2, s_j the received own signal, A_j and
     B_j the reciprocals of (1 + I_j + s_j) and (1 + I_j).
     """
-    received = np.einsum('kij,...jk->...ki', space.gains, P)
-    diag = np.einsum('kii->ki', space.gains)
-    own = np.einsum('ki,...ik->...ki', diag, P)
-    signal = spec.alpha * own                       # s_j at [..., k, j]
-    interf = 1.0 + received - own                   # 1 + I_j
+    diag = space.direct_gains
     a = 1.0 / (interf + signal)
-    b = 1.0 / interf
-    w_sab = spec.weights * signal * a * b
-    cross = np.einsum('kji,...kj->...ki', space.gains, w_sab)
-    cross -= np.einsum('kii,...ki->...ki', space.gains, w_sab)
-    direct = spec.weights * (spec.alpha * diag) * a
-    slack = _slack(space, P, spec.pbar)
-    per_state = direct - cross - lam[..., None, :] + 2.0 * c * slack[..., None, :]
+    w_sab = spec.weights * signal * a / interf
+    cross = np.einsum('kji,...kj->...ki', space.gains, w_sab) - diag * w_sab
+    per_state = (spec.weights * (spec.alpha * diag) * a - cross
+                 - lam[..., None, :] + 2.0 * c * slack[..., None, :])
     return np.einsum('k,...ki->...ik', space.probs, per_state)
+
+
+def _grad_all(spec, space, P, lam, c):
+    """Gradient of L w.r.t. every power variable, shape (..., N, N1)."""
+    signal, interf = interference(spec, space, P)
+    return _gradient(spec, space, signal, interf, _slack(space, P, spec.pbar),
+                     lam, c)
 
 
 def grad_player(spec: GameSpec, space: StateSpace, prof, lambdas, c: float,
@@ -162,26 +164,14 @@ def _ascent_batch(spec, space, P, lam, cfg, delta, active=None):
     active = active.copy()
     iterations = np.zeros(batch, dtype=int)
     probs = space.probs
-    diag = np.einsum('kii->ki', space.gains)
-    geff = spec.alpha * diag                       # (S, N)
-    w = spec.weights
+    geff = spec.alpha * space.direct_gains         # (S, N)
     base_value = _lagrangian(spec, space, P, lam, cfg.c)
     for _ in range(cfg.max_inner):
         if not active.any():
             break
-        pt = P.transpose(0, 2, 1)                  # (B, S, N)
-        received = np.einsum('kij,bjk->bki', space.gains, P)
-        own = diag * pt
-        signal = spec.alpha * own
-        interf = 1.0 + received - own
-        slack = spec.pbar - P @ probs              # (B, N)
-        # gradient of L for every player
-        a = 1.0 / (interf + signal)
-        w_sab = w * signal * a / interf
-        cross = np.einsum('kji,bkj->bki', space.gains, w_sab) - diag * w_sab
-        per_state = (w * geff * a - cross
-                     - lam[:, None, :] + 2.0 * cfg.c * slack[:, None, :])
-        grads = np.einsum('k,bki->bik', probs, per_state)
+        signal, interf = interference(spec, space, P)  # (B, S, N)
+        slack = _slack(space, P, spec.pbar)        # (B, N)
+        grads = _gradient(spec, space, signal, interf, slack, lam, cfg.c)
         proj = _projected_grad_norms(P, grads)
         eligible = (proj >= cfg.eps_grad) & active[:, None]
         active &= eligible.any(axis=1)
@@ -200,7 +190,8 @@ def _ascent_batch(spec, space, P, lam, cfg, delta, active=None):
         cand_signal[mrows, :, sel_i] = geff[:, sel_i].T * q[sel_b, sel_i]
         cand_slack = slack[sel_b]
         cand_slack[mrows, sel_i] -= dp @ probs
-        values = (np.einsum('k,mki,i->m', probs, np.log1p(cand_signal / denom), w)
+        values = (np.einsum('k,mki,i->m', probs, np.log1p(cand_signal / denom),
+                            spec.weights)
                   + np.einsum('mi,mi->m', lam[sel_b], cand_slack)
                   - cfg.c * (cand_slack ** 2).sum(axis=-1))
         gain = values - base_value[sel_b]

@@ -9,9 +9,10 @@ block-diagonal coupling operator: per state h,
 and Smax_ij = max_h Hhat(h)_ij.  Three checks decide which solver is
 guaranteed to work:
 
-  * contraction: (N-1) * max(H_c) / min(H_d) < 1, equivalent to
-    rho(Smax) < 1 (all rows of Smax have that common sum), which makes
-    iterative water-filling a contraction with a unique fixed point;
+  * contraction: rho(Smax) < 1, which makes iterative water-filling a
+    contraction with a unique fixed point; the largest row sum of Smax,
+    (N-1) * max(H_c) / (min_i alpha_i * min(H_d)), bounds rho(Smax) and
+    equals it when every alpha_i is the same (then all rows share it);
   * rho(Hhat) over the whole block-diagonal operator, equal to rho(Smax)
     because Smax is itself one of the blocks and dominates the rest;
   * positive (semi)definiteness of the quadratic form of
@@ -19,8 +20,8 @@ guaranteed to work:
     is the monotonicity condition under which the regularized projection
     solver converges even when rho(Hhat) >= 1.
 
-Spectral radii are computed by power iteration with the deterministic
-all-ones start; the block-diagonal operator is never densified.
+Spectral radii come from numpy's batched eigenvalue solver applied to the
+N x N blocks; the block-diagonal operator is never densified.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ class ConditionReport:
 
     rho_smax: float
     rho_hhat: float
-    ratio_bound: float       # (N-1) * max cross gain / min direct gain
+    ratio_bound: float       # largest row sum of Smax, see contraction_condition
     contraction_ok: bool
     htilde_psd: bool
     htilde_pd: bool
@@ -67,8 +68,7 @@ def build_operator(spec: GameSpec, space: StateSpace) -> InterferenceOperator:
 
     alpha_i is folded into the effective direct gain alpha_i * |h_ii|^2.
     """
-    diag = np.einsum('kii->ki', space.gains)
-    geff = spec.alpha * diag
+    geff = spec.alpha * space.direct_gains
     blocks = space.gains / geff[:, :, None]
     n = space.n_players
     blocks[:, np.arange(n), np.arange(n)] = 0.0
@@ -76,49 +76,34 @@ def build_operator(spec: GameSpec, space: StateSpace) -> InterferenceOperator:
                                 smax=blocks.max(axis=0))
 
 
-def _rho_batch(blocks, tol=1e-12, max_iter=10_000):
-    """Spectral radii of a stack of square nonnegative matrices.
-
-    Power iteration on A + I (shift keeps iterates strictly positive and
-    preserves rho(A) = rho(A+I) - 1 for nonnegative A), all-ones start,
-    with Collatz-Wielandt bounds min_i (Bx)_i/x_i <= rho(B) <= max_i as
-    the convergence certificate.  For a matrix with equal row sums the
-    bounds coincide at the first step, so the row sum is returned exactly.
-    """
-    blocks = np.asarray(blocks, dtype=float)
-    k, n, _ = blocks.shape
-    x = np.ones((k, n))
-    hi = np.empty(k)
-    lo = np.empty(k)
-    for _ in range(max_iter):
-        y = np.einsum('kij,kj->ki', blocks, x) + x
-        ratios = y / x
-        hi = ratios.max(axis=1)
-        lo = ratios.min(axis=1)
-        if np.all(hi - lo <= tol * hi):
-            break
-        x = y / y.max(axis=1, keepdims=True)
-    return 0.5 * (hi + lo) - 1.0
-
-
-def spectral_radius(matrix, tol=1e-12, max_iter=10_000) -> float:
-    """rho(A) of a square nonnegative matrix by power iteration."""
+def spectral_radius(matrix) -> float:
+    """rho(A) = max |eigenvalue| of a square matrix."""
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
-    return float(_rho_batch(a[None], tol=tol, max_iter=max_iter)[0])
+    return float(np.abs(np.linalg.eigvals(a)).max())
 
 
 def rho_blockdiag(op: InterferenceOperator) -> float:
     """rho of the block-diagonal operator: max over blocks of rho(Hhat(h))."""
-    return float(_rho_batch(op.blocks).max())
+    return float(np.abs(np.linalg.eigvals(op.blocks)).max(-1).max())
+
+
+def _plus_identity(blocks, shift=1.0):
+    """Add ``shift`` to the diagonal of each square block, in place."""
+    n = blocks.shape[-1]
+    blocks[..., np.arange(n), np.arange(n)] += shift
+    return blocks
 
 
 def contraction_condition(spec: GameSpec) -> tuple[float, bool]:
-    """Contraction ratio (N-1) * max(H_c) / min(H_d) and whether it is < 1."""
+    """Contraction ratio (N-1) * max(H_c) / (min_i alpha_i * min(H_d)) and
+    whether it is < 1.  The ratio is the largest row sum of Smax, so it
+    bounds rho(Smax) from above, with equality when alpha is constant."""
     if spec.n_players == 1:
         return 0.0, True
-    ratio = (spec.n_players - 1) * spec.gains.cross.max() / spec.gains.direct.min()
+    ratio = ((spec.n_players - 1) * spec.gains.cross.max()
+             / (spec.alpha.min() * spec.gains.direct.min()))
     return float(ratio), bool(ratio < 1.0)
 
 
@@ -131,9 +116,7 @@ def definiteness(op: InterferenceOperator) -> tuple[bool, bool, float]:
     quantity the monotonicity analysis needs; for nonsymmetric blocks it
     is not implied by eigenvalues having positive real parts.
     """
-    sym = 0.5 * (op.blocks + op.blocks.transpose(0, 2, 1))
-    n = op.n_players
-    sym[:, np.arange(n), np.arange(n)] += 1.0
+    sym = _plus_identity(0.5 * (op.blocks + op.blocks.transpose(0, 2, 1)))
     m = float(np.linalg.eigvalsh(sym)[:, 0].min())
     return bool(m >= -1e-10), bool(m > 1e-10), m
 

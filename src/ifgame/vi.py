@@ -13,8 +13,9 @@ negated input, so the natural residual ||P - Pi_K(P - F(P))||_inf equals
 the best-response residual ||P - WF(P)||_inf.  (Over the budget
 *inequality* set the iteration P <- Pi(P - tau F(P)) collapses to zero
 because F is strictly positive; the inequality-set Euclidean projection
-is still provided as project_block / project_feasible for feasibility
-repair.)
+is provided separately as project_block / project_feasible.)  Both
+projections are solved in closed form by the sorted-breakpoint
+water-filling solver.
 
 When the symmetric part of Htilde is positive semidefinite, the
 Tikhonov-regularized operator F_eps = F + eps*P is strongly monotone and
@@ -30,7 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .game import GameSpec, PowerProfile, StateSpace, _powers
-from .spectral import InterferenceOperator, build_operator, definiteness, _rho_batch
+from .spectral import (InterferenceOperator, _plus_identity, build_operator,
+                       definiteness)
 from .waterfilling import waterfill_levels
 
 
@@ -79,13 +81,9 @@ def _eval_F_table(problem, table, eps=0.0):
     return problem.op.hhat + (1.0 + eps) * table + coupled
 
 
-def eval_F(problem: ViProblem, prof) -> np.ndarray:
-    """F(P) = hhat + Htilde P as a flat state-major vector of length N*N1."""
-    return _eval_F_table(problem, _as_table(problem, prof)).ravel()
-
-
-def eval_F_eps(problem: ViProblem, prof, eps: float) -> np.ndarray:
-    """F(P) + eps * P, the Tikhonov-regularized operator."""
+def eval_F(problem: ViProblem, prof, eps: float = 0.0) -> np.ndarray:
+    """F_eps(P) = hhat + Htilde P + eps P as a flat state-major vector of
+    length N*N1; eps = 0 gives the unregularized operator F."""
     return _eval_F_table(problem, _as_table(problem, prof), eps=eps).ravel()
 
 
@@ -94,26 +92,22 @@ def project_block(x, probs, pbar: float) -> np.ndarray:
 
     If clipping to the orthant is already within budget that is the
     projection; otherwise p(h) = max{0, x(h) - mu * probs[h]} with the
-    unique mu > 0 that makes the budget tight, found by bisection on
-    [0, max x / min positive prob] to budget residual 1e-12.
+    unique mu > 0 that makes the budget tight.  Where probs[h] > 0 that
+    is probs[h] * max{0, level - f(h)} with floors f = -x / probs and
+    level = -mu: water-filling on f with weights probs^2, solved exactly
+    by waterfill_levels.  Zero-probability states spend no budget and
+    stay clipped.
     """
     x = np.asarray(x, dtype=float)
     probs = np.asarray(probs, dtype=float)
     clipped = np.maximum(x, 0.0)
     if probs @ clipped <= pbar + 1e-9:
         return clipped
-    lo, hi = 0.0, float(x.max() / probs[probs > 0].min())
-    mu = hi
-    for _ in range(200):
-        mu = 0.5 * (lo + hi)
-        spent = probs @ np.maximum(x - mu * probs, 0.0)
-        if abs(spent - pbar) <= 1e-12:
-            break
-        if spent > pbar:
-            lo = mu
-        else:
-            hi = mu
-    return np.maximum(x - mu * probs, 0.0)
+    on = probs > 0
+    floors = -x[on] / probs[on]
+    level = waterfill_levels(floors, probs[on] ** 2, pbar)
+    clipped[on] = probs[on] * np.maximum(0.0, level - floors)
+    return clipped
 
 
 def project_feasible(problem: ViProblem, z) -> PowerProfile:
@@ -147,22 +141,21 @@ def natural_residual(problem: ViProblem, prof, eps: float = 0.0) -> float:
     return float(np.abs(table - _project_face(problem, step)).max())
 
 
+def _max_singular(blocks) -> float:
+    """Largest singular value over a stack of square blocks, from the
+    top eigenvalue of each Gram matrix B^T B."""
+    gram = np.einsum('kji,kjl->kil', blocks, blocks)
+    return float(np.sqrt(np.linalg.eigvalsh(gram)[:, -1].max()))
+
+
 def _lipschitz(problem) -> float:
     """||Htilde||_2 = max over blocks of the largest singular value."""
-    blocks = problem.op.blocks.copy()
-    n = problem.n_players
-    blocks[:, np.arange(n), np.arange(n)] += 1.0
-    gram = np.einsum('kji,kjl->kil', blocks, blocks)
-    return float(np.sqrt(_rho_batch(gram).max()))
+    return _max_singular(_plus_identity(problem.op.blocks.copy()))
 
 
 def _iteration_norm(m_blocks, tau):
     """||I - tau*M||_2 over the block diagonal (exact, via the Gram)."""
-    g = -tau * m_blocks
-    n = g.shape[1]
-    g[:, np.arange(n), np.arange(n)] += 1.0
-    gram = np.einsum('kji,kjl->kil', g, g)
-    return float(np.sqrt(np.linalg.eigvalsh(gram)[:, -1].max()))
+    return _max_singular(_plus_identity(-tau * m_blocks))
 
 
 def _best_tau(problem, eps, fallback):
@@ -172,9 +165,7 @@ def _best_tau(problem, eps, fallback):
     affine matrix family), so ternary search finds the minimizer; the
     result is never worse than the sigma/L^2 bound used as fallback.
     """
-    m = problem.op.blocks.copy()
-    n = problem.n_players
-    m[:, np.arange(n), np.arange(n)] += 1.0 + eps
+    m = _plus_identity(problem.op.blocks.copy(), 1.0 + eps)
     lo, hi = 0.0, 4.0
     for _ in range(35):
         t1 = lo + (hi - lo) / 3.0
@@ -229,7 +220,7 @@ def solve_strong(problem: ViProblem, eps: float, init=None, tol: float = 1e-9,
 
 
 def solve_regularized(problem: ViProblem, eps0: float = 1.0, decay: float = 0.5,
-                      outer_tol: float = 1e-8, inner_tol: float = 1e-9,
+                      outer_tol: float = 1e-7, inner_tol: float = 1e-9,
                       init=None, max_outer: int = 60,
                       max_inner: int = 200_000) -> ViReport:
     """Drive eps_n = eps0 * decay^n -> 0 with warm starts.

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import GameSpec, PowerProfile, StateSpace, _powers
+from .game import GameSpec, PowerProfile, StateSpace, _powers, interference
 
 
 @dataclass(frozen=True)
@@ -41,14 +41,6 @@ class IwfReport:
     residual_history: list[float]
     converged: bool
     scheme: str
-
-
-def interference_floor(spec: GameSpec, space: StateSpace, prof, i: int) -> np.ndarray:
-    """Per-state floors f_i(h) seen by player i under profile prof."""
-    P = _powers(prof)
-    received = np.einsum('kj,jk->k', space.gains[:, i, :], P)
-    own = space.gains[:, i, i] * P[i]
-    return (1.0 + received - own) / (spec.alpha[i] * space.gains[:, i, i])
 
 
 def waterfill_levels(floors, probs, pbars) -> np.ndarray:
@@ -90,17 +82,9 @@ def waterfill(floors, probs, pbar: float) -> WaterfillResult:
 
 
 def interference_floors(spec: GameSpec, space: StateSpace, prof) -> np.ndarray:
-    """Floors of every player under the same frozen profile, (N, N1)."""
-    P = _powers(prof)
-    received = np.einsum('kij,jk->ki', space.gains, P)
-    diag = np.einsum('kii->ki', space.gains)
-    return ((1.0 + received - diag * P.T) / (spec.alpha * diag)).T
-
-
-def best_response(spec: GameSpec, space: StateSpace, prof, i: int) -> WaterfillResult:
-    """Water-filling best response of player i to the others' powers."""
-    return waterfill(interference_floor(spec, space, prof, i),
-                     space.probs, float(spec.pbar[i]))
+    """Floors f_i(h) of every player under the same frozen profile, (N, N1)."""
+    _, interf = interference(spec, space, _powers(prof))
+    return (interf / (spec.alpha * space.direct_gains)).T
 
 
 def waterfill_map(spec: GameSpec, space: StateSpace, prof) -> np.ndarray:
@@ -139,7 +123,8 @@ def iterate_waterfilling(spec: GameSpec, space: StateSpace, init=None,
         else:
             new = P.copy()
             for i in range(n):
-                new[i] = best_response(spec, space, new, i).powers
+                floors = interference_floors(spec, space, new)[i]
+                new[i] = waterfill(floors, space.probs, spec.pbar[i]).powers
         residual = float(np.abs(new - P).max())
         history.append(residual)
         P = new

@@ -1,17 +1,21 @@
 """Config ingestion, experiment orchestration, outputs and the CLI."""
 
 import dataclasses
+import inspect
 import json
 
 import numpy as np
 import pytest
 
-from ifgame import (ConfigError, is_feasible, load_config, run_analyze,
+from ifgame import (AlConfig, ConfigError, is_feasible, load_config, run_analyze,
                     run_simulate, run_solve, run_sweep, serialize_config,
                     write_outputs)
 from ifgame.cli import main
-from ifgame.config import SimulateConfig, SweepConfig
+from ifgame.config import (IwfConfig, OutputConfig, SimulateConfig, SolverConfig,
+                           SweepConfig, ViConfig)
 from ifgame.experiments import build_game, ne_outcome_for_simulation
+from ifgame.game import DEFAULT_STATE_CAP
+from ifgame.vi import solve_regularized
 
 EXAMPLE1 = {
     "game": {"players": 3, "direct_gains": [3.0, 1.5],
@@ -80,6 +84,87 @@ def test_config_parse_error_reports_line():
 def test_config_dimension_mismatch():
     with pytest.raises(ConfigError, match="pbar"):
         cfg(EXAMPLE1, pbar=[1.0, 2.0])
+
+
+def rejected(doc, field, tmp_path, capsys):
+    """The config fails to load with ConfigError naming ``field``, and the
+    CLI exits with code 1 and names it too."""
+    text = json.dumps(doc)
+    with pytest.raises(ConfigError) as caught:
+        load_config(text)
+    assert caught.value.field == field
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert main(["analyze", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    assert f"(field: {field})" in capsys.readouterr().err
+
+
+def with_value(doc, dotted, value):
+    doc = json.loads(json.dumps(doc))
+    *parents, key = dotted.split(".")
+    node = doc
+    for part in parents:
+        node = node.setdefault(part, {})
+    node[key] = value
+    return doc
+
+
+@pytest.mark.parametrize("dotted, value", [
+    ("game.direct_gains", [float("inf"), 1.5]),
+    ("game.cross_gains", [0.1, float("nan")]),
+    ("game.pbar", float("inf")),
+    ("game.alpha", float("nan")),
+    ("game.weights", [1.0, float("inf"), 1.0]),
+    ("sweep.values", [1.0, float("nan")]),
+    ("solver.iwf.tol", float("nan")),
+    ("solver.vi.eps0", float("inf")),
+    ("solver.pareto.c", float("inf")),
+    ("solver.pareto.delta", float("nan")),
+])
+def test_config_non_finite_number_rejected(dotted, value, tmp_path, capsys):
+    rejected(with_value(EXAMPLE1, dotted, value), dotted, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("dotted, value", [
+    ("game.players", True),
+    ("solver.iwf.max_iter", 2.9),
+    ("solver.pareto.starts", True),
+    ("solver.state_cap", 10.5),
+    ("simulate.slots", 1.5),
+    ("game.pbar", True),
+    ("solver.pareto.seed", -1),
+    ("simulate.seed", -3),
+])
+def test_config_bad_integer_rejected(dotted, value, tmp_path, capsys):
+    rejected(with_value(EXAMPLE1, dotted, value), dotted, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("probs", [
+    {"direct": [[0.5, 0.5]] * 2, "cross": [[[1.0]] * 3] * 3},
+    {"direct": [[0.5, 0.5]] * 3, "cross": [[[0.5, 0.5]] * 3] * 3},
+    {"direct": [[0.5, 0.5]] * 3, "cross": [[[0.5, 0.5]] * 3] * 2},
+    {"direct": [[0.5, 0.5], [0.5], [0.5, 0.5]], "cross": [[[1.0]] * 3] * 3},
+    {"direct": [[0.5, float("nan")]] * 3, "cross": [[[1.0]] * 3] * 3},
+    {"direct": [[0.5, 0.6]] * 3, "cross": [[[1.0]] * 3] * 3},
+])
+def test_config_link_probs_errors_name_field(probs, tmp_path, capsys):
+    doc = with_value(EXAMPLE1, "game.cross_gains", [0.1])
+    rejected(with_value(doc, "game.link_probs", probs), "game.link_probs",
+             tmp_path, capsys)
+
+
+def test_config_defaults_come_from_dataclasses():
+    bare = {"game": EXAMPLE1["game"], "sweep": {}, "simulate": {}}
+    config = load_config(json.dumps(bare))
+    assert config.solver == SolverConfig()
+    assert config.solver.iwf == IwfConfig() and config.solver.vi == ViConfig()
+    assert config.solver.pareto == AlConfig()
+    assert config.simulate == SimulateConfig() and config.output == OutputConfig()
+    assert config.sweep == SweepConfig()
+    assert SolverConfig().state_cap == DEFAULT_STATE_CAP
+    # the library default of the VI path matches the config default
+    outer_tol = inspect.signature(solve_regularized).parameters["outer_tol"].default
+    assert outer_tol == ViConfig().outer_tol
 
 
 def test_run_analyze_example_values():
@@ -231,6 +316,15 @@ def test_cli_bad_config_exit_one(tmp_path, capsys):
     assert main(["analyze", "--config", str(path), "--out", str(tmp_path)]) == 1
     # alphabetically first missing required key is reported
     assert "cross_gains" in capsys.readouterr().err
+
+
+def test_cli_negative_seed_exit_one(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(SMALL))
+    assert main(["solve", "--config", str(path), "--out", str(tmp_path / "o"),
+                 "--seed", "-1"]) == 1
+    assert "(field: --seed)" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()  # rejected before any solver ran
 
 
 def test_cli_nonconvergence_exit_two(tmp_path):

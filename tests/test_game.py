@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from ifgame import (GainAlphabets, GameSpec, LinkDistribution, PowerProfile,
-                    StateSpaceTooLargeError, average_power, enumerate_states,
-                    expected_rate, expected_rates, is_feasible, sinr, sum_rate)
+                    StateSpace, StateSpaceTooLargeError, average_powers,
+                    enumerate_states, expected_rates, interference,
+                    interference_floors, is_feasible, rate_table, sum_rate)
 from util_random import random_feasible_profile, random_spec
 
 
@@ -36,13 +37,21 @@ def brute_force_states(spec):
     return np.array(gains), np.array(probs)
 
 
+def loop_sinr_and_floor(spec, space, P, k, i):
+    """Plain-Python reference: SINR and water-filling floor of player i
+    at state k."""
+    g = space.gains[k]
+    received = sum(g[i, j] * P[j, k] for j in range(spec.n_players) if j != i)
+    sinr = spec.alpha[i] * g[i, i] * P[i, k] / (1.0 + received)
+    floor = (1.0 + received) / (spec.alpha[i] * g[i, i])
+    return sinr, floor
+
+
 def brute_force_rate(spec, space, P, i):
     total = 0.0
     for k in range(space.n_states):
-        g = space.gains[k]
-        interference = sum(g[i, j] * P[j, k] for j in range(spec.n_players) if j != i)
-        gamma = spec.alpha[i] * g[i, i] * P[i, k] / (1.0 + interference)
-        total += space.probs[k] * math.log(1.0 + gamma)
+        sinr, _ = loop_sinr_and_floor(spec, space, P, k, i)
+        total += space.probs[k] * math.log(1.0 + sinr)
     return total
 
 
@@ -87,18 +96,42 @@ def test_cap_guard():
 
 def test_sinr_hand_values():
     spec = GameSpec.symmetric(2, [1.0, 3.0], [0.5], pbar=1.0)
+
+    def sinr(state, p):
+        space = StateSpace(gains=[state], probs=[1.0])
+        signal, interf = interference(spec, space, np.array(p, float)[:, None])
+        return float(signal[0, 0] / interf[0, 0])
+
     state = np.array([[3.0, 0.5], [0.5, 1.0]])
-    assert sinr(spec, state, [2.0, 2.0], 0) == pytest.approx(3.0)
+    assert sinr(state, [2.0, 2.0]) == pytest.approx(3.0)
     no_interf = np.array([[1.0, 0.5], [0.5, 1.0]])
-    assert sinr(spec, no_interf, [1.0, 0.0], 0) == pytest.approx(1.0)
-    assert sinr(spec, state, [0.0, 2.0], 0) == 0.0
+    assert sinr(no_interf, [1.0, 0.0]) == pytest.approx(1.0)
+    assert sinr(state, [0.0, 2.0]) == 0.0
+
+
+def test_rate_table_and_floors_match_loop_reference():
+    rng = np.random.default_rng(14)
+    for _ in range(10):
+        spec = random_spec(rng, state_limit=400)
+        spec = GameSpec(n_players=spec.n_players, gains=spec.gains, dists=spec.dists,
+                        pbar=spec.pbar,
+                        alpha=rng.uniform(0.5, 2.0, size=spec.n_players))
+        space = enumerate_states(spec)
+        P = random_feasible_profile(rng, spec, space)
+        rates = rate_table(spec, space, P)
+        floors = interference_floors(spec, space, P)
+        for k in range(space.n_states):
+            for i in range(spec.n_players):
+                sinr, floor = loop_sinr_and_floor(spec, space, P, k, i)
+                assert rates[k, i] == pytest.approx(math.log1p(sinr), rel=1e-13, abs=1e-15)
+                assert floors[i, k] == pytest.approx(floor, rel=1e-13)
 
 
 def test_expected_rate_basics():
     spec = GameSpec.symmetric(1, [1.0], [1.0], pbar=1.0)
     space = enumerate_states(spec)
-    assert expected_rate(spec, space, np.zeros((1, 1)), 0) == 0.0
-    assert expected_rate(spec, space, np.ones((1, 1)), 0) == pytest.approx(math.log(2.0))
+    assert expected_rates(spec, space, np.zeros((1, 1)))[0] == 0.0
+    assert expected_rates(spec, space, np.ones((1, 1)))[0] == pytest.approx(math.log(2.0))
 
 
 def test_expected_rate_equals_brute_force_oracle():
@@ -106,16 +139,16 @@ def test_expected_rate_equals_brute_force_oracle():
     spec = GameSpec.symmetric(3, [3.0, 1.5], [0.1, 0.5], pbar=1.0)
     space = enumerate_states(spec)
     P = random_feasible_profile(rng, spec, space)
+    rates = expected_rates(spec, space, P)
     for i in range(3):
-        assert expected_rate(spec, space, P, i) == pytest.approx(
-            brute_force_rate(spec, space, P, i), abs=1e-12)
+        assert rates[i] == pytest.approx(brute_force_rate(spec, space, P, i), abs=1e-12)
 
 
 def test_average_power():
     spec = GameSpec.symmetric(3, [3.0, 1.5], [0.1, 0.5], pbar=1.0)
     space = enumerate_states(spec)
-    assert average_power(space, np.zeros((3, 512)), 0) == 0.0
-    assert average_power(space, np.full((3, 512), 0.7), 1) == pytest.approx(0.7)
+    assert average_powers(space, np.zeros((3, 512)))[0] == 0.0
+    assert average_powers(space, np.full((3, 512), 0.7))[1] == pytest.approx(0.7)
 
 
 def test_average_power_two_states_hand_value():
@@ -125,7 +158,7 @@ def test_average_power_two_states_hand_value():
                                            cross=np.ones((1, 1, 1))),
                     pbar=[1.0])
     space = enumerate_states(spec)
-    assert average_power(space, np.array([[4.0, 0.0]]), 0) == pytest.approx(1.0)
+    assert average_powers(space, np.array([[4.0, 0.0]]))[0] == pytest.approx(1.0)
 
 
 def test_sum_rate_cases():
@@ -133,12 +166,12 @@ def test_sum_rate_cases():
     space1 = enumerate_states(spec1)
     assert sum_rate(spec1, space1, np.zeros((1, 1))) == 0.0
     assert sum_rate(spec1, space1, np.ones((1, 1))) == pytest.approx(
-        expected_rate(spec1, space1, np.ones((1, 1)), 0))
+        expected_rates(spec1, space1, np.ones((1, 1)))[0])
     spec2 = GameSpec.symmetric(2, [2.0], [0.3], pbar=1.0)
     space2 = enumerate_states(spec2)
     P = np.full((2, space2.n_states), 1.0)
     assert sum_rate(spec2, space2, P) == pytest.approx(
-        2.0 * expected_rate(spec2, space2, P, 0))
+        2.0 * expected_rates(spec2, space2, P)[0])
 
 
 def test_is_feasible():
@@ -168,9 +201,8 @@ def test_rate_concave_in_own_powers():
         mix, pa, pb = base.copy(), base.copy(), base.copy()
         mix[i] = theta * a[i] + (1 - theta) * b[i]
         pa[i], pb[i] = a[i], b[i]
-        assert expected_rate(spec, space, mix, i) >= (
-            theta * expected_rate(spec, space, pa, i)
-            + (1 - theta) * expected_rate(spec, space, pb, i) - 1e-9)
+        r_mix, r_a, r_b = (expected_rates(spec, space, prof)[i] for prof in (mix, pa, pb))
+        assert r_mix >= theta * r_a + (1 - theta) * r_b - 1e-9
 
 
 def test_rate_monotone_in_interferer_power():
@@ -185,8 +217,8 @@ def test_rate_monotone_in_interferer_power():
         k = int(rng.integers(space.n_states))
         bumped = P.copy()
         bumped[j, k] += 0.5
-        assert expected_rate(spec, space, bumped, i) <= \
-            expected_rate(spec, space, P, i) + 1e-12
+        assert expected_rates(spec, space, bumped)[i] <= \
+            expected_rates(spec, space, P)[i] + 1e-12
 
 
 def test_expected_rates_matches_expected_rate():
@@ -195,5 +227,6 @@ def test_expected_rates_matches_expected_rate():
     space = enumerate_states(spec)
     P = random_feasible_profile(rng, spec, space)
     rates = expected_rates(spec, space, P)
+    per_state = rate_table(spec, space, P)
     for i in range(spec.n_players):
-        assert rates[i] == pytest.approx(expected_rate(spec, space, P, i), abs=1e-14)
+        assert rates[i] == pytest.approx(float(space.probs @ per_state[:, i]), abs=1e-14)

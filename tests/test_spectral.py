@@ -61,6 +61,16 @@ def test_spectral_radius_example_values():
     assert spectral_radius(op2.smax) == pytest.approx(4.0 / 3.0, abs=1e-9)
 
 
+def test_spectral_radius_unequal_row_sums_hand_values():
+    # row sums 1 and 4 bracket the radius; eigenvalues are +-2
+    assert spectral_radius([[0.0, 1.0], [4.0, 0.0]]) == pytest.approx(2.0, abs=1e-12)
+    # triangular: eigenvalues on the diagonal, row sums 3 and 1
+    assert spectral_radius([[2.0, 1.0], [0.0, 1.0]]) == pytest.approx(2.0, abs=1e-12)
+    # eigenvalues (5 +- sqrt(33)) / 2, row sums 3 and 7
+    assert spectral_radius([[1.0, 2.0], [3.0, 4.0]]) == pytest.approx(
+        (5.0 + 33.0 ** 0.5) / 2.0, abs=1e-12)
+
+
 def test_spectral_radius_equal_row_sums_is_exact():
     rng = np.random.default_rng(3)
     for _ in range(20):
@@ -114,6 +124,20 @@ def test_contraction_equivalence_on_random_specs():
         assert (rho < 1.0) == (ratio < 1.0) == ok
         if spec.n_players > 1:
             assert rho == pytest.approx(ratio, abs=1e-9)
+
+
+def test_ratio_bound_honours_alpha():
+    # alpha scales the effective direct gain, so the row-sum bound must too
+    for alpha in ([0.5, 0.5, 0.5], [0.5, 1.0, 2.0], [3.0, 1.0, 1.0]):
+        spec = GameSpec.symmetric(3, [3.0, 1.5], [0.1, 0.5], pbar=1.0, alpha=alpha)
+        report = condition_report(spec, enumerate_states(spec))
+        assert report.ratio_bound >= report.rho_smax - 1e-12
+        row_sums = build_operator(spec, enumerate_states(spec)).smax.sum(axis=1)
+        assert report.ratio_bound == pytest.approx(row_sums.max(), rel=1e-12)
+    half = GameSpec.symmetric(3, [3.0, 1.5], [0.1, 0.5], pbar=1.0, alpha=0.5)
+    report = condition_report(half, enumerate_states(half))
+    assert report.ratio_bound == pytest.approx(4.0 / 3.0)
+    assert report.rho_smax == pytest.approx(4.0 / 3.0)
 
 
 def test_definiteness_single_player():

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from ifgame import (GameSpec, enumerate_states, eval_F, eval_F_eps,
-                    iterate_waterfilling, make_vi_problem, natural_residual,
-                    project_block, project_feasible, solve_regularized,
-                    solve_strong, wf_residual)
+from ifgame import (GameSpec, enumerate_states, eval_F, iterate_waterfilling,
+                    make_vi_problem, natural_residual, project_block,
+                    project_feasible, solve_regularized, solve_strong,
+                    waterfill_map, wf_residual)
 from ifgame.presets import example1, example2, pd_not_contractive
 from ifgame.vi import _eval_F_table, _project_face
 from util_random import random_feasible_profile
@@ -53,17 +53,17 @@ def test_eval_F_eps_properties():
     spec, space, problem = small_problem()
     rng = np.random.default_rng(2)
     zero = np.zeros((2, space.n_states))
-    assert np.array_equal(eval_F_eps(problem, zero, 0.5), problem.op.hhat.ravel())
+    assert np.array_equal(eval_F(problem, zero, 0.5), problem.op.hhat.ravel())
     P = random_feasible_profile(rng, spec, space)
-    assert np.abs(eval_F_eps(problem, P, 0.25)
+    assert np.abs(eval_F(problem, P, 0.25)
                   - (eval_F(problem, P) + 0.25 * P.T.ravel())).max() < 1e-14
     # affine in P: F(aP + (1-a)Q) = a F(P) + (1-a) F(Q)
     Q = random_feasible_profile(rng, spec, space)
     a = 0.3
     mix = a * P + (1 - a) * Q
-    assert np.abs(eval_F_eps(problem, mix, 0.25)
-                  - a * eval_F_eps(problem, P, 0.25)
-                  - (1 - a) * eval_F_eps(problem, Q, 0.25)).max() < 1e-12
+    assert np.abs(eval_F(problem, mix, 0.25)
+                  - a * eval_F(problem, P, 0.25)
+                  - (1 - a) * eval_F(problem, Q, 0.25)).max() < 1e-12
 
 
 def test_project_block_hand_values():
@@ -74,6 +74,11 @@ def test_project_block_hand_values():
     assert np.allclose(projected, [1.0, 1.0], atol=1e-10)
     assert np.array_equal(project_block(np.array([-1.0, -0.2]), probs, 1.0),
                           np.zeros(2))
+    # mu = 1 balances the budget: max(0, x - mu * probs) = [1.5, 0.5]
+    assert np.allclose(project_block(np.array([2.0, 1.0]), probs, 1.0), [1.5, 0.5])
+    # a zero-probability state spends no budget and is only clipped
+    assert np.allclose(project_block(np.array([2.0, 2.0, 5.0]),
+                                     np.array([0.5, 0.5, 0.0]), 1.0), [1.0, 1.0, 5.0])
 
 
 def test_project_block_projection_inequality_and_idempotence():
@@ -125,8 +130,7 @@ def test_solve_strong_single_player_matches_best_response():
     spec = GameSpec.symmetric(1, [2.0, 0.5], [1.0], pbar=1.0)
     space = enumerate_states(spec)
     problem = make_vi_problem(spec, space)
-    from ifgame import best_response
-    wf = best_response(spec, space, np.zeros((1, space.n_states)), 0).powers
+    wf = waterfill_map(spec, space, np.zeros((1, space.n_states)))[0]
     prof, _ = solve_strong(problem, eps=1.0, tol=1e-12)
     # eps shrinks the solution toward the floor shape; follow the path down
     for eps in (1.0, 0.1, 0.01, 1e-4, 1e-8):
@@ -158,7 +162,7 @@ def test_monotonicity_certificate():
         for _ in range(20):
             P = random_feasible_profile(rng, spec, space)
             V = random_feasible_profile(rng, spec, space)
-            dF = eval_F_eps(problem, P, eps) - eval_F_eps(problem, V, eps)
+            dF = eval_F(problem, P, eps) - eval_F(problem, V, eps)
             dP = P.T.ravel() - V.T.ravel()
             assert dF @ dP >= eps * dP @ dP - 1e-9
 

@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from ifgame import (GameSpec, best_response, enumerate_states,
-                    interference_floor, iterate_waterfilling, waterfill,
-                    waterfill_map, wf_residual)
+from ifgame import (GameSpec, enumerate_states, interference_floors,
+                    iterate_waterfilling, waterfill, waterfill_map, wf_residual)
 from ifgame.presets import example1, example2
 from util_random import random_feasible_profile, random_spec
 
@@ -35,11 +34,11 @@ def test_floor_values():
     spec = GameSpec.symmetric(2, [1.0, 2.0], [0.5], pbar=1.0)
     space = enumerate_states(spec)
     zero = np.zeros((2, space.n_states))
-    f = interference_floor(spec, space, zero, 0)
+    f = interference_floors(spec, space, zero)[0]
     assert np.allclose(f, 1.0 / space.gains[:, 0, 0])
     # |h_ii|^2 = 2 with one interferer 0.5 * P_j = 1 gives (1+1)/2 = 1
     prof = np.array([[0.0] * space.n_states, [2.0] * space.n_states])
-    f = interference_floor(spec, space, prof, 0)
+    f = interference_floors(spec, space, prof)[0]
     k = np.flatnonzero(space.gains[:, 0, 0] == 2.0)
     assert np.allclose(f[k], 1.0)
 
@@ -51,7 +50,7 @@ def test_floor_affine_increasing_in_interferer():
     for bump in (0.5, 1.0, 2.0):
         prof = base.copy()
         prof[1, 0] = bump
-        f = interference_floor(spec, space, prof, 0)
+        f = interference_floors(spec, space, prof)[0]
         assert f[0] == pytest.approx(1.0 + 0.5 * bump)
 
 
@@ -113,10 +112,10 @@ def test_waterfill_monotone_in_floors():
 def test_best_response_single_user_classic():
     spec = GameSpec.symmetric(1, [2.0, 0.5], [1.0], pbar=1.0, alpha=[2.0])
     space = enumerate_states(spec)
-    res = best_response(spec, space, np.zeros((1, space.n_states)), 0)
+    powers = waterfill_map(spec, space, np.zeros((1, space.n_states)))[0]
     oracle = bisect_waterfill(1.0 / (2.0 * space.gains[:, 0, 0]),
                               space.probs, 1.0)
-    assert np.abs(res.powers - oracle).max() < 1e-9
+    assert np.abs(powers - oracle).max() < 1e-9
 
 
 def test_best_response_variational_characterization():
@@ -126,17 +125,17 @@ def test_best_response_variational_characterization():
     spec = example1()
     space = enumerate_states(spec)
     prof = random_feasible_profile(rng, spec, space, tight=True)
+    best = waterfill_map(spec, space, prof)
+    floors = interference_floors(spec, space, prof)
     for i in range(spec.n_players):
-        res = best_response(spec, space, prof, i)
-        f = interference_floor(spec, space, prof, i)
-        grad = res.powers + f
+        grad = best[i] + floors[i]
         for _ in range(100):
             v = rng.uniform(0.0, 1.0, size=space.n_states)
             v *= spec.pbar[i] / (space.probs @ v)
-            weighted = space.probs @ (grad * (v - res.powers))
+            weighted = space.probs @ (grad * (v - best[i]))
             assert weighted >= -1e-8
             # uniform state probabilities make the unweighted form equivalent
-            assert (grad * (v - res.powers)).sum() >= -1e-8 * space.n_states
+            assert (grad * (v - best[i])).sum() >= -1e-8 * space.n_states
 
 
 def test_best_response_is_weighted_projection_of_negative_floors():
@@ -147,12 +146,9 @@ def test_best_response_is_weighted_projection_of_negative_floors():
         space = enumerate_states(spec)
         problem = make_vi_problem(spec, space)
         prof = random_feasible_profile(rng, spec, space)
-        floors = np.stack([interference_floor(spec, space, prof, i)
-                           for i in range(spec.n_players)])
+        floors = interference_floors(spec, space, prof)
         projected = _project_face(problem, -floors.T).T
-        for i in range(spec.n_players):
-            res = best_response(spec, space, prof, i)
-            assert np.abs(projected[i] - res.powers).max() < 1e-12
+        assert np.abs(projected - waterfill_map(spec, space, prof)).max() < 1e-12
 
 
 def test_iwf_single_user_immediate():
@@ -213,5 +209,8 @@ def test_waterfill_map_matches_best_response():
     space = enumerate_states(spec)
     prof = random_feasible_profile(rng, spec, space)
     wf = waterfill_map(spec, space, prof)
+    floors = interference_floors(spec, space, prof)
     for i in range(spec.n_players):
-        assert np.array_equal(wf[i], best_response(spec, space, prof, i).powers)
+        # one player's water-filling, as the sequential sweep computes it
+        single = waterfill(floors[i], space.probs, spec.pbar[i]).powers
+        assert np.array_equal(wf[i], single)
