@@ -6,19 +6,17 @@ the `ifgame sweep` subcommand produces.
 """
 
 import dataclasses
-import json
 import pathlib
 
-from ifgame import load_config, run_sweep, write_outputs
-from ifgame.config import SweepConfig
+from ifgame import load_config_file, run_sweep, write_outputs
+from ifgame.config import OutputConfig, SweepConfig
 
-config = load_config(json.dumps({
-    "game": {"players": 3, "direct_gains": [3.0, 1.5],
-             "cross_gains": [0.1, 0.5], "pbar": 1.0},
-    "solver": {"which": "all", "pareto": {"starts": 10, "seed": 0}},
-    "output": {"dir": "out/demo_sweep", "formats": ["csv"]},
-}))
-config = dataclasses.replace(config, sweep=SweepConfig(values=[0.5, 1.0, 1.5, 2.0]))
+CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
+
+config = dataclasses.replace(load_config_file(CONFIGS / "example1.json"),
+                             sweep=SweepConfig(values=[0.5, 1.0, 1.5, 2.0]),
+                             output=OutputConfig(dir="out/demo_sweep",
+                                                 formats=["csv"]))
 
 result = run_sweep(config)
 print(f"{'pbar':>6s} {'ne_iwf':>10s} {'ne_vi':>10s} {'pareto':>10s}")

@@ -8,13 +8,21 @@ Three 3-user games, each with two-element gain alphabets drawn uniformly
   * neither                    -> no guarantee (solvers still run, flagged).
 """
 
-from ifgame import GameSpec, condition_report, enumerate_states
-from ifgame.presets import example1, example2, pd_not_contractive
+import pathlib
+
+from ifgame import GameSpec, condition_report, enumerate_states, load_config_file
+
+CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
+
+
+def bundled(name):
+    return load_config_file(CONFIGS / f"{name}.json").game.build_spec()
+
 
 games = {
-    "example1 (weak cross gains)": example1(),
-    "example2 (strong cross gains)": example2(),
-    "pd_not_contractive (small direct spread)": pd_not_contractive(),
+    "example1 (weak cross gains)": bundled("example1"),
+    "example2 (strong cross gains)": bundled("example2"),
+    "pd_not_contractive (small direct spread)": bundled("pd_not_contractive"),
     "no certificate at all": GameSpec.symmetric(3, [0.08], [0.2], pbar=1.0),
 }
 
@@ -27,6 +35,7 @@ for name, spec in games.items():
           f"{report.min_sym_eig:12.4f}")
 
 print()
-print("rho(Smax) always equals the common row sum (N-1) * max(Hc) / min(Hd),")
-print("and equals the spectral radius of the whole block-diagonal coupling")
-print("operator, so the check never needs the dense 1536 x 1536 matrix.")
+print("Every gain has positive probability here and alpha = 1, so rho(Smax)")
+print("equals the common row sum (N-1) * max(Hc) / min(Hd); it also equals the")
+print("spectral radius of the whole block-diagonal coupling operator, so the")
+print("check never needs the dense 1536 x 1536 matrix.")

@@ -8,20 +8,16 @@ stationary values.
 """
 
 import dataclasses
-import json
+import pathlib
 
-from ifgame import load_config, run_simulate
+from ifgame import load_config_file, run_simulate
 from ifgame.config import SimulateConfig
 from ifgame.experiments import ne_outcome_for_simulation
 
-config = load_config(json.dumps({
-    "game": {"players": 3, "direct_gains": [3.0, 1.5],
-             "cross_gains": [0.1, 0.5], "pbar": 1.0},
-    "solver": {"which": "all"},
-    "output": {"dir": "out/demo_mc", "formats": ["csv"]},
-}))
-config = dataclasses.replace(config, simulate=SimulateConfig(slots=1_000_000,
-                                                             seed=7))
+CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
+
+config = dataclasses.replace(load_config_file(CONFIGS / "example1.json"),
+                             simulate=SimulateConfig(slots=1_000_000, seed=7))
 
 report, outcome = ne_outcome_for_simulation(config)
 print(f"NE policy from {outcome.name} (contraction holds: "

@@ -9,14 +9,19 @@ guarantee because the quadratic form of the coupling stays positive
 definite.
 """
 
+import pathlib
+
 import numpy as np
 
-from ifgame import (enumerate_states, iterate_waterfilling, make_vi_problem,
-                    natural_residual, solve_regularized, sum_rate, wf_residual)
-from ifgame.presets import example1, example2
+from ifgame import (enumerate_states, iterate_waterfilling, load_config_file,
+                    make_vi_problem, natural_residual, solve_regularized,
+                    sum_rate, wf_residual)
+
+CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 
 
-def solve_and_print(name, spec):
+def solve_and_print(name, config):
+    spec = load_config_file(CONFIGS / f"{config}.json").game.build_spec()
     print(f"=== {name} ===")
     space = enumerate_states(spec)
     problem = make_vi_problem(spec, space)
@@ -42,5 +47,5 @@ def solve_and_print(name, spec):
     print()
 
 
-solve_and_print("example1, budget 1.0", example1())
-solve_and_print("example2, budget 2.0", example2())
+solve_and_print("example1, budget 1.0", "example1")
+solve_and_print("example2, budget 2.0", "example2")

@@ -5,12 +5,16 @@ starts on both example games (weights all 1), keeps the best local
 optimum, and compares against the NE found by the projection solver.
 """
 
-from ifgame import (AlConfig, enumerate_states, make_vi_problem, multi_start,
-                    solve_regularized, sum_rate)
-from ifgame.presets import example1, example2
+import pathlib
 
-for name, spec in [("example1 (budget 1.0)", example1()),
-                   ("example2 (budget 2.0)", example2())]:
+from ifgame import (AlConfig, enumerate_states, load_config_file,
+                    make_vi_problem, multi_start, solve_regularized, sum_rate)
+
+CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
+
+for name, config in [("example1 (budget 1.0)", "example1"),
+                     ("example2 (budget 2.0)", "example2")]:
+    spec = load_config_file(CONFIGS / f"{config}.json").game.build_spec()
     space = enumerate_states(spec)
     ne = solve_regularized(make_vi_problem(spec, space), outer_tol=1e-7).solution
     ne_rate = sum_rate(spec, space, ne)

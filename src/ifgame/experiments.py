@@ -140,22 +140,23 @@ def run_solve(config: ExperimentConfig) -> RunResult:
 def run_sweep(config: ExperimentConfig) -> RunResult:
     """Re-solve the game for every sweep value of the common budget.
 
+    The game is built once; only its budget changes from point to point.
     Produces one row per value with the NE sum rates (both solvers) and
     the best Pareto sum rate; a non-converged solver's entry is NaN and
     flags the row.
     """
     if config.sweep is None:
         raise ValueError("config has no sweep section")
-    condition = condition_report(*build_game(config))
+    spec, space = build_game(config)
+    condition = condition_report(spec, space)
     names = _solver_names(config.solver.which)
     rows = []
     for value in config.sweep.values:
-        game = dataclasses.replace(config.game, pbar=[value] * config.game.players)
-        spec, space = build_game(dataclasses.replace(config, game=game))
+        point = dataclasses.replace(spec, pbar=value)
         row = {"pbar": float(value), "ne_iwf": float("nan"),
                "ne_vi": float("nan"), "pareto": float("nan"), "converged": True}
         for name in names:
-            outcome = _run_one_solver(name, spec, space, config)
+            outcome = _run_one_solver(name, point, space, config)
             key = {"iwf": "ne_iwf", "vi": "ne_vi", "pareto": "pareto"}[name]
             row[key] = outcome.sum_rate if outcome.converged else float("nan")
             row["converged"] &= outcome.converged

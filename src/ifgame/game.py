@@ -140,7 +140,8 @@ class StateSpace:
     ``gains[k]`` is the N x N gain matrix of state k, ``probs[k]`` its
     probability.  The ordering is deterministic: links in row-major order
     (1,1), (1,2), ..., (N,N), the last link's alphabet index varying
-    fastest (plain mixed-radix / lexicographic enumeration).
+    fastest (plain mixed-radix / lexicographic enumeration over the
+    positive-probability entries of each link's alphabet).
     """
 
     gains: np.ndarray  # (N1, N, N)
@@ -194,16 +195,26 @@ def _powers(prof):
 
 
 def enumerate_states(spec: GameSpec, cap: int = DEFAULT_STATE_CAP) -> StateSpace:
-    """Enumerate the full Cartesian product of per-link gain alphabets.
+    """Enumerate the channel states of positive probability.
 
-    The joint probability of a state is the product of its per-link
-    probabilities (links are independent).  Raises
-    StateSpaceTooLargeError when n1^N * n2^(N(N-1)) exceeds ``cap``.
+    Links are independent, so these are the Cartesian product of each
+    link's positive-probability alphabet entries, and the joint
+    probability of a state is the product of its per-link probabilities.
+    Raises StateSpaceTooLargeError when that product has more than
+    ``cap`` states.
     """
     n = spec.n_players
-    links = [(i, j) for i in range(n) for j in range(n)]
-    sizes = [spec.gains.direct.size if i == j else spec.gains.cross.size
-             for (i, j) in links]
+    values, weights = [], []
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                alphabet, pvec = spec.gains.direct, spec.dists.direct[i]
+            else:
+                alphabet, pvec = spec.gains.cross, spec.dists.cross[i, j]
+            support = pvec > 0
+            values.append(alphabet[support])
+            weights.append(pvec[support])
+    sizes = [v.size for v in values]
     required = float(np.prod([float(s) for s in sizes]))
     if required > cap:
         raise StateSpaceTooLargeError(
@@ -212,12 +223,8 @@ def enumerate_states(spec: GameSpec, cap: int = DEFAULT_STATE_CAP) -> StateSpace
     digits = np.unravel_index(np.arange(total), sizes)
     gains = np.empty((total, n, n))
     probs = np.ones(total)
-    for link, (i, j) in enumerate(links):
-        if i == j:
-            alphabet, pvec = spec.gains.direct, spec.dists.direct[i]
-        else:
-            alphabet, pvec = spec.gains.cross, spec.dists.cross[i, j]
-        gains[:, i, j] = alphabet[digits[link]]
+    for link, (alphabet, pvec) in enumerate(zip(values, weights)):
+        gains[:, link // n, link % n] = alphabet[digits[link]]
         probs *= pvec[digits[link]]
     return StateSpace(gains=gains, probs=probs)
 

@@ -10,9 +10,10 @@ and Smax_ij = max_h Hhat(h)_ij.  Three checks decide which solver is
 guaranteed to work:
 
   * contraction: rho(Smax) < 1, which makes iterative water-filling a
-    contraction with a unique fixed point; the largest row sum of Smax,
-    (N-1) * max(H_c) / (min_i alpha_i * min(H_d)), bounds rho(Smax) and
-    equals it when every alpha_i is the same (then all rows share it);
+    contraction with a unique fixed point; the alphabet ratio
+    (N-1) * max(H_c) / (min_i alpha_i * min(H_d)) bounds rho(Smax) and
+    equals it when every alphabet entry has positive probability and
+    every alpha_i is the same (then it is the common row sum of Smax);
   * rho(Hhat) over the whole block-diagonal operator, equal to rho(Smax)
     because Smax is itself one of the blocks and dominates the rest;
   * positive (semi)definiteness of the quadratic form of
@@ -98,8 +99,10 @@ def _plus_identity(blocks, shift=1.0):
 
 def contraction_condition(spec: GameSpec) -> tuple[float, bool]:
     """Contraction ratio (N-1) * max(H_c) / (min_i alpha_i * min(H_d)) and
-    whether it is < 1.  The ratio is the largest row sum of Smax, so it
-    bounds rho(Smax) from above, with equality when alpha is constant."""
+    whether it is < 1.  The ratio is taken over the whole alphabets, so it
+    bounds rho(Smax) from above.  It equals rho(Smax), the largest row
+    sum of Smax, only when every alphabet entry has positive probability
+    on every link and alpha is constant."""
     if spec.n_players == 1:
         return 0.0, True
     ratio = ((spec.n_players - 1) * spec.gains.cross.max()

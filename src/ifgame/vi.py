@@ -197,15 +197,16 @@ def solve_strong(problem: ViProblem, eps: float, init=None, tol: float = 1e-9,
     constant L = ||Htilde||_2 + eps.  Stops when both the
     successive-iterate gap and the natural residual of F_eps fall below
     tol; hitting max_iter is reported by returning the iterate reached
-    (no exception).
+    (no exception).  A caller that passes ``_tau`` has chosen the step and
+    checked definiteness itself, so neither is done again here.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    psd, _, min_eig = definiteness(problem.op)
-    if not psd:
-        warnings.warn("Htilde is not positive semidefinite; the projection "
-                      "iteration has no convergence guarantee", stacklevel=2)
     if _tau is None:
+        psd, _, min_eig = definiteness(problem.op)
+        if not psd:
+            warnings.warn("Htilde is not positive semidefinite; the projection "
+                          "iteration has no convergence guarantee", stacklevel=2)
         lip = _lipschitz(problem) + eps
         _tau = _best_tau(problem, eps, (eps + max(0.0, min_eig)) / lip ** 2)
     table = _uniform_start(problem) if init is None else _as_table(problem, init)
@@ -242,19 +243,16 @@ def solve_regularized(problem: ViProblem, eps0: float = 1.0, decay: float = 0.5,
     converged = False
     tau = 0.0
     eps = eps0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # PSD already reported once above
-        for n in range(max_outer):
-            eps = eps0 * decay ** n
-            tau = _best_tau(problem, eps, (eps + sigma0) / (lip0 + eps) ** 2)
-            prof, inner = solve_strong(problem, eps, init=table.T,
-                                       tol=inner_tol, max_iter=max_inner,
-                                       _tau=tau)
-            table = _as_table(problem, prof)
-            residual = natural_residual(problem, prof)
-            path.append((float(eps), int(inner), float(residual)))
-            if residual < outer_tol:
-                converged = True
-                break
+    for n in range(max_outer):
+        eps = eps0 * decay ** n
+        tau = _best_tau(problem, eps, (eps + sigma0) / (lip0 + eps) ** 2)
+        prof, inner = solve_strong(problem, eps, init=table.T, tol=inner_tol,
+                                   max_iter=max_inner, _tau=tau)
+        table = _as_table(problem, prof)
+        residual = natural_residual(problem, prof)
+        path.append((float(eps), int(inner), float(residual)))
+        if residual < outer_tol:
+            converged = True
+            break
     return ViReport(solution=PowerProfile(powers=table.T.copy()),
                     eps_path=path, converged=converged, tau_used=float(tau))

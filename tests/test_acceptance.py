@@ -11,34 +11,15 @@ import time
 import numpy as np
 
 from ifgame import (build_operator, enumerate_states, iterate_waterfilling,
-                    load_config, make_vi_problem, natural_residual,
-                    project_block, run_analyze, run_simulate, run_sweep,
-                    solve_regularized, spectral_radius, waterfill, wf_residual)
+                    make_vi_problem, natural_residual, project_block,
+                    run_analyze, run_simulate, run_sweep, solve_regularized,
+                    spectral_radius, waterfill, wf_residual)
 from ifgame.cli import main
 from ifgame.config import SimulateConfig, SweepConfig
 from ifgame.experiments import build_game, ne_outcome_for_simulation
 from ifgame.pareto import _grad_all, _lagrangian
-from ifgame.presets import example1, example2, pd_not_contractive
+import bundled
 from util_random import random_feasible_profile, random_spec
-
-EXAMPLE1_DOC = {
-    "game": {"players": 3, "direct_gains": [3.0, 1.5],
-             "cross_gains": [0.1, 0.5], "link_probs": "uniform", "pbar": 1.0},
-    "solver": {"which": "all"},
-    "output": {"dir": "out", "formats": ["csv", "json"]},
-}
-
-EXAMPLE2_DOC = {
-    "game": {"players": 3, "direct_gains": [0.3, 1.0],
-             "cross_gains": [0.2, 0.1], "link_probs": "uniform", "pbar": 2.0},
-    "solver": {"which": "all"},
-    "output": {"dir": "out", "formats": ["csv", "json"]},
-}
-
-
-def config_for(doc):
-    return load_config(json.dumps(doc))
-
 
 def report(num, ok, detail):
     print(f"\ncriterion {num:2d}: {'PASS' if ok else 'FAIL'} - {detail}")
@@ -58,10 +39,10 @@ def spec_pool():
 
 def test_criterion_1_spectral_values():
     t0 = time.perf_counter()
-    rep1 = run_analyze(config_for(EXAMPLE1_DOC))
+    rep1 = run_analyze(bundled.config("example1"))
     t1 = time.perf_counter() - t0
     t0 = time.perf_counter()
-    rep2 = run_analyze(config_for(EXAMPLE2_DOC))
+    rep2 = run_analyze(bundled.config("example2"))
     t2 = time.perf_counter() - t0
     ok = (abs(rep1.rho_smax - 0.6667) <= 1e-3
           and abs(rep1.rho_hhat - 0.6667) <= 1e-3
@@ -105,7 +86,7 @@ def test_criterion_3_blockdiag_radius_equivalence():
 
 
 def test_criterion_4_pd_without_contraction():
-    spec = pd_not_contractive()
+    spec = bundled.spec("pd_not_contractive")
     space = enumerate_states(spec)
     op = build_operator(spec, space)
     rho = spectral_radius(op.smax)
@@ -119,7 +100,7 @@ def test_criterion_4_pd_without_contraction():
 
 def test_criterion_5_example1_ne_fixed_point():
     t0 = time.perf_counter()
-    spec = example1()
+    spec = bundled.spec("example1")
     space = enumerate_states(spec)
     iwf = iterate_waterfilling(spec, space, tol=1e-7, max_iter=500)
     residual = wf_residual(spec, space, iwf.profile)
@@ -135,7 +116,7 @@ def test_criterion_5_example1_ne_fixed_point():
 
 def test_criterion_6_example2_regularized_vi():
     t0 = time.perf_counter()
-    spec = example2()
+    spec = bundled.spec("example2")
     space = enumerate_states(spec)
     problem = make_vi_problem(spec, space)
     rng = np.random.default_rng(6)
@@ -207,7 +188,7 @@ def test_criterion_8_projection_correctness():
 def test_criterion_9_gradient_finite_differences():
     rng = np.random.default_rng(999)
     worst = 0.0
-    for spec in (example1(), example2()):
+    for spec in (bundled.spec("example1"), bundled.spec("example2")):
         space = enumerate_states(spec)
         n, n1 = spec.n_players, space.n_states
         basis = np.eye(n * n1).reshape(n * n1, n, n1)
@@ -230,8 +211,8 @@ def test_criterion_10_pareto_dominates_ne_on_sweep():
     t0 = time.perf_counter()
     details = []
     ok = True
-    for doc in (EXAMPLE1_DOC, EXAMPLE2_DOC):
-        config = dataclasses.replace(config_for(doc), sweep=SweepConfig())
+    for name in ("example1", "example2"):
+        config = dataclasses.replace(bundled.config(name), sweep=SweepConfig())
         result = run_sweep(config)
         assert len(result.sweep_rows) == 8
         for row in result.sweep_rows:
@@ -249,7 +230,7 @@ def test_criterion_10_pareto_dominates_ne_on_sweep():
 
 def test_criterion_11_montecarlo_validates_stationary_averages():
     t0 = time.perf_counter()
-    config = dataclasses.replace(config_for(EXAMPLE1_DOC),
+    config = dataclasses.replace(bundled.config("example1"),
                                  simulate=SimulateConfig(slots=1_000_000, seed=7))
     _, outcome = ne_outcome_for_simulation(config)
     assert outcome.name == "iwf"
@@ -266,7 +247,7 @@ def test_criterion_11_montecarlo_validates_stationary_averages():
 
 
 def test_criterion_12_outputs_byte_identical(tmp_path):
-    doc = json.loads(json.dumps(EXAMPLE1_DOC))
+    doc = bundled.doc("example1")
     doc["solver"]["pareto"] = {"starts": 3, "seed": 123}
     doc["simulate"] = {"slots": 20_000, "seed": 321}
     path = tmp_path / "config.json"

@@ -16,20 +16,7 @@ from ifgame.config import (IwfConfig, OutputConfig, SimulateConfig, SolverConfig
 from ifgame.experiments import build_game, ne_outcome_for_simulation
 from ifgame.game import DEFAULT_STATE_CAP
 from ifgame.vi import solve_regularized
-
-EXAMPLE1 = {
-    "game": {"players": 3, "direct_gains": [3.0, 1.5],
-             "cross_gains": [0.1, 0.5], "link_probs": "uniform", "pbar": 1.0},
-    "solver": {"which": "all"},
-    "output": {"dir": "out", "formats": ["csv", "json"]},
-}
-
-EXAMPLE2 = {
-    "game": {"players": 3, "direct_gains": [0.3, 1.0],
-             "cross_gains": [0.2, 0.1], "link_probs": "uniform", "pbar": 2.0},
-    "solver": {"which": "all"},
-    "output": {"dir": "out", "formats": ["csv", "json"]},
-}
+import bundled
 
 SMALL = {
     "game": {"players": 2, "direct_gains": [2.0, 1.0],
@@ -46,7 +33,7 @@ def cfg(doc, **game_overrides):
 
 
 def test_config_round_trip():
-    config = cfg(EXAMPLE1)
+    config = bundled.config("example1")
     text = serialize_config(config)
     again = load_config(text)
     assert again == config
@@ -54,7 +41,7 @@ def test_config_round_trip():
 
 
 def test_config_missing_pbar_names_field():
-    doc = json.loads(json.dumps(EXAMPLE1))
+    doc = bundled.doc("example1")
     del doc["game"]["pbar"]
     with pytest.raises(ConfigError, match="pbar"):
         load_config(json.dumps(doc))
@@ -62,15 +49,15 @@ def test_config_missing_pbar_names_field():
 
 def test_config_negative_gain_rejected():
     with pytest.raises(ConfigError, match="direct_gains"):
-        cfg(EXAMPLE1, direct_gains=[3.0, -1.5])
+        cfg(bundled.doc("example1"), direct_gains=[3.0, -1.5])
 
 
 def test_config_unknown_key_rejected():
-    doc = json.loads(json.dumps(EXAMPLE1))
+    doc = bundled.doc("example1")
     doc["game"]["bandwidth"] = 5.0
     with pytest.raises(ConfigError, match="bandwidth"):
         load_config(json.dumps(doc))
-    doc = json.loads(json.dumps(EXAMPLE1))
+    doc = bundled.doc("example1")
     doc["solver"]["vi"] = {"epsilon": 1.0}
     with pytest.raises(ConfigError, match="epsilon"):
         load_config(json.dumps(doc))
@@ -83,7 +70,7 @@ def test_config_parse_error_reports_line():
 
 def test_config_dimension_mismatch():
     with pytest.raises(ConfigError, match="pbar"):
-        cfg(EXAMPLE1, pbar=[1.0, 2.0])
+        cfg(bundled.doc("example1"), pbar=[1.0, 2.0])
 
 
 def rejected(doc, field, tmp_path, capsys):
@@ -122,7 +109,8 @@ def with_value(doc, dotted, value):
     ("solver.pareto.delta", float("nan")),
 ])
 def test_config_non_finite_number_rejected(dotted, value, tmp_path, capsys):
-    rejected(with_value(EXAMPLE1, dotted, value), dotted, tmp_path, capsys)
+    rejected(with_value(bundled.doc("example1"), dotted, value), dotted,
+             tmp_path, capsys)
 
 
 @pytest.mark.parametrize("dotted, value", [
@@ -136,7 +124,8 @@ def test_config_non_finite_number_rejected(dotted, value, tmp_path, capsys):
     ("simulate.seed", -3),
 ])
 def test_config_bad_integer_rejected(dotted, value, tmp_path, capsys):
-    rejected(with_value(EXAMPLE1, dotted, value), dotted, tmp_path, capsys)
+    rejected(with_value(bundled.doc("example1"), dotted, value), dotted,
+             tmp_path, capsys)
 
 
 @pytest.mark.parametrize("probs", [
@@ -148,13 +137,14 @@ def test_config_bad_integer_rejected(dotted, value, tmp_path, capsys):
     {"direct": [[0.5, 0.6]] * 3, "cross": [[[1.0]] * 3] * 3},
 ])
 def test_config_link_probs_errors_name_field(probs, tmp_path, capsys):
-    doc = with_value(EXAMPLE1, "game.cross_gains", [0.1])
+    doc = with_value(bundled.doc("example1"), "game.cross_gains", [0.1])
     rejected(with_value(doc, "game.link_probs", probs), "game.link_probs",
              tmp_path, capsys)
 
 
 def test_config_defaults_come_from_dataclasses():
-    bare = {"game": EXAMPLE1["game"], "sweep": {}, "simulate": {}}
+    bare = {"game": bundled.doc("example1")["game"], "sweep": {},
+            "simulate": {}}
     config = load_config(json.dumps(bare))
     assert config.solver == SolverConfig()
     assert config.solver.iwf == IwfConfig() and config.solver.vi == ViConfig()
@@ -168,17 +158,56 @@ def test_config_defaults_come_from_dataclasses():
 
 
 def test_run_analyze_example_values():
-    rep1 = run_analyze(cfg(EXAMPLE1))
+    rep1 = run_analyze(bundled.config("example1"))
     assert rep1.rho_smax == pytest.approx(0.6667, abs=1e-3)
     assert rep1.rho_hhat == pytest.approx(0.6667, abs=1e-3)
     assert rep1.contraction_ok
-    rep2 = run_analyze(cfg(EXAMPLE2))
+    rep2 = run_analyze(bundled.config("example2"))
     assert rep2.rho_smax == pytest.approx(1.3333, abs=1e-3)
     assert not rep2.contraction_ok
     assert rep2.htilde_pd
-    repc = run_analyze(cfg(EXAMPLE1, direct_gains=[0.3, 0.6],
-                           cross_gains=[0.2, 0.1]))
+    repc = run_analyze(bundled.config("pd_not_contractive"))
     assert repc.rho_hhat > 1.0 and repc.htilde_pd
+
+
+#: (rho(Smax), contraction_ok, htilde_pd) of each bundled config, as the
+#: README's table of bundled configs states them
+BUNDLED_REGIMES = {
+    "example1": (2.0 / 3.0, True, True),
+    "example2": (4.0 / 3.0, False, True),
+    "pd_not_contractive": (4.0 / 3.0, False, True),
+}
+
+
+@pytest.mark.parametrize("name", bundled.NAMES)
+def test_bundled_config_loads_round_trips_and_matches_regime(name):
+    config = bundled.config(name)
+    text = serialize_config(config)
+    assert load_config(text) == config
+    assert serialize_config(load_config(text)) == text
+    rho, contraction, pd = BUNDLED_REGIMES[name]
+    report = run_analyze(config)
+    assert report.rho_smax == pytest.approx(rho, abs=1e-12)
+    assert report.contraction_ok == contraction
+    assert report.htilde_pd == pd
+
+
+def test_zero_probability_gain_is_not_a_state(tmp_path):
+    # cross gain 5.0 has probability 0 on every link, so no state has it
+    doc = {"game": {"players": 2, "direct_gains": [1.0, 2.0],
+                    "cross_gains": [0.1, 5.0],
+                    "link_probs": {"direct": [[0.5, 0.5]] * 2,
+                                   "cross": [[[1.0, 0.0]] * 2] * 2},
+                    "pbar": 1.0}}
+    report = run_analyze(load_config(json.dumps(doc)))
+    assert report.rho_smax == pytest.approx(0.1, abs=1e-12)
+    assert report.contraction_ok and report.htilde_psd and report.htilde_pd
+    assert report.ratio_bound == pytest.approx(5.0)  # the alphabet bound
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(doc))
+    for solver in ("iwf", "vi"):
+        assert main(["solve", "--config", str(path), "--solver", solver,
+                     "--out", str(tmp_path / solver)]) == 0
 
 
 def test_run_analyze_equivalences_end_to_end():
@@ -301,9 +330,8 @@ def test_write_outputs_and_feasible_profiles(tmp_path):
 
 
 def test_cli_analyze_exit_zero(tmp_path, capsys):
-    path = tmp_path / "c.json"
-    path.write_text(json.dumps(EXAMPLE1))
-    code = main(["analyze", "--config", str(path), "--out", str(tmp_path / "o")])
+    code = main(["analyze", "--config", str(bundled.path("example1")),
+                 "--out", str(tmp_path / "o")])
     assert code == 0
     out = capsys.readouterr().out
     assert "0.666667" in out
@@ -328,7 +356,7 @@ def test_cli_negative_seed_exit_one(tmp_path, capsys):
 
 
 def test_cli_nonconvergence_exit_two(tmp_path):
-    doc = json.loads(json.dumps(EXAMPLE2))
+    doc = bundled.doc("example2")
     doc["solver"]["which"] = "iwf"
     path = tmp_path / "c.json"
     path.write_text(json.dumps(doc))

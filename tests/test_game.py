@@ -10,6 +10,7 @@ from ifgame import (GainAlphabets, GameSpec, LinkDistribution, PowerProfile,
                     StateSpace, StateSpaceTooLargeError, average_powers,
                     enumerate_states, expected_rates, interference,
                     interference_floors, is_feasible, rate_table, sum_rate)
+import bundled
 from util_random import random_feasible_profile, random_spec
 
 
@@ -64,7 +65,7 @@ def test_singleton_product():
 
 
 def test_three_player_count_and_uniform_probs():
-    spec = GameSpec.symmetric(3, [3.0, 1.5], [0.1, 0.5], pbar=1.0)
+    spec = bundled.spec("example1")
     space = enumerate_states(spec)
     assert space.n_states == 512
     assert np.allclose(space.probs, 2.0 ** -9)
@@ -92,6 +93,23 @@ def test_cap_guard():
     spec = GameSpec.symmetric(4, [1.0, 2.0, 3.0], [0.1, 0.2, 0.3], pbar=1.0)
     with pytest.raises(StateSpaceTooLargeError, match="43046721"):
         enumerate_states(spec, cap=100_000)
+
+
+def test_enumeration_keeps_only_positive_probability_states():
+    # cross gain 5.0 has probability 0 on both links
+    spec = GameSpec(n_players=2,
+                    gains=GainAlphabets(direct=[1.0, 2.0], cross=[0.1, 5.0]),
+                    dists=LinkDistribution(direct=np.full((2, 2), 0.5),
+                                           cross=np.tile([1.0, 0.0], (2, 2, 1))),
+                    pbar=1.0)
+    space = enumerate_states(spec, cap=4)  # the cap counts the 4 states, not 16
+    assert space.n_states == 4
+    assert np.all(space.probs == 0.25)
+    gains, probs = brute_force_states(spec)
+    assert np.array_equal(space.gains, gains[probs > 0])
+    assert np.array_equal(space.probs, probs[probs > 0])
+    with pytest.raises(StateSpaceTooLargeError, match="needs 4 entries"):
+        enumerate_states(spec, cap=3)
 
 
 def test_sinr_hand_values():
@@ -136,7 +154,7 @@ def test_expected_rate_basics():
 
 def test_expected_rate_equals_brute_force_oracle():
     rng = np.random.default_rng(7)
-    spec = GameSpec.symmetric(3, [3.0, 1.5], [0.1, 0.5], pbar=1.0)
+    spec = bundled.spec("example1")
     space = enumerate_states(spec)
     P = random_feasible_profile(rng, spec, space)
     rates = expected_rates(spec, space, P)
@@ -145,7 +163,7 @@ def test_expected_rate_equals_brute_force_oracle():
 
 
 def test_average_power():
-    spec = GameSpec.symmetric(3, [3.0, 1.5], [0.1, 0.5], pbar=1.0)
+    spec = bundled.spec("example1")
     space = enumerate_states(spec)
     assert average_powers(space, np.zeros((3, 512)))[0] == 0.0
     assert average_powers(space, np.full((3, 512), 0.7))[1] == pytest.approx(0.7)

@@ -9,7 +9,7 @@ from ifgame import (AlConfig, GameSpec, augmented_lagrangian, average_powers,
                     enumerate_states, expected_rates, grad_player, multi_start,
                     random_start, solve_outer, steepest_ascent, sum_rate)
 from ifgame.pareto import _default_delta, _grad_all, _lagrangian
-from ifgame.presets import example1
+import bundled
 from util_random import random_feasible_profile, random_spec
 
 
@@ -183,7 +183,7 @@ def test_multi_start_best_dominates_each_start():
 def test_local_pareto_stationarity_certificate():
     # at the reported best, the weighted-rate gradient satisfies the KKT
     # system of {P >= 0, E[P_i] <= pbar_i} up to 10 * eps_grad per player
-    spec = example1()
+    spec = bundled.spec("example1")
     space = enumerate_states(spec)
     cfg = AlConfig(seed=3)
     rep = multi_start(spec, space, cfg)
@@ -213,7 +213,7 @@ def test_default_delta_scales_with_state_probability():
     spec1 = GameSpec.symmetric(1, [1.0], [1.0], pbar=1.0)
     space1 = enumerate_states(spec1)
     assert _default_delta(space1, AlConfig()) == pytest.approx(0.05)
-    spec2 = example1()
+    spec2 = bundled.spec("example1")
     space2 = enumerate_states(spec2)
     assert _default_delta(space2, AlConfig()) == pytest.approx(0.05 * 512)
     assert _default_delta(space2, AlConfig(delta=0.2)) == 0.2

@@ -1,13 +1,20 @@
 """Interference operator, spectral radii, and the solver-guarantee checks."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from ifgame import (GameSpec, build_operator, condition_report,
                     contraction_condition, definiteness, enumerate_states,
                     rho_blockdiag, spectral_radius)
-from ifgame.presets import example1, example2, pd_not_contractive
+import bundled
 from util_random import random_spec
+
+
+def bundled_operator(name):
+    spec = bundled.spec(name)
+    return build_operator(spec, enumerate_states(spec))
 
 
 def dense_rho(matrix):
@@ -25,10 +32,9 @@ def test_single_player_operator_is_trivial():
 
 
 def test_operator_entry_ranges():
-    op1 = build_operator(example1(), enumerate_states(example1()))
+    op1 = bundled_operator("example1")
     assert op1.smax.max() == pytest.approx(0.5 / 1.5)
-    opc = build_operator(pd_not_contractive(),
-                         enumerate_states(pd_not_contractive()))
+    opc = bundled_operator("pd_not_contractive")
     assert opc.smax.max() == pytest.approx(0.2 / 0.3)
     for op in (op1, opc):
         n = op.n_players
@@ -55,9 +61,9 @@ def test_spectral_radius_zero_and_shape_guard():
 
 
 def test_spectral_radius_example_values():
-    op1 = build_operator(example1(), enumerate_states(example1()))
+    op1 = bundled_operator("example1")
     assert spectral_radius(op1.smax) == pytest.approx(2.0 / 3.0, abs=1e-9)
-    op2 = build_operator(example2(), enumerate_states(example2()))
+    op2 = bundled_operator("example2")
     assert spectral_radius(op2.smax) == pytest.approx(4.0 / 3.0, abs=1e-9)
 
 
@@ -102,9 +108,9 @@ def test_rho_blockdiag_equals_smax_rho():
 
 
 def test_contraction_condition_values():
-    ratio1, ok1 = contraction_condition(example1())
+    ratio1, ok1 = contraction_condition(bundled.spec("example1"))
     assert (ratio1, ok1) == (pytest.approx(2.0 / 3.0), True)
-    ratio2, ok2 = contraction_condition(example2())
+    ratio2, ok2 = contraction_condition(bundled.spec("example2"))
     assert (ratio2, ok2) == (pytest.approx(4.0 / 3.0), False)
     boundary = GameSpec.symmetric(2, [1.0], [1.0], pbar=1.0)
     ratio_b, ok_b = contraction_condition(boundary)
@@ -129,12 +135,12 @@ def test_contraction_equivalence_on_random_specs():
 def test_ratio_bound_honours_alpha():
     # alpha scales the effective direct gain, so the row-sum bound must too
     for alpha in ([0.5, 0.5, 0.5], [0.5, 1.0, 2.0], [3.0, 1.0, 1.0]):
-        spec = GameSpec.symmetric(3, [3.0, 1.5], [0.1, 0.5], pbar=1.0, alpha=alpha)
+        spec = dataclasses.replace(bundled.spec("example1"), alpha=alpha)
         report = condition_report(spec, enumerate_states(spec))
         assert report.ratio_bound >= report.rho_smax - 1e-12
         row_sums = build_operator(spec, enumerate_states(spec)).smax.sum(axis=1)
         assert report.ratio_bound == pytest.approx(row_sums.max(), rel=1e-12)
-    half = GameSpec.symmetric(3, [3.0, 1.5], [0.1, 0.5], pbar=1.0, alpha=0.5)
+    half = dataclasses.replace(bundled.spec("example1"), alpha=0.5)
     report = condition_report(half, enumerate_states(half))
     assert report.ratio_bound == pytest.approx(4.0 / 3.0)
     assert report.rho_smax == pytest.approx(4.0 / 3.0)
@@ -158,7 +164,7 @@ def test_definiteness_closed_form_block():
 
 
 def test_pd_without_contraction_instance():
-    spec = pd_not_contractive()
+    spec = bundled.spec("pd_not_contractive")
     report = condition_report(spec, enumerate_states(spec))
     assert report.rho_hhat > 1.0
     assert report.rho_hhat == pytest.approx(4.0 / 3.0, abs=1e-9)
@@ -181,7 +187,7 @@ def test_small_radius_implies_positive_definite():
 
 
 def test_condition_report_consistency():
-    for spec in (example1(), example2()):
+    for spec in (bundled.spec("example1"), bundled.spec("example2")):
         rep = condition_report(spec, enumerate_states(spec))
         assert rep.contraction_ok == (rep.rho_smax < 1.0)
         assert rep.rho_hhat == pytest.approx(rep.rho_smax, abs=1e-9)

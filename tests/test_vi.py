@@ -1,5 +1,7 @@
 """Regularized projection solver for the NE variational inequality."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,8 @@ from ifgame import (GameSpec, enumerate_states, eval_F, iterate_waterfilling,
                     make_vi_problem, natural_residual, project_block,
                     project_feasible, solve_regularized, solve_strong,
                     waterfill_map, wf_residual)
-from ifgame.presets import example1, example2, pd_not_contractive
 from ifgame.vi import _eval_F_table, _project_face
+import bundled
 from util_random import random_feasible_profile
 
 
@@ -117,7 +119,7 @@ def test_project_feasible_blockwise():
 
 def test_natural_residual_equals_waterfilling_residual():
     rng = np.random.default_rng(5)
-    for spec in (example1(), example2()):
+    for spec in (bundled.spec("example1"), bundled.spec("example2")):
         space = enumerate_states(spec)
         problem = make_vi_problem(spec, space)
         for _ in range(5):
@@ -140,7 +142,7 @@ def test_solve_strong_single_player_matches_best_response():
 
 def test_solve_strong_satisfies_vi_inequality():
     rng = np.random.default_rng(6)
-    spec = example2()
+    spec = bundled.spec("example2")
     space = enumerate_states(spec)
     problem = make_vi_problem(spec, space)
     eps = 0.05
@@ -155,7 +157,7 @@ def test_solve_strong_satisfies_vi_inequality():
 
 def test_monotonicity_certificate():
     rng = np.random.default_rng(7)
-    for spec in (example1(), example2(), pd_not_contractive()):
+    for spec in map(bundled.spec, bundled.NAMES):
         space = enumerate_states(spec)
         problem = make_vi_problem(spec, space)
         eps = 0.25
@@ -168,7 +170,7 @@ def test_monotonicity_certificate():
 
 
 def test_projection_iteration_gap_is_monotone():
-    spec = example2()
+    spec = bundled.spec("example2")
     space = enumerate_states(spec)
     problem = make_vi_problem(spec, space)
     from ifgame.vi import _best_tau, _lipschitz, _uniform_start
@@ -188,7 +190,7 @@ def test_projection_iteration_gap_is_monotone():
 
 
 def test_regularized_example1_agrees_with_iwf():
-    spec = example1()
+    spec = bundled.spec("example1")
     space = enumerate_states(spec)
     problem = make_vi_problem(spec, space)
     report = solve_regularized(problem, outer_tol=1e-8)
@@ -201,7 +203,7 @@ def test_regularized_example1_agrees_with_iwf():
 
 
 def test_regularized_example2_finds_wf_fixed_point():
-    spec = example2()
+    spec = bundled.spec("example2")
     space = enumerate_states(spec)
     problem = make_vi_problem(spec, space)
     report = solve_regularized(problem, outer_tol=1e-8)
@@ -226,6 +228,32 @@ def test_solver_warns_without_psd_certificate():
     assert not psd
     with pytest.warns(UserWarning):
         solve_strong(problem, eps=0.5, tol=1e-6, max_iter=200)
+    # with two direct gains the path runs several eps rounds; it warns
+    # once, not once per round
+    spec = GameSpec.symmetric(3, [0.08, 0.1], [0.2], pbar=1.0)
+    problem = make_vi_problem(spec, enumerate_states(spec))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        report = solve_regularized(problem, inner_tol=1e-6, max_outer=3,
+                                   max_inner=200)
+    assert len(report.eps_path) == 3
+    assert [w.category for w in caught] == [UserWarning]
+
+
+def test_regularized_checks_definiteness_once(monkeypatch):
+    import ifgame.vi
+    calls = []
+    original = ifgame.vi.definiteness
+
+    def counted(op):
+        calls.append(op)
+        return original(op)
+
+    monkeypatch.setattr(ifgame.vi, "definiteness", counted)
+    _, _, problem = small_problem()
+    report = solve_regularized(problem)
+    assert report.converged and len(report.eps_path) > 1
+    assert len(calls) == 1
 
 
 def test_parameter_validation():

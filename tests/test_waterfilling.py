@@ -5,7 +5,7 @@ import pytest
 
 from ifgame import (GameSpec, enumerate_states, interference_floors,
                     iterate_waterfilling, waterfill, waterfill_map, wf_residual)
-from ifgame.presets import example1, example2
+import bundled
 from util_random import random_feasible_profile, random_spec
 
 
@@ -122,7 +122,7 @@ def test_best_response_variational_characterization():
     # at the best response, sum_h pi(h) (WF + f)(V - WF) >= 0 for every
     # budget-tight feasible V (first-order optimality of the projection)
     rng = np.random.default_rng(44)
-    spec = example1()
+    spec = bundled.spec("example1")
     space = enumerate_states(spec)
     prof = random_feasible_profile(rng, spec, space, tight=True)
     best = waterfill_map(spec, space, prof)
@@ -161,7 +161,7 @@ def test_iwf_single_user_immediate():
 
 
 def test_iwf_example1_converges():
-    spec = example1()
+    spec = bundled.spec("example1")
     space = enumerate_states(spec)
     report = iterate_waterfilling(spec, space, tol=1e-8, max_iter=500)
     assert report.converged
@@ -172,7 +172,7 @@ def test_iwf_example1_converges():
 
 def test_iwf_example1_unique_limit_from_random_starts():
     rng = np.random.default_rng(46)
-    spec = example1()
+    spec = bundled.spec("example1")
     space = enumerate_states(spec)
     limits = []
     for _ in range(10):
@@ -185,7 +185,8 @@ def test_iwf_example1_unique_limit_from_random_starts():
 
 
 def test_iwf_example2_simultaneous_cycles_sequential_converges():
-    spec = example2()  # budget 2.0: the simultaneous sweep enters a 2-cycle
+    # budget 2.0: the simultaneous sweep enters a 2-cycle
+    spec = bundled.spec("example2")
     space = enumerate_states(spec)
     sim = iterate_waterfilling(spec, space, tol=1e-8, max_iter=500)
     assert not sim.converged
@@ -197,7 +198,7 @@ def test_iwf_example2_simultaneous_cycles_sequential_converges():
 
 
 def test_iwf_rejects_unknown_scheme():
-    spec = example1()
+    spec = bundled.spec("example1")
     space = enumerate_states(spec)
     with pytest.raises(ValueError):
         iterate_waterfilling(spec, space, scheme="jacobi")
@@ -205,7 +206,7 @@ def test_iwf_rejects_unknown_scheme():
 
 def test_waterfill_map_matches_best_response():
     rng = np.random.default_rng(47)
-    spec = example2()
+    spec = bundled.spec("example2")
     space = enumerate_states(spec)
     prof = random_feasible_profile(rng, spec, space)
     wf = waterfill_map(spec, space, prof)
