@@ -12,8 +12,9 @@ import dataclasses
 import sys
 
 from .config import ConfigError, ExperimentConfig, load_config_file
-from .experiments import (RunResult, ne_outcome_for_simulation, run_analyze,
-                          run_simulate, run_solve, run_sweep, write_outputs)
+from .experiments import (RunResult, build_game, ne_outcome_for_simulation,
+                          run_analyze, run_simulate, run_solve, run_sweep,
+                          write_outputs)
 
 
 def _build_parser():
@@ -88,8 +89,10 @@ def main(argv=None) -> int:
             if config.simulate is None:
                 from .config import SimulateConfig
                 config = dataclasses.replace(config, simulate=SimulateConfig())
-            report, outcome = ne_outcome_for_simulation(config)
-            summary = run_simulate(config, outcome.profile)
+            game = build_game(config)
+            report, outcome = ne_outcome_for_simulation(config, _game=game)
+            summary = run_simulate(config, outcome.profile, _game=game)
+            del game  # free the state space before the outputs are written
             result = RunResult(condition=report,
                                solvers={outcome.name: outcome},
                                montecarlo=summary)

@@ -26,7 +26,7 @@ from .game import (GameSpec, PowerProfile, StateSpace, average_powers,
                    enumerate_states, expected_rates, is_feasible, rate_table)
 from .pareto import ParetoReport, multi_start
 from .spectral import ConditionReport, condition_report
-from .vi import ViReport, make_vi_problem, natural_residual, solve_regularized
+from .vi import ViReport, make_vi_problem, solve_regularized
 from .waterfilling import iterate_waterfilling
 
 
@@ -88,7 +88,8 @@ def _solver_names(which: str) -> list[str]:
     return ["iwf", "vi", "pareto"] if which == "all" else [which]
 
 
-def _run_one_solver(name, spec, space, config):
+def _run_one_solver(name, spec, space, config, problem=None):
+    """Run one solver; a sweep passes its VI ``problem`` for ``spec``."""
     if name == "iwf":
         cfg = config.solver.iwf
         rep = iterate_waterfilling(spec, space, scheme=cfg.scheme, tol=cfg.tol,
@@ -98,7 +99,8 @@ def _run_one_solver(name, spec, space, config):
         residual = rep.residual_history[-1]
     elif name == "vi":
         cfg = config.solver.vi
-        problem = make_vi_problem(spec, space)
+        if problem is None:
+            problem = make_vi_problem(spec, space)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # PSD status already in the report
             rep = solve_regularized(problem, eps0=cfg.eps0, decay=cfg.decay,
@@ -106,7 +108,7 @@ def _run_one_solver(name, spec, space, config):
                                     max_outer=cfg.max_outer, max_inner=cfg.max_inner)
         profile, converged = rep.solution, rep.converged
         iterations = sum(p[1] for p in rep.eps_path)
-        residual = natural_residual(problem, profile)
+        residual = rep.eps_path[-1][2]  # natural residual of the solution
     elif name == "pareto":
         rep = multi_start(spec, space, config.solver.pareto,
                           track=config.output.pareto_trajectories)
@@ -140,23 +142,28 @@ def run_solve(config: ExperimentConfig) -> RunResult:
 def run_sweep(config: ExperimentConfig) -> RunResult:
     """Re-solve the game for every sweep value of the common budget.
 
-    The game is built once; only its budget changes from point to point.
-    Produces one row per value with the NE sum rates (both solvers) and
-    the best Pareto sum rate; a non-converged solver's entry is NaN and
-    flags the row.
+    The game and the VI problem are built once; only the budget changes
+    from point to point, so the points share the VI step data.  Produces
+    one row per value with the NE sum rates (both solvers) and the best
+    Pareto sum rate; a non-converged solver's entry is NaN and flags the
+    row.
     """
     if config.sweep is None:
         raise ValueError("config has no sweep section")
     spec, space = build_game(config)
-    condition = condition_report(spec, space)
     names = _solver_names(config.solver.which)
+    problem = make_vi_problem(spec, space) if "vi" in names else None
+    condition = condition_report(spec, space,
+                                 op=None if problem is None else problem.op)
     rows = []
     for value in config.sweep.values:
         point = dataclasses.replace(spec, pbar=value)
+        point_problem = (None if problem is None
+                         else dataclasses.replace(problem, pbar=point.pbar))
         row = {"pbar": float(value), "ne_iwf": float("nan"),
                "ne_vi": float("nan"), "pareto": float("nan"), "converged": True}
         for name in names:
-            outcome = _run_one_solver(name, point, space, config)
+            outcome = _run_one_solver(name, point, space, config, point_problem)
             key = {"iwf": "ne_iwf", "vi": "ne_vi", "pareto": "pareto"}[name]
             row[key] = outcome.sum_rate if outcome.converged else float("nan")
             row["converged"] &= outcome.converged
@@ -164,17 +171,20 @@ def run_sweep(config: ExperimentConfig) -> RunResult:
     return RunResult(condition=condition, solvers={}, sweep_rows=rows)
 
 
-def run_simulate(config: ExperimentConfig, profile: PowerProfile) -> MonteCarloSummary:
+def run_simulate(config: ExperimentConfig, profile: PowerProfile,
+                 _game: tuple[GameSpec, StateSpace] | None = None
+                 ) -> MonteCarloSummary:
     """Simulate i.i.d. channel slots under a fixed stationary policy.
 
     Draws ``slots`` states from the state distribution with the seeded
     generator, applies the policy, and compares the empirical time
-    averages of rate and power to the analytic expectations.
+    averages of rate and power to the analytic expectations.  A caller
+    that passes ``_game`` has already run ``build_game(config)``.
     """
     sim = config.simulate
     if sim is None:
         raise ValueError("config has no simulate section")
-    spec, space = build_game(config)
+    spec, space = build_game(config) if _game is None else _game
     P = profile.powers
     if not np.all(is_feasible(space, P, spec.pbar)):
         raise ValueError("profile must be feasible for the simulation")
@@ -196,11 +206,13 @@ def run_simulate(config: ExperimentConfig, profile: PowerProfile) -> MonteCarloS
                              power_rel_gap=power_gap)
 
 
-def ne_outcome_for_simulation(config: ExperimentConfig
+def ne_outcome_for_simulation(config: ExperimentConfig,
+                              _game: tuple[GameSpec, StateSpace] | None = None
                               ) -> tuple[ConditionReport, SolverOutcome]:
     """NE policy used by the simulate subcommand: iterative water-filling
-    when the contraction condition holds, the regularized VI otherwise."""
-    spec, space = build_game(config)
+    when the contraction condition holds, the regularized VI otherwise.
+    A caller that passes ``_game`` has already run ``build_game(config)``."""
+    spec, space = build_game(config) if _game is None else _game
     report = condition_report(spec, space)
     name = "iwf" if report.contraction_ok else "vi"
     return report, _run_one_solver(name, spec, space, config)

@@ -26,7 +26,8 @@ with warm starts recovers the solution of the unregularized VI.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -36,6 +37,55 @@ from .spectral import (InterferenceOperator, _plus_identity, build_operator,
 from .waterfilling import waterfill_levels
 
 
+class _StepData:
+    """Budget-free data of the projection step, computed on first use.
+
+    The PSD certificate, ||Htilde||_2 and tau(eps) depend on the operator
+    only, so problems made by ``dataclasses.replace(problem, pbar=...)``
+    share them; tau is searched once per eps.
+    """
+
+    def __init__(self, op):
+        self.op = op
+        self.taus = {}
+
+    @cached_property
+    def certificate(self):
+        """(psd, sigma) with sigma = max(0, min_sym_eig(Htilde))."""
+        psd, _, min_eig = definiteness(self.op)
+        return psd, max(0.0, min_eig)
+
+    @cached_property
+    def blocks(self):
+        """The distinct blocks Hhat(h); every norm here is a max over blocks."""
+        b = self.op.blocks
+        rows = b.reshape(b.shape[0], -1)
+        rows = rows[np.lexsort(rows.T)]  # equal rows end up adjacent
+        first = np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)]
+        return rows[first].reshape(-1, *b.shape[1:])
+
+    @cached_property
+    def lipschitz(self):
+        """||Htilde||_2 = max over blocks of the largest singular value."""
+        h = _plus_identity(self.blocks.copy())
+        gram = np.einsum('kji,kjl->kil', h, h)
+        return float(np.sqrt(np.linalg.eigvalsh(gram)[:, -1].max()))
+
+    @cached_property
+    def sym_gram(self):
+        """S = H + H^T and G = H^T H for each distinct block H."""
+        h = self.blocks
+        return h + h.transpose(0, 2, 1), np.einsum('kji,kjl->kil', h, h)
+
+    def step(self, eps):
+        """tau(eps), with the fallback sigma / L^2 at L = ||Htilde||_2 + eps."""
+        if eps not in self.taus:
+            sigma = self.certificate[1]
+            self.taus[eps] = _best_tau(self, eps,
+                                       (eps + sigma) / (self.lipschitz + eps) ** 2)
+        return self.taus[eps]
+
+
 @dataclass(frozen=True)
 class ViProblem:
     """Operator data plus the per-player feasible-set description."""
@@ -43,6 +93,11 @@ class ViProblem:
     op: InterferenceOperator
     probs: np.ndarray
     pbar: np.ndarray
+    _steps: _StepData | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self._steps is None or self._steps.op is not self.op:
+            object.__setattr__(self, "_steps", _StepData(self.op))
 
     @property
     def n_players(self):
@@ -141,41 +196,38 @@ def natural_residual(problem: ViProblem, prof, eps: float = 0.0) -> float:
     return float(np.abs(table - _project_face(problem, step)).max())
 
 
-def _max_singular(blocks) -> float:
-    """Largest singular value over a stack of square blocks, from the
-    top eigenvalue of each Gram matrix B^T B."""
-    gram = np.einsum('kji,kjl->kil', blocks, blocks)
-    return float(np.sqrt(np.linalg.eigvalsh(gram)[:, -1].max()))
+def _step_norm(steps, tau, eps):
+    """||I - tau (Htilde + eps I)||_2 over the blocks.
+
+    With a = 1 - tau (1 + eps) each block is a I - tau H, whose Gram
+    matrix is a^2 I - a tau S + tau^2 G (S and G from ``sym_gram``); its
+    top eigenvalue is a^2 plus that of tau^2 G - a tau S.
+    """
+    S, G = steps.sym_gram
+    a = 1.0 - tau * (1.0 + eps)
+    top = np.linalg.eigvalsh((tau * tau) * G - (a * tau) * S)[:, -1].max()
+    return float(np.sqrt(a * a + top))
 
 
-def _lipschitz(problem) -> float:
-    """||Htilde||_2 = max over blocks of the largest singular value."""
-    return _max_singular(_plus_identity(problem.op.blocks.copy()))
-
-
-def _iteration_norm(m_blocks, tau):
-    """||I - tau*M||_2 over the block diagonal (exact, via the Gram)."""
-    return _max_singular(_plus_identity(-tau * m_blocks))
-
-
-def _best_tau(problem, eps, fallback):
+def _best_tau(steps, eps, fallback):
     """Step minimizing the contraction norm ||I - tau*(Htilde + eps I)||_2.
 
     The norm is a convex function of tau (max of singular values of an
-    affine matrix family), so ternary search finds the minimizer; the
-    result is never worse than the sigma/L^2 bound used as fallback.
+    affine matrix family), so a 35-round ternary search on [0, 4] finds
+    the minimizer to within about 1e-6.  That step is returned when its
+    norm is below 1, which certifies a contraction; otherwise the
+    sigma/L^2 bound passed as ``fallback`` is returned.
     """
-    m = _plus_identity(problem.op.blocks.copy(), 1.0 + eps)
     lo, hi = 0.0, 4.0
     for _ in range(35):
         t1 = lo + (hi - lo) / 3.0
         t2 = hi - (hi - lo) / 3.0
-        if _iteration_norm(m, t1) <= _iteration_norm(m, t2):
+        if _step_norm(steps, t1, eps) <= _step_norm(steps, t2, eps):
             hi = t2
         else:
             lo = t1
     tau = 0.5 * (lo + hi)
-    if _iteration_norm(m, tau) < 1.0:
+    if _step_norm(steps, tau, eps) < 1.0:
         return tau
     return fallback
 
@@ -197,18 +249,17 @@ def solve_strong(problem: ViProblem, eps: float, init=None, tol: float = 1e-9,
     constant L = ||Htilde||_2 + eps.  Stops when both the
     successive-iterate gap and the natural residual of F_eps fall below
     tol; hitting max_iter is reported by returning the iterate reached
-    (no exception).  A caller that passes ``_tau`` has chosen the step and
+    (no exception).  The step is searched once per operator and eps (see
+    ``_StepData``).  A caller that passes ``_tau`` has chosen the step and
     checked definiteness itself, so neither is done again here.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
     if _tau is None:
-        psd, _, min_eig = definiteness(problem.op)
-        if not psd:
+        if not problem._steps.certificate[0]:
             warnings.warn("Htilde is not positive semidefinite; the projection "
                           "iteration has no convergence guarantee", stacklevel=2)
-        lip = _lipschitz(problem) + eps
-        _tau = _best_tau(problem, eps, (eps + max(0.0, min_eig)) / lip ** 2)
+        _tau = problem._steps.step(eps)
     table = _uniform_start(problem) if init is None else _as_table(problem, init)
     iterations = 0
     for iterations in range(1, max_iter + 1):
@@ -229,15 +280,14 @@ def solve_regularized(problem: ViProblem, eps0: float = 1.0, decay: float = 0.5,
     Each inner solve runs the fixed-step projection iteration on F_eps_n
     starting from the previous solution; the path stops as soon as the
     natural residual of the *unregularized* F drops below outer_tol.
+    The steps come from the problem's budget-free ``_StepData``.
     """
     if eps0 <= 0 or not (0.0 < decay < 1.0):
         raise ValueError("need eps0 > 0 and 0 < decay < 1")
-    psd, _, min_eig = definiteness(problem.op)
-    if not psd:
+    steps = problem._steps
+    if not steps.certificate[0]:
         warnings.warn("Htilde is not positive semidefinite; regularization "
                       "path has no convergence guarantee", stacklevel=2)
-    lip0 = _lipschitz(problem)
-    sigma0 = max(0.0, min_eig)
     table = _uniform_start(problem) if init is None else _as_table(problem, init)
     path = []
     converged = False
@@ -245,7 +295,7 @@ def solve_regularized(problem: ViProblem, eps0: float = 1.0, decay: float = 0.5,
     eps = eps0
     for n in range(max_outer):
         eps = eps0 * decay ** n
-        tau = _best_tau(problem, eps, (eps + sigma0) / (lip0 + eps) ** 2)
+        tau = steps.step(eps)
         prof, inner = solve_strong(problem, eps, init=table.T, tol=inner_tol,
                                    max_iter=max_inner, _tau=tau)
         table = _as_table(problem, prof)

@@ -7,9 +7,9 @@ import json
 import numpy as np
 import pytest
 
-from ifgame import (AlConfig, ConfigError, is_feasible, load_config, run_analyze,
-                    run_simulate, run_solve, run_sweep, serialize_config,
-                    write_outputs)
+from ifgame import (AlConfig, ConfigError, expected_rates, is_feasible,
+                    load_config, make_vi_problem, run_analyze, run_simulate,
+                    run_solve, run_sweep, serialize_config, write_outputs)
 from ifgame.cli import main
 from ifgame.config import (IwfConfig, OutputConfig, SimulateConfig, SolverConfig,
                            SweepConfig, ViConfig)
@@ -268,6 +268,48 @@ def test_run_sweep_single_point_matches_solve():
                                           abs=1e-12)
 
 
+def count_calls(monkeypatch, calls, module, name):
+    """Count the calls made through ``module.name`` into ``calls[name]``."""
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls[name] = calls.get(name, 0) + 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_sweep_builds_vi_data_once(monkeypatch):
+    import ifgame.experiments
+    import ifgame.spectral
+    import ifgame.vi
+    calls = {}
+    for module in (ifgame.spectral, ifgame.vi):
+        count_calls(monkeypatch, calls, module, "build_operator")
+        count_calls(monkeypatch, calls, module, "definiteness")
+    count_calls(monkeypatch, calls, ifgame.vi, "_best_tau")
+    config = dataclasses.replace(bundled.config("pd_not_contractive"),
+                                 sweep=SweepConfig())
+    rows = run_sweep(config).sweep_rows
+    monkeypatch.undo()
+    assert calls["build_operator"] == 1
+    assert calls["definiteness"] <= 2
+    # each point equals a solve on its own problem, built from scratch
+    spec, space = build_game(config)
+    vi = config.solver.vi
+    eps_values = set()
+    for row in rows:
+        point = dataclasses.replace(spec, pbar=row["pbar"])
+        rep = solve_regularized(make_vi_problem(point, space), eps0=vi.eps0,
+                                decay=vi.decay, outer_tol=vi.outer_tol,
+                                inner_tol=vi.inner_tol, max_outer=vi.max_outer,
+                                max_inner=vi.max_inner)
+        assert rep.converged
+        assert row["ne_vi"] == float(expected_rates(point, space, rep.solution).sum())
+        eps_values.update(eps for eps, _, _ in rep.eps_path)
+    assert calls["_best_tau"] == len(eps_values) == 26
+
+
 def test_run_sweep_pareto_nondecreasing_in_budget():
     config = dataclasses.replace(cfg(SMALL),
                                  sweep=SweepConfig(values=[0.5, 1.0, 2.0]))
@@ -390,3 +432,15 @@ def test_cli_outputs_are_deterministic(tmp_path):
     assert files
     for rel in files:
         assert (dirs[0] / rel).read_bytes() == (dirs[1] / rel).read_bytes(), rel
+
+
+def test_cli_simulate_enumerates_once(monkeypatch, tmp_path):
+    import ifgame.experiments
+    calls = {}
+    count_calls(monkeypatch, calls, ifgame.experiments, "enumerate_states")
+    doc = json.loads(json.dumps(SMALL))
+    doc["simulate"] = {"slots": 5000, "seed": 3}
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(doc))
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+    assert calls["enumerate_states"] == 1

@@ -5,13 +5,14 @@ import warnings
 import numpy as np
 import pytest
 
-from ifgame import (GameSpec, enumerate_states, eval_F, iterate_waterfilling,
-                    make_vi_problem, natural_residual, project_block,
-                    project_feasible, solve_regularized, solve_strong,
-                    waterfill_map, wf_residual)
-from ifgame.vi import _eval_F_table, _project_face
+from ifgame import (GameSpec, LinkDistribution, enumerate_states, eval_F,
+                    iterate_waterfilling, make_vi_problem, natural_residual,
+                    project_block, project_feasible, solve_regularized,
+                    solve_strong, waterfill_map, wf_residual)
+from ifgame.spectral import _plus_identity
+from ifgame.vi import _best_tau, _eval_F_table, _project_face, _step_norm
 import bundled
-from util_random import random_feasible_profile
+from util_random import random_feasible_profile, random_spec
 
 
 def small_problem():
@@ -173,9 +174,10 @@ def test_projection_iteration_gap_is_monotone():
     spec = bundled.spec("example2")
     space = enumerate_states(spec)
     problem = make_vi_problem(spec, space)
-    from ifgame.vi import _best_tau, _lipschitz, _uniform_start
+    from ifgame.vi import _uniform_start
     eps = 0.01
-    tau = _best_tau(problem, eps, eps / (_lipschitz(problem) + eps) ** 2)
+    steps = problem._steps
+    tau = _best_tau(steps, eps, eps / (steps.lipschitz + eps) ** 2)
     table = _uniform_start(problem)
     gaps = []
     for _ in range(60):
@@ -187,6 +189,65 @@ def test_projection_iteration_gap_is_monotone():
         if before < 1e-14:
             break
         assert after <= before * (1.0 + 1e-9)
+
+
+def reference_step_norm(blocks, tau, eps):
+    """||I - tau (I + H + eps I)||_2 from the Gram matrix of every assembled
+    block I - tau M, as the step search computed it before S and G."""
+    m = _plus_identity(blocks.copy(), 1.0 + eps)
+    b = _plus_identity(-tau * m)
+    gram = np.einsum('kji,kjl->kil', b, b)
+    return float(np.sqrt(np.linalg.eigvalsh(gram)[:, -1].max()))
+
+
+def reference_best_tau(blocks, eps, fallback):
+    lo, hi = 0.0, 4.0
+    for _ in range(35):
+        t1 = lo + (hi - lo) / 3.0
+        t2 = hi - (hi - lo) / 3.0
+        if reference_step_norm(blocks, t1, eps) <= reference_step_norm(blocks, t2, eps):
+            hi = t2
+        else:
+            lo = t1
+    tau = 0.5 * (lo + hi)
+    return tau if reference_step_norm(blocks, tau, eps) < 1.0 else fallback
+
+
+def test_step_norm_matches_gram_reference():
+    # a^2 I - a tau S + tau^2 G rounds differently from the Gram matrix of
+    # the assembled blocks, by up to about 2 ulp on the bundled games;
+    # the search must still pick the same step at every eps of the path.
+    ulp = np.finfo(float).eps
+    for name in bundled.NAMES:
+        spec = bundled.spec(name)
+        problem = make_vi_problem(spec, enumerate_states(spec))
+        steps, blocks = problem._steps, problem.op.blocks
+        for k in range(30):
+            eps = 2.0 ** -k
+            for tau in np.linspace(0.05, 4.0, 8):
+                assert _step_norm(steps, tau, eps) == pytest.approx(
+                    reference_step_norm(blocks, tau, eps), rel=8 * ulp, abs=0)
+            tau = _best_tau(steps, eps, -1.0)
+            assert tau > 0 and tau == reference_best_tau(blocks, eps, -1.0)
+    rng = np.random.default_rng(21)
+    checked = 0
+    while checked < 8:
+        spec = random_spec(rng, state_limit=400)
+        if spec.gains.direct.size < 2:
+            continue
+        direct = spec.dists.direct.copy()
+        direct[0, 0] = 0.0  # player 1's first direct gain never occurs
+        direct /= direct.sum(axis=1, keepdims=True)
+        spec = GameSpec(n_players=spec.n_players, gains=spec.gains,
+                        dists=LinkDistribution(direct=direct, cross=spec.dists.cross),
+                        pbar=spec.pbar,
+                        alpha=rng.uniform(0.5, 2.0, size=spec.n_players))
+        problem = make_vi_problem(spec, enumerate_states(spec))
+        for eps in (1.0, 0.3, 1e-3, 1e-8):
+            for tau in rng.uniform(0.0, 4.0, size=6):
+                assert _step_norm(problem._steps, tau, eps) == pytest.approx(
+                    reference_step_norm(problem.op.blocks, tau, eps), rel=1e-12)
+        checked += 1
 
 
 def test_regularized_example1_agrees_with_iwf():
