@@ -89,7 +89,8 @@ def _solver_names(which: str) -> list[str]:
 
 
 def _run_one_solver(name, spec, space, config, problem=None):
-    """Run one solver; a sweep passes its VI ``problem`` for ``spec``."""
+    """Run one solver; a caller that has built the VI ``problem`` for
+    ``spec`` passes it, so its operator is not built again."""
     if name == "iwf":
         cfg = config.solver.iwf
         rep = iterate_waterfilling(spec, space, scheme=cfg.scheme, tol=cfg.tol,
@@ -132,10 +133,13 @@ def run_solve(config: ExperimentConfig) -> RunResult:
     the run continues with the remaining solvers.
     """
     spec, space = build_game(config)
-    condition = condition_report(spec, space)
+    names = _solver_names(config.solver.which)
+    problem = make_vi_problem(spec, space) if "vi" in names else None
+    condition = condition_report(spec, space,
+                                 op=None if problem is None else problem.op)
     outcomes = {}
-    for name in _solver_names(config.solver.which):
-        outcomes[name] = _run_one_solver(name, spec, space, config)
+    for name in names:
+        outcomes[name] = _run_one_solver(name, spec, space, config, problem)
     return RunResult(condition=condition, solvers=outcomes)
 
 
@@ -211,11 +215,15 @@ def ne_outcome_for_simulation(config: ExperimentConfig,
                               ) -> tuple[ConditionReport, SolverOutcome]:
     """NE policy used by the simulate subcommand: iterative water-filling
     when the contraction condition holds, the regularized VI otherwise.
-    A caller that passes ``_game`` has already run ``build_game(config)``."""
+    A caller that passes ``_game`` has already run ``build_game(config)``.
+    The condition checks and the VI share one operator."""
     spec, space = build_game(config) if _game is None else _game
-    report = condition_report(spec, space)
-    name = "iwf" if report.contraction_ok else "vi"
-    return report, _run_one_solver(name, spec, space, config)
+    problem = make_vi_problem(spec, space)
+    report = condition_report(spec, space, op=problem.op)
+    if report.contraction_ok:
+        problem = None  # free the operator before IWF runs
+        return report, _run_one_solver("iwf", spec, space, config)
+    return report, _run_one_solver("vi", spec, space, config, problem)
 
 
 # ---------------------------------------------------------------------------

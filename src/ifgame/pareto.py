@@ -24,11 +24,12 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .game import (GameSpec, PowerProfile, StateSpace, _powers, expected_rates,
-                   interference)
+from .game import (GameSpec, PowerProfile, StateSpace, _interference,
+                   _player_major, _powers, _transmitter_sum, expected_rates)
 
 
 @dataclass(frozen=True)
@@ -100,29 +101,53 @@ def _lagrangian(spec, space, P, lam, c):
     return value + np.einsum('...i,...i->...', lam, slack) - c * (slack ** 2).sum(axis=-1)
 
 
-def _gradient(spec, space, signal, interf, slack, lam, c):
+class _Gains(NamedTuple):
+    """Player-major gains and the per-game factors of the gradient."""
+
+    G: np.ndarray     # G[i, j, k] = |h_ij(k)|^2, (N, N, N1)
+    diag: np.ndarray  # |h_ii(k)|^2, (N, N1)
+    wg: np.ndarray    # w_i alpha_i |h_ii(k)|^2, (N, N1)
+
+
+def _gains(spec, G):
+    """_Gains of player-major gains G, a view or a contiguous copy."""
+    diag = np.einsum('iik->ik', G)
+    return _Gains(G, diag, spec.weights[:, None] * (spec.alpha[:, None] * diag))
+
+
+def _gradient(spec, space, gains, signal, interf, slack, lam, c):
     """Gradient of L w.r.t. every power variable, shape (..., N, N1), from
     the interference tables of the profiles and their budget slacks.
 
     Per state h:  dL/dP_i(h) = pi(h) * [ w_i g_ii A_i
         - sum_{j != i} w_j |h_ji|^2 s_j A_j B_j  - lam_i + 2c (pbar_i - E[P_i]) ]
     with g_ii = alpha_i |h_ii|^2, s_j the received own signal, A_j and
-    B_j the reciprocals of (1 + I_j + s_j) and (1 + I_j).
+    B_j the reciprocals of (1 + I_j + s_j) and (1 + I_j).  The sum over
+    j is the interference kernel's transmitter loop on the transposed
+    gains, the own term included and then subtracted.
     """
-    diag = space.direct_gains
-    a = 1.0 / (interf + signal)
-    w_sab = spec.weights * signal * a / interf
-    cross = np.einsum('kji,...kj->...ki', space.gains, w_sab) - diag * w_sab
-    per_state = (spec.weights * (spec.alpha * diag) * a - cross
-                 - lam[..., None, :] + 2.0 * c * slack[..., None, :])
-    return np.einsum('k,...ki->...ik', space.probs, per_state)
+    a = interf + signal
+    np.divide(1.0, a, out=a)
+    w_sab = spec.weights[:, None] * signal
+    w_sab *= a
+    w_sab /= interf
+    cross = _transmitter_sum(gains.G.transpose(1, 0, 2), w_sab,
+                             np.empty(w_sab.shape))
+    cross -= gains.diag * w_sab
+    grad = np.multiply(gains.wg, a, out=a)    # the per-state bracket, in place
+    grad -= cross
+    grad -= lam[..., :, None]
+    grad += 2.0 * c * slack[..., :, None]
+    grad *= space.probs
+    return grad
 
 
 def _grad_all(spec, space, P, lam, c):
     """Gradient of L w.r.t. every power variable, shape (..., N, N1)."""
-    signal, interf = interference(spec, space, P)
-    return _gradient(spec, space, signal, interf, _slack(space, P, spec.pbar),
-                     lam, c)
+    gains = _gains(spec, _player_major(space.gains))
+    signal, interf = _interference(gains.G, spec.alpha, P)
+    return _gradient(spec, space, gains, signal, interf,
+                     _slack(space, P, spec.pbar), lam, c)
 
 
 def grad_player(spec: GameSpec, space: StateSpace, prof, lambdas, c: float,
@@ -156,7 +181,8 @@ def _ascent_batch(spec, space, P, lam, cfg, delta, active=None):
     All intermediates are shared between the gradient and the candidate
     values; candidate j differs from the base profile only in row j, so
     only receiver interference terms g_ij * (q_j - P_j) and player j's
-    own signal are touched.
+    own signal are touched.  Every table is player-major, (B, N, N1),
+    on one contiguous copy of the gains made per call.
     """
     batch, n, _ = P.shape
     if active is None:
@@ -164,14 +190,17 @@ def _ascent_batch(spec, space, P, lam, cfg, delta, active=None):
     active = active.copy()
     iterations = np.zeros(batch, dtype=int)
     probs = space.probs
-    geff = spec.alpha * space.direct_gains         # (S, N)
+    gains = _gains(spec, np.ascontiguousarray(_player_major(space.gains)))
+    geff = spec.alpha[:, None] * gains.diag           # (N, S)
+    columns = np.ascontiguousarray(gains.G.transpose(1, 0, 2))  # [j][i, k] = |h_ij(k)|^2
     base_value = _lagrangian(spec, space, P, lam, cfg.c)
+    value = np.empty((batch, n))
     for _ in range(cfg.max_inner):
         if not active.any():
             break
-        signal, interf = interference(spec, space, P)  # (B, S, N)
+        signal, interf = _interference(gains.G, spec.alpha, P)  # (B, N, S)
         slack = _slack(space, P, spec.pbar)        # (B, N)
-        grads = _gradient(spec, space, signal, interf, slack, lam, cfg.c)
+        grads = _gradient(spec, space, gains, signal, interf, slack, lam, cfg.c)
         proj = _projected_grad_norms(P, grads)
         eligible = (proj >= cfg.eps_grad) & active[:, None]
         active &= eligible.any(axis=1)
@@ -180,26 +209,27 @@ def _ascent_batch(spec, space, P, lam, cfg, delta, active=None):
         iterations += active
         q = np.maximum(0.0, P + delta * grads)
         sel_b, sel_i = eligible.nonzero()          # ordered by (b, then i)
-        m = sel_b.size
-        mrows = np.arange(m)
+        mrows = np.arange(sel_b.size)
         dp = (q - P)[sel_b, sel_i]                 # (M, S)
-        denom = interf[sel_b] + space.gains[:, :, sel_i].transpose(2, 0, 1) \
-            * dp[:, :, None]
-        denom[mrows, :, sel_i] = interf[sel_b, :, sel_i]
-        cand_signal = signal[sel_b]
-        cand_signal[mrows, :, sel_i] = geff[:, sel_i].T * q[sel_b, sel_i]
+        denom = columns[sel_i]                     # (M, N, S), then in place
+        denom *= dp[:, None, :]
+        denom += interf[sel_b]
+        denom[mrows, sel_i] = interf[sel_b, sel_i]
+        cand = signal[sel_b]
+        cand[mrows, sel_i] = geff[sel_i] * q[sel_b, sel_i]
+        cand /= denom
+        np.log1p(cand, out=cand)                   # candidate rate tables
         cand_slack = slack[sel_b]
         cand_slack[mrows, sel_i] -= dp @ probs
-        values = (np.einsum('k,mki,i->m', probs, np.log1p(cand_signal / denom),
-                            spec.weights)
-                  + np.einsum('mi,mi->m', lam[sel_b], cand_slack)
-                  - cfg.c * (cand_slack ** 2).sum(axis=-1))
-        gain = values - base_value[sel_b]
-        for b in active.nonzero()[0]:
-            group = mrows[sel_b == b]
-            pick = group[np.argmax(gain[group])]
-            P[b, sel_i[pick], :] = q[b, sel_i[pick], :]
-            base_value[b] = values[pick]
+        value[sel_b, sel_i] = (cand @ probs @ spec.weights
+                               + (lam[sel_b] * cand_slack).sum(axis=-1)
+                               - cfg.c * (cand_slack ** 2).sum(axis=-1))
+        gain = np.full((batch, n), -np.inf)
+        gain[sel_b, sel_i] = value[sel_b, sel_i] - base_value[sel_b]
+        rows = active.nonzero()[0]
+        pick = gain[rows].argmax(axis=1)           # first maximum: lowest index
+        P[rows, pick] = q[rows, pick]
+        base_value[rows] = value[rows, pick]
     return P, iterations, active
 
 

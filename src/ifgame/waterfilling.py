@@ -84,7 +84,7 @@ def waterfill(floors, probs, pbar: float) -> WaterfillResult:
 def interference_floors(spec: GameSpec, space: StateSpace, prof) -> np.ndarray:
     """Floors f_i(h) of every player under the same frozen profile, (N, N1)."""
     _, interf = interference(spec, space, _powers(prof))
-    return (interf / (spec.alpha * space.direct_gains)).T
+    return interf / (spec.alpha[:, None] * space.direct_gains.T)
 
 
 def waterfill_map(spec: GameSpec, space: StateSpace, prof) -> np.ndarray:

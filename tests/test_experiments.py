@@ -444,3 +444,21 @@ def test_cli_simulate_enumerates_once(monkeypatch, tmp_path):
     path.write_text(json.dumps(doc))
     assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
     assert calls["enumerate_states"] == 1
+
+
+def test_cli_solve_and_simulate_build_operator_once(monkeypatch, tmp_path):
+    import ifgame.spectral
+    import ifgame.vi
+    # simulate chooses VI on pd_not_contractive (no contraction)
+    runs = [["solve", "--config", str(bundled.path("pd_not_contractive"))],
+            ["solve", "--config", str(bundled.path("example1")), "--solver", "vi"],
+            ["simulate", "--config", str(bundled.path("pd_not_contractive"))]]
+    for k, argv in enumerate(runs):
+        calls = {}
+        for module in (ifgame.spectral, ifgame.vi):
+            count_calls(monkeypatch, calls, module, "build_operator")
+            count_calls(monkeypatch, calls, module, "definiteness")
+        assert main(argv + ["--out", str(tmp_path / str(k))]) == 0
+        monkeypatch.undo()
+        assert calls["build_operator"] == 1, argv
+        assert calls["definiteness"] <= 2, argv

@@ -138,11 +138,52 @@ def test_rate_table_and_floors_match_loop_reference():
         P = random_feasible_profile(rng, spec, space)
         rates = rate_table(spec, space, P)
         floors = interference_floors(spec, space, P)
+        signal, interf = interference(spec, space, P)
+        assert rates.shape == (space.n_states, spec.n_players)
+        assert rates.flags.c_contiguous
+        assert floors.shape == signal.shape == interf.shape == P.shape
         for k in range(space.n_states):
             for i in range(spec.n_players):
                 sinr, floor = loop_sinr_and_floor(spec, space, P, k, i)
                 assert rates[k, i] == pytest.approx(math.log1p(sinr), rel=1e-13, abs=1e-15)
                 assert floors[i, k] == pytest.approx(floor, rel=1e-13)
+                assert signal[i, k] / interf[i, k] == pytest.approx(sinr, rel=1e-13,
+                                                                    abs=1e-15)
+
+
+def test_interference_is_layout_independent():
+    # the received power is summed over transmitters in index order, so a
+    # profile gives the same bits in any memory layout or batch position
+    rng = np.random.default_rng(15)
+    specs = [bundled.spec("example1"), bundled.spec("pd_not_contractive")]
+    for n in (2, 4):
+        spec = random_spec(rng, n_max=n, state_limit=600)
+        while spec.n_players != n:
+            spec = random_spec(rng, n_max=n, state_limit=600)
+        specs.append(spec)
+    specs.append(GameSpec.symmetric(3, [2.0, 1.0], [0.3, 0.2, 0.1], pbar=1.0,
+                                    alpha=[1.0, 0.5, 2.0]))  # 5832 states
+    for spec in specs:
+        space = enumerate_states(spec)
+        P = random_feasible_profile(rng, spec, space)
+        want = interference(spec, space, P)
+        # whole-table reference: transmitters in index order, own term
+        # included and then subtracted
+        G = space.gains.transpose(1, 2, 0)
+        own = np.einsum('iik->ik', G) * P
+        received = sum(G[:, j] * P[j] for j in range(spec.n_players))
+        assert np.array_equal(want[0], spec.alpha[:, None] * own)
+        assert np.array_equal(want[1], 1.0 + received - own)
+        batch = np.stack([np.zeros_like(P), P, 2.0 * P])
+        copies = [np.asfortranarray(P), batch[1], np.asfortranarray(batch)[1],
+                  batch.transpose(0, 2, 1).copy().transpose(0, 2, 1)[1]]
+        for table in want:
+            assert table.shape == P.shape
+        for other in copies:
+            for got, ref in zip(interference(spec, space, other), want):
+                assert np.array_equal(got, ref)
+        for got, ref in zip(interference(spec, space, batch), want):
+            assert np.array_equal(got[1], ref)
 
 
 def test_expected_rate_basics():

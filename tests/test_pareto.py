@@ -1,14 +1,15 @@
 """Augmented-Lagrangian ascent for local Pareto-optimal allocations."""
 
+import dataclasses
 import warnings
 
 import numpy as np
 import pytest
 
-from ifgame import (AlConfig, GameSpec, augmented_lagrangian, average_powers,
-                    enumerate_states, expected_rates, grad_player, multi_start,
-                    random_start, solve_outer, steepest_ascent, sum_rate)
-from ifgame.pareto import _default_delta, _grad_all, _lagrangian
+from ifgame import (AlConfig, GameSpec, LinkDistribution, augmented_lagrangian,
+                    average_powers, enumerate_states, expected_rates, grad_player,
+                    multi_start, random_start, solve_outer, steepest_ascent, sum_rate)
+from ifgame.pareto import _ascent_batch, _default_delta, _grad_all, _lagrangian
 import bundled
 from util_random import random_feasible_profile, random_spec
 
@@ -217,3 +218,154 @@ def test_default_delta_scales_with_state_probability():
     space2 = enumerate_states(spec2)
     assert _default_delta(space2, AlConfig()) == pytest.approx(0.05 * 512)
     assert _default_delta(space2, AlConfig(delta=0.2)) == 0.2
+
+
+# --- state-major einsum ascent, kept only as a reference -------------------
+
+def reference_interference(spec, space, P):
+    """(signal, interf) of shape (..., N1, N) from einsum contractions."""
+    direct = np.einsum('kii->ki', space.gains)
+    received = np.einsum('kij,...jk->...ki', space.gains, P)
+    own = np.einsum('ki,...ik->...ki', direct, P)
+    return spec.alpha * own, 1.0 + received - own
+
+
+def reference_gradient(spec, space, signal, interf, slack, lam, c):
+    diag = np.einsum('kii->ki', space.gains)
+    a = 1.0 / (interf + signal)
+    w_sab = spec.weights * signal * a / interf
+    cross = np.einsum('kji,...kj->...ki', space.gains, w_sab) - diag * w_sab
+    per_state = (spec.weights * (spec.alpha * diag) * a - cross
+                 - lam[..., None, :] + 2.0 * c * slack[..., None, :])
+    return np.einsum('k,...ki->...ik', space.probs, per_state)
+
+
+def reference_ascent_batch(spec, space, P, lam, cfg, delta, active=None):
+    """Steepest ascent on (B, N1, N) tables with a per-member argmax loop."""
+    batch, n, _ = P.shape
+    if active is None:
+        active = np.ones(batch, dtype=bool)
+    active = active.copy()
+    iterations = np.zeros(batch, dtype=int)
+    probs = space.probs
+    geff = spec.alpha * np.einsum('kii->ki', space.gains)
+    base_value = _lagrangian(spec, space, P, lam, cfg.c)
+    for _ in range(cfg.max_inner):
+        if not active.any():
+            break
+        signal, interf = reference_interference(spec, space, P)
+        slack = spec.pbar - P @ probs
+        grads = reference_gradient(spec, space, signal, interf, slack, lam, cfg.c)
+        pg = np.where(P > 0, grads, np.maximum(grads, 0.0))
+        eligible = (np.sqrt((pg ** 2).sum(axis=-1)) >= cfg.eps_grad) & active[:, None]
+        active &= eligible.any(axis=1)
+        if not active.any():
+            break
+        iterations += active
+        q = np.maximum(0.0, P + delta * grads)
+        sel_b, sel_i = eligible.nonzero()
+        mrows = np.arange(sel_b.size)
+        dp = (q - P)[sel_b, sel_i]
+        denom = interf[sel_b] + space.gains[:, :, sel_i].transpose(2, 0, 1) \
+            * dp[:, :, None]
+        denom[mrows, :, sel_i] = interf[sel_b, :, sel_i]
+        cand_signal = signal[sel_b]
+        cand_signal[mrows, :, sel_i] = geff[:, sel_i].T * q[sel_b, sel_i]
+        cand_slack = slack[sel_b]
+        cand_slack[mrows, sel_i] -= dp @ probs
+        values = (np.einsum('k,mki,i->m', probs, np.log1p(cand_signal / denom),
+                            spec.weights)
+                  + np.einsum('mi,mi->m', lam[sel_b], cand_slack)
+                  - cfg.c * (cand_slack ** 2).sum(axis=-1))
+        gain = values - base_value[sel_b]
+        for b in active.nonzero()[0]:
+            group = mrows[sel_b == b]
+            pick = group[np.argmax(gain[group])]
+            P[b, sel_i[pick], :] = q[b, sel_i[pick], :]
+            base_value[b] = values[pick]
+    return P, iterations, active
+
+
+def assert_ascent_matches_reference(spec, space, starts, lam, cfg, active):
+    delta = _default_delta(space, cfg)
+    new = _ascent_batch(spec, space, starts.copy(), lam, cfg, delta, active.copy())
+    ref = reference_ascent_batch(spec, space, starts.copy(), lam, cfg, delta,
+                                 active.copy())
+    for got, want in zip(new, ref):
+        assert np.array_equal(got, want)
+    return new
+
+
+def test_ascent_matches_state_major_reference_on_bundled_games():
+    # bit for bit: same iterates, iteration counts and cap flags, from a
+    # partially active batch with nonzero multipliers
+    rng = np.random.default_rng(31)
+    for name in bundled.NAMES:
+        spec = bundled.spec(name)
+        space = enumerate_states(spec)
+        starts = np.stack([random_start(spec, space, rng) for _ in range(4)])
+        lam = rng.uniform(0.0, 1.0, size=(4, spec.n_players))
+        active = np.array([True, False, True, True])
+        P, iters, capped = assert_ascent_matches_reference(
+            spec, space, starts, lam, AlConfig(max_inner=40), active)
+        assert iters[1] == 0 and np.array_equal(P[1], starts[1])
+        assert capped.any() and not capped[1]
+        P, iters, capped = assert_ascent_matches_reference(
+            spec, space, starts, lam, AlConfig(), active)
+        assert iters.max() > 40  # the default cap let the ascent run on
+
+
+def test_ascent_matches_state_major_reference_on_random_games():
+    rng = np.random.default_rng(32)
+    for n in (1, 2, 4):
+        checked = 0
+        while checked < 3:
+            spec = random_spec(rng, n_max=n, state_limit=300)
+            if spec.n_players != n or spec.gains.direct.size < 2:
+                continue
+            direct = spec.dists.direct.copy()
+            direct[0, 0] = 0.0  # player 1's first direct gain never occurs
+            direct /= direct.sum(axis=1, keepdims=True)
+            spec = GameSpec(n_players=n, gains=spec.gains,
+                            dists=LinkDistribution(direct=direct,
+                                                   cross=spec.dists.cross),
+                            pbar=spec.pbar,
+                            alpha=rng.uniform(0.5, 2.0, size=n),
+                            weights=rng.uniform(0.5, 2.0, size=n))
+            space = enumerate_states(spec)
+            starts = np.stack([random_start(spec, space, rng) for _ in range(3)])
+            lam = rng.uniform(0.0, 1.0, size=(3, n))
+            assert_ascent_matches_reference(spec, space, starts, lam,
+                                            AlConfig(max_inner=60),
+                                            np.array([True, True, False]))
+            checked += 1
+
+
+def test_multi_start_matches_state_major_reference(monkeypatch):
+    config = bundled.config("example1").solver.pareto
+    spec = bundled.spec("example1")
+    space = enumerate_states(spec)
+    for seed in (0, 1):
+        cfg = dataclasses.replace(config, seed=seed)
+        new = multi_start(spec, space, cfg)
+        with monkeypatch.context() as patch:
+            patch.setattr("ifgame.pareto._ascent_batch", reference_ascent_batch)
+            ref = multi_start(spec, space, cfg)
+        assert new.best_sum_rate == ref.best_sum_rate
+        for got, want in zip(new.per_start, ref.per_start):
+            assert got.sum_rate == want.sum_rate
+            assert got.outer_iterations == want.outer_iterations
+            assert np.array_equal(got.multipliers, want.multipliers)
+            assert np.array_equal(got.profile.powers, want.profile.powers)
+
+
+def test_ascent_tie_moves_the_lowest_player():
+    # one state, mirror-image players: both candidates gain exactly as much
+    spec = GameSpec.symmetric(2, [2.0], [0.3], pbar=1.0)
+    space = enumerate_states(spec)
+    start = np.full((1, 2, 1), 0.5)
+    P, iters, capped = assert_ascent_matches_reference(
+        spec, space, start, np.zeros((1, 2)), AlConfig(max_inner=1),
+        np.array([True]))
+    assert iters[0] == 1 and capped[0]
+    assert P[0, 0, 0] != 0.5 and P[0, 1, 0] == 0.5
