@@ -196,7 +196,29 @@ def _parse_game(node) -> GameConfig:
         game.build_spec()  # every other input it checks was checked above
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"game.link_probs: {exc}", field="game.link_probs") from None
+    _check_quotients(game)
     return game
+
+
+def _check_quotients(game: GameConfig):
+    """The condition checks and solvers use 1/(alpha*direct) and
+    cross/(alpha*direct); both must be finite for every alphabet entry.
+    The extremes are the smallest alpha*direct and the largest cross."""
+    alpha = 1.0 if game.alpha is None else min(game.alpha)
+    direct = min(game.direct_gains)
+    with np.errstate(over="ignore", divide="ignore"):
+        geff = np.float64(alpha) * direct
+        if not np.isfinite(1.0 / geff):
+            field = ("game.direct_gains" if not np.isfinite(1.0 / np.float64(direct))
+                     else "game.alpha")
+            raise ConfigError(f"{field}: 1 / (alpha * direct gain) overflows for "
+                              f"alpha {alpha!r} and direct gain {direct!r}",
+                              field=field)
+        cross = max(game.cross_gains)
+        if game.players > 1 and not np.isfinite(cross / geff):
+            raise ConfigError(f"game.cross_gains: cross gain / (alpha * direct gain) "
+                              f"overflows for cross gain {cross!r}, alpha {alpha!r} "
+                              f"and direct gain {direct!r}", field="game.cross_gains")
 
 
 #: exclusive (low, high) bounds of numeric fields; unlisted ones must be > 0

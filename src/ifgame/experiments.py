@@ -12,9 +12,9 @@ documented in the README.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import json
+import re
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -84,6 +84,12 @@ def run_analyze(config: ExperimentConfig) -> ConditionReport:
     return condition_report(spec, space)
 
 
+def _conditions(spec, space, problem):
+    """Condition checks, sharing the VI ``problem``'s operator and certificate."""
+    return (condition_report(spec, space) if problem is None else
+            condition_report(spec, space, problem.op, problem.definite))
+
+
 def _solver_names(which: str) -> list[str]:
     return ["iwf", "vi", "pareto"] if which == "all" else [which]
 
@@ -135,8 +141,7 @@ def run_solve(config: ExperimentConfig) -> RunResult:
     spec, space = build_game(config)
     names = _solver_names(config.solver.which)
     problem = make_vi_problem(spec, space) if "vi" in names else None
-    condition = condition_report(spec, space,
-                                 op=None if problem is None else problem.op)
+    condition = _conditions(spec, space, problem)
     outcomes = {}
     for name in names:
         outcomes[name] = _run_one_solver(name, spec, space, config, problem)
@@ -157,8 +162,7 @@ def run_sweep(config: ExperimentConfig) -> RunResult:
     spec, space = build_game(config)
     names = _solver_names(config.solver.which)
     problem = make_vi_problem(spec, space) if "vi" in names else None
-    condition = condition_report(spec, space,
-                                 op=None if problem is None else problem.op)
+    condition = _conditions(spec, space, problem)
     rows = []
     for value in config.sweep.values:
         point = dataclasses.replace(spec, pbar=value)
@@ -198,7 +202,8 @@ def run_simulate(config: ExperimentConfig, profile: PowerProfile,
     counts = np.bincount(draws, minlength=space.n_states).astype(float)
     emp_rate = counts @ rates / sim.slots
     emp_power = P @ counts / sim.slots
-    ana_rate = expected_rates(spec, space, P)
+    # expected_rates(spec, space, P), bit for bit, from the table above
+    ana_rate = np.einsum('k,...ki->...i', space.probs, rates)
     ana_power = average_powers(space, P)
     with np.errstate(divide='ignore', invalid='ignore'):
         rate_gap = np.abs(emp_rate - ana_rate) / np.abs(ana_rate)
@@ -219,7 +224,7 @@ def ne_outcome_for_simulation(config: ExperimentConfig,
     The condition checks and the VI share one operator."""
     spec, space = build_game(config) if _game is None else _game
     problem = make_vi_problem(spec, space)
-    report = condition_report(spec, space, op=problem.op)
+    report = _conditions(spec, space, problem)
     if report.contraction_ok:
         problem = None  # free the operator before IWF runs
         return report, _run_one_solver("iwf", spec, space, config)
@@ -230,20 +235,22 @@ def ne_outcome_for_simulation(config: ExperimentConfig,
 # serialization
 # ---------------------------------------------------------------------------
 
+_BLOCK = 4096  # profile values per write
+# Report fields that repeat the outcome's profile; result.json has one copy.
+_REPEATED = frozenset({"profile", "solution", "best"})
+# json.dumps of the placeholder "\x00<i>" for row i of the profiles
+_MARKER = re.compile(r'"\\u0000(\d+)"')
+
+
 def _jsonable(obj):
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
+    """JSON tree of ``obj``, without the dataclass fields in _REPEATED."""
     if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, PowerProfile):
-        return _jsonable(obj.powers)
+        return obj.tolist()
+    if isinstance(obj, np.generic):
+        return obj.item()
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: _jsonable(getattr(obj, f.name))
-                for f in dataclasses.fields(obj)}
+                for f in dataclasses.fields(obj) if f.name not in _REPEATED}
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -251,21 +258,26 @@ def _jsonable(obj):
     return obj
 
 
-def result_to_json(result: RunResult) -> str:
-    """One top-level RunResult object; field names match the dataclasses."""
-    doc = _jsonable(result)
-    for outcome in doc.get("solvers", {}).values():
-        # each outcome already carries its profile; drop the duplicates
-        # nested inside the solver reports
-        report = outcome.get("report", {})
-        if isinstance(report, dict):
-            report.pop("profile", None)
-            report.pop("solution", None)
-            report.pop("best", None)
-            if "per_start" in report:
-                for start in report["per_start"]:
-                    start.pop("profile", None)
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+def _write_json(fh, result: RunResult, texts):
+    """``json.dumps(indent=2, sort_keys=True)`` of the result.  json lays
+    out each profile with one placeholder per player row, which is then
+    replaced by the row's ``texts`` at the placeholder's indent."""
+    doc, rows = _jsonable(result), []
+    for k in result.solvers:
+        doc["solvers"][str(k)]["profile"] = [[f"\x00{len(rows) + i}"]
+                                             for i in range(len(texts[k]))]
+        rows += texts[k]
+    parts = _MARKER.split(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    for k in range(0, len(parts) - 1, 2):
+        fh.write(parts[k])
+        sep = ",\n" + parts[k][len(parts[k].rstrip(" ")):]
+        row = rows[int(parts[k + 1])]
+        for a in range(0, len(row), _BLOCK):
+            # repr spells the non-finite floats nan, inf and -inf, json
+            # NaN, Infinity and -Infinity; a finite repr has no n or i
+            chunk = (sep if a else "") + sep.join(row[a:a + _BLOCK])
+            fh.write(chunk.replace("nan", "NaN").replace("inf", "Infinity"))
+    fh.write(parts[-1])
 
 
 def _fmt(value):
@@ -276,24 +288,17 @@ def _fmt(value):
     return str(value)
 
 
-def _write_csv(path: Path, header, rows):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+def _write_csv(fh, header, rows):
+    for row in [header, *rows]:
+        fh.write(",".join(map(_fmt, row)) + "\n")
 
 
-def write_condition_csv(path: Path, report: ConditionReport):
-    fields = [f.name for f in dataclasses.fields(ConditionReport)]
-    _write_csv(path, fields, [[getattr(report, f) for f in fields]])
-
-
-def write_profile_csv(path: Path, profile: PowerProfile):
-    n, n1 = profile.powers.shape
-    header = ["state"] + [f"player{i + 1}" for i in range(n)]
-    rows = [[k] + list(profile.powers[:, k]) for k in range(n1)]
-    _write_csv(path, header, rows)
+def _write_profile_csv(fh, text):
+    """One row per state from a profile's text, one list per player."""
+    _write_csv(fh, ["state"] + [f"player{i + 1}" for i in range(len(text))], [])
+    for a in range(0, len(text[0]), _BLOCK):
+        rows = zip(map(str, range(a, a + _BLOCK)), *(row[a:a + _BLOCK] for row in text))
+        fh.write("".join([",".join(cells) + "\n" for cells in rows]))
 
 
 def write_outputs(result: RunResult, config: ExperimentConfig, out_dir) -> list[Path]:
@@ -301,64 +306,59 @@ def write_outputs(result: RunResult, config: ExperimentConfig, out_dir) -> list[
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
+    # repr is the one float format; each profile is formatted once, for both files
+    texts = {k: [list(map(repr, row)) for row in s.profile.powers.tolist()]
+             for k, s in result.solvers.items()}
 
-    def emit(path, text):
-        path.write_text(text, encoding="utf-8")
-        written.append(path)
+    def emit(name, write, *args):
+        with open(out / name, "w", encoding="utf-8", newline="") as fh:
+            write(fh, *args)
+        written.append(out / name)
 
     if "json" in config.output.formats:
-        emit(out / "result.json", result_to_json(result))
+        emit("result.json", _write_json, result, texts)
     if "csv" not in config.output.formats:
         return written
-    write_condition_csv(out / "conditions.csv", result.condition)
-    written.append(out / "conditions.csv")
+    fields = [f.name for f in dataclasses.fields(ConditionReport)]
+    emit("conditions.csv", _write_csv, fields,
+         [[getattr(result.condition, f) for f in fields]])
     if result.solvers:
         header = ["solver", "sum_rate_nats", "converged", "iterations", "residual"]
         n = next(iter(result.solvers.values())).rates.size
         header += [f"rate{i + 1}_nats" for i in range(n)]
         header += [f"avg_power{i + 1}" for i in range(n)]
-        rows = [[s.name, s.sum_rate, s.converged, s.iterations, s.residual,
-                 *s.rates, *s.avg_powers] for s in result.solvers.values()]
-        _write_csv(out / "sum_rates.csv", header, rows)
-        written.append(out / "sum_rates.csv")
-        for s in result.solvers.values():
-            path = out / f"profile_{s.name}.csv"
-            write_profile_csv(path, s.profile)
-            written.append(path)
+        emit("sum_rates.csv", _write_csv, header,
+             [[s.name, s.sum_rate, s.converged, s.iterations, s.residual,
+               *s.rates, *s.avg_powers] for s in result.solvers.values()])
+        for k, s in result.solvers.items():
+            emit(f"profile_{s.name}.csv", _write_profile_csv, texts[k])
             if s.name == "vi" and isinstance(s.report, ViReport):
-                _write_csv(out / "vi_eps_path.csv",
-                           ["eps", "inner_iterations", "natural_residual"],
-                           s.report.eps_path)
-                written.append(out / "vi_eps_path.csv")
+                emit("vi_eps_path.csv", _write_csv,
+                     ["eps", "inner_iterations", "natural_residual"],
+                     s.report.eps_path)
             if s.name == "pareto" and isinstance(s.report, ParetoReport):
-                rows = [[j, r.sum_rate, r.outer_iterations,
-                         float(r.feasibility_residuals.max()), r.converged]
-                        for j, r in enumerate(s.report.per_start)]
-                _write_csv(out / "pareto_starts.csv",
-                           ["start", "sum_rate_nats", "outer_iterations",
-                            "max_feasibility_residual", "converged"], rows)
-                written.append(out / "pareto_starts.csv")
+                emit("pareto_starts.csv", _write_csv,
+                     ["start", "sum_rate_nats", "outer_iterations",
+                      "max_feasibility_residual", "converged"],
+                     [[j, r.sum_rate, r.outer_iterations,
+                       float(r.feasibility_residuals.max()), r.converged]
+                      for j, r in enumerate(s.report.per_start)])
                 if s.report.trajectories is not None:
-                    rows = [[j, t, v]
-                            for j, trail in enumerate(s.report.trajectories)
-                            for t, v in enumerate(trail, start=1)]
-                    _write_csv(out / "pareto_trajectories.csv",
-                               ["start", "outer_iteration", "sum_rate_nats"], rows)
-                    written.append(out / "pareto_trajectories.csv")
+                    emit("pareto_trajectories.csv", _write_csv,
+                         ["start", "outer_iteration", "sum_rate_nats"],
+                         [[j, t, v] for j, trail in enumerate(s.report.trajectories)
+                          for t, v in enumerate(trail, start=1)])
     if result.sweep_rows is not None:
-        _write_csv(out / "sweep.csv", ["pbar", "ne_iwf", "ne_vi", "pareto"],
-                   [[r["pbar"], r["ne_iwf"], r["ne_vi"], r["pareto"]]
-                    for r in result.sweep_rows])
-        written.append(out / "sweep.csv")
+        header = ["pbar", "ne_iwf", "ne_vi", "pareto"]
+        emit("sweep.csv", _write_csv, header,
+             [[r[key] for key in header] for r in result.sweep_rows])
     if result.montecarlo is not None:
         mc = result.montecarlo
-        rows = [[i + 1, mc.empirical_rate[i], mc.analytic_rate[i],
-                 mc.rate_rel_gap[i], mc.empirical_power[i],
-                 mc.analytic_power[i], mc.power_rel_gap[i]]
-                for i in range(mc.empirical_rate.size)]
-        _write_csv(out / "montecarlo.csv",
-                   ["player", "empirical_rate_nats", "analytic_rate_nats",
-                    "rate_rel_gap", "empirical_power", "analytic_power",
-                    "power_rel_gap"], rows)
-        written.append(out / "montecarlo.csv")
+        emit("montecarlo.csv", _write_csv,
+             ["player", "empirical_rate_nats", "analytic_rate_nats",
+              "rate_rel_gap", "empirical_power", "analytic_power",
+              "power_rel_gap"],
+             zip(range(1, mc.empirical_rate.size + 1), mc.empirical_rate,
+                 mc.analytic_rate, mc.rate_rel_gap, mc.empirical_power,
+                 mc.analytic_power, mc.power_rel_gap))
     return written

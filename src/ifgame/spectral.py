@@ -125,13 +125,16 @@ def definiteness(op: InterferenceOperator) -> tuple[bool, bool, float]:
 
 
 def condition_report(spec: GameSpec, space: StateSpace,
-                     op: InterferenceOperator | None = None) -> ConditionReport:
-    """Run every check once and collect the results."""
+                     op: InterferenceOperator | None = None,
+                     definite: tuple[bool, bool, float] | None = None
+                     ) -> ConditionReport:
+    """Run every check once and collect the results.  A caller that has
+    ``definiteness(op)`` already passes it as ``definite``."""
     if op is None:
         op = build_operator(spec, space)
     rho_s = spectral_radius(op.smax)
     ratio, _ = contraction_condition(spec)
-    psd, pd, min_eig = definiteness(op)
+    psd, pd, min_eig = definiteness(op) if definite is None else definite
     return ConditionReport(
         rho_smax=rho_s,
         rho_hhat=rho_blockdiag(op),

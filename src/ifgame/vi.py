@@ -50,10 +50,9 @@ class _StepData:
         self.taus = {}
 
     @cached_property
-    def certificate(self):
-        """(psd, sigma) with sigma = max(0, min_sym_eig(Htilde))."""
-        psd, _, min_eig = definiteness(self.op)
-        return psd, max(0.0, min_eig)
+    def definite(self):
+        """The PSD certificate ``definiteness(op)``: (psd, pd, min_sym_eig)."""
+        return definiteness(self.op)
 
     @cached_property
     def blocks(self):
@@ -80,7 +79,7 @@ class _StepData:
     def step(self, eps):
         """tau(eps), with the fallback sigma / L^2 at L = ||Htilde||_2 + eps."""
         if eps not in self.taus:
-            sigma = self.certificate[1]
+            sigma = max(0.0, self.definite[2])
             self.taus[eps] = _best_tau(self, eps,
                                        (eps + sigma) / (self.lipschitz + eps) ** 2)
         return self.taus[eps]
@@ -106,6 +105,12 @@ class ViProblem:
     @property
     def n_states(self):
         return self.op.n_states
+
+    @property
+    def definite(self):
+        """``definiteness(op)``, computed once per operator; the condition
+        checks take it from here."""
+        return self._steps.definite
 
 
 @dataclass(frozen=True)
@@ -256,7 +261,7 @@ def solve_strong(problem: ViProblem, eps: float, init=None, tol: float = 1e-9,
     if eps <= 0:
         raise ValueError("eps must be positive")
     if _tau is None:
-        if not problem._steps.certificate[0]:
+        if not problem.definite[0]:
             warnings.warn("Htilde is not positive semidefinite; the projection "
                           "iteration has no convergence guarantee", stacklevel=2)
         _tau = problem._steps.step(eps)
@@ -285,7 +290,7 @@ def solve_regularized(problem: ViProblem, eps0: float = 1.0, decay: float = 0.5,
     if eps0 <= 0 or not (0.0 < decay < 1.0):
         raise ValueError("need eps0 > 0 and 0 < decay < 1")
     steps = problem._steps
-    if not steps.certificate[0]:
+    if not steps.definite[0]:
         warnings.warn("Htilde is not positive semidefinite; regularization "
                       "path has no convergence guarantee", stacklevel=2)
     table = _uniform_start(problem) if init is None else _as_table(problem, init)
