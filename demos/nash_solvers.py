@@ -13,9 +13,9 @@ import pathlib
 
 import numpy as np
 
-from ifgame import (enumerate_states, iterate_waterfilling, load_config_file,
-                    make_vi_problem, natural_residual, solve_regularized,
-                    sum_rate, wf_residual)
+from ifgame import (IwfConfig, ViConfig, enumerate_states, iterate_waterfilling,
+                    load_config_file, make_vi_problem, natural_residual,
+                    solve_regularized, sum_rate, wf_residual)
 
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 
@@ -26,14 +26,13 @@ def solve_and_print(name, config):
     space = enumerate_states(spec)
     problem = make_vi_problem(spec, space)
 
-    sim = iterate_waterfilling(spec, space, tol=1e-8, max_iter=500)
+    sim = iterate_waterfilling(spec, space)  # IwfConfig(): tol 1e-8, 500 sweeps
     print(f"simultaneous IWF: converged={sim.converged} "
           f"iters={sim.iterations} last residual={sim.residual_history[-1]:.2e}")
-    seq = iterate_waterfilling(spec, space, scheme="sequential",
-                               tol=1e-8, max_iter=500)
+    seq = iterate_waterfilling(spec, space, IwfConfig(scheme="sequential"))
     print(f"sequential   IWF: converged={seq.converged} iters={seq.iterations}")
 
-    vi = solve_regularized(problem, outer_tol=1e-8)
+    vi = solve_regularized(problem, ViConfig(outer_tol=1e-8))
     print(f"regularized VI:   converged={vi.converged} "
           f"eps rounds={len(vi.eps_path)} tau={vi.tau_used:.3f}")
     print(f"  natural residual     = {natural_residual(problem, vi.solution):.2e}")

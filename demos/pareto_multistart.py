@@ -16,7 +16,7 @@ for name, config in [("example1 (budget 1.0)", "example1"),
                      ("example2 (budget 2.0)", "example2")]:
     spec = load_config_file(CONFIGS / f"{config}.json").game.build_spec()
     space = enumerate_states(spec)
-    ne = solve_regularized(make_vi_problem(spec, space), outer_tol=1e-7).solution
+    ne = solve_regularized(make_vi_problem(spec, space)).solution
     ne_rate = sum_rate(spec, space, ne)
 
     report = multi_start(spec, space, AlConfig(starts=10, seed=0))

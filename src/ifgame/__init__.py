@@ -11,10 +11,10 @@ from .game import (GainAlphabets, GameSpec, LinkDistribution, PowerProfile,
 from .spectral import (ConditionReport, InterferenceOperator, build_operator,
                        condition_report, contraction_condition, definiteness,
                        rho_blockdiag, spectral_radius)
-from .waterfilling import (IwfReport, WaterfillResult, interference_floors,
-                           iterate_waterfilling, waterfill, waterfill_levels,
-                           waterfill_map, wf_residual)
-from .vi import (ViProblem, ViReport, eval_F, make_vi_problem,
+from .waterfilling import (IwfConfig, IwfReport, WaterfillResult,
+                           interference_floors, iterate_waterfilling, waterfill,
+                           waterfill_levels, waterfill_map, wf_residual)
+from .vi import (ViConfig, ViProblem, ViReport, eval_F, make_vi_problem,
                  natural_residual, project_block, project_feasible,
                  solve_regularized, solve_strong)
 from .pareto import (AlConfig, ParetoReport, StartResult, augmented_lagrangian,

@@ -11,7 +11,8 @@ import argparse
 import dataclasses
 import sys
 
-from .config import ConfigError, ExperimentConfig, load_config_file
+from .config import (FORMAT_CHOICES, SOLVER_CHOICES, ConfigError,
+                     ExperimentConfig, load_config_file)
 from .experiments import (RunResult, build_game, ne_outcome_for_simulation,
                           run_analyze, run_simulate, run_solve, run_sweep,
                           write_outputs)
@@ -30,12 +31,12 @@ def _build_parser():
         cmd = sub.add_parser(name, help=text)
         cmd.add_argument("--config", required=True, help="path to the JSON config")
         cmd.add_argument("--out", default=None, help="output directory override")
-        cmd.add_argument("--format", default=None, choices=["csv", "json"],
+        cmd.add_argument("--format", default=None, choices=FORMAT_CHOICES,
                          help="restrict output to one format")
         cmd.add_argument("--seed", type=int, default=None,
                          help="override the pareto and simulate seeds")
         cmd.add_argument("--solver", default=None,
-                         choices=["iwf", "vi", "pareto", "all"],
+                         choices=SOLVER_CHOICES,
                          help="override solver.which")
     return parser
 
@@ -78,17 +79,11 @@ def main(argv=None) -> int:
                 print(f"{s.name:7s} sum rate = {s.sum_rate:.6f} nats  "
                       f"converged = {s.converged}")
         elif args.command == "sweep":
-            if config.sweep is None:
-                from .config import SweepConfig
-                config = dataclasses.replace(config, sweep=SweepConfig())
             result = run_sweep(config)
             for row in result.sweep_rows:
                 print(f"pbar = {row['pbar']:g}: ne_iwf = {row['ne_iwf']:.6f}  "
                       f"ne_vi = {row['ne_vi']:.6f}  pareto = {row['pareto']:.6f}")
         else:  # simulate
-            if config.simulate is None:
-                from .config import SimulateConfig
-                config = dataclasses.replace(config, simulate=SimulateConfig())
             game = build_game(config)
             report, outcome = ne_outcome_for_simulation(config, _game=game)
             summary = run_simulate(config, outcome.profile, _game=game)

@@ -16,9 +16,10 @@ import numpy as np
 
 from .game import DEFAULT_STATE_CAP, GainAlphabets, GameSpec, LinkDistribution
 from .pareto import AlConfig
+from .vi import ViConfig
+from .waterfilling import SCHEME_CHOICES, IwfConfig
 
 SOLVER_CHOICES = ("iwf", "vi", "pareto", "all")
-SCHEME_CHOICES = ("simultaneous", "sequential")
 SWEEP_PARAMETERS = ("pbar",)
 FORMAT_CHOICES = ("csv", "json")
 
@@ -44,35 +45,14 @@ class GameConfig:
     weights: list[float] | None = None
 
     def build_spec(self) -> GameSpec:
-        gains = GainAlphabets(direct=np.array(self.direct_gains),
-                              cross=np.array(self.cross_gains))
+        vectors = dict(pbar=self.pbar, alpha=self.alpha, weights=self.weights)
         if self.link_probs == "uniform":
-            dists = LinkDistribution.uniform(self.players, gains.direct.size,
-                                             gains.cross.size)
-        else:
-            dists = LinkDistribution(direct=np.array(self.link_probs["direct"]),
-                                     cross=np.array(self.link_probs["cross"]))
-        return GameSpec(n_players=self.players, gains=gains, dists=dists,
-                        pbar=np.array(self.pbar),
-                        alpha=None if self.alpha is None else np.array(self.alpha),
-                        weights=None if self.weights is None else np.array(self.weights))
-
-
-@dataclass(frozen=True)
-class IwfConfig:
-    scheme: str = "simultaneous"
-    tol: float = 1e-8
-    max_iter: int = 500
-
-
-@dataclass(frozen=True)
-class ViConfig:
-    eps0: float = 1.0
-    decay: float = 0.5
-    outer_tol: float = 1e-7
-    inner_tol: float = 1e-9
-    max_outer: int = 60
-    max_inner: int = 200_000
+            return GameSpec.symmetric(self.players, self.direct_gains,
+                                      self.cross_gains, **vectors)
+        gains = GainAlphabets(direct=self.direct_gains, cross=self.cross_gains)
+        dists = LinkDistribution(direct=np.array(self.link_probs["direct"]),
+                                 cross=np.array(self.link_probs["cross"]))
+        return GameSpec(n_players=self.players, gains=gains, dists=dists, **vectors)
 
 
 @dataclass(frozen=True)

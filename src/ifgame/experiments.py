@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ExperimentConfig
+from .config import ExperimentConfig, SimulateConfig, SweepConfig
 from .game import (GameSpec, PowerProfile, StateSpace, average_powers,
                    enumerate_states, expected_rates, is_feasible, rate_table)
 from .pareto import ParetoReport, multi_start
@@ -98,21 +98,16 @@ def _run_one_solver(name, spec, space, config, problem=None):
     """Run one solver; a caller that has built the VI ``problem`` for
     ``spec`` passes it, so its operator is not built again."""
     if name == "iwf":
-        cfg = config.solver.iwf
-        rep = iterate_waterfilling(spec, space, scheme=cfg.scheme, tol=cfg.tol,
-                                   max_iter=cfg.max_iter)
+        rep = iterate_waterfilling(spec, space, config.solver.iwf)
         profile, converged = rep.profile, rep.converged
         iterations = rep.iterations
         residual = rep.residual_history[-1]
     elif name == "vi":
-        cfg = config.solver.vi
         if problem is None:
             problem = make_vi_problem(spec, space)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # PSD status already in the report
-            rep = solve_regularized(problem, eps0=cfg.eps0, decay=cfg.decay,
-                                    outer_tol=cfg.outer_tol, inner_tol=cfg.inner_tol,
-                                    max_outer=cfg.max_outer, max_inner=cfg.max_inner)
+            rep = solve_regularized(problem, config.solver.vi)
         profile, converged = rep.solution, rep.converged
         iterations = sum(p[1] for p in rep.eps_path)
         residual = rep.eps_path[-1][2]  # natural residual of the solution
@@ -149,7 +144,8 @@ def run_solve(config: ExperimentConfig) -> RunResult:
 
 
 def run_sweep(config: ExperimentConfig) -> RunResult:
-    """Re-solve the game for every sweep value of the common budget.
+    """Re-solve the game for every sweep value of the common budget; a
+    config without a sweep section sweeps the ``SweepConfig`` defaults.
 
     The game and the VI problem are built once; only the budget changes
     from point to point, so the points share the VI step data.  Produces
@@ -157,14 +153,12 @@ def run_sweep(config: ExperimentConfig) -> RunResult:
     Pareto sum rate; a non-converged solver's entry is NaN and flags the
     row.
     """
-    if config.sweep is None:
-        raise ValueError("config has no sweep section")
     spec, space = build_game(config)
     names = _solver_names(config.solver.which)
     problem = make_vi_problem(spec, space) if "vi" in names else None
     condition = _conditions(spec, space, problem)
     rows = []
-    for value in config.sweep.values:
+    for value in (config.sweep or SweepConfig()).values:
         point = dataclasses.replace(spec, pbar=value)
         point_problem = (None if problem is None
                          else dataclasses.replace(problem, pbar=point.pbar))
@@ -182,16 +176,15 @@ def run_sweep(config: ExperimentConfig) -> RunResult:
 def run_simulate(config: ExperimentConfig, profile: PowerProfile,
                  _game: tuple[GameSpec, StateSpace] | None = None
                  ) -> MonteCarloSummary:
-    """Simulate i.i.d. channel slots under a fixed stationary policy.
+    """Simulate i.i.d. channel slots under a fixed stationary policy, with
+    the ``SimulateConfig`` defaults when the config has no such section.
 
     Draws ``slots`` states from the state distribution with the seeded
     generator, applies the policy, and compares the empirical time
     averages of rate and power to the analytic expectations.  A caller
     that passes ``_game`` has already run ``build_game(config)``.
     """
-    sim = config.simulate
-    if sim is None:
-        raise ValueError("config has no simulate section")
+    sim = config.simulate or SimulateConfig()
     spec, space = build_game(config) if _game is None else _game
     P = profile.powers
     if not np.all(is_feasible(space, P, spec.pbar)):

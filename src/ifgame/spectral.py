@@ -15,7 +15,9 @@ guaranteed to work:
     equals it when every alphabet entry has positive probability and
     every alpha_i is the same (then it is the common row sum of Smax);
   * rho(Hhat) over the whole block-diagonal operator, equal to rho(Smax)
-    because Smax is itself one of the blocks and dominates the rest;
+    because Smax is itself one of the blocks and dominates the rest, so
+    the report takes it from Smax; rho_blockdiag computes it over every
+    block, and the tests check the two agree bit for bit;
   * positive (semi)definiteness of the quadratic form of
     Htilde = I + Hhat, tested on the symmetric part of each block; this
     is the monotonicity condition under which the regularized projection
@@ -137,7 +139,7 @@ def condition_report(spec: GameSpec, space: StateSpace,
     psd, pd, min_eig = definiteness(op) if definite is None else definite
     return ConditionReport(
         rho_smax=rho_s,
-        rho_hhat=rho_blockdiag(op),
+        rho_hhat=rho_s,  # = rho_blockdiag(op): Smax is a block and dominates
         ratio_bound=ratio,
         contraction_ok=bool(rho_s < 1.0),
         htilde_psd=psd,

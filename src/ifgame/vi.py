@@ -37,6 +37,24 @@ from .spectral import (InterferenceOperator, _plus_identity, build_operator,
 from .waterfilling import waterfill_levels
 
 
+@dataclass(frozen=True)
+class ViConfig:
+    """Settings of the regularized projection method: eps_n = eps0 * decay^n,
+    and the tolerance and cap of the eps path (outer) and of each fixed-eps
+    solve (inner)."""
+
+    eps0: float = 1.0
+    decay: float = 0.5
+    outer_tol: float = 1e-7
+    inner_tol: float = 1e-9
+    max_outer: int = 60
+    max_inner: int = 200_000
+
+    def __post_init__(self):
+        if self.eps0 <= 0 or not (0.0 < self.decay < 1.0):
+            raise ValueError("need eps0 > 0 and 0 < decay < 1")
+
+
 class _StepData:
     """Budget-free data of the projection step, computed on first use.
 
@@ -242,9 +260,8 @@ def _uniform_start(problem):
     return np.tile(problem.pbar[None, :], (problem.n_states, 1))
 
 
-def solve_strong(problem: ViProblem, eps: float, init=None, tol: float = 1e-9,
-                 max_iter: int = 200_000, _tau: float | None = None
-                 ) -> tuple[PowerProfile, int]:
+def solve_strong(problem: ViProblem, eps: float, config: ViConfig = ViConfig(),
+                 init=None, _tau: float | None = None) -> tuple[PowerProfile, int]:
     """Projection iteration P <- Pi_K(P - tau F_eps(P)) at fixed eps.
 
     The step minimizes the computed per-iteration contraction norm
@@ -253,10 +270,11 @@ def solve_strong(problem: ViProblem, eps: float, init=None, tol: float = 1e-9,
     modulus sigma = eps + max(0, min_sym_eig(Htilde)) and the Lipschitz
     constant L = ||Htilde||_2 + eps.  Stops when both the
     successive-iterate gap and the natural residual of F_eps fall below
-    tol; hitting max_iter is reported by returning the iterate reached
-    (no exception).  The step is searched once per operator and eps (see
-    ``_StepData``).  A caller that passes ``_tau`` has chosen the step and
-    checked definiteness itself, so neither is done again here.
+    ``config.inner_tol``; hitting ``config.max_inner`` is reported by
+    returning the iterate reached (no exception).  The step is searched
+    once per operator and eps (see ``_StepData``).  A caller that passes
+    ``_tau`` has chosen the step and checked definiteness itself, so
+    neither is done again here.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -265,9 +283,10 @@ def solve_strong(problem: ViProblem, eps: float, init=None, tol: float = 1e-9,
             warnings.warn("Htilde is not positive semidefinite; the projection "
                           "iteration has no convergence guarantee", stacklevel=2)
         _tau = problem._steps.step(eps)
+    tol = config.inner_tol
     table = _uniform_start(problem) if init is None else _as_table(problem, init)
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, config.max_inner + 1):
         new = _project_face(problem, table - _tau * _eval_F_table(problem, table, eps=eps))
         gap = float(np.abs(new - table).max())
         table = new
@@ -276,19 +295,16 @@ def solve_strong(problem: ViProblem, eps: float, init=None, tol: float = 1e-9,
     return PowerProfile(powers=table.T.copy()), iterations
 
 
-def solve_regularized(problem: ViProblem, eps0: float = 1.0, decay: float = 0.5,
-                      outer_tol: float = 1e-7, inner_tol: float = 1e-9,
-                      init=None, max_outer: int = 60,
-                      max_inner: int = 200_000) -> ViReport:
+def solve_regularized(problem: ViProblem, config: ViConfig = ViConfig(),
+                      init=None) -> ViReport:
     """Drive eps_n = eps0 * decay^n -> 0 with warm starts.
 
     Each inner solve runs the fixed-step projection iteration on F_eps_n
     starting from the previous solution; the path stops as soon as the
-    natural residual of the *unregularized* F drops below outer_tol.
-    The steps come from the problem's budget-free ``_StepData``.
+    natural residual of the *unregularized* F drops below
+    ``config.outer_tol``, or after ``config.max_outer`` rounds.  The
+    steps come from the problem's budget-free ``_StepData``.
     """
-    if eps0 <= 0 or not (0.0 < decay < 1.0):
-        raise ValueError("need eps0 > 0 and 0 < decay < 1")
     steps = problem._steps
     if not steps.definite[0]:
         warnings.warn("Htilde is not positive semidefinite; regularization "
@@ -297,16 +313,14 @@ def solve_regularized(problem: ViProblem, eps0: float = 1.0, decay: float = 0.5,
     path = []
     converged = False
     tau = 0.0
-    eps = eps0
-    for n in range(max_outer):
-        eps = eps0 * decay ** n
+    for n in range(config.max_outer):
+        eps = config.eps0 * config.decay ** n
         tau = steps.step(eps)
-        prof, inner = solve_strong(problem, eps, init=table.T, tol=inner_tol,
-                                   max_iter=max_inner, _tau=tau)
+        prof, inner = solve_strong(problem, eps, config, init=table.T, _tau=tau)
         table = _as_table(problem, prof)
         residual = natural_residual(problem, prof)
         path.append((float(eps), int(inner), float(residual)))
-        if residual < outer_tol:
+        if residual < config.outer_tol:
             converged = True
             break
     return ViReport(solution=PowerProfile(powers=table.T.copy()),

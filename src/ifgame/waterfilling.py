@@ -23,6 +23,21 @@ import numpy as np
 
 from .game import GameSpec, PowerProfile, StateSpace, _powers, interference
 
+SCHEME_CHOICES = ("simultaneous", "sequential")
+
+
+@dataclass(frozen=True)
+class IwfConfig:
+    """Settings of ``iterate_waterfilling``; ``scheme`` is one of SCHEME_CHOICES."""
+
+    scheme: str = "simultaneous"
+    tol: float = 1e-8
+    max_iter: int = 500
+
+    def __post_init__(self):
+        if self.scheme not in SCHEME_CHOICES:
+            raise ValueError(f"unknown scheme {self.scheme!r}")
+
 
 @dataclass(frozen=True)
 class WaterfillResult:
@@ -100,25 +115,24 @@ def wf_residual(spec: GameSpec, space: StateSpace, prof) -> float:
     return float(np.abs(P - waterfill_map(spec, space, P)).max())
 
 
-def iterate_waterfilling(spec: GameSpec, space: StateSpace, init=None,
-                         scheme: str = "simultaneous", tol: float = 1e-8,
-                         max_iter: int = 500) -> IwfReport:
-    """Iterate the best-response map until the sweep moves no player.
+def iterate_waterfilling(spec: GameSpec, space: StateSpace,
+                         config: IwfConfig = IwfConfig(), init=None) -> IwfReport:
+    """Iterate the best-response map until the sweep moves no player by
+    ``config.tol`` or more.
 
     ``simultaneous`` updates every player from the same previous profile
     (Jacobi, the scheme the contraction analysis covers); ``sequential``
     updates players in index order using fresh values (Gauss-Seidel).
-    Non-convergence within ``max_iter`` is reported, not raised.
+    Non-convergence within ``config.max_iter`` sweeps is reported, not
+    raised.
     """
-    if scheme not in ("simultaneous", "sequential"):
-        raise ValueError(f"unknown scheme {scheme!r}")
     n = spec.n_players
     P = np.zeros((n, space.n_states)) if init is None else _powers(init).copy()
     history = []
     converged = False
     iterations = 0
-    for iterations in range(1, max_iter + 1):
-        if scheme == "simultaneous":
+    for iterations in range(1, config.max_iter + 1):
+        if config.scheme == "simultaneous":
             new = waterfill_map(spec, space, P)
         else:
             new = P.copy()
@@ -128,8 +142,9 @@ def iterate_waterfilling(spec: GameSpec, space: StateSpace, init=None,
         residual = float(np.abs(new - P).max())
         history.append(residual)
         P = new
-        if residual < tol:
+        if residual < config.tol:
             converged = True
             break
     return IwfReport(profile=PowerProfile(powers=P), iterations=iterations,
-                     residual_history=history, converged=converged, scheme=scheme)
+                     residual_history=history, converged=converged,
+                     scheme=config.scheme)

@@ -10,10 +10,10 @@ import time
 
 import numpy as np
 
-from ifgame import (build_operator, enumerate_states, iterate_waterfilling,
-                    make_vi_problem, natural_residual, project_block,
-                    run_analyze, run_simulate, run_sweep, solve_regularized,
-                    spectral_radius, waterfill, wf_residual)
+from ifgame import (IwfConfig, ViConfig, build_operator, enumerate_states,
+                    iterate_waterfilling, make_vi_problem, natural_residual,
+                    project_block, run_analyze, run_simulate, run_sweep,
+                    solve_regularized, spectral_radius, waterfill, wf_residual)
 from ifgame.cli import main
 from ifgame.config import SimulateConfig, SweepConfig
 from ifgame.experiments import build_game, ne_outcome_for_simulation
@@ -102,10 +102,10 @@ def test_criterion_5_example1_ne_fixed_point():
     t0 = time.perf_counter()
     spec = bundled.spec("example1")
     space = enumerate_states(spec)
-    iwf = iterate_waterfilling(spec, space, tol=1e-7, max_iter=500)
+    iwf = iterate_waterfilling(spec, space, IwfConfig(tol=1e-7, max_iter=500))
     residual = wf_residual(spec, space, iwf.profile)
     problem = make_vi_problem(spec, space)
-    vi = solve_regularized(problem, outer_tol=1e-8)
+    vi = solve_regularized(problem, ViConfig(outer_tol=1e-8))
     distance = float(np.abs(iwf.profile.powers - vi.solution.powers).max())
     elapsed = time.perf_counter() - t0
     ok = (iwf.converged and iwf.iterations <= 500 and residual < 1e-6
@@ -124,7 +124,7 @@ def test_criterion_6_example2_regularized_vi():
     residuals = []
     for start in range(5):
         init = random_feasible_profile(rng, spec, space, tight=True)
-        rep = solve_regularized(problem, outer_tol=1e-8, init=init)
+        rep = solve_regularized(problem, ViConfig(outer_tol=1e-8), init=init)
         assert rep.converged
         solutions.append(rep.solution.powers)
         residuals.append(natural_residual(problem, rep.solution))

@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+import ifgame
 from ifgame import (AlConfig, ConfigError, expected_rates, is_feasible,
                     load_config, make_vi_problem, run_analyze, run_simulate,
                     run_solve, run_sweep, serialize_config, write_outputs)
@@ -15,7 +16,8 @@ from ifgame.config import (IwfConfig, OutputConfig, SimulateConfig, SolverConfig
                            SweepConfig, ViConfig)
 from ifgame.experiments import build_game, ne_outcome_for_simulation
 from ifgame.game import DEFAULT_STATE_CAP
-from ifgame.vi import solve_regularized
+from ifgame.vi import solve_regularized, solve_strong
+from ifgame.waterfilling import iterate_waterfilling
 import bundled
 
 SMALL = {
@@ -165,9 +167,30 @@ def test_config_defaults_come_from_dataclasses():
     assert config.simulate == SimulateConfig() and config.output == OutputConfig()
     assert config.sweep == SweepConfig()
     assert SolverConfig().state_cap == DEFAULT_STATE_CAP
-    # the library default of the VI path matches the config default
-    outer_tol = inspect.signature(solve_regularized).parameters["outer_tol"].default
-    assert outer_tol == ViConfig().outer_tol
+    # the library solvers default to the same dataclasses, defined once
+    for solver, default in [(iterate_waterfilling, IwfConfig()),
+                            (solve_strong, ViConfig()),
+                            (solve_regularized, ViConfig())]:
+        assert inspect.signature(solver).parameters["config"].default == default
+    assert ifgame.config.IwfConfig is ifgame.waterfilling.IwfConfig
+    assert ifgame.config.ViConfig is ifgame.vi.ViConfig
+
+
+def test_missing_sweep_and_simulate_sections_run_the_defaults(tmp_path):
+    """Without a sweep or simulate section, ``sweep`` and ``simulate`` run
+    the default section: the same rows and summary, byte for byte."""
+    bare = {**SMALL, "solver": {"which": "iwf"}}
+    full = {**bare, "sweep": {}, "simulate": {}}
+    for command, table in (("sweep", "sweep.csv"), ("simulate", "montecarlo.csv")):
+        files = []
+        for name, doc in (("bare", bare), ("full", full)):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(doc))
+            out = tmp_path / f"{command}-{name}"
+            assert main([command, "--config", str(path), "--out", str(out)]) == 0
+            files.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert table in files[0]
+        assert files[0] == files[1]
 
 
 def test_run_analyze_example_values():
@@ -309,14 +332,10 @@ def test_sweep_builds_vi_data_once(monkeypatch):
     assert calls["definiteness"] == 1
     # each point equals a solve on its own problem, built from scratch
     spec, space = build_game(config)
-    vi = config.solver.vi
     eps_values = set()
     for row in rows:
         point = dataclasses.replace(spec, pbar=row["pbar"])
-        rep = solve_regularized(make_vi_problem(point, space), eps0=vi.eps0,
-                                decay=vi.decay, outer_tol=vi.outer_tol,
-                                inner_tol=vi.inner_tol, max_outer=vi.max_outer,
-                                max_inner=vi.max_inner)
+        rep = solve_regularized(make_vi_problem(point, space), config.solver.vi)
         assert rep.converged
         assert row["ne_vi"] == float(expected_rates(point, space, rep.solution).sum())
         eps_values.update(eps for eps, _, _ in rep.eps_path)

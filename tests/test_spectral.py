@@ -107,6 +107,21 @@ def test_rho_blockdiag_equals_smax_rho():
         assert r_blocks == pytest.approx(dense, abs=1e-8)
 
 
+def test_condition_report_rho_hhat_is_rho_blockdiag():
+    """rho_hhat is reported from Smax; it equals the radius over every
+    block bit for bit, because Smax is one of the blocks and dominates."""
+    rng = np.random.default_rng(12)
+    specs = [bundled.spec(name) for name in bundled.NAMES]
+    specs += [random_spec(rng, state_limit=800, uniform_probs=k % 2 == 0)
+              for k in range(40)]
+    specs += [dataclasses.replace(s, alpha=rng.uniform(0.5, 2.0, s.n_players))
+              for s in specs[-10:]]
+    for spec in specs:
+        space = enumerate_states(spec)
+        op = build_operator(spec, space)
+        assert condition_report(spec, space, op).rho_hhat == rho_blockdiag(op)
+
+
 def test_contraction_condition_values():
     ratio1, ok1 = contraction_condition(bundled.spec("example1"))
     assert (ratio1, ok1) == (pytest.approx(2.0 / 3.0), True)

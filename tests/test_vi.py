@@ -5,10 +5,11 @@ import warnings
 import numpy as np
 import pytest
 
-from ifgame import (GameSpec, LinkDistribution, enumerate_states, eval_F,
-                    iterate_waterfilling, make_vi_problem, natural_residual,
-                    project_block, project_feasible, solve_regularized,
-                    solve_strong, waterfill_map, wf_residual)
+from ifgame import (GameSpec, IwfConfig, LinkDistribution, ViConfig,
+                    enumerate_states, eval_F, iterate_waterfilling,
+                    make_vi_problem, natural_residual, project_block,
+                    project_feasible, solve_regularized, solve_strong,
+                    waterfill_map, wf_residual)
 from ifgame.spectral import _plus_identity
 from ifgame.vi import _best_tau, _eval_F_table, _project_face, _step_norm
 import bundled
@@ -134,10 +135,10 @@ def test_solve_strong_single_player_matches_best_response():
     space = enumerate_states(spec)
     problem = make_vi_problem(spec, space)
     wf = waterfill_map(spec, space, np.zeros((1, space.n_states)))[0]
-    prof, _ = solve_strong(problem, eps=1.0, tol=1e-12)
+    prof, _ = solve_strong(problem, 1.0, ViConfig(inner_tol=1e-12))
     # eps shrinks the solution toward the floor shape; follow the path down
     for eps in (1.0, 0.1, 0.01, 1e-4, 1e-8):
-        prof, _ = solve_strong(problem, eps=eps, init=prof, tol=1e-12)
+        prof, _ = solve_strong(problem, eps, ViConfig(inner_tol=1e-12), init=prof)
     assert np.abs(prof.powers[0] - wf).max() < 1e-8
 
 
@@ -147,7 +148,7 @@ def test_solve_strong_satisfies_vi_inequality():
     space = enumerate_states(spec)
     problem = make_vi_problem(spec, space)
     eps = 0.05
-    prof, _ = solve_strong(problem, eps=eps, tol=1e-11)
+    prof, _ = solve_strong(problem, eps, ViConfig(inner_tol=1e-11))
     table = prof.powers.T
     f_eps = _eval_F_table(problem, table, eps=eps)
     for _ in range(100):
@@ -254,9 +255,9 @@ def test_regularized_example1_agrees_with_iwf():
     spec = bundled.spec("example1")
     space = enumerate_states(spec)
     problem = make_vi_problem(spec, space)
-    report = solve_regularized(problem, outer_tol=1e-8)
+    report = solve_regularized(problem, ViConfig(outer_tol=1e-8))
     assert report.converged
-    iwf = iterate_waterfilling(spec, space, tol=1e-10)
+    iwf = iterate_waterfilling(spec, space, IwfConfig(tol=1e-10))
     assert np.abs(report.solution.powers - iwf.profile.powers).max() < 1e-5
     eps_values = [p[0] for p in report.eps_path]
     assert eps_values == sorted(eps_values, reverse=True)
@@ -267,13 +268,13 @@ def test_regularized_example2_finds_wf_fixed_point():
     spec = bundled.spec("example2")
     space = enumerate_states(spec)
     problem = make_vi_problem(spec, space)
-    report = solve_regularized(problem, outer_tol=1e-8)
+    report = solve_regularized(problem, ViConfig(outer_tol=1e-8))
     assert report.converged
     assert natural_residual(problem, report.solution) < 1e-6
     assert wf_residual(spec, space, report.solution) < 1e-5
     # warm-started second run from a different start agrees (uniqueness)
     rng = np.random.default_rng(8)
-    other = solve_regularized(problem, outer_tol=1e-8,
+    other = solve_regularized(problem, ViConfig(outer_tol=1e-8),
                               init=random_feasible_profile(rng, spec, space,
                                                            tight=True))
     assert np.abs(report.solution.powers - other.solution.powers).max() < 1e-5
@@ -288,15 +289,15 @@ def test_solver_warns_without_psd_certificate():
     psd, _, _ = definiteness(problem.op)
     assert not psd
     with pytest.warns(UserWarning):
-        solve_strong(problem, eps=0.5, tol=1e-6, max_iter=200)
+        solve_strong(problem, 0.5, ViConfig(inner_tol=1e-6, max_inner=200))
     # with two direct gains the path runs several eps rounds; it warns
     # once, not once per round
     spec = GameSpec.symmetric(3, [0.08, 0.1], [0.2], pbar=1.0)
     problem = make_vi_problem(spec, enumerate_states(spec))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        report = solve_regularized(problem, inner_tol=1e-6, max_outer=3,
-                                   max_inner=200)
+        report = solve_regularized(
+            problem, ViConfig(inner_tol=1e-6, max_outer=3, max_inner=200))
     assert len(report.eps_path) == 3
     assert [w.category for w in caught] == [UserWarning]
 
@@ -322,8 +323,8 @@ def test_parameter_validation():
     with pytest.raises(ValueError):
         solve_strong(problem, eps=0.0)
     with pytest.raises(ValueError):
-        solve_regularized(problem, eps0=-1.0)
+        ViConfig(eps0=-1.0)
     with pytest.raises(ValueError):
-        solve_regularized(problem, decay=1.5)
+        ViConfig(decay=1.5)
     with pytest.raises(ValueError):
         eval_F(problem, np.zeros((3, space.n_states)))

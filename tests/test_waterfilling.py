@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ifgame import (GameSpec, enumerate_states, interference_floors,
+from ifgame import (GameSpec, IwfConfig, enumerate_states, interference_floors,
                     iterate_waterfilling, waterfill, waterfill_map, wf_residual)
 import bundled
 from util_random import random_feasible_profile, random_spec
@@ -154,7 +154,7 @@ def test_best_response_is_weighted_projection_of_negative_floors():
 def test_iwf_single_user_immediate():
     spec = GameSpec.symmetric(1, [2.0, 0.5], [1.0], pbar=1.0)
     space = enumerate_states(spec)
-    report = iterate_waterfilling(spec, space, tol=1e-10)
+    report = iterate_waterfilling(spec, space, IwfConfig(tol=1e-10))
     assert report.converged
     assert report.iterations <= 2
     assert wf_residual(spec, space, report.profile) < 1e-12
@@ -163,7 +163,7 @@ def test_iwf_single_user_immediate():
 def test_iwf_example1_converges():
     spec = bundled.spec("example1")
     space = enumerate_states(spec)
-    report = iterate_waterfilling(spec, space, tol=1e-8, max_iter=500)
+    report = iterate_waterfilling(spec, space, IwfConfig(tol=1e-8, max_iter=500))
     assert report.converged
     assert report.scheme == "simultaneous"
     assert wf_residual(spec, space, report.profile) < 1e-8
@@ -177,7 +177,8 @@ def test_iwf_example1_unique_limit_from_random_starts():
     limits = []
     for _ in range(10):
         init = random_feasible_profile(rng, spec, space, tight=True)
-        rep = iterate_waterfilling(spec, space, init=init, tol=1e-9, max_iter=500)
+        rep = iterate_waterfilling(spec, space, IwfConfig(tol=1e-9, max_iter=500),
+                                   init=init)
         assert rep.converged
         limits.append(rep.profile.powers)
     for other in limits[1:]:
@@ -188,20 +189,18 @@ def test_iwf_example2_simultaneous_cycles_sequential_converges():
     # budget 2.0: the simultaneous sweep enters a 2-cycle
     spec = bundled.spec("example2")
     space = enumerate_states(spec)
-    sim = iterate_waterfilling(spec, space, tol=1e-8, max_iter=500)
+    sim = iterate_waterfilling(spec, space, IwfConfig(tol=1e-8, max_iter=500))
     assert not sim.converged
     assert sim.iterations == 500
     assert sim.residual_history[-1] > 1.0
-    seq = iterate_waterfilling(spec, space, scheme="sequential",
-                               tol=1e-8, max_iter=500)
+    seq = iterate_waterfilling(
+        spec, space, IwfConfig(scheme="sequential", tol=1e-8, max_iter=500))
     assert seq.converged
 
 
 def test_iwf_rejects_unknown_scheme():
-    spec = bundled.spec("example1")
-    space = enumerate_states(spec)
     with pytest.raises(ValueError):
-        iterate_waterfilling(spec, space, scheme="jacobi")
+        IwfConfig(scheme="jacobi")
 
 
 def test_waterfill_map_matches_best_response():
