@@ -264,11 +264,10 @@ def _write_json(fh, result: RunResult, texts):
     for k in range(0, len(parts) - 1, 2):
         fh.write(parts[k])
         sep = ",\n" + parts[k][len(parts[k].rstrip(" ")):]
-        row = rows[int(parts[k + 1])]
-        for a in range(0, len(row), _BLOCK):
+        for b, block in enumerate(rows[int(parts[k + 1])]):
             # repr spells the non-finite floats nan, inf and -inf, json
             # NaN, Infinity and -Infinity; a finite repr has no n or i
-            chunk = (sep if a else "") + sep.join(row[a:a + _BLOCK])
+            chunk = (sep if b else "") + block.replace(",", sep)
             fh.write(chunk.replace("nan", "NaN").replace("inf", "Infinity"))
     fh.write(parts[-1])
 
@@ -287,10 +286,11 @@ def _write_csv(fh, header, rows):
 
 
 def _write_profile_csv(fh, text):
-    """One row per state from a profile's text, one list per player."""
+    """One row per state from a profile's text, one list of blocks per player."""
     _write_csv(fh, ["state"] + [f"player{i + 1}" for i in range(len(text))], [])
-    for a in range(0, len(text[0]), _BLOCK):
-        rows = zip(map(str, range(a, a + _BLOCK)), *(row[a:a + _BLOCK] for row in text))
+    for b, blocks in enumerate(zip(*text)):
+        a = b * _BLOCK
+        rows = zip(map(str, range(a, a + _BLOCK)), *(block.split(",") for block in blocks))
         fh.write("".join([",".join(cells) + "\n" for cells in rows]))
 
 
@@ -299,8 +299,11 @@ def write_outputs(result: RunResult, config: ExperimentConfig, out_dir) -> list[
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
-    # repr is the one float format; each profile is formatted once, for both files
-    texts = {k: [list(map(repr, row)) for row in s.profile.powers.tolist()]
+    # repr is the one float format; each profile is formatted once, for both
+    # files, as one comma-joined string per _BLOCK values of a player's row
+    # (a float repr has no comma): a small string per value held ~19 MB at n4
+    texts = {k: [[",".join(map(repr, row[a:a + _BLOCK].tolist()))
+                  for a in range(0, row.size, _BLOCK)] for row in s.profile.powers]
              for k, s in result.solvers.items()}
 
     def emit(name, write, *args):

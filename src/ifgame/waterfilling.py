@@ -9,7 +9,8 @@ the per-state floors
 
 with the level chosen so the average-power budget holds with equality
 (the rate is strictly increasing in own power, so the budget always
-binds).  The level is found exactly by the sorted-breakpoint method.
+binds).  The level is exact: in closed form when every state is active,
+else by the sorted-breakpoint method.
 Iterating the best response of every player (Jacobi or Gauss-Seidel
 sweeps) converges to the unique Nash equilibrium whenever the
 contraction condition holds.
@@ -59,19 +60,35 @@ class IwfReport:
 
 
 def waterfill_levels(floors, probs, pbars) -> np.ndarray:
-    """Water levels for a stack of problems; floors (..., N1), pbars (...,).
+    """Water levels for a stack of problems; floors (..., N1), pbars (...,),
+    probs broadcastable to floors.
 
-    Sorted-breakpoint method: with floors sorted ascending, the budget
-    spent up to level L is piecewise linear in L, so the level solving
-    the budget equation is found from cumulative sums in closed form.
-    Ties in the floors are broken by state index (stable sort) so the
-    result is deterministic.
+    When every state is active the level is (pbar + sum_h pi(h) f(h)) /
+    sum_h pi(h); it is returned as is when no row's top floor lies above
+    it, as at every IWF map of example 1.  Otherwise the level
+    comes from the sorted-breakpoint method (``_breakpoint_levels``),
+    which the VI projection always uses.
     """
     floors = np.asarray(floors, dtype=float)
     probs = np.asarray(probs, dtype=float)
     pbars = np.asarray(pbars, dtype=float)
     if floors.shape[-1] == 0:
         raise ValueError("waterfill needs at least one state")
+    with np.errstate(divide='ignore', invalid='ignore'):
+        level = (pbars + (floors * probs).sum(axis=-1)) / probs.sum(axis=-1)
+    if np.all(floors.max(axis=-1) <= level):
+        return level
+    return _breakpoint_levels(floors, probs, pbars)
+
+
+def _breakpoint_levels(floors, probs, pbars) -> np.ndarray:
+    """``waterfill_levels`` by the sorted-breakpoint method alone.
+
+    With floors sorted ascending, the budget spent up to level L is
+    piecewise linear in L, so the level solving the budget equation is
+    found from cumulative sums in closed form.  Ties in the floors are
+    broken by state index (stable sort) so the result is deterministic.
+    """
     order = np.argsort(floors, axis=-1, kind='stable')
     f = np.take_along_axis(floors, order, axis=-1)
     p = np.broadcast_to(probs, floors.shape)

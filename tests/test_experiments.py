@@ -450,6 +450,22 @@ def test_cli_solver_and_seed_overrides(tmp_path):
     assert not (tmp_path / "o" / "profile_vi.csv").exists()
 
 
+def test_cli_seed_reaches_simulate_without_section(tmp_path):
+    """``--seed`` sets the Monte-Carlo seed also when the config has no
+    simulate section: the files equal those of ``"simulate": {"seed": 3}``."""
+    bare = {**SMALL, "solver": {"which": "iwf"}}
+    files = []
+    for name, doc, extra in (("bare", bare, ["--seed", "3"]),
+                             ("seeded", {**bare, "simulate": {"seed": 3}}, [])):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / name
+        assert main(["simulate", "--config", str(path), "--out", str(out), *extra]) == 0
+        files.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert json.loads(files[0]["result.json"])["montecarlo"]["seed"] == 3
+    assert files[0] == files[1]
+
+
 def test_cli_outputs_are_deterministic(tmp_path):
     doc = json.loads(json.dumps(SMALL))
     doc["simulate"] = {"slots": 5000, "seed": 3}

@@ -251,6 +251,45 @@ def test_step_norm_matches_gram_reference():
         checked += 1
 
 
+def every_block_step_norm(steps, tau, eps):
+    """``_step_norm`` with eigvalsh run on every block, no pruning."""
+    S, G = steps.sym_gram[:2]
+    a = 1.0 - tau * (1.0 + eps)
+    top = np.linalg.eigvalsh((tau * tau) * G - (a * tau) * S)[:, -1].max()
+    return float(np.sqrt(a * a + top))
+
+
+def test_pruned_step_norm_equals_every_block():
+    """The Weyl-bound pruning never drops the block of the largest
+    eigenvalue, so the norm is the same float as without it."""
+    taus = np.r_[np.linspace(0.0, 4.0, 17), 1e-9, 0.37, 2.9]
+    for name in bundled.NAMES:
+        spec = bundled.spec(name)
+        steps = make_vi_problem(spec, enumerate_states(spec))._steps
+        for k in range(30):
+            eps = 2.0 ** -k
+            for tau in taus:
+                assert _step_norm(steps, tau, eps) == every_block_step_norm(steps, tau, eps)
+    rng = np.random.default_rng(22)
+    checked = 0
+    while checked < 30:
+        spec = random_spec(rng, state_limit=400)
+        if spec.gains.direct.size < 2:
+            continue
+        direct = spec.dists.direct.copy()
+        direct[-1, 1] = 0.0  # the last player's second direct gain never occurs
+        direct /= direct.sum(axis=1, keepdims=True)
+        spec = GameSpec(n_players=spec.n_players, gains=spec.gains,
+                        dists=LinkDistribution(direct=direct, cross=spec.dists.cross),
+                        pbar=spec.pbar,
+                        alpha=rng.uniform(0.3, 3.0, size=spec.n_players))
+        steps = make_vi_problem(spec, enumerate_states(spec))._steps
+        for eps in (1.0, 0.25, 1e-3, 1e-8):
+            for tau in np.r_[0.0, rng.uniform(0.0, 4.0, size=8)]:
+                assert _step_norm(steps, tau, eps) == every_block_step_norm(steps, tau, eps)
+        checked += 1
+
+
 def test_regularized_example1_agrees_with_iwf():
     spec = bundled.spec("example1")
     space = enumerate_states(spec)

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from ifgame import (GameSpec, IwfConfig, enumerate_states, interference_floors,
-                    iterate_waterfilling, waterfill, waterfill_map, wf_residual)
+                    iterate_waterfilling, waterfill, waterfill_levels,
+                    waterfill_map, wf_residual)
+from ifgame.spectral import contraction_condition
+from ifgame.waterfilling import _breakpoint_levels
 import bundled
 from util_random import random_feasible_profile, random_spec
 
@@ -95,6 +98,73 @@ def test_waterfill_matches_bisection_oracle():
         assert np.array_equal(res.powers, np.maximum(0.0, res.level - floors))
 
 
+def test_all_active_level_agrees_with_breakpoints():
+    rng = np.random.default_rng(49)
+    for _ in range(200):
+        n, m = int(rng.integers(1, 5)), int(rng.integers(1, 60))
+        floors = rng.uniform(0.05, 5.0, size=(n, m))
+        probs = rng.uniform(0.01, 1.0, size=m)
+        probs /= probs.sum()
+        # a budget above what filling up to the top floor spends: all active
+        need = floors.max(axis=1) - floors @ probs
+        pbars = need + rng.uniform(0.0, 3.0, size=n)
+        fast = waterfill_levels(floors, probs, pbars)
+        assert np.all(floors.max(axis=1) <= fast)
+        assert fast == pytest.approx(_breakpoint_levels(floors, probs, pbars),
+                                     rel=1e-13, abs=0)
+
+
+def test_mixed_stack_falls_through_to_breakpoints():
+    """One row all active and one not: the whole stack takes the
+    breakpoint method, bit for bit."""
+    rng = np.random.default_rng(50)
+    for _ in range(100):
+        m = int(rng.integers(2, 60))
+        floors = rng.uniform(0.05, 5.0, size=(2, m))
+        probs = rng.uniform(0.01, 1.0, size=m)
+        probs /= probs.sum()
+        need = floors.max(axis=1) - floors @ probs
+        pbars = np.array([need[0] + rng.uniform(0.0, 3.0),
+                          rng.uniform(0.0, 0.9) * need[1]])
+        levels = waterfill_levels(floors, probs, pbars)
+        assert levels[1] < floors[1].max()
+        assert np.array_equal(levels, _breakpoint_levels(floors, probs, pbars))
+
+
+@pytest.mark.parametrize("floors, probs, pbar, level", [
+    ([1.0, 1.0, 3.0], [0.25, 0.25, 0.5], 1.0, 3.0),   # level at the top floor
+    ([2.0, 2.0, 2.0], [0.2, 0.3, 0.5], 0.5, 2.5),     # all floors tied
+    ([1.0, 1.0, 3.0], [0.25, 0.25, 0.5], 0.5, 2.0),   # tie below, one inactive
+    ([1.0, 9.0, 2.0], [0.5, 0.0, 0.5], 1.0, 2.5),     # zero-probability state above
+    ([1.0, 0.5, 2.0], [0.5, 0.0, 0.5], 1.0, 2.5),     # zero-probability state below
+])
+def test_waterfill_level_edge_cases(floors, probs, pbar, level):
+    res = waterfill(floors, probs, pbar)
+    assert res.level == pytest.approx(level, rel=1e-15)
+    assert np.asarray(probs) @ res.powers == pytest.approx(pbar, abs=1e-12)
+    assert res.level == pytest.approx(
+        float(_breakpoint_levels(np.asarray(floors), np.asarray(probs),
+                                 np.asarray(pbar))), rel=1e-13)
+    assert np.abs(res.powers - bisect_waterfill(floors, probs, pbar)).max() < 1e-9
+
+
+def test_waterfill_budget_with_zero_probability_states():
+    rng = np.random.default_rng(51)
+    for _ in range(300):
+        n = int(rng.integers(2, 40))
+        floors = rng.uniform(0.05, 5.0, size=n)
+        probs = rng.uniform(0.01, 1.0, size=n)
+        probs[rng.random(n) < 0.3] = 0.0
+        probs[0] = max(probs[0], 0.1)
+        probs /= probs.sum()
+        pbar = rng.uniform(0.05, 8.0)
+        res = waterfill(floors, probs, pbar)
+        assert probs @ res.powers == pytest.approx(pbar, rel=1e-12, abs=0)
+        on = probs > 0
+        assert np.abs(res.powers[on] - bisect_waterfill(floors[on], probs[on], pbar)
+                      ).max() < 1e-9
+
+
 def test_waterfill_monotone_in_floors():
     rng = np.random.default_rng(43)
     for _ in range(100):
@@ -168,6 +238,24 @@ def test_iwf_example1_converges():
     assert report.scheme == "simultaneous"
     assert wf_residual(spec, space, report.profile) < 1e-8
     assert report.residual_history[-1] < 1e-8
+
+
+def test_iwf_converged_means_returned_profile_within_tol():
+    """On a contractive game a ``converged`` IWF report is true of the
+    profile it returns, not only of the step before it."""
+    games = [spec for spec in map(bundled.spec, bundled.NAMES)
+             if contraction_condition(spec)[1]]
+    rng = np.random.default_rng(48)
+    while len(games) < 31:
+        spec = random_spec(rng, state_limit=400)
+        if contraction_condition(spec)[1]:
+            games.append(spec)
+    config = IwfConfig()
+    for spec in games:
+        space = enumerate_states(spec)
+        report = iterate_waterfilling(spec, space, config)
+        assert report.converged
+        assert wf_residual(spec, space, report.profile) < config.tol
 
 
 def test_iwf_example1_unique_limit_from_random_starts():
