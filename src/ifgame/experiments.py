@@ -106,7 +106,9 @@ def _run_one_solver(name, spec, space, config, problem=None):
         if problem is None:
             problem = make_vi_problem(spec, space)
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # PSD status already in the report
+            # the PSD status is already in the report; other warnings pass
+            warnings.filterwarnings("ignore", "Htilde is not positive semidefinite",
+                                    UserWarning)
             rep = solve_regularized(problem, config.solver.vi)
         profile, converged = rep.solution, rep.converged
         iterations = sum(p[1] for p in rep.eps_path)

@@ -183,7 +183,8 @@ def project_block(x, probs, pbar: float) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     probs = np.asarray(probs, dtype=float)
     clipped = np.maximum(x, 0.0)
-    if probs @ clipped <= pbar + 1e-9:
+    # the slack scales with pbar, so a tiny budget is not overspent
+    if probs @ clipped <= pbar * (1.0 + 1e-9):
         return clipped
     on = probs > 0
     floors = -x[on] / probs[on]
@@ -225,7 +226,34 @@ def natural_residual(problem: ViProblem, prof, eps: float = 0.0) -> float:
     return float(np.abs(table - _project_face(problem, step)).max())
 
 
-def _step_norm(steps, tau, eps):
+class _SolvedTops:
+    """The top eigenvalue of M = tau^2 G - a tau S last solved for each
+    block during one tau search at a fixed eps, and the tau it was
+    solved at.
+
+    Every block starts as solved at tau = 0, where M = 0 and the value 0
+    is exact.  Since a = 1 - tau (1 + eps), M(tau) = tau^2 (G + (1+eps) S)
+    - tau S, so by Weyl's inequality a block solved at tau_k with value
+    lam_k has, at tau,
+
+        |lam(tau) - lam_k| <= |tau^2 - tau_k^2| (g_max + (1+eps) ||S||)
+                              + |tau - tau_k| ||S||.
+
+    ``scale`` is the largest rounding scale tau^2 |g| + |a tau| |s| of
+    the probes that solved a block, the size of the error in a stored
+    lam_k.
+    """
+
+    def __init__(self, steps, eps):
+        s_ends, g_ends = steps.sym_gram[2:]
+        self.lin = np.abs(s_ends).max(axis=1)
+        self.quad = g_ends[:, 1] + (1.0 + eps) * self.lin
+        self.tau = np.zeros(len(self.lin))
+        self.top = np.zeros(len(self.lin))
+        self.scale = 0.0
+
+
+def _step_norm(steps, tau, eps, solved=None):
     """||I - tau (Htilde + eps I)||_2 over the blocks.
 
     With a = 1 - tau (1 + eps) each block is a I - tau H, whose Gram
@@ -234,22 +262,39 @@ def _step_norm(steps, tau, eps):
     inequalities the top eigenvalue of M lies between
     max(tau^2 g_max + min(-a tau s), tau^2 g_min + max(-a tau s)) and
     tau^2 g_max + max(-a tau s), with s over the ends of the spectrum of
-    S, so only the blocks whose upper bound reaches the largest lower
-    bound are solved.  eigvalsh solves each stacked matrix on its own,
-    so the result is bit-identical to solving every block.
+    S.  The ``_SolvedTops`` record of the search (a fresh one if none is
+    passed) narrows each block's interval to within its drift bound of
+    the value last solved, and is updated with the blocks solved here.
+    Only the blocks whose upper bound reaches the largest lower bound are
+    solved.  eigvalsh solves each stacked matrix on its own, so the
+    result is bit-identical to solving every block.
     """
     S, G, s_ends, g_ends = steps.sym_gram
+    if solved is None:
+        solved = _SolvedTops(steps, eps)
     a = 1.0 - tau * (1.0 + eps)
     t2, at = tau * tau, a * tau
     shift = -at * s_ends
     upper = t2 * g_ends[:, 1] + shift.max(axis=1)
     lower = np.maximum(t2 * g_ends[:, 1] + shift.min(axis=1),
                        t2 * g_ends[:, 0] + shift.max(axis=1))
-    # covers the rounding of the bounds and of eigvalsh
-    margin = 1e-10 * (t2 * np.abs(g_ends).max() + abs(at) * np.abs(s_ends).max())
-    keep = upper >= lower.max() - margin
-    top = np.linalg.eigvalsh(t2 * G[keep] - at * S[keep])[:, -1].max()
-    return float(np.sqrt(a * a + top))
+    # Margin: a top eigenvalue computed here is within a few ulp times
+    # ``scale`` of the exact one, a stored lam_k within a few ulp times
+    # ``solved.scale``, and the bounds round at those sizes too.  So the
+    # block of the largest computed top reaches every lower bound to
+    # within a few ulp times (scale + solved.scale), far inside 1e-10
+    # times that sum.
+    scale = t2 * np.abs(g_ends).max() + abs(at) * np.abs(s_ends).max()
+    drift = (np.abs(t2 - solved.tau * solved.tau) * solved.quad
+             + np.abs(tau - solved.tau) * solved.lin)
+    upper = np.minimum(upper, solved.top + drift)
+    lower = np.maximum(lower, solved.top - drift)
+    keep = upper >= lower.max() - 1e-10 * (scale + solved.scale)
+    tops = np.linalg.eigvalsh(t2 * G[keep] - at * S[keep])[:, -1]
+    solved.tau[keep] = tau
+    solved.top[keep] = tops
+    solved.scale = max(solved.scale, scale)
+    return float(np.sqrt(a * a + tops.max()))
 
 
 def _best_tau(steps, eps, fallback):
@@ -259,18 +304,21 @@ def _best_tau(steps, eps, fallback):
     affine matrix family), so a 35-round ternary search on [0, 4] finds
     the minimizer to within about 1e-6.  That step is returned when its
     norm is below 1, which certifies a contraction; otherwise the
-    sigma/L^2 bound passed as ``fallback`` is returned.
+    sigma/L^2 bound passed as ``fallback`` is returned.  The probes
+    share one ``_SolvedTops`` record, so a probe solves only the blocks
+    that the values found at earlier probes cannot rule out.
     """
+    solved = _SolvedTops(steps, eps)
     lo, hi = 0.0, 4.0
     for _ in range(35):
         t1 = lo + (hi - lo) / 3.0
         t2 = hi - (hi - lo) / 3.0
-        if _step_norm(steps, t1, eps) <= _step_norm(steps, t2, eps):
+        if _step_norm(steps, t1, eps, solved) <= _step_norm(steps, t2, eps, solved):
             hi = t2
         else:
             lo = t1
     tau = 0.5 * (lo + hi)
-    if _step_norm(steps, tau, eps) < 1.0:
+    if _step_norm(steps, tau, eps, solved) < 1.0:
         return tau
     return fallback
 

@@ -86,13 +86,24 @@ def _breakpoint_levels(floors, probs, pbars) -> np.ndarray:
 
     With floors sorted ascending, the budget spent up to level L is
     piecewise linear in L, so the level solving the budget equation is
-    found from cumulative sums in closed form.  Ties in the floors are
-    broken by state index (stable sort) so the result is deterministic.
+    found from cumulative sums in closed form.
+
+    When every weight is the same nonzero value, as under uniform link
+    probabilities, the floor values alone are sorted: tied floors then
+    add equal terms p*f to the sums, so their order cannot change a bit
+    of the result (-0.0 and 0.0 tie too, and the sign of a zero sum is
+    lost on adding any budget but -0.0).  Otherwise ties are broken by
+    state index (stable argsort) so the result is deterministic.
     """
-    order = np.argsort(floors, axis=-1, kind='stable')
-    f = np.take_along_axis(floors, order, axis=-1)
-    p = np.broadcast_to(probs, floors.shape)
-    p = np.take_along_axis(p, order, axis=-1)
+    p0 = probs.flat[0]
+    if p0 != 0 and np.all(probs == p0):
+        f = np.sort(floors, axis=-1)
+        p = np.broadcast_to(p0, f.shape)
+    else:
+        order = np.argsort(floors, axis=-1, kind='stable')
+        f = np.take_along_axis(floors, order, axis=-1)
+        p = np.broadcast_to(probs, floors.shape)
+        p = np.take_along_axis(p, order, axis=-1)
     mass = np.cumsum(p, axis=-1)
     spend = np.cumsum(p * f, axis=-1)
     with np.errstate(divide='ignore', invalid='ignore'):

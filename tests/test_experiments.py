@@ -3,6 +3,7 @@
 import dataclasses
 import inspect
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -289,6 +290,28 @@ def test_run_solve_small_game_outcomes():
     spec, space = build_game(cfg(SMALL))
     for outcome in result.solvers.values():
         assert is_feasible(space, outcome.profile, spec.pbar).all()
+
+
+def test_vi_solve_hides_only_the_psd_warning(monkeypatch):
+    """The PSD status is in the report, so that warning is dropped; a
+    numerical warning from inside the solve reaches the caller."""
+    import ifgame.experiments
+    original = ifgame.experiments.solve_regularized
+
+    def noisy(problem, config):
+        warnings.warn("Htilde is not positive semidefinite; regularization "
+                      "path has no convergence guarantee", UserWarning)
+        warnings.warn("overflow encountered in multiply", RuntimeWarning)
+        return original(problem, config)
+
+    monkeypatch.setattr(ifgame.experiments, "solve_regularized", noisy)
+    doc = json.loads(json.dumps(SMALL))
+    doc["solver"]["which"] = "vi"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = run_solve(load_config(json.dumps(doc)))
+    assert result.solvers["vi"].converged
+    assert [w.category for w in caught] == [RuntimeWarning]
 
 
 def test_run_sweep_single_point_matches_solve():

@@ -103,6 +103,18 @@ def test_project_block_projection_inequality_and_idempotence():
             assert (p - x) @ (y - p) >= -1e-9
 
 
+def test_project_block_small_budget_is_not_overspent():
+    # at pbar = 1e-12 an absolute within-budget slack of 1e-9 passed the
+    # clipped point through, spending 250 times the budget
+    probs = np.array([0.5, 0.5])
+    p = project_block(np.array([5.01e-10, 0.0]), probs, 1e-12)
+    assert probs @ p == pytest.approx(1e-12, rel=1e-9)
+    assert p == pytest.approx([2e-12, 0.0], rel=1e-9, abs=0)
+    assert np.array_equal(project_block(np.array([5e-10, 0.0, 3.0]),
+                                        np.array([0.25, 0.25, 0.5]), 0.0),
+                          np.zeros(3))
+
+
 def test_project_feasible_blockwise():
     spec, space, problem = small_problem()
     rng = np.random.default_rng(4)
@@ -288,6 +300,87 @@ def test_pruned_step_norm_equals_every_block():
             for tau in np.r_[0.0, rng.uniform(0.0, 4.0, size=8)]:
                 assert _step_norm(steps, tau, eps) == every_block_step_norm(steps, tau, eps)
         checked += 1
+
+
+def bundled_steps():
+    """Step data of the bundled games."""
+    return [make_vi_problem(spec, enumerate_states(spec))._steps
+            for spec in map(bundled.spec, bundled.NAMES)]
+
+
+def random_alpha_steps(rng, count):
+    """Step data of ``count`` seeded random games with random alpha."""
+    out = []
+    while len(out) < count:
+        spec = random_spec(rng, state_limit=400)
+        spec = GameSpec(n_players=spec.n_players, gains=spec.gains,
+                        dists=spec.dists, pbar=spec.pbar,
+                        alpha=rng.uniform(0.3, 3.0, size=spec.n_players))
+        out.append(make_vi_problem(spec, enumerate_states(spec))._steps)
+    return out
+
+
+def test_memoized_tau_search_equals_every_block_search(monkeypatch):
+    """Every probe of ``_best_tau`` gives the all-blocks norm at its tau,
+    and the step equals a search that solves every block at every probe."""
+    import ifgame.vi
+    probes = []
+    original = ifgame.vi._step_norm
+
+    def recorded(steps, tau, eps, *rest):
+        norm = original(steps, tau, eps, *rest)
+        probes.append((tau, norm))
+        return norm
+
+    monkeypatch.setattr(ifgame.vi, "_step_norm", recorded)
+    games = bundled_steps()
+    rng = np.random.default_rng(23)
+    games += random_alpha_steps(rng, 30)
+    for i, steps in enumerate(games):
+        # eps in a shuffled order: a record carried over from another
+        # eps would be stale in both directions
+        for k in rng.permutation(30 if i < len(bundled.NAMES) else 12):
+            eps = 2.0 ** -int(k)
+            every = {}
+
+            def every_block(tau):
+                if tau not in every:
+                    every[tau] = every_block_step_norm(steps, tau, eps)
+                return every[tau]
+
+            probes.clear()
+            tau = _best_tau(steps, eps, -1.0)
+            assert len(probes) == 71
+            for t, norm in probes:
+                assert norm == every_block(t)
+            lo, hi = 0.0, 4.0
+            for _ in range(35):
+                t1 = lo + (hi - lo) / 3.0
+                t2 = hi - (hi - lo) / 3.0
+                if every_block(t1) <= every_block(t2):
+                    hi = t2
+                else:
+                    lo = t1
+            want = 0.5 * (lo + hi)
+            assert tau == (want if every_block(want) < 1.0 else -1.0)
+
+
+def test_solved_tops_hold_for_any_probe_order():
+    """The drift bound from the values stored at earlier taus is valid for
+    any sequence of probes, not only the ternary search's."""
+    from ifgame.vi import _SolvedTops
+    rng = np.random.default_rng(24)
+    games = bundled_steps()
+    games += random_alpha_steps(rng, 10)
+    for steps in games:
+        for eps in (1.0, 0.1, 2.0 ** -20):
+            solved = _SolvedTops(steps, eps)
+            taus = np.r_[rng.uniform(0.0, 4.0, size=12), rng.uniform(0.0, 0.05, size=6),
+                         1e-9, 0.0]
+            rng.shuffle(taus)
+            for tau in taus:
+                assert (_step_norm(steps, tau, eps, solved)
+                        == every_block_step_norm(steps, tau, eps))
 
 
 def test_regularized_example1_agrees_with_iwf():

@@ -131,6 +131,118 @@ def test_mixed_stack_falls_through_to_breakpoints():
         assert np.array_equal(levels, _breakpoint_levels(floors, probs, pbars))
 
 
+def reference_breakpoint_levels(floors, probs, pbars):
+    """The breakpoint method with a stable index sort for every weight
+    vector, the tie order the value sort must reproduce bit for bit."""
+    order = np.argsort(floors, axis=-1, kind='stable')
+    f = np.take_along_axis(floors, order, axis=-1)
+    p = np.broadcast_to(probs, floors.shape)
+    p = np.take_along_axis(p, order, axis=-1)
+    mass = np.cumsum(p, axis=-1)
+    spend = np.cumsum(p * f, axis=-1)
+    with np.errstate(divide='ignore', invalid='ignore'):
+        candidates = (pbars[..., None] + spend) / mass
+    upper = np.concatenate([f[..., 1:],
+                            np.full(f.shape[:-1] + (1,), np.inf)], axis=-1)
+    k = np.argmax(candidates <= upper, axis=-1)
+    return np.take_along_axis(candidates, k[..., None], axis=-1)[..., 0]
+
+
+def assert_same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def tied_floors(rng, shape, values):
+    """Floors drawn from a few values, so most of them tie."""
+    return rng.choice(np.asarray(values, dtype=float), size=shape)
+
+
+def test_value_sort_matches_index_sort_on_equal_weights():
+    rng = np.random.default_rng(52)
+    for _ in range(200):
+        n, m = int(rng.integers(1, 5)), int(rng.integers(1, 80))
+        probs = np.full(m, 1.0 / m)
+        pbars = rng.uniform(0.01, 4.0, size=n)
+        for floors in (tied_floors(rng, (n, m), rng.uniform(0.0, 3.0, size=3)),
+                       tied_floors(rng, (n, m), [0.25, 0.5, 0.5, 1.0]),
+                       rng.uniform(0.0, 3.0, size=(n, m))):
+            assert_same_bits(_breakpoint_levels(floors, probs, pbars),
+                             reference_breakpoint_levels(floors, probs, pbars))
+            # the same weights stacked like the floors
+            stacked = np.full((n, m), probs[0])
+            assert_same_bits(_breakpoint_levels(floors, stacked, pbars),
+                             reference_breakpoint_levels(floors, stacked, pbars))
+    # a (2, 3, m) stack, and a single state
+    floors = tied_floors(rng, (2, 3, 40), [-1.0, 0.0, 2.0, 2.0])
+    pbars = rng.uniform(0.1, 2.0, size=(2, 3))
+    assert_same_bits(_breakpoint_levels(floors, np.full(40, 0.025), pbars),
+                     reference_breakpoint_levels(floors, np.full(40, 0.025), pbars))
+    one = np.array([[0.7], [-0.0], [2.0]])
+    pbars = np.array([0.5, 1.0, 0.0])
+    assert_same_bits(_breakpoint_levels(one, np.ones(1), pbars),
+                     reference_breakpoint_levels(one, np.ones(1), pbars))
+
+
+def test_value_sort_signed_zero_and_infinite_floors():
+    rng = np.random.default_rng(53)
+    for _ in range(100):
+        m = int(rng.integers(2, 40))
+        probs = np.full(m, 0.5)
+        pbars = rng.uniform(0.01, 2.0, size=3)
+        zeros = tied_floors(rng, (3, m), [-0.0, 0.0, 0.0, 1.5])
+        assert_same_bits(_breakpoint_levels(zeros, probs, pbars),
+                         reference_breakpoint_levels(zeros, probs, pbars))
+        for bad in (np.inf, -np.inf):
+            floors = tied_floors(rng, (3, m), [bad, 0.5, 0.5, 2.0])
+            assert_same_bits(_breakpoint_levels(floors, probs, pbars),
+                             reference_breakpoint_levels(floors, probs, pbars))
+        floors = tied_floors(rng, (3, m), [np.inf, -np.inf, 0.5, -0.0])
+        with np.errstate(invalid='ignore'):
+            assert_same_bits(_breakpoint_levels(floors, probs, pbars),
+                             reference_breakpoint_levels(floors, probs, pbars))
+
+
+def test_value_sort_through_waterfill_levels():
+    """Stacks where one row is not all active fall through to the
+    breakpoint method, which must give the index sort's bits."""
+    rng = np.random.default_rng(54)
+    for _ in range(100):
+        m = int(rng.integers(2, 60))
+        floors = tied_floors(rng, (2, m), rng.uniform(0.05, 5.0, size=4))
+        probs = np.full(m, 1.0 / m)
+        need = floors.max(axis=1) - floors @ probs
+        pbars = np.array([need[0] + rng.uniform(0.0, 3.0),
+                          rng.uniform(0.0, 0.9) * need[1]])
+        assert_same_bits(waterfill_levels(floors, probs, pbars),
+                         reference_breakpoint_levels(floors, probs, pbars))
+        res = waterfill(floors[1], probs, pbars[1])
+        assert res.level == reference_breakpoint_levels(floors[1], probs,
+                                                        np.asarray(pbars[1]))
+
+
+def test_unequal_weights_keep_the_index_sort():
+    rng = np.random.default_rng(55)
+    for _ in range(200):
+        n, m = int(rng.integers(1, 5)), int(rng.integers(2, 60))
+        probs = rng.uniform(0.01, 1.0, size=m)
+        probs[rng.random(m) < 0.2] = 0.0
+        probs[0] = 0.5
+        probs /= probs.sum()
+        floors = tied_floors(rng, (n, m), rng.uniform(-1.0, 3.0, size=3))
+        pbars = rng.uniform(0.01, 4.0, size=n)
+        assert_same_bits(_breakpoint_levels(floors, probs, pbars),
+                         reference_breakpoint_levels(floors, probs, pbars))
+    # equal in value except one state, and all-zero weights
+    floors = np.array([[1.0, 1.0, 0.5, 2.0]])
+    for probs in ([0.25, 0.25, 0.25, 0.2500000000000001], [0.0, 0.0, -0.0, 0.0]):
+        probs = np.asarray(probs)
+        with np.errstate(divide='ignore', invalid='ignore'):
+            assert_same_bits(_breakpoint_levels(floors, probs, np.array([0.3])),
+                             reference_breakpoint_levels(floors, probs,
+                                                         np.array([0.3])))
+
+
 @pytest.mark.parametrize("floors, probs, pbar, level", [
     ([1.0, 1.0, 3.0], [0.25, 0.25, 0.5], 1.0, 3.0),   # level at the top floor
     ([2.0, 2.0, 2.0], [0.2, 0.3, 0.5], 0.5, 2.5),     # all floors tied
