@@ -31,10 +31,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .game import GameSpec, PowerProfile, StateSpace, _powers
+from .game import GameSpec, PowerProfile, StateSpace, _powers, _transmitter_sum
 from .spectral import (InterferenceOperator, _plus_identity, build_operator,
                        definiteness)
-from .waterfilling import _breakpoint_levels, waterfill_levels
+from .waterfilling import (_breakpoint_levels, _equal_weight_sums,
+                           waterfill_levels)
 
 
 @dataclass(frozen=True)
@@ -53,6 +54,10 @@ class ViConfig:
     def __post_init__(self):
         if self.eps0 <= 0 or not (0.0 < self.decay < 1.0):
             raise ValueError("need eps0 > 0 and 0 < decay < 1")
+        if not (self.outer_tol > 0 and self.inner_tol > 0):  # NaN fails too
+            raise ValueError("outer_tol and inner_tol must be positive")
+        if min(self.max_outer, self.max_inner) < 1:
+            raise ValueError("max_outer and max_inner must be at least 1")
 
 
 class _StepData:
@@ -71,6 +76,14 @@ class _StepData:
     def definite(self):
         """The PSD certificate ``definiteness(op)``: (psd, pd, min_sym_eig)."""
         return definiteness(self.op)
+
+    @cached_property
+    def coupling(self):
+        """Player-major copies of the operator for the projection
+        iteration: the blocks as G[i, j, k] = Hhat(h_k)_ij, (N, N, N1),
+        and hhat, (N, N1)."""
+        return (np.ascontiguousarray(self.op.blocks.transpose(1, 2, 0)),
+                np.ascontiguousarray(self.op.hhat.T))
 
     @cached_property
     def blocks(self):
@@ -134,6 +147,12 @@ class ViProblem:
         checks take it from here."""
         return self._steps.definite
 
+    @cached_property
+    def _mass(self):
+        """``_equal_weight_sums`` of the state probabilities, for every
+        face projection of this problem."""
+        return _equal_weight_sums(self.probs, self.n_states)
+
 
 @dataclass(frozen=True)
 class ViReport:
@@ -148,25 +167,33 @@ def make_vi_problem(spec: GameSpec, space: StateSpace) -> ViProblem:
                      pbar=spec.pbar)
 
 
-def _as_table(problem, prof):
-    """Power data as the state-major table (N1, N) the blocks act on."""
+def _as_rows(problem, prof):
+    """Power data as the player-major rows (N, N1) the iteration runs on."""
     P = _powers(prof)
     if P.shape == (problem.n_players, problem.n_states):
-        return P.T
+        return P
     raise ValueError(f"profile shape {P.shape} does not match problem "
                      f"({problem.n_players} players, {problem.n_states} states)")
 
 
-def _eval_F_table(problem, table, eps=0.0):
-    """F_eps blockwise on a state-major table: hhat + (I + Hhat + eps I) P."""
-    coupled = np.einsum('kij,kj->ki', problem.op.blocks, table)
-    return problem.op.hhat + (1.0 + eps) * table + coupled
+def _eval_F(problem, P, eps=0.0):
+    """F_eps on player-major rows, (N, N1): hhat + (1 + eps) P + Hhat P.
+
+    The coupling sum_j Hhat(h)_ij P_j(h) is summed over j in index
+    order by the interference kernel's transmitter loop.
+    """
+    G, hhat = problem._steps.coupling
+    coupled = _transmitter_sum(G, P, np.empty(P.shape))
+    out = np.multiply(1.0 + eps, P)
+    out += hhat
+    out += coupled
+    return out
 
 
 def eval_F(problem: ViProblem, prof, eps: float = 0.0) -> np.ndarray:
     """F_eps(P) = hhat + Htilde P + eps P as a flat state-major vector of
     length N*N1; eps = 0 gives the unregularized operator F."""
-    return _eval_F_table(problem, _as_table(problem, prof), eps=eps).ravel()
+    return _eval_F(problem, _as_rows(problem, prof), eps=eps).T.ravel()
 
 
 def project_block(x, probs, pbar: float) -> np.ndarray:
@@ -205,25 +232,37 @@ def project_feasible(problem: ViProblem, z) -> PowerProfile:
     return PowerProfile(powers=np.array(rows))
 
 
-def _project_face(problem, table):
-    """Projection onto the budget-equality face in the pi-weighted metric.
+def _project_face(problem, floors):
+    """Projection of the point -floors onto the budget-equality face in
+    the pi-weighted metric, written over ``floors`` (N, N1).
 
     Per player this is min sum_h pi(h)(p(h) - x(h))^2 over
     {p >= 0, sum pi p = pbar}, whose KKT system is p = max{0, x + level}
     with the budget tight: water-filling on floors -x.
     """
-    floors = -table.T
     # no all-active check: it passes on 94 of the 9 752 projections of the
-    # pd_not_contractive sweep and costs ~20 us of a ~150 us call at (3, 512)
-    levels = _breakpoint_levels(floors, problem.probs, problem.pbar)
-    return np.maximum(0.0, levels[:, None] - floors).T
+    # pd_not_contractive sweep and costs ~7 us of a ~21 us call at (3, 512)
+    levels = _breakpoint_levels(floors, problem.probs, problem.pbar, problem._mass)
+    np.subtract(levels[:, None], floors, out=floors)
+    return np.maximum(0.0, floors, out=floors)
+
+
+def _projection_step(problem, P, tau, eps):
+    """One iteration P <- Pi_K(P - tau F_eps(P)) on player-major rows.
+
+    The floors tau F - P are -(P - tau F) but for the sign of an exact
+    zero, which cannot change the projection.
+    """
+    floors = _eval_F(problem, P, eps)
+    floors *= tau
+    floors -= P
+    return _project_face(problem, floors)
 
 
 def natural_residual(problem: ViProblem, prof, eps: float = 0.0) -> float:
     """||P - Pi_K(P - F_eps(P))||_inf, zero exactly at a solution."""
-    table = _as_table(problem, prof)
-    step = table - _eval_F_table(problem, table, eps=eps)
-    return float(np.abs(table - _project_face(problem, step)).max())
+    P = _as_rows(problem, prof)
+    return float(np.abs(P - _projection_step(problem, P, 1.0, eps)).max())
 
 
 class _SolvedTops:
@@ -325,7 +364,7 @@ def _best_tau(steps, eps, fallback):
 
 def _uniform_start(problem):
     """Budget-tight constant policy, P_i(h) = pbar_i."""
-    return np.tile(problem.pbar[None, :], (problem.n_states, 1))
+    return np.repeat(problem.pbar[:, None], problem.n_states, axis=1)
 
 
 def solve_strong(problem: ViProblem, eps: float, config: ViConfig = ViConfig(),
@@ -352,15 +391,15 @@ def solve_strong(problem: ViProblem, eps: float, config: ViConfig = ViConfig(),
                           "iteration has no convergence guarantee", stacklevel=2)
         _tau = problem._steps.step(eps)
     tol = config.inner_tol
-    table = _uniform_start(problem) if init is None else _as_table(problem, init)
+    P = _uniform_start(problem) if init is None else _as_rows(problem, init)
     iterations = 0
     for iterations in range(1, config.max_inner + 1):
-        new = _project_face(problem, table - _tau * _eval_F_table(problem, table, eps=eps))
-        gap = float(np.abs(new - table).max())
-        table = new
-        if gap < tol and natural_residual(problem, table.T, eps=eps) < tol:
+        new = _projection_step(problem, P, _tau, eps)
+        gap = float(np.abs(new - P).max())
+        P = new
+        if gap < tol and natural_residual(problem, P, eps=eps) < tol:
             break
-    return PowerProfile(powers=table.T.copy()), iterations
+    return PowerProfile(powers=P), iterations
 
 
 def solve_regularized(problem: ViProblem, config: ViConfig = ViConfig(),
@@ -377,19 +416,18 @@ def solve_regularized(problem: ViProblem, config: ViConfig = ViConfig(),
     if not steps.definite[0]:
         warnings.warn("Htilde is not positive semidefinite; regularization "
                       "path has no convergence guarantee", stacklevel=2)
-    table = _uniform_start(problem) if init is None else _as_table(problem, init)
+    prof = _uniform_start(problem) if init is None else _as_rows(problem, init)
     path = []
     converged = False
     tau = 0.0
     for n in range(config.max_outer):
         eps = config.eps0 * config.decay ** n
         tau = steps.step(eps)
-        prof, inner = solve_strong(problem, eps, config, init=table.T, _tau=tau)
-        table = _as_table(problem, prof)
+        prof, inner = solve_strong(problem, eps, config, init=prof, _tau=tau)
         residual = natural_residual(problem, prof)
         path.append((float(eps), int(inner), float(residual)))
         if residual < config.outer_tol:
             converged = True
             break
-    return ViReport(solution=PowerProfile(powers=table.T.copy()),
-                    eps_path=path, converged=converged, tau_used=float(tau))
+    return ViReport(solution=prof, eps_path=path, converged=converged,
+                    tau_used=float(tau))

@@ -38,6 +38,10 @@ class IwfConfig:
     def __post_init__(self):
         if self.scheme not in SCHEME_CHOICES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
+        if not self.tol > 0:  # NaN fails too
+            raise ValueError("tol must be positive")
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -81,37 +85,60 @@ def waterfill_levels(floors, probs, pbars) -> np.ndarray:
     return _breakpoint_levels(floors, probs, pbars)
 
 
-def _breakpoint_levels(floors, probs, pbars) -> np.ndarray:
+def _equal_weight_sums(probs, n_states):
+    """Cumulative sums of the weights over ``n_states`` sorted states when
+    every weight is the same nonzero value, as under uniform link
+    probabilities; None otherwise."""
+    p0 = probs.flat[0]
+    if p0 != 0 and np.all(probs == p0):
+        return np.cumsum(np.full(n_states, p0))
+    return None
+
+
+def _breakpoint_levels(floors, probs, pbars, mass=None) -> np.ndarray:
     """``waterfill_levels`` by the sorted-breakpoint method alone.
 
     With floors sorted ascending, the budget spent up to level L is
     piecewise linear in L, so the level solving the budget equation is
-    found from cumulative sums in closed form.
+    found from cumulative sums in closed form: it is the first candidate
+    (pbar + sum p f) / sum p, summed up to a breakpoint, that does not
+    exceed the next floor.
 
-    When every weight is the same nonzero value, as under uniform link
+    When every weight is the same nonzero value p, as under uniform link
     probabilities, the floor values alone are sorted: tied floors then
     add equal terms p*f to the sums, so their order cannot change a bit
     of the result (-0.0 and 0.0 tie too, and the sign of a zero sum is
-    lost on adding any budget but -0.0).  Otherwise ties are broken by
-    state index (stable argsort) so the result is deterministic.
+    lost on adding any budget but -0.0).  The weight sums are then one
+    cumulative sum of p, ``_equal_weight_sums(probs, n_states)``, shared
+    by every row; a caller that projects often passes it as ``mass``.
+    Otherwise ties are broken by state index (stable argsort) so the
+    result is deterministic.  Every sum is sequential, so the level has
+    the bits of adding the sorted terms in order.
     """
-    p0 = probs.flat[0]
-    if p0 != 0 and np.all(probs == p0):
+    if mass is None:
+        mass = _equal_weight_sums(probs, floors.shape[-1])
+    if mass is not None:
         f = np.sort(floors, axis=-1)
-        p = np.broadcast_to(p0, f.shape)
+        spend = np.multiply(mass[0], f)
     else:
         order = np.argsort(floors, axis=-1, kind='stable')
         f = np.take_along_axis(floors, order, axis=-1)
-        p = np.broadcast_to(probs, floors.shape)
-        p = np.take_along_axis(p, order, axis=-1)
-    mass = np.cumsum(p, axis=-1)
-    spend = np.cumsum(p * f, axis=-1)
+        mass = np.take_along_axis(np.broadcast_to(probs, floors.shape), order,
+                                  axis=-1)
+        spend = np.multiply(mass, f)
+        np.add.accumulate(mass, axis=-1, out=mass)
+    candidates = np.add.accumulate(spend, axis=-1, out=spend)
     with np.errstate(divide='ignore', invalid='ignore'):
-        candidates = (pbars[..., None] + spend) / mass
-    upper = np.concatenate([f[..., 1:],
-                            np.full(f.shape[:-1] + (1,), np.inf)], axis=-1)
-    k = np.argmax(candidates <= upper, axis=-1)
-    return np.take_along_axis(candidates, k[..., None], axis=-1)[..., 0]
+        candidates += pbars[..., None]
+        candidates /= mass
+    # the first candidate at or below the next floor; the last one has
+    # no next floor and is taken unless it is NaN
+    fits = np.empty(f.shape, dtype=bool)
+    np.less_equal(candidates[..., :-1], f[..., 1:], out=fits[..., :-1])
+    np.less_equal(candidates[..., -1], np.inf, out=fits[..., -1])
+    k = np.argmax(fits, axis=-1)
+    rows = candidates.reshape(-1, f.shape[-1])
+    return rows[np.arange(len(rows)), k.ravel()].reshape(k.shape)
 
 
 def waterfill(floors, probs, pbar: float) -> WaterfillResult:

@@ -533,3 +533,27 @@ def test_cli_solve_and_simulate_build_operator_once(monkeypatch, tmp_path):
         monkeypatch.undo()
         assert calls["build_operator"] == 1, argv
         assert calls["definiteness"] == 1, argv
+
+
+def test_only_an_iterating_solve_builds_the_player_major_blocks(monkeypatch, tmp_path):
+    """simulate on a contractive game runs IWF: its VI problem serves only
+    the condition checks and never makes the iteration's player-major
+    copy of the blocks.  A VI solve makes it."""
+    import ifgame.experiments
+    problems = []
+    original = ifgame.experiments.make_vi_problem
+
+    def recorded(*args):
+        problems.append(original(*args))
+        return problems[-1]
+
+    monkeypatch.setattr(ifgame.experiments, "make_vi_problem", recorded)
+    doc = bundled.doc("example1")
+    doc["simulate"] = {"slots": 2000, "seed": 1}
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(doc))
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+    assert len(problems) == 1 and "coupling" not in vars(problems[0]._steps)
+    assert main(["solve", "--config", str(path), "--solver", "vi",
+                 "--out", str(tmp_path / "v")]) == 0
+    assert len(problems) == 2 and "coupling" in vars(problems[1]._steps)

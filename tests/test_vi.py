@@ -1,5 +1,6 @@
 """Regularized projection solver for the NE variational inequality."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -10,9 +11,12 @@ from ifgame import (GameSpec, IwfConfig, LinkDistribution, ViConfig,
                     make_vi_problem, natural_residual, project_block,
                     project_feasible, solve_regularized, solve_strong,
                     waterfill_map, wf_residual)
+from ifgame.config import SweepConfig
 from ifgame.spectral import _plus_identity
-from ifgame.vi import _best_tau, _eval_F_table, _project_face, _step_norm
+from ifgame.vi import _best_tau, _eval_F, _projection_step, _step_norm
 import bundled
+import reference_vi
+from test_waterfilling import bisect_waterfill
 from util_random import random_feasible_profile, random_spec
 
 
@@ -161,11 +165,11 @@ def test_solve_strong_satisfies_vi_inequality():
     problem = make_vi_problem(spec, space)
     eps = 0.05
     prof, _ = solve_strong(problem, eps, ViConfig(inner_tol=1e-11))
-    table = prof.powers.T
-    f_eps = _eval_F_table(problem, table, eps=eps)
+    P = prof.powers
+    f_eps = _eval_F(problem, P, eps=eps)
     for _ in range(100):
-        x = random_feasible_profile(rng, spec, space, tight=True).T
-        value = np.einsum('k,ki,ki->', space.probs, f_eps, x - table)
+        x = random_feasible_profile(rng, spec, space, tight=True)
+        value = np.einsum('k,ik,ik->', space.probs, f_eps, x - P)
         assert value >= -1e-7
 
 
@@ -191,13 +195,12 @@ def test_projection_iteration_gap_is_monotone():
     eps = 0.01
     steps = problem._steps
     tau = _best_tau(steps, eps, eps / (steps.lipschitz + eps) ** 2)
-    table = _uniform_start(problem)
+    P = _uniform_start(problem)
     gaps = []
     for _ in range(60):
-        new = _project_face(problem, table - tau * _eval_F_table(problem, table,
-                                                                 eps=eps))
-        gaps.append(float(np.abs(new - table).max()))
-        table = new
+        new = _projection_step(problem, P, tau, eps)
+        gaps.append(float(np.abs(new - P).max()))
+        P = new
     for before, after in zip(gaps, gaps[1:]):
         if before < 1e-14:
             break
@@ -450,6 +453,31 @@ def test_regularized_checks_definiteness_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_vi_config_rejects_nonpositive_tolerances():
+    # inner_tol = -1 made every eps round run all max_inner iterations
+    for bad in (-1.0, 0.0, float("nan")):
+        with pytest.raises(ValueError, match="inner_tol"):
+            ViConfig(inner_tol=bad)
+        with pytest.raises(ValueError, match="outer_tol"):
+            ViConfig(outer_tol=bad)
+
+
+def test_vi_config_rejects_negative_max_inner():
+    with pytest.raises(ValueError, match="max_inner"):
+        ViConfig(max_inner=-5)
+    with pytest.raises(ValueError, match="max_inner"):
+        ViConfig(max_inner=0)
+
+
+def test_vi_config_rejects_zero_max_outer():
+    # max_outer = 0 gave an empty eps_path, on which reporting the solve
+    # raised IndexError
+    with pytest.raises(ValueError, match="max_outer"):
+        ViConfig(max_outer=0)
+    assert len(solve_regularized(small_problem()[2],
+                                 ViConfig(max_outer=1)).eps_path) == 1
+
+
 def test_parameter_validation():
     spec, space, problem = small_problem()
     with pytest.raises(ValueError):
@@ -460,3 +488,122 @@ def test_parameter_validation():
         ViConfig(decay=1.5)
     with pytest.raises(ValueError):
         eval_F(problem, np.zeros((3, space.n_states)))
+
+
+def random_games(rng, count, n_players, uniform_probs):
+    """VI problems of ``count`` seeded random games with ``n_players``
+    players, from 4 to a few hundred states, and random alpha."""
+    out = []
+    while len(out) < count:
+        spec = random_spec(rng, n_max=max(n_players), state_limit=300,
+                           uniform_probs=uniform_probs)
+        space = enumerate_states(spec)
+        if spec.n_players not in n_players or space.n_states < 4:
+            continue
+        spec = GameSpec(n_players=spec.n_players, gains=spec.gains,
+                        dists=spec.dists, pbar=spec.pbar,
+                        alpha=rng.uniform(0.3, 3.0, size=spec.n_players))
+        out.append(make_vi_problem(spec, space))
+    return out
+
+
+def solve_both(problem, config):
+    """The solver's report and the state-major reference's, with the
+    step data shared, so tau(eps) is the same for both."""
+    report = solve_regularized(problem, config)
+    return report, reference_vi.solve_regularized(problem, config)
+
+
+def assert_same_solve(problem, config):
+    report, (powers, path, converged, tau) = solve_both(problem, config)
+    assert report.solution.powers.tobytes() == powers.tobytes()
+    assert repr(report.eps_path) == repr(path)  # repr tells every float apart
+    assert report.converged == converged
+    assert repr(report.tau_used) == repr(tau)
+    return report
+
+
+def test_player_major_iteration_matches_state_major_reference():
+    """Bit for bit: the bundled games at their own budget and at every
+    sweep budget, as ``sweep`` solves them."""
+    config = ViConfig()
+    for name in bundled.NAMES:
+        spec = bundled.spec(name)
+        problem = make_vi_problem(spec, enumerate_states(spec))
+        for value in [None] + SweepConfig().values:
+            point = problem if value is None else dataclasses.replace(
+                problem, pbar=np.full(spec.n_players, float(value)))
+            assert assert_same_solve(point, config).converged
+
+
+def test_player_major_iteration_matches_reference_on_random_games():
+    """Bit for bit on seeded random games with N <= 3, where the
+    reference's einsum adds the coupling terms in index order, with
+    uniform and non-uniform link probabilities."""
+    rng = np.random.default_rng(25)
+    config = ViConfig(max_outer=30, max_inner=300)
+    capped = ViConfig(max_outer=3, max_inner=300)  # no guarantee: hits the cap
+    converged = 0
+    for uniform in (True, False):
+        for problem in random_games(rng, 10, (1, 2, 3), uniform):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                report = assert_same_solve(
+                    problem, config if problem.definite[0] else capped)
+            converged += report.converged
+    assert converged >= 10
+
+
+def test_player_major_iteration_at_four_players_moves_by_rounding():
+    """At N = 4 the reference's einsum sums the coupling in another
+    order, so values may move by rounding; the iteration counts and the
+    path must not.  PSD games only: without the certificate nothing
+    damps a rounding difference."""
+    rng = np.random.default_rng(26)
+    config = ViConfig(max_outer=30, max_inner=300)
+    for uniform in (True, False):
+        checked = 0
+        while checked < 3:
+            problem = random_games(rng, 1, (4,), uniform)[0]
+            if not problem.definite[0]:
+                continue
+            report, (powers, path, converged, tau) = solve_both(problem, config)
+            scale = np.abs(powers).max()
+            assert np.abs(report.solution.powers - powers).max() <= 1e-14 * scale
+            assert [p[:2] for p in report.eps_path] == [p[:2] for p in path]
+            assert report.converged == converged and report.tau_used == tau
+            checked += 1
+
+
+def dense_natural_residual(problem, P):
+    """||P - Pi_K(P - F(P))||_inf from the dense block-diagonal Htilde and
+    a bisection water level."""
+    dense, hvec = dense_operator(problem)
+    F = (hvec + dense @ P.T.ravel()).reshape(problem.n_states, problem.n_players).T
+    floors = F - P  # Pi_K(x) is water-filling on the floors -x
+    projected = [bisect_waterfill(f, problem.probs, pbar)
+                 for f, pbar in zip(floors, problem.pbar)]
+    return float(np.abs(P - np.array(projected)).max())
+
+
+def test_reported_convergence_holds_for_random_games():
+    """Whenever the regularized solve reports ``converged``, the natural
+    residual of its solution, recomputed independently, is below
+    outer_tol; every residual on the path is finite."""
+    rng = np.random.default_rng(27)
+    # a path from eps = 2^-10 needs about 15 rounds, not 25, to converge
+    config = ViConfig(eps0=2.0 ** -10, max_outer=20, max_inner=2000)
+    checked = converged = 0
+    while checked < 30:
+        uniform = checked % 2 == 0
+        problem = random_games(rng, 1, (1, 2, 3, 4), uniform)[0]
+        if not problem.definite[0]:
+            continue
+        report = solve_regularized(problem, config)
+        assert all(np.isfinite(r) for _, _, r in report.eps_path)
+        if report.converged:
+            residual = dense_natural_residual(problem, report.solution.powers)
+            assert residual < config.outer_tol
+            converged += 1
+        checked += 1
+    assert converged >= 15

@@ -203,6 +203,22 @@ def test_value_sort_signed_zero_and_infinite_floors():
                              reference_breakpoint_levels(floors, probs, pbars))
 
 
+def test_nan_floor_keeps_the_first_candidate():
+    """A NaN floor sorts last and makes the last candidate NaN; when no
+    earlier candidate fits, the first one is returned, as the index sort
+    does."""
+    rng = np.random.default_rng(56)
+    for probs in (np.full(6, 0.5), rng.uniform(0.1, 1.0, size=6)):
+        floors = tied_floors(rng, (4, 6), [0.5, 1.0, 2.0])
+        floors[:, 2] = np.nan
+        floors[0, 4] = np.nan
+        pbars = np.array([0.1, 0.3, 5.0, 0.0])
+        with np.errstate(invalid='ignore'):
+            assert_same_bits(_breakpoint_levels(floors, probs, pbars),
+                             reference_breakpoint_levels(floors, probs, pbars))
+        assert np.isfinite(_breakpoint_levels(floors, probs, pbars)).all()
+
+
 def test_value_sort_through_waterfill_levels():
     """Stacks where one row is not all active fall through to the
     breakpoint method, which must give the index sort's bits."""
@@ -329,7 +345,7 @@ def test_best_response_is_weighted_projection_of_negative_floors():
         problem = make_vi_problem(spec, space)
         prof = random_feasible_profile(rng, spec, space)
         floors = interference_floors(spec, space, prof)
-        projected = _project_face(problem, -floors.T).T
+        projected = _project_face(problem, floors.copy())
         assert np.abs(projected - waterfill_map(spec, space, prof)).max() < 1e-12
 
 
@@ -396,6 +412,16 @@ def test_iwf_example2_simultaneous_cycles_sequential_converges():
     seq = iterate_waterfilling(
         spec, space, IwfConfig(scheme="sequential", tol=1e-8, max_iter=500))
     assert seq.converged
+
+
+def test_iwf_config_rejects_zero_max_iter():
+    # max_iter = 0 gave an empty residual_history, on which reporting the
+    # solve raised IndexError
+    with pytest.raises(ValueError, match="max_iter"):
+        IwfConfig(max_iter=0)
+    for bad in (0.0, -1e-8, float("nan")):
+        with pytest.raises(ValueError, match="tol"):
+            IwfConfig(tol=bad)
 
 
 def test_iwf_rejects_unknown_scheme():
