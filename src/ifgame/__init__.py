@@ -14,12 +14,11 @@ from .spectral import (ConditionReport, InterferenceOperator, build_operator,
 from .waterfilling import (IwfConfig, IwfReport, WaterfillResult,
                            interference_floors, iterate_waterfilling, waterfill,
                            waterfill_levels, waterfill_map, wf_residual)
-from .vi import (ViConfig, ViProblem, ViReport, eval_F, make_vi_problem,
-                 natural_residual, project_block, project_feasible,
-                 solve_regularized, solve_strong)
-from .pareto import (AlConfig, ParetoReport, StartResult, augmented_lagrangian,
-                     grad_player, multi_start, random_start, solve_outer,
-                     steepest_ascent)
+from .vi import (ViConfig, ViProblem, ViReport, make_vi_problem,
+                 natural_residual, project_block, solve_regularized,
+                 solve_strong)
+from .pareto import (AlConfig, ParetoReport, StartResult, multi_start,
+                     random_start, steepest_ascent)
 from .config import (ConfigError, ExperimentConfig, load_config,
                      load_config_file, serialize_config)
 from .experiments import (MonteCarloSummary, RunResult, SolverOutcome,

@@ -54,12 +54,19 @@ class AlConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.c, self.alpha_mult, self.eps_grad, self.eps_feas) <= 0:
-            raise ValueError("c, alpha_mult, eps_grad, eps_feas must be positive")
-        if self.delta is not None and self.delta <= 0:
-            raise ValueError("delta must be positive")
-        if self.starts < 1:
-            raise ValueError("need at least one start")
+        # the comparison rejects NaN and inf too: a NaN tolerance or an
+        # infinite penalty stops the ascent at its start, and a NaN or
+        # infinite step puts NaN into the profiles
+        if not all(0 < x < np.inf for x in (self.c, self.alpha_mult,
+                                            self.eps_grad, self.eps_feas)):
+            raise ValueError("c, alpha_mult, eps_grad, eps_feas must be positive "
+                             "and finite")
+        if self.delta is not None and not 0 < self.delta < np.inf:
+            raise ValueError("delta must be positive and finite")
+        if min(self.starts, self.max_outer, self.max_inner) < 1:
+            raise ValueError("starts, max_outer and max_inner must be at least 1")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -86,13 +93,6 @@ class ParetoReport:
 def _slack(space, P, pbar):
     """pbar_i - E[P_i], shape (..., N)."""
     return pbar - P @ space.probs
-
-
-def augmented_lagrangian(spec: GameSpec, space: StateSpace, prof, lambdas,
-                         c: float) -> float:
-    """Value of L(P, lam); scalar for a single profile."""
-    return float(_lagrangian(spec, space, _powers(prof),
-                             np.asarray(lambdas, float), c))
 
 
 def _lagrangian(spec, space, P, lam, c):
@@ -148,13 +148,6 @@ def _grad_all(spec, space, P, lam, c):
     signal, interf = _interference(gains.G, spec.alpha, P)
     return _gradient(spec, space, gains, signal, interf,
                      _slack(space, P, spec.pbar), lam, c)
-
-
-def grad_player(spec: GameSpec, space: StateSpace, prof, lambdas, c: float,
-                i: int) -> np.ndarray:
-    """Analytic gradient of L w.r.t. player i's powers, one entry per state."""
-    g = _grad_all(spec, space, _powers(prof), np.asarray(lambdas, float), c)
-    return g[i]
 
 
 def _projected_grad_norms(P, grads):
@@ -292,22 +285,6 @@ def _solve_outer_batch(spec, space, P, lam, cfg, track=False):
     return P, lam, outer_iters, residuals, converged, trail
 
 
-def solve_outer(spec: GameSpec, space: StateSpace, init, config: AlConfig = AlConfig(),
-                lambdas=None) -> tuple[PowerProfile, np.ndarray, int, bool]:
-    """Alternate steepest ascent and multiplier updates from one start.
-
-    Returns (profile, multipliers, outer iterations, converged).  The
-    returned profile has any slightly over-budget rows scaled back to
-    exact budget equality, so it is always feasible in the strict sense.
-    """
-    P = _powers(init).copy()[None]
-    lam = (np.zeros((1, spec.n_players)) if lambdas is None
-           else np.asarray(lambdas, float).reshape(1, -1).copy())
-    P, lam, iters, _, conv, _ = _solve_outer_batch(spec, space, P, lam, config)
-    P = _cap_budgets(space, P[0], spec.pbar)
-    return PowerProfile(powers=P), lam[0], int(iters[0]), bool(conv[0])
-
-
 def random_start(spec: GameSpec, space: StateSpace, rng) -> np.ndarray:
     """Entries uniform on [0, pbar_i], then scaled so E[P_i] = pbar_i."""
     P = rng.uniform(0.0, 1.0, size=(spec.n_players, space.n_states))
@@ -318,7 +295,8 @@ def random_start(spec: GameSpec, space: StateSpace, rng) -> np.ndarray:
 
 def multi_start(spec: GameSpec, space: StateSpace,
                 config: AlConfig = AlConfig(), track=False) -> ParetoReport:
-    """Run solve_outer from K seeded random starts, keep the best sum rate.
+    """Run the multiplier loop from K seeded random starts, keep the best
+    sum rate.
 
     Start k draws its profile from numpy's PCG64 seeded with
     (config.seed, k), so runs are reproducible and the start sequence is

@@ -13,9 +13,8 @@ negated input, so the natural residual ||P - Pi_K(P - F(P))||_inf equals
 the best-response residual ||P - WF(P)||_inf.  (Over the budget
 *inequality* set the iteration P <- Pi(P - tau F(P)) collapses to zero
 because F is strictly positive; the inequality-set Euclidean projection
-is provided separately as project_block / project_feasible.)  Both
-projections are solved in closed form by the sorted-breakpoint
-water-filling solver.
+is provided separately as project_block.)  Both projections are solved
+in closed form by the sorted-breakpoint water-filling solver.
 
 When the symmetric part of Htilde is positive semidefinite, the
 Tikhonov-regularized operator F_eps = F + eps*P is strongly monotone and
@@ -52,10 +51,10 @@ class ViConfig:
     max_inner: int = 200_000
 
     def __post_init__(self):
-        if self.eps0 <= 0 or not (0.0 < self.decay < 1.0):
-            raise ValueError("need eps0 > 0 and 0 < decay < 1")
-        if not (self.outer_tol > 0 and self.inner_tol > 0):  # NaN fails too
-            raise ValueError("outer_tol and inner_tol must be positive")
+        if not (0.0 < self.eps0 < np.inf and 0.0 < self.decay < 1.0):  # NaN fails too
+            raise ValueError("need 0 < eps0 < inf and 0 < decay < 1")
+        if not (0 < self.outer_tol < np.inf and 0 < self.inner_tol < np.inf):
+            raise ValueError("outer_tol and inner_tol must be positive and finite")
         if min(self.max_outer, self.max_inner) < 1:
             raise ValueError("max_outer and max_inner must be at least 1")
 
@@ -190,12 +189,6 @@ def _eval_F(problem, P, eps=0.0):
     return out
 
 
-def eval_F(problem: ViProblem, prof, eps: float = 0.0) -> np.ndarray:
-    """F_eps(P) = hhat + Htilde P + eps P as a flat state-major vector of
-    length N*N1; eps = 0 gives the unregularized operator F."""
-    return _eval_F(problem, _as_rows(problem, prof), eps=eps).T.ravel()
-
-
 def project_block(x, probs, pbar: float) -> np.ndarray:
     """Euclidean projection of x onto {p >= 0, sum_h probs[h] p[h] <= pbar}.
 
@@ -218,18 +211,6 @@ def project_block(x, probs, pbar: float) -> np.ndarray:
     level = waterfill_levels(floors, probs[on] ** 2, pbar)
     clipped[on] = probs[on] * np.maximum(0.0, level - floors)
     return clipped
-
-
-def project_feasible(problem: ViProblem, z) -> PowerProfile:
-    """Blockwise projection of an arbitrary point onto the product of the
-    per-player budget-inequality sets (the feasible set is a product, so
-    the projection decomposes player by player)."""
-    z = np.asarray(z, dtype=float)
-    if z.ndim == 1:
-        z = z.reshape(problem.n_states, problem.n_players).T
-    rows = [project_block(z[i], problem.probs, float(problem.pbar[i]))
-            for i in range(problem.n_players)]
-    return PowerProfile(powers=np.array(rows))
 
 
 def _project_face(problem, floors):

@@ -38,8 +38,8 @@ class IwfConfig:
     def __post_init__(self):
         if self.scheme not in SCHEME_CHOICES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        if not self.tol > 0:  # NaN fails too
-            raise ValueError("tol must be positive")
+        if not 0 < self.tol < np.inf:  # NaN fails too
+            raise ValueError("tol must be positive and finite")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
 

@@ -6,10 +6,12 @@ import warnings
 import numpy as np
 import pytest
 
-from ifgame import (AlConfig, GameSpec, LinkDistribution, augmented_lagrangian,
-                    average_powers, enumerate_states, expected_rates, grad_player,
-                    multi_start, random_start, solve_outer, steepest_ascent, sum_rate)
-from ifgame.pareto import _ascent_batch, _default_delta, _grad_all, _lagrangian
+from ifgame import (AlConfig, GameSpec, LinkDistribution, average_powers,
+                    enumerate_states, expected_rates, is_feasible, multi_start,
+                    random_start, steepest_ascent)
+from ifgame.pareto import (_ascent_batch, _cap_budgets, _default_delta, _grad_all,
+                           _lagrangian, _projected_grad_norms, _slack,
+                           _solve_outer_batch)
 import bundled
 from util_random import random_feasible_profile, random_spec
 
@@ -28,19 +30,29 @@ def fd_gradient(spec, space, P, lam, c, step=1e-5):
     return ((up - down) / (2.0 * step)).reshape(n, n1)
 
 
+def solve_one(spec, space, init, cfg, lambdas=None):
+    """One start of the multiplier loop, its over-budget rows scaled back
+    as multi_start scales them: (powers, multipliers, outer iterations,
+    converged)."""
+    P = np.array(init, dtype=float)[None]
+    lam = np.zeros((1, spec.n_players)) if lambdas is None else np.array([lambdas])
+    P, lam, iters, _, conv, _ = _solve_outer_batch(spec, space, P, lam, cfg)
+    return _cap_budgets(space, P[0], spec.pbar), lam[0], int(iters[0]), bool(conv[0])
+
+
 def test_lagrangian_budget_tight_equals_weighted_rates():
     spec, space = small_game()
     P = np.full((2, space.n_states), 1.0)  # E[P_i] = pbar_i exactly
     lam = np.array([0.4, 0.9])
-    value = augmented_lagrangian(spec, space, P, lam, c=10.0)
+    value = _lagrangian(spec, space, P, lam, 10.0)
     assert value == pytest.approx(float(spec.weights @
                                         expected_rates(spec, space, P)), abs=1e-12)
 
 
 def test_lagrangian_zero_profile_is_pure_penalty():
     spec, space = small_game(pbar=2.0)
-    value = augmented_lagrangian(spec, space, np.zeros((2, space.n_states)),
-                                 np.zeros(2), c=7.0)
+    value = _lagrangian(spec, space, np.zeros((2, space.n_states)),
+                        np.zeros(2), 7.0)
     assert value == pytest.approx(-7.0 * (2.0 ** 2) * 2, abs=1e-12)
 
 
@@ -71,7 +83,7 @@ def test_gradient_matches_fd_on_random_games():
 def test_grad_player_single_user_at_zero():
     spec = GameSpec.symmetric(1, [1.0], [1.0], pbar=1.0)
     space = enumerate_states(spec)
-    g = grad_player(spec, space, np.zeros((1, 1)), [0.0], 0.0, 0)
+    g = _grad_all(spec, space, np.zeros((1, 1)), np.zeros(1), 0.0)[0]
     assert g == pytest.approx([1.0])
 
 
@@ -82,8 +94,8 @@ def test_cross_terms_never_positive():
     P = random_feasible_profile(rng, spec, space)
     solo = GameSpec.symmetric(2, [2.0, 1.0], [0.3], pbar=1.0,
                               weights=[1.0, 1e-12])
-    g_full = grad_player(spec, space, P, [0.0, 0.0], 0.0, 0)
-    g_own = grad_player(solo, space, P, [0.0, 0.0], 0.0, 0)
+    g_full = _grad_all(spec, space, P, np.zeros(2), 0.0)[0]
+    g_own = _grad_all(solo, space, P, np.zeros(2), 0.0)[0]
     assert np.all(g_full <= g_own + 1e-12)
 
 
@@ -104,13 +116,13 @@ def test_steepest_ascent_never_decreases_lagrangian():
     P = random_feasible_profile(rng, spec, space)
     lam = np.array([0.2, 0.2])
     cfg = AlConfig(max_inner=1)  # one accepted update per call
-    values = [augmented_lagrangian(spec, space, P, lam, cfg.c)]
+    values = [_lagrangian(spec, space, P, lam, cfg.c)]
     prof = P
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the one-step cap warning is the point
         for _ in range(60):
             prof = steepest_ascent(spec, space, prof, lam, cfg).powers
-            values.append(augmented_lagrangian(spec, space, prof, lam, cfg.c))
+            values.append(_lagrangian(spec, space, prof, lam, cfg.c))
     diffs = np.diff(values)
     assert np.all(diffs >= -1e-12)
 
@@ -120,7 +132,7 @@ def test_single_player_unconstrained_ascent_drives_gradient_down():
     space = enumerate_states(spec)
     cfg = AlConfig(c=1e-12, eps_grad=0.05, delta=0.5, max_inner=3000)
     out = steepest_ascent(spec, space, np.zeros((1, 1)), [0.0], cfg)
-    g = grad_player(spec, space, out.powers, [0.0], 1e-12, 0)
+    g = _grad_all(spec, space, out.powers, np.zeros(1), 1e-12)[0]
     assert np.linalg.norm(g) < 0.05
     assert out.powers[0, 0] > 10.0  # heading toward the unconstrained maximum
 
@@ -129,10 +141,10 @@ def test_solve_outer_trivial_start_converges_immediately():
     spec = GameSpec.symmetric(1, [2.0], [1.0], pbar=1.5)
     space = enumerate_states(spec)
     lam_star = 2.0 / (1.0 + 2.0 * 1.5)
-    prof, lam, iters, converged = solve_outer(spec, space, np.array([[1.5]]),
-                                              AlConfig(), lambdas=[lam_star])
+    P, lam, iters, converged = solve_one(spec, space, [[1.5]], AlConfig(),
+                                         lambdas=[lam_star])
     assert converged and iters == 1
-    assert np.array_equal(prof.powers, [[1.5]])
+    assert np.array_equal(P, [[1.5]])
     assert lam == pytest.approx([lam_star])
 
 
@@ -140,9 +152,9 @@ def test_solve_outer_reaches_feasibility_on_small_game():
     rng = np.random.default_rng(25)
     spec, space = small_game()
     init = random_start(spec, space, rng)
-    prof, lam, iters, converged = solve_outer(spec, space, init, AlConfig())
+    P, lam, iters, converged = solve_one(spec, space, init, AlConfig())
     assert converged
-    avg = average_powers(space, prof)
+    avg = average_powers(space, P)
     assert np.all(avg <= spec.pbar + 1e-9)
     assert np.all(np.abs(spec.pbar - avg) < 1e-4 + 1e-9)
     assert np.all(lam >= 0.0)
@@ -153,8 +165,8 @@ def test_multi_start_k1_reduces_to_solve_outer():
     cfg = AlConfig(starts=1, seed=5)
     rep = multi_start(spec, space, cfg)
     init = random_start(spec, space, np.random.default_rng([5, 0]))
-    prof, lam, iters, converged = solve_outer(spec, space, init, cfg)
-    assert np.array_equal(rep.best.powers, prof.powers)
+    P, lam, iters, converged = solve_one(spec, space, init, cfg)
+    assert np.array_equal(rep.best.powers, P)
     assert rep.per_start[0].outer_iterations == iters
     assert rep.converged == converged
 
@@ -190,8 +202,8 @@ def test_local_pareto_stationarity_certificate():
     rep = multi_start(spec, space, cfg)
     assert rep.converged
     P = rep.best.powers
-    for i in range(spec.n_players):
-        g = grad_player(spec, space, P, np.zeros(spec.n_players), 0.0, i)
+    grads = _grad_all(spec, space, P, np.zeros(spec.n_players), 0.0)
+    for i, g in enumerate(grads):
         active = P[i] > 1e-12
         probs_active = space.probs[active]
         theta = max(0.0, float(g[active] @ probs_active
@@ -201,6 +213,32 @@ def test_local_pareto_stationarity_certificate():
         assert np.linalg.norm(residual) < 10.0 * cfg.eps_grad
 
 
+def test_reported_convergence_holds_for_random_games():
+    """Whenever a start of the multiplier loop reports ``converged``, its
+    profile, before the budget cap, has every slack below eps_feas and
+    every projected gradient norm below eps_grad at the final
+    multipliers; after the cap it is feasible."""
+    rng = np.random.default_rng(41)
+    # looser tolerances and a lower cap than the defaults keep this a few
+    # seconds: a start that does not converge runs max_outer * max_inner steps
+    cfg = AlConfig(eps_grad=1e-3, eps_feas=1e-3, max_outer=40)
+    converged = 0
+    for n in (2, 3, 2, 3, 2):  # 4 to 9 states
+        spec = random_spec(rng, n_max=n, state_limit=20, min_players=n, min_states=4)
+        space = enumerate_states(spec)
+        starts = np.stack([random_start(spec, space, rng) for _ in range(6)])
+        P, lam, _, _, conv, _ = _solve_outer_batch(
+            spec, space, starts, np.zeros((6, spec.n_players)), cfg)
+        slack = np.abs(_slack(space, P, spec.pbar))
+        grad_norms = _projected_grad_norms(P, _grad_all(spec, space, P, lam, cfg.c))
+        assert np.all(slack[conv] < cfg.eps_feas)
+        assert np.all(grad_norms[conv] < cfg.eps_grad)
+        assert is_feasible(space, _cap_budgets(space, P[conv], spec.pbar),
+                           spec.pbar).all()
+        converged += int(conv.sum())
+    assert converged >= 15
+
+
 def test_alconfig_validation():
     with pytest.raises(ValueError):
         AlConfig(c=0.0)
@@ -208,6 +246,29 @@ def test_alconfig_validation():
         AlConfig(delta=-1.0)
     with pytest.raises(ValueError):
         AlConfig(starts=0)
+
+
+@pytest.mark.parametrize("name", ["c", "alpha_mult", "eps_grad", "eps_feas", "delta"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1.0])
+def test_alconfig_rejects_nonpositive_and_non_finite_settings(name, value):
+    # a NaN eps_grad fails every ``proj >= eps_grad`` test, so the ascent
+    # never moved and the start reported converged, as with c = inf; a NaN
+    # or infinite delta wrote a NaN best sum rate
+    with pytest.raises(ValueError, match=name):
+        AlConfig(**{name: value})
+
+
+@pytest.mark.parametrize("name", ["max_outer", "max_inner"])
+def test_alconfig_rejects_zero_caps(name):
+    with pytest.raises(ValueError, match=name):
+        AlConfig(**{name: 0})
+    AlConfig(**{name: 1})
+
+
+def test_alconfig_rejects_negative_seed():
+    # numpy refused the seed only when multi_start drew the first start
+    with pytest.raises(ValueError, match="seed"):
+        AlConfig(seed=-1)
 
 
 def test_default_delta_scales_with_state_probability():

@@ -7,10 +7,9 @@ import numpy as np
 import pytest
 
 from ifgame import (GameSpec, IwfConfig, LinkDistribution, ViConfig,
-                    enumerate_states, eval_F, iterate_waterfilling,
-                    make_vi_problem, natural_residual, project_block,
-                    project_feasible, solve_regularized, solve_strong,
-                    waterfill_map, wf_residual)
+                    enumerate_states, iterate_waterfilling, make_vi_problem,
+                    natural_residual, project_block, solve_regularized,
+                    solve_strong, waterfill_map, wf_residual)
 from ifgame.config import SweepConfig
 from ifgame.spectral import _plus_identity
 from ifgame.vi import _best_tau, _eval_F, _projection_step, _step_norm
@@ -36,17 +35,22 @@ def dense_operator(problem):
     return dense, problem.op.hhat.ravel()
 
 
+def flat_F(problem, P, eps=0.0):
+    """F_eps(P) as a flat state-major vector of length N*N1."""
+    return _eval_F(problem, P, eps).T.ravel()
+
+
 def test_eval_F_trivial_and_dense_oracle():
     spec, space, problem = small_problem()
     zero = np.zeros((2, space.n_states))
-    assert np.array_equal(eval_F(problem, zero), problem.op.hhat.ravel())
+    assert np.array_equal(flat_F(problem, zero), problem.op.hhat.ravel())
 
     rng = np.random.default_rng(1)
     dense, hvec = dense_operator(problem)
     for _ in range(10):
         P = random_feasible_profile(rng, spec, space)
         flat = P.T.ravel()
-        assert np.abs(eval_F(problem, P) - (hvec + dense @ flat)).max() < 1e-12
+        assert np.abs(flat_F(problem, P) - (hvec + dense @ flat)).max() < 1e-12
 
 
 def test_eval_F_single_player_is_shift():
@@ -54,24 +58,24 @@ def test_eval_F_single_player_is_shift():
     space = enumerate_states(spec)
     problem = make_vi_problem(spec, space)
     P = np.array([[0.3, 0.7]])
-    assert np.allclose(eval_F(problem, P), P[0] + problem.op.hhat[:, 0])
+    assert np.allclose(flat_F(problem, P), P[0] + problem.op.hhat[:, 0])
 
 
 def test_eval_F_eps_properties():
     spec, space, problem = small_problem()
     rng = np.random.default_rng(2)
     zero = np.zeros((2, space.n_states))
-    assert np.array_equal(eval_F(problem, zero, 0.5), problem.op.hhat.ravel())
+    assert np.array_equal(flat_F(problem, zero, 0.5), problem.op.hhat.ravel())
     P = random_feasible_profile(rng, spec, space)
-    assert np.abs(eval_F(problem, P, 0.25)
-                  - (eval_F(problem, P) + 0.25 * P.T.ravel())).max() < 1e-14
+    assert np.abs(flat_F(problem, P, 0.25)
+                  - (flat_F(problem, P) + 0.25 * P.T.ravel())).max() < 1e-14
     # affine in P: F(aP + (1-a)Q) = a F(P) + (1-a) F(Q)
     Q = random_feasible_profile(rng, spec, space)
     a = 0.3
     mix = a * P + (1 - a) * Q
-    assert np.abs(eval_F(problem, mix, 0.25)
-                  - a * eval_F(problem, P, 0.25)
-                  - (1 - a) * eval_F(problem, Q, 0.25)).max() < 1e-12
+    assert np.abs(flat_F(problem, mix, 0.25)
+                  - a * flat_F(problem, P, 0.25)
+                  - (1 - a) * flat_F(problem, Q, 0.25)).max() < 1e-12
 
 
 def test_project_block_hand_values():
@@ -117,22 +121,6 @@ def test_project_block_small_budget_is_not_overspent():
     assert np.array_equal(project_block(np.array([5e-10, 0.0, 3.0]),
                                         np.array([0.25, 0.25, 0.5]), 0.0),
                           np.zeros(3))
-
-
-def test_project_feasible_blockwise():
-    spec, space, problem = small_problem()
-    rng = np.random.default_rng(4)
-    member = random_feasible_profile(rng, spec, space)
-    assert np.array_equal(project_feasible(problem, member).powers, member)
-    z = rng.uniform(-1.0, 3.0, size=2 * space.n_states)
-    prof = project_feasible(problem, z)
-    again = project_feasible(problem, prof.powers)
-    assert np.array_equal(prof.powers, again.powers)
-    table = z.reshape(space.n_states, 2).T
-    for i in range(2):
-        assert np.array_equal(prof.powers[i],
-                              project_block(table[i], space.probs,
-                                            float(spec.pbar[i])))
 
 
 def test_natural_residual_equals_waterfilling_residual():
@@ -182,7 +170,7 @@ def test_monotonicity_certificate():
         for _ in range(20):
             P = random_feasible_profile(rng, spec, space)
             V = random_feasible_profile(rng, spec, space)
-            dF = eval_F(problem, P, eps) - eval_F(problem, V, eps)
+            dF = flat_F(problem, P, eps) - flat_F(problem, V, eps)
             dP = P.T.ravel() - V.T.ravel()
             assert dF @ dP >= eps * dP @ dP - 1e-9
 
@@ -454,8 +442,9 @@ def test_regularized_checks_definiteness_once(monkeypatch):
 
 
 def test_vi_config_rejects_nonpositive_tolerances():
-    # inner_tol = -1 made every eps round run all max_inner iterations
-    for bad in (-1.0, 0.0, float("nan")):
+    # inner_tol = -1 made every eps round run all max_inner iterations;
+    # infinite tolerances reported converged after one round
+    for bad in (-1.0, 0.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="inner_tol"):
             ViConfig(inner_tol=bad)
         with pytest.raises(ValueError, match="outer_tol"):
@@ -467,6 +456,14 @@ def test_vi_config_rejects_negative_max_inner():
         ViConfig(max_inner=-5)
     with pytest.raises(ValueError, match="max_inner"):
         ViConfig(max_inner=0)
+
+
+def test_vi_config_rejects_non_finite_eps0():
+    # solve_regularized then failed inside _step_norm with "zero-size
+    # array to reduction operation maximum"
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="eps0"):
+            ViConfig(eps0=bad)
 
 
 def test_vi_config_rejects_zero_max_outer():
@@ -487,7 +484,7 @@ def test_parameter_validation():
     with pytest.raises(ValueError):
         ViConfig(decay=1.5)
     with pytest.raises(ValueError):
-        eval_F(problem, np.zeros((3, space.n_states)))
+        natural_residual(problem, np.zeros((3, space.n_states)))
 
 
 def random_games(rng, count, n_players, uniform_probs):

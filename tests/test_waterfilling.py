@@ -419,7 +419,8 @@ def test_iwf_config_rejects_zero_max_iter():
     # solve raised IndexError
     with pytest.raises(ValueError, match="max_iter"):
         IwfConfig(max_iter=0)
-    for bad in (0.0, -1e-8, float("nan")):
+    # an infinite tol reported converged after one map, at residual 0.24
+    for bad in (0.0, -1e-8, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="tol"):
             IwfConfig(tol=bad)
 

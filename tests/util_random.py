@@ -5,17 +5,22 @@ import numpy as np
 from ifgame import GameSpec, LinkDistribution, enumerate_states
 
 
-def random_spec(rng, n_max=4, alph_max=3, state_limit=6561, uniform_probs=False):
+def random_spec(rng, n_max=4, alph_max=3, state_limit=6561, uniform_probs=False,
+                min_players=1, min_states=1):
     """Random game with N <= n_max and alphabet sizes <= alph_max.
 
     Combinations whose full enumeration would exceed ``state_limit``
-    states are rejected (resampled) to keep bulk test runs fast.
+    states are rejected (resampled) to keep bulk test runs fast.  So are
+    those with fewer than ``min_players`` players or ``min_states``
+    states: without a floor, many draws have one player or at most 3
+    states.  The default floors reject nothing.
     """
     while True:
         n = int(rng.integers(1, n_max + 1))
         n1 = int(rng.integers(1, alph_max + 1))
         n2 = int(rng.integers(1, alph_max + 1))
-        if float(n1) ** n * float(n2) ** (n * (n - 1)) <= state_limit:
+        states = float(n1) ** n * float(n2) ** (n * (n - 1))
+        if n >= min_players and min_states <= states <= state_limit:
             break
     direct = np.sort(rng.uniform(0.2, 4.0, size=n1))[::-1].copy()
     cross = np.sort(rng.uniform(0.05, 2.0, size=n2))[::-1].copy()
