@@ -175,35 +175,40 @@ def _ascent_batch(spec, space, P, lam, cfg, delta, active=None):
     values; candidate j differs from the base profile only in row j, so
     only receiver interference terms g_ij * (q_j - P_j) and player j's
     own signal are touched.  Every table is player-major, (B, N, N1),
-    on one contiguous copy of the gains made per call.
+    on one contiguous copy of the gains made per call, and holds only
+    the members still ascending: the rows of ``active`` are gathered
+    once per call, a member is dropped when it stops, and its rows are
+    written back into P then or at the end.  Every member goes through
+    the same arithmetic as in a table of the whole batch, so its bits do
+    not depend on which other members are still ascending.
     """
     batch, n, _ = P.shape
-    if active is None:
-        active = np.ones(batch, dtype=bool)
-    active = active.copy()
+    rows = np.arange(batch) if active is None else active.nonzero()[0]
     iterations = np.zeros(batch, dtype=int)
     probs = space.probs
     gains = _gains(spec, np.ascontiguousarray(_player_major(space.gains)))
     geff = spec.alpha[:, None] * gains.diag           # (N, S)
     columns = np.ascontiguousarray(gains.G.transpose(1, 0, 2))  # [j][i, k] = |h_ij(k)|^2
-    base_value = _lagrangian(spec, space, P, lam, cfg.c)
-    value = np.empty((batch, n))
+    work, lam = P[rows], lam[rows]
+    base_value = _lagrangian(spec, space, work, lam, cfg.c)
     for _ in range(cfg.max_inner):
-        if not active.any():
-            break
-        signal, interf = _interference(gains.G, spec.alpha, P)  # (B, N, S)
-        slack = _slack(space, P, spec.pbar)        # (B, N)
+        signal, interf = _interference(gains.G, spec.alpha, work)  # (B, N, S)
+        slack = _slack(space, work, spec.pbar)     # (B, N)
         grads = _gradient(spec, space, gains, signal, interf, slack, lam, cfg.c)
-        proj = _projected_grad_norms(P, grads)
-        eligible = (proj >= cfg.eps_grad) & active[:, None]
-        active &= eligible.any(axis=1)
-        if not active.any():
+        eligible = _projected_grad_norms(work, grads) >= cfg.eps_grad
+        moving = eligible.any(axis=1)
+        if not moving.all():
+            P[rows[~moving]] = work[~moving]
+            rows, work, lam, base_value, eligible, signal, interf, slack, grads = (
+                x[moving] for x in (rows, work, lam, base_value, eligible,
+                                    signal, interf, slack, grads))
+        if not rows.size:
             break
-        iterations += active
-        q = np.maximum(0.0, P + delta * grads)
+        iterations[rows] += 1
+        q = np.maximum(0.0, work + delta * grads)
         sel_b, sel_i = eligible.nonzero()          # ordered by (b, then i)
         mrows = np.arange(sel_b.size)
-        dp = (q - P)[sel_b, sel_i]                 # (M, S)
+        dp = (q - work)[sel_b, sel_i]              # (M, S)
         denom = columns[sel_i]                     # (M, N, S), then in place
         denom *= dp[:, None, :]
         denom += interf[sel_b]
@@ -214,16 +219,19 @@ def _ascent_batch(spec, space, P, lam, cfg, delta, active=None):
         np.log1p(cand, out=cand)                   # candidate rate tables
         cand_slack = slack[sel_b]
         cand_slack[mrows, sel_i] -= dp @ probs
+        value = np.full((rows.size, n), -np.inf)
         value[sel_b, sel_i] = (cand @ probs @ spec.weights
                                + (lam[sel_b] * cand_slack).sum(axis=-1)
                                - cfg.c * (cand_slack ** 2).sum(axis=-1))
-        gain = np.full((batch, n), -np.inf)
-        gain[sel_b, sel_i] = value[sel_b, sel_i] - base_value[sel_b]
-        rows = active.nonzero()[0]
-        pick = gain[rows].argmax(axis=1)           # first maximum: lowest index
-        P[rows, pick] = q[rows, pick]
-        base_value[rows] = value[rows, pick]
-    return P, iterations, active
+        gain = value - base_value[:, None]
+        pick = gain.argmax(axis=1)                 # first maximum: lowest index
+        members = np.arange(rows.size)
+        work[members, pick] = q[members, pick]
+        base_value = value[members, pick]
+    P[rows] = work
+    capped = np.zeros(batch, dtype=bool)
+    capped[rows] = True
+    return P, iterations, capped
 
 
 def _default_delta(space, cfg):
@@ -266,8 +274,7 @@ def _solve_outer_batch(spec, space, P, lam, cfg, track=False):
     for _ in range(cfg.max_outer):
         if not active.any():
             break
-        P, _, capped = _ascent_batch(spec, space, P, lam, cfg, delta,
-                                     active=active.copy())
+        P, _, capped = _ascent_batch(spec, space, P, lam, cfg, delta, active)
         slack = _slack(space, P, spec.pbar)
         outer_iters += active
         residuals[active] = np.abs(slack[active])

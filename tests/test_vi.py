@@ -204,17 +204,39 @@ def reference_step_norm(blocks, tau, eps):
     return float(np.sqrt(np.linalg.eigvalsh(gram)[:, -1].max()))
 
 
-def reference_best_tau(blocks, eps, fallback):
+def golden_tau(norm, fallback):
+    """The golden-section step search of ``_best_tau`` on the norm
+    function ``norm(tau)``, written out on its own."""
+    r = (5.0 ** 0.5 - 1.0) / 2.0
+    lo, hi = 0.0, 4.0
+    t1, t2 = hi - r * (hi - lo), lo + r * (hi - lo)
+    f1, f2 = norm(t1), norm(t2)
+    for _ in range(30):
+        if f1 <= f2:
+            hi, t2, f2 = t2, t1, f1
+            t1 = hi - r * (hi - lo)
+            f1 = norm(t1)
+        else:
+            lo, t1, f1 = t1, t2, f2
+            t2 = lo + r * (hi - lo)
+            f2 = norm(t2)
+    tau = (lo + t2) / 2.0 if f1 <= f2 else (t1 + hi) / 2.0
+    return tau if norm(tau) < 1.0 else fallback
+
+
+def ternary_tau(norm, fallback):
+    """The 35-round ternary step search the package used before the
+    golden-section one, kept as a reference for the quality of the step."""
     lo, hi = 0.0, 4.0
     for _ in range(35):
         t1 = lo + (hi - lo) / 3.0
         t2 = hi - (hi - lo) / 3.0
-        if reference_step_norm(blocks, t1, eps) <= reference_step_norm(blocks, t2, eps):
+        if norm(t1) <= norm(t2):
             hi = t2
         else:
             lo = t1
     tau = 0.5 * (lo + hi)
-    return tau if reference_step_norm(blocks, tau, eps) < 1.0 else fallback
+    return tau if norm(tau) < 1.0 else fallback
 
 
 def test_step_norm_matches_gram_reference():
@@ -232,7 +254,8 @@ def test_step_norm_matches_gram_reference():
                 assert _step_norm(steps, tau, eps) == pytest.approx(
                     reference_step_norm(blocks, tau, eps), rel=8 * ulp, abs=0)
             tau = _best_tau(steps, eps, -1.0)
-            assert tau > 0 and tau == reference_best_tau(blocks, eps, -1.0)
+            assert tau > 0 and tau == golden_tau(
+                lambda t: reference_step_norm(blocks, t, eps), -1.0)
     rng = np.random.default_rng(21)
     checked = 0
     while checked < 8:
@@ -341,24 +364,35 @@ def test_memoized_tau_search_equals_every_block_search(monkeypatch):
 
             probes.clear()
             tau = _best_tau(steps, eps, -1.0)
-            assert len(probes) == 71
+            assert len(probes) == 33
             for t, norm in probes:
                 assert norm == every_block(t)
-            lo, hi = 0.0, 4.0
-            for _ in range(35):
-                t1 = lo + (hi - lo) / 3.0
-                t2 = hi - (hi - lo) / 3.0
-                if every_block(t1) <= every_block(t2):
-                    hi = t2
-                else:
-                    lo = t1
-            want = 0.5 * (lo + hi)
-            assert tau == (want if every_block(want) < 1.0 else -1.0)
+            assert tau == golden_tau(every_block, -1.0)
+
+
+def test_golden_step_as_good_as_ternary():
+    """The golden-section step is as good as the ternary search's: the same
+    fallback decision, a tau within the ternary search's final bracket of
+    4 (2/3)^35 = 2.75e-6, and an all-blocks norm at most 1e-6 above."""
+    rng = np.random.default_rng(25)
+    games = bundled_steps() + random_alpha_steps(rng, 20)
+    for steps in games:
+        for k in range(30):
+            eps = 2.0 ** -k
+
+            def norm(tau):
+                return every_block_step_norm(steps, tau, eps)
+
+            golden, ternary = _best_tau(steps, eps, -1.0), ternary_tau(norm, -1.0)
+            assert (golden == -1.0) == (ternary == -1.0)
+            if golden != -1.0:
+                assert abs(golden - ternary) <= 2.75e-6
+                assert norm(golden) <= norm(ternary) + 1e-6
 
 
 def test_solved_tops_hold_for_any_probe_order():
     """The drift bound from the values stored at earlier taus is valid for
-    any sequence of probes, not only the ternary search's."""
+    any sequence of probes, not only the golden-section search's."""
     from ifgame.vi import _SolvedTops
     rng = np.random.default_rng(24)
     games = bundled_steps()
