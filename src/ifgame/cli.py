@@ -52,13 +52,11 @@ def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
     solver = config.solver
     if args.solver is not None:
         solver = dataclasses.replace(solver, which=args.solver)
+    simulate = config.simulate
     if args.seed is not None:
         solver = dataclasses.replace(
             solver, pareto=dataclasses.replace(solver.pareto, seed=args.seed))
-    simulate = config.simulate
-    if args.seed is not None:
-        simulate = dataclasses.replace(config.simulate or SimulateConfig(),
-                                       seed=args.seed)
+        simulate = dataclasses.replace(simulate or SimulateConfig(), seed=args.seed)
     return dataclasses.replace(config, solver=solver, simulate=simulate,
                                output=output)
 

@@ -134,7 +134,7 @@ def _number(value, name, integral=False, low=0.0, high=None):
         raise ConfigError(f"{name} must be an integer", field=name)
     if low is not None and number <= low:
         raise ConfigError(f"{name} must be > {low}", field=name)
-    if high is not None and number >= high:
+    if high is not None and value >= high:  # exact: float(2**63 - 1) == 2**63
         raise ConfigError(f"{name} must be < {high}", field=name)
     return int(value) if integral else number
 
@@ -202,8 +202,8 @@ def _check_quotients(game: GameConfig):
 
 
 #: exclusive (low, high) bounds of numeric fields; unlisted ones must be > 0
-#: (numpy seeds must be >= 0)
-_BOUNDS = {"seed": (-1, None), "decay": (0.0, 1.0)}
+#: (numpy seeds must be >= 0, and numpy draws the slot counts as int64)
+_BOUNDS = {"seed": (-1, None), "decay": (0.0, 1.0), "slots": (0.0, 2**63)}
 
 
 def _section(cls, node, where, **parsers):

@@ -21,9 +21,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ExperimentConfig, SimulateConfig, SweepConfig
-from .game import (GameSpec, PowerProfile, StateSpace, average_powers,
-                   enumerate_states, expected_rates, is_feasible, rate_table)
+from .config import ConfigError, ExperimentConfig, SimulateConfig, SweepConfig
+from .game import (GameSpec, PowerProfile, StateSpace, StateSpaceTooLargeError,
+                   average_powers, enumerate_states, expected_rates, is_feasible,
+                   rate_table)
 from .pareto import ParetoReport, multi_start
 from .spectral import ConditionReport, condition_report
 from .vi import ViReport, make_vi_problem, solve_regularized
@@ -74,8 +75,13 @@ class RunResult:
 
 
 def build_game(config: ExperimentConfig) -> tuple[GameSpec, StateSpace]:
+    """The game and its state space; a space over ``solver.state_cap`` is
+    a ConfigError naming that field."""
     spec = config.game.build_spec()
-    return spec, enumerate_states(spec, cap=config.solver.state_cap)
+    try:
+        return spec, enumerate_states(spec, cap=config.solver.state_cap)
+    except StateSpaceTooLargeError as exc:
+        raise ConfigError(str(exc), field="solver.state_cap") from None
 
 
 def run_analyze(config: ExperimentConfig) -> ConditionReport:
@@ -95,16 +101,14 @@ def _solver_names(which: str) -> list[str]:
 
 
 def _run_one_solver(name, spec, space, config, problem=None):
-    """Run one solver; a caller that has built the VI ``problem`` for
-    ``spec`` passes it, so its operator is not built again."""
+    """Run one solver; VI runs on ``problem``, which the caller built
+    for ``spec`` and shares with the condition checks."""
     if name == "iwf":
         rep = iterate_waterfilling(spec, space, config.solver.iwf)
         profile, converged = rep.profile, rep.converged
         iterations = rep.iterations
         residual = rep.residual_history[-1]
     elif name == "vi":
-        if problem is None:
-            problem = make_vi_problem(spec, space)
         with warnings.catch_warnings():
             # the PSD status is already in the report; other warnings pass
             warnings.filterwarnings("ignore", "Htilde is not positive semidefinite",
@@ -181,20 +185,21 @@ def run_simulate(config: ExperimentConfig, profile: PowerProfile,
     """Simulate i.i.d. channel slots under a fixed stationary policy, with
     the ``SimulateConfig`` defaults when the config has no such section.
 
-    Draws ``slots`` states from the state distribution with the seeded
-    generator, applies the policy, and compares the empirical time
-    averages of rate and power to the analytic expectations.  A caller
-    that passes ``_game`` has already run ``build_game(config)``.
+    The time averages depend on the slots only through the number of
+    slots in each state, so the seeded generator draws those counts,
+    Multinomial(``slots``, probs), and no array has one entry per slot.
+    The empirical time averages of rate and power under the policy are
+    compared to the analytic expectations.  A caller that passes
+    ``_game`` has already run ``build_game(config)``.
     """
     sim = config.simulate or SimulateConfig()
     spec, space = build_game(config) if _game is None else _game
     P = profile.powers
     if not np.all(is_feasible(space, P, spec.pbar)):
         raise ValueError("profile must be feasible for the simulation")
-    rng = np.random.default_rng(sim.seed)
-    draws = rng.choice(space.n_states, size=sim.slots, p=space.probs)
+    counts = np.random.default_rng(sim.seed).multinomial(
+        sim.slots, space.probs).astype(float)
     rates = rate_table(spec, space, P)          # (N1, N)
-    counts = np.bincount(draws, minlength=space.n_states).astype(float)
     emp_rate = counts @ rates / sim.slots
     emp_power = P @ counts / sim.slots
     # expected_rates(spec, space, P), bit for bit, from the table above

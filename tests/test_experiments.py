@@ -122,6 +122,7 @@ def test_config_non_finite_number_rejected(dotted, value, tmp_path, capsys):
     ("solver.pareto.starts", True),
     ("solver.state_cap", 10.5),
     ("simulate.slots", 1.5),
+    ("simulate.slots", 2**63),
     ("game.pbar", True),
     ("solver.pareto.seed", -1),
     ("simulate.seed", -3),
@@ -388,6 +389,20 @@ def test_run_simulate_singleton_exact():
     assert summary.empirical_power == pytest.approx(summary.analytic_power)
 
 
+@pytest.mark.parametrize("slots", [10**12, 2**63 - 1])
+def test_cli_simulate_draws_counts_not_slots(slots, tmp_path):
+    """Any valid slot count costs no more than a few: the draw is one
+    count per state, so no array has one entry per slot."""
+    doc = {**SMALL, "solver": {"which": "iwf"},
+           "simulate": {"slots": slots, "seed": 5}}
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(doc))
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+    mc = json.loads((tmp_path / "o" / "result.json").read_text())["montecarlo"]
+    assert mc["slots"] == slots
+    assert max(mc["rate_rel_gap"] + mc["power_rel_gap"]) < 1e-4
+
+
 def test_run_simulate_requires_feasible_profile():
     config = dataclasses.replace(cfg(SMALL), simulate=SimulateConfig(slots=10))
     _, space = build_game(config)
@@ -450,6 +465,16 @@ def test_cli_negative_seed_exit_one(tmp_path, capsys):
                  "--seed", "-1"]) == 1
     assert "(field: --seed)" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()  # rejected before any solver ran
+
+
+def test_cli_oversize_game_names_state_cap(tmp_path, capsys):
+    """A game past ``solver.state_cap`` (2**36 states) is a config error."""
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"game": {"players": 6, "direct_gains": [1.0, 2.0],
+                                         "cross_gains": [0.1, 0.2], "pbar": 1.0}}))
+    assert main(["analyze", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "68719476736" in err and "(field: solver.state_cap)" in err
 
 
 def test_cli_nonconvergence_exit_two(tmp_path):
