@@ -19,7 +19,9 @@ in closed form by the sorted-breakpoint water-filling solver.
 When the symmetric part of Htilde is positive semidefinite, the
 Tikhonov-regularized operator F_eps = F + eps*P is strongly monotone and
 the projection iteration with a fixed step converges; driving eps -> 0
-with warm starts recovers the solution of the unregularized VI.
+recovers the solution of the unregularized VI.  Each eps round starts
+from the projected secant of the last two solutions, a predictor along
+the smooth path eps -> P(eps).
 """
 
 from __future__ import annotations
@@ -394,27 +396,36 @@ def solve_strong(problem: ViProblem, eps: float, config: ViConfig = ViConfig(),
 
 def solve_regularized(problem: ViProblem, config: ViConfig = ViConfig(),
                       init=None) -> ViReport:
-    """Drive eps_n = eps0 * decay^n -> 0 with warm starts.
+    """Drive eps_n = eps0 * decay^n -> 0 along the regularization path.
 
-    Each inner solve runs the fixed-step projection iteration on F_eps_n
-    starting from the previous solution; the path stops as soon as the
-    natural residual of the *unregularized* F drops below
-    ``config.outer_tol``, or after ``config.max_outer`` rounds.  The
-    steps come from the problem's budget-free ``_StepData``.
+    Each inner solve runs the fixed-step projection iteration on F_eps_n.
+    The first two start from ``init`` and from the first solution; every
+    later one starts from Pi_K(P_n + decay (P_n - P_{n-1})), the secant
+    through the last two solutions extrapolated to eps_{n+1} (on the
+    geometric grid the step along the secant is exactly ``decay``) and
+    projected onto the budget face.  Only the start moves: each round
+    still converges to the same P(eps_n) to ``config.inner_tol``.  The
+    path stops as soon as the natural residual of the *unregularized* F
+    drops below ``config.outer_tol``, or after ``config.max_outer``
+    rounds.  The steps come from the problem's budget-free ``_StepData``.
     """
     steps = problem._steps
     if not steps.definite[0]:
         warnings.warn("Htilde is not positive semidefinite; regularization "
                       "path has no convergence guarantee", stacklevel=2)
-    prof = _uniform_start(problem) if init is None else _as_rows(problem, init)
+    P = _uniform_start(problem) if init is None else _as_rows(problem, init)
+    prev = None  # the solution of the round before P's
     path = []
     converged = False
     tau = 0.0
     for n in range(config.max_outer):
         eps = config.eps0 * config.decay ** n
         tau = steps.step(eps)
-        prof, inner = solve_strong(problem, eps, config, init=prof, _tau=tau)
-        residual = natural_residual(problem, prof)
+        # Pi_K(P + decay (P - prev)); _project_face takes the negated point
+        start = P if n < 2 else _project_face(problem, config.decay * (prev - P) - P)
+        prof, inner = solve_strong(problem, eps, config, init=start, _tau=tau)
+        prev, P = P, prof.powers
+        residual = natural_residual(problem, P)
         path.append((float(eps), int(inner), float(residual)))
         if residual < config.outer_tol:
             converged = True

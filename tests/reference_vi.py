@@ -69,13 +69,17 @@ def solve_regularized(problem, config):
     """
     steps = problem._steps
     table = np.tile(problem.pbar[None, :], (problem.n_states, 1))
+    prev = None
     path = []
     converged = False
     tau = 0.0
     for n in range(config.max_outer):
         eps = config.eps0 * config.decay ** n
         tau = steps.step(eps)
-        table, inner = solve_strong(problem, eps, config, table, tau)
+        start = table if n < 2 else project_face(
+            problem, -((prev - table) * config.decay - table))
+        prev = table
+        table, inner = solve_strong(problem, eps, config, start, tau)
         residual = natural_residual(problem, table)
         path.append((float(eps), int(inner), float(residual)))
         if residual < config.outer_tol:

@@ -1,5 +1,6 @@
 """Config ingestion, experiment orchestration, outputs and the CLI."""
 
+import csv
 import dataclasses
 import inspect
 import json
@@ -9,8 +10,8 @@ import numpy as np
 import pytest
 
 import ifgame
-from ifgame import (AlConfig, ConfigError, expected_rates, is_feasible,
-                    load_config, make_vi_problem, run_analyze, run_simulate,
+from ifgame import (AlConfig, ConfigError, enumerate_states, expected_rates,
+                    is_feasible, load_config, make_vi_problem, run_analyze, run_simulate,
                     run_solve, run_sweep, serialize_config, write_outputs)
 from ifgame.cli import main
 from ifgame.config import (IwfConfig, OutputConfig, SimulateConfig, SolverConfig,
@@ -485,6 +486,58 @@ def test_cli_nonconvergence_exit_two(tmp_path):
     code = main(["solve", "--config", str(path), "--out", str(tmp_path / "o")])
     assert code == 2
     assert (tmp_path / "o" / "sum_rates.csv").exists()  # partial outputs written
+
+
+def _nan_paths(obj, path=()):
+    """The paths of the NaN floats in a parsed JSON document; fails on a
+    string that spells NaN."""
+    if isinstance(obj, float):
+        return [path] if obj != obj else []
+    if isinstance(obj, str):
+        assert "nan" not in obj.lower(), path
+        return []
+    if isinstance(obj, dict):
+        obj = obj.items()
+    elif isinstance(obj, list):
+        obj = enumerate(obj)
+    else:
+        return []
+    return [p for k, v in obj for p in _nan_paths(v, path + (k,))]
+
+
+@pytest.mark.parametrize("game, solver", [("example2", "iwf"),
+                                          ("pd_not_contractive", "vi")])
+def test_cli_sweep_writes_nan_only_for_unsolved_points(game, solver, tmp_path):
+    """NaN is written only in the sweep rows of ``sweep.csv`` and
+    ``result.json``, and only under a solver that was not run or did not
+    converge at that budget.  IWF cycles on example 2 from pbar 1.25 on."""
+    out = tmp_path / "o"
+    code = main(["sweep", "--config", str(bundled.path(game)), "--out", str(out),
+                 "--solver", solver])
+    doc = json.loads((out / "result.json").read_text())
+    rows = doc["sweep_rows"]
+    column = {"iwf": "ne_iwf", "vi": "ne_vi"}[solver]
+    unsolved = {i for i, row in enumerate(rows) if not row["converged"]}
+    assert code == (2 if unsolved else 0)
+    assert _nan_paths(doc) == [("sweep_rows", i, key) for i in range(len(rows))
+                               for key in sorted(("ne_iwf", "ne_vi", "pareto"))
+                               if key != column or i in unsolved]
+    with open(out / "sweep.csv", newline="") as fh:
+        table = list(csv.DictReader(fh))
+    assert len(table) == len(rows)
+    for row, line in zip(rows, table):
+        assert line == {k: "nan" if row[k] != row[k] else repr(row[k])
+                        for k in ("pbar", "ne_iwf", "ne_vi", "pareto")}
+    if game == "example2":
+        assert unsolved == {4, 5, 6, 7}  # pbar 1.25 to 2
+        spec = bundled.spec(game)
+        space = enumerate_states(spec)
+        for i, row in enumerate(rows):
+            point = dataclasses.replace(spec, pbar=row["pbar"])
+            assert iterate_waterfilling(point, space).converged == (i not in unsolved)
+    written = sorted(p.name for p in out.iterdir())
+    assert written == ["conditions.csv", "result.json", "sweep.csv"]
+    assert "nan" not in (out / "conditions.csv").read_text().lower()
 
 
 def test_cli_solver_and_seed_overrides(tmp_path):
