@@ -4,7 +4,7 @@ Three 3-user games, each with two-element gain alphabets drawn uniformly
 (512 channel states), illustrate the three regimes:
 
   * contraction ratio < 1      -> iterative water-filling converges,
-  * ratio >= 1 but PD quadratic form -> regularized projection converges,
+  * ratio >= 1 but PD quadratic form -> the projection method converges,
   * neither                    -> no guarantee (solvers still run, flagged).
 """
 

@@ -1,12 +1,15 @@
 """Finding the Nash equilibrium: iterative water-filling vs. the
-regularized projection method.
+projection method for the variational inequality.
 
 On example1 the water-filling map is a contraction and both solvers find
 the same unique NE.  On example2 (at budget 2.0) the simultaneous
 water-filling sweep enters a 2-cycle, the sequential sweep happens to
-converge, and the regularized projection method converges with a
-guarantee because the quadratic form of the coupling stays positive
-definite.
+converge, and the projection method converges with a guarantee because
+the quadratic form of the coupling stays positive definite.  On both
+games that makes the VI operator strongly monotone, so the solver runs
+the projection iteration once, at eps = 0, and walks no regularization path
+("eps rounds=1"); the path runs on games that are only positive
+semidefinite, such as configs/psd_boundary.json.
 """
 
 import pathlib
@@ -33,7 +36,7 @@ def solve_and_print(name, config):
     print(f"sequential   IWF: converged={seq.converged} iters={seq.iterations}")
 
     vi = solve_regularized(problem, ViConfig(outer_tol=1e-8))
-    print(f"regularized VI:   converged={vi.converged} "
+    print(f"projection VI:    converged={vi.converged} "
           f"eps rounds={len(vi.eps_path)} tau={vi.tau_used:.3f}")
     print(f"  natural residual     = {natural_residual(problem, vi.solution):.2e}")
     print(f"  ||P - WF(P)||_inf    = {wf_residual(spec, space, vi.solution):.2e}"

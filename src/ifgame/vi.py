@@ -16,12 +16,17 @@ because F is strictly positive; the inequality-set Euclidean projection
 is provided separately as project_block.)  Both projections are solved
 in closed form by the sorted-breakpoint water-filling solver.
 
-When the symmetric part of Htilde is positive semidefinite, the
-Tikhonov-regularized operator F_eps = F + eps*P is strongly monotone and
-the projection iteration with a fixed step converges; driving eps -> 0
-recovers the solution of the unregularized VI.  Each eps round starts
-from the projected secant of the last two solutions, a predictor along
-the smooth path eps -> P(eps).
+When the symmetric part of Htilde is positive definite, F itself is
+strongly monotone with modulus min_sym_eig and the projection iteration
+with a fixed step converges (Facchinei & Pang 2003, Sec. 12.1), so the
+VI is solved directly at eps = 0.  When it is only positive
+semidefinite, the Tikhonov-regularized operator F_eps = F + eps*P is
+strongly monotone and the projection iteration converges for each
+eps > 0; driving eps -> 0 recovers a solution of the unregularized VI.
+Each eps round starts from the projected secant of the last two
+solutions, a predictor along the smooth path eps -> P(eps).  Without
+the semidefinite certificate the path runs while the step search
+certifies a contraction, and stops at the first eps where it does not.
 """
 
 from __future__ import annotations
@@ -43,7 +48,9 @@ from .waterfilling import (_breakpoint_levels, _equal_weight_sums,
 class ViConfig:
     """Settings of the regularized projection method: eps_n = eps0 * decay^n,
     and the tolerance and cap of the eps path (outer) and of each fixed-eps
-    solve (inner)."""
+    solve (inner).  A positive definite game is solved at eps = 0 in one
+    inner solve, so ``eps0``, ``decay`` and ``max_outer`` act only on the
+    other games."""
 
     eps0: float = 1.0
     decay: float = 0.5
@@ -112,13 +119,19 @@ class _StepData:
         G = np.einsum('kji,kjl->kil', h, h)
         return S, G, np.linalg.eigvalsh(S)[:, [0, -1]], np.linalg.eigvalsh(G)[:, [0, -1]]
 
-    def step(self, eps):
-        """tau(eps), with the fallback sigma / L^2 at L = ||Htilde||_2 + eps."""
+    def search(self, eps):
+        """(tau(eps), certified): the searched step if it certifies a
+        contraction, else the fallback sigma / L^2 at L = ||Htilde||_2 + eps."""
         if eps not in self.taus:
+            tau = _best_tau(self, eps)
             sigma = max(0.0, self.definite[2])
-            self.taus[eps] = _best_tau(self, eps,
-                                       (eps + sigma) / (self.lipschitz + eps) ** 2)
+            self.taus[eps] = ((tau, True) if tau is not None else
+                              ((eps + sigma) / (self.lipschitz + eps) ** 2, False))
         return self.taus[eps]
+
+    def step(self, eps):
+        """tau(eps), certified or not (see ``search``)."""
+        return self.search(eps)[0]
 
 
 @dataclass(frozen=True)
@@ -319,7 +332,7 @@ def _step_norm(steps, tau, eps, solved=None):
     return float(np.sqrt(a * a + tops.max()))
 
 
-def _best_tau(steps, eps, fallback):
+def _best_tau(steps, eps):
     """Step minimizing the contraction norm ||I - tau*(Htilde + eps I)||_2.
 
     The norm is a convex function of tau (max of singular values of an
@@ -328,11 +341,10 @@ def _best_tau(steps, eps, fallback):
     rounds, each round keeping the 0.618 of the bracket around the lower
     norm, and a last comparison of the two interior norms, which leaves a
     bracket 4 * 0.618^31 = 1.33e-6 wide.  Its midpoint is returned when
-    its norm is below 1, which certifies a contraction; otherwise the
-    sigma/L^2 bound passed as ``fallback`` is returned.  That makes 33
-    norms per search.  The probes share one ``_SolvedTops`` record, so a
-    probe solves only the blocks that the values found at earlier probes
-    cannot rule out.
+    its norm is below 1, which certifies a contraction; otherwise None is
+    returned.  That makes 33 norms per search.  The probes share one
+    ``_SolvedTops`` record, so a probe solves only the blocks that the
+    values found at earlier probes cannot rule out.
     """
     solved = _SolvedTops(steps, eps)
     r = 0.5 * (np.sqrt(5.0) - 1.0)
@@ -349,9 +361,7 @@ def _best_tau(steps, eps, fallback):
             t2 = lo + r * (hi - lo)
             f2 = _step_norm(steps, t2, eps, solved)
     tau = 0.5 * (lo + t2) if f1 <= f2 else 0.5 * (t1 + hi)
-    if _step_norm(steps, tau, eps, solved) < 1.0:
-        return tau
-    return fallback
+    return tau if _step_norm(steps, tau, eps, solved) < 1.0 else None
 
 
 def _uniform_start(problem):
@@ -370,13 +380,16 @@ def solve_strong(problem: ViProblem, eps: float, config: ViConfig = ViConfig(),
     constant L = ||Htilde||_2 + eps.  Stops when both the
     successive-iterate gap and the natural residual of F_eps fall below
     ``config.inner_tol``; hitting ``config.max_inner`` is reported by
-    returning the iterate reached (no exception).  The step is searched
-    once per operator and eps (see ``_StepData``).  A caller that passes
-    ``_tau`` has chosen the step and checked definiteness itself, so
-    neither is done again here.
+    returning the iterate reached (no exception).  eps = 0 is accepted
+    only when Htilde is positive definite, where F itself is strongly
+    monotone.  The step is searched once per operator and eps (see
+    ``_StepData``).  A caller that passes ``_tau`` has chosen the step and
+    checked the semidefinite certificate itself, so neither is done again
+    here.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not (eps > 0 or (eps == 0 and problem.definite[1])):
+        raise ValueError("eps must be positive, or zero on a positive "
+                         "definite problem")
     if _tau is None:
         if not problem.definite[0]:
             warnings.warn("Htilde is not positive semidefinite; the projection "
@@ -396,31 +409,52 @@ def solve_strong(problem: ViProblem, eps: float, config: ViConfig = ViConfig(),
 
 def solve_regularized(problem: ViProblem, config: ViConfig = ViConfig(),
                       init=None) -> ViReport:
-    """Drive eps_n = eps0 * decay^n -> 0 along the regularization path.
+    """Solve the VI from ``init``: directly if Htilde is positive definite,
+    else along the regularization path eps_n = eps0 * decay^n -> 0.
 
-    Each inner solve runs the fixed-step projection iteration on F_eps_n.
-    The first two start from ``init`` and from the first solution; every
-    later one starts from Pi_K(P_n + decay (P_n - P_{n-1})), the secant
-    through the last two solutions extrapolated to eps_{n+1} (on the
-    geometric grid the step along the secant is exactly ``decay``) and
-    projected onto the budget face.  Only the start moves: each round
+    A positive definite problem runs one ``solve_strong`` at eps = 0 and
+    reports the one-row path [(0.0, inner iterations, residual)].
+    Otherwise each round runs the fixed-step projection iteration on
+    F_eps_n.  The first two start from ``init`` and from the first
+    solution; every later one starts from Pi_K(P_n + decay (P_n - P_{n-1})),
+    the secant through the last two solutions extrapolated to eps_{n+1}
+    (on the geometric grid the step along the secant is exactly ``decay``)
+    and projected onto the budget face.  Only the start moves: each round
     still converges to the same P(eps_n) to ``config.inner_tol``.  The
     path stops as soon as the natural residual of the *unregularized* F
     drops below ``config.outer_tol``, or after ``config.max_outer``
-    rounds.  The steps come from the problem's budget-free ``_StepData``.
+    rounds.  Without the semidefinite certificate it also stops before
+    the first round whose step search certifies no contraction; if that
+    is the first round, the path is the one row (eps0, 0, residual of the
+    start).  The steps come from the problem's budget-free ``_StepData``.
     """
     steps = problem._steps
-    if not steps.definite[0]:
+    P = _uniform_start(problem) if init is None else _as_rows(problem, init)
+    if steps.definite[1]:
+        tau = steps.step(0.0)
+        prof, inner = solve_strong(problem, 0.0, config, init=P, _tau=tau)
+        residual = natural_residual(problem, prof)
+        return ViReport(solution=prof, eps_path=[(0.0, int(inner), residual)],
+                        converged=residual < config.outer_tol, tau_used=float(tau))
+    psd = steps.definite[0]
+    if not psd:
         warnings.warn("Htilde is not positive semidefinite; regularization "
                       "path has no convergence guarantee", stacklevel=2)
-    P = _uniform_start(problem) if init is None else _as_rows(problem, init)
+    prof = PowerProfile(powers=P)
     prev = None  # the solution of the round before P's
     path = []
     converged = False
     tau = 0.0
     for n in range(config.max_outer):
         eps = config.eps0 * config.decay ** n
-        tau = steps.step(eps)
+        step, certified = steps.search(eps)
+        if not (psd or certified):
+            if not path:
+                residual = natural_residual(problem, P)
+                path.append((float(eps), 0, residual))
+                converged = residual < config.outer_tol
+            break
+        tau = step
         # Pi_K(P + decay (P - prev)); _project_face takes the negated point
         start = P if n < 2 else _project_face(problem, config.decay * (prev - P) - P)
         prof, inner = solve_strong(problem, eps, config, init=start, _tau=tau)

@@ -10,7 +10,7 @@ from pathlib import Path
 from ifgame import load_config_file
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
-NAMES = ("example1", "example2", "pd_not_contractive")
+NAMES = tuple(sorted(p.stem for p in CONFIGS.glob("*.json")))
 
 
 def path(name):

@@ -63,19 +63,36 @@ def solve_strong(problem, eps, config, table, tau):
 
 
 def solve_regularized(problem, config):
-    """The eps path from the uniform start, with the problem's own tau(eps).
+    """The solve from the uniform start, with the problem's own tau(eps):
+    one eps = 0 solve on a positive definite problem, else the eps path,
+    which without the semidefinite certificate stops before the first
+    round whose step is not certified.
 
     Returns (solution powers (N, N1), eps path, converged, tau used).
     """
     steps = problem._steps
     table = np.tile(problem.pbar[None, :], (problem.n_states, 1))
+    if steps.definite[1]:
+        tau = steps.step(0.0)
+        table, inner = solve_strong(problem, 0.0, config, table, tau)
+        residual = natural_residual(problem, table)
+        return (PowerProfile(powers=table.T.copy()).powers,
+                [(0.0, int(inner), residual)], residual < config.outer_tol, float(tau))
+    psd = steps.definite[0]
     prev = None
     path = []
     converged = False
     tau = 0.0
     for n in range(config.max_outer):
         eps = config.eps0 * config.decay ** n
-        tau = steps.step(eps)
+        step, certified = steps.search(eps)
+        if not (psd or certified):
+            if not path:
+                residual = natural_residual(problem, table)
+                path.append((float(eps), 0, residual))
+                converged = residual < config.outer_tol
+            break
+        tau = step
         start = table if n < 2 else project_face(
             problem, -((prev - table) * config.decay - table))
         prev = table

@@ -4,7 +4,11 @@ import csv
 import dataclasses
 import inspect
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -215,6 +219,7 @@ BUNDLED_REGIMES = {
     "example1": (2.0 / 3.0, True, True),
     "example2": (4.0 / 3.0, False, True),
     "pd_not_contractive": (4.0 / 3.0, False, True),
+    "psd_boundary": (1.0, False, False),
 }
 
 
@@ -341,6 +346,14 @@ def count_calls(monkeypatch, calls, module, name):
 
 
 def test_sweep_builds_vi_data_once(monkeypatch):
+    """The sweep builds the operator and its certificate once and searches
+    tau once per distinct eps: at eps = 0 only on a PD game, along the
+    eps path on the PSD-boundary game."""
+    for name, searches in (("pd_not_contractive", 1), ("psd_boundary", 26)):
+        assert_sweep_builds_vi_data_once(monkeypatch, name, searches)
+
+
+def assert_sweep_builds_vi_data_once(monkeypatch, name, searches):
     import ifgame.experiments
     import ifgame.spectral
     import ifgame.vi
@@ -349,8 +362,7 @@ def test_sweep_builds_vi_data_once(monkeypatch):
         count_calls(monkeypatch, calls, module, "build_operator")
         count_calls(monkeypatch, calls, module, "definiteness")
     count_calls(monkeypatch, calls, ifgame.vi, "_best_tau")
-    config = dataclasses.replace(bundled.config("pd_not_contractive"),
-                                 sweep=SweepConfig())
+    config = dataclasses.replace(bundled.config(name), sweep=SweepConfig())
     rows = run_sweep(config).sweep_rows
     monkeypatch.undo()
     assert calls["build_operator"] == 1
@@ -364,7 +376,7 @@ def test_sweep_builds_vi_data_once(monkeypatch):
         assert rep.converged
         assert row["ne_vi"] == float(expected_rates(point, space, rep.solution).sum())
         eps_values.update(eps for eps, _, _ in rep.eps_path)
-    assert calls["_best_tau"] == len(eps_values) == 26
+    assert calls["_best_tau"] == len(eps_values) == searches
 
 
 def test_run_sweep_pareto_nondecreasing_in_budget():
@@ -486,6 +498,33 @@ def test_cli_nonconvergence_exit_two(tmp_path):
     code = main(["solve", "--config", str(path), "--out", str(tmp_path / "o")])
     assert code == 2
     assert (tmp_path / "o" / "sum_rates.csv").exists()  # partial outputs written
+
+
+def test_cli_solve_stops_when_no_step_is_certified(tmp_path):
+    """A game that is not PSD and whose step search certifies a contraction
+    only down to eps = 2^-7: the eps path stops after those 8 rounds and
+    ``solve`` exits 2 with its outputs written, rather than iterate at an
+    uncertified step to the cap in each of the 52 later rounds."""
+    doc = {"game": {"players": 3, "direct_gains": [1.0, 2.0],
+                    "cross_gains": [0.6, 0.9], "link_probs": "uniform", "pbar": 1.0},
+           "solver": {"which": "vi"}}
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    env = dict(os.environ, PYTHONPATH=str(Path(ifgame.__file__).parent.parent),
+               PYTHONWARNINGS="error::RuntimeWarning")
+    proc = subprocess.run([sys.executable, "-m", "ifgame", "solve", "--config",
+                           str(path), "--out", str(out)],
+                          env=env, capture_output=True, timeout=10, check=False)
+    assert proc.returncode == 2, proc.stderr
+    with open(out / "vi_eps_path.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [float(row["eps"]) for row in rows] == [2.0 ** -n for n in range(8)]
+    with open(out / "sum_rates.csv", newline="") as fh:
+        (vi,) = csv.DictReader(fh)
+    assert vi["converged"] == "false"
+    doc = json.loads((out / "result.json").read_text())
+    assert doc["condition"]["htilde_psd"] is False
 
 
 def _nan_paths(obj, path=()):

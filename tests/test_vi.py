@@ -12,8 +12,8 @@ from ifgame import (GameSpec, IwfConfig, LinkDistribution, ViConfig,
                     solve_strong, waterfill_map, wf_residual)
 from ifgame.config import SweepConfig
 from ifgame.spectral import _plus_identity
-from ifgame.vi import (_best_tau, _eval_F, _projection_step, _step_norm,
-                       _uniform_start)
+from ifgame.vi import (_best_tau, _eval_F, _project_face, _projection_step,
+                       _step_norm, _uniform_start)
 import bundled
 import reference_vi
 from test_waterfilling import bisect_waterfill
@@ -182,7 +182,7 @@ def test_projection_iteration_gap_is_monotone():
     problem = make_vi_problem(spec, space)
     eps = 0.01
     steps = problem._steps
-    tau = _best_tau(steps, eps, eps / (steps.lipschitz + eps) ** 2)
+    tau = steps.step(eps)
     P = _uniform_start(problem)
     gaps = []
     for _ in range(60):
@@ -204,7 +204,7 @@ def reference_step_norm(blocks, tau, eps):
     return float(np.sqrt(np.linalg.eigvalsh(gram)[:, -1].max()))
 
 
-def golden_tau(norm, fallback):
+def golden_tau(norm):
     """The golden-section step search of ``_best_tau`` on the norm
     function ``norm(tau)``, written out on its own."""
     r = (5.0 ** 0.5 - 1.0) / 2.0
@@ -221,10 +221,10 @@ def golden_tau(norm, fallback):
             t2 = lo + r * (hi - lo)
             f2 = norm(t2)
     tau = (lo + t2) / 2.0 if f1 <= f2 else (t1 + hi) / 2.0
-    return tau if norm(tau) < 1.0 else fallback
+    return tau if norm(tau) < 1.0 else None
 
 
-def ternary_tau(norm, fallback):
+def ternary_tau(norm):
     """The 35-round ternary step search the package used before the
     golden-section one, kept as a reference for the quality of the step."""
     lo, hi = 0.0, 4.0
@@ -236,7 +236,7 @@ def ternary_tau(norm, fallback):
         else:
             lo = t1
     tau = 0.5 * (lo + hi)
-    return tau if norm(tau) < 1.0 else fallback
+    return tau if norm(tau) < 1.0 else None
 
 
 def test_step_norm_matches_gram_reference():
@@ -253,9 +253,9 @@ def test_step_norm_matches_gram_reference():
             for tau in np.linspace(0.05, 4.0, 8):
                 assert _step_norm(steps, tau, eps) == pytest.approx(
                     reference_step_norm(blocks, tau, eps), rel=8 * ulp, abs=0)
-            tau = _best_tau(steps, eps, -1.0)
+            tau = _best_tau(steps, eps)
             assert tau > 0 and tau == golden_tau(
-                lambda t: reference_step_norm(blocks, t, eps), -1.0)
+                lambda t: reference_step_norm(blocks, t, eps))
     rng = np.random.default_rng(21)
     checked = 0
     while checked < 8:
@@ -363,16 +363,16 @@ def test_memoized_tau_search_equals_every_block_search(monkeypatch):
                 return every[tau]
 
             probes.clear()
-            tau = _best_tau(steps, eps, -1.0)
+            tau = _best_tau(steps, eps)
             assert len(probes) == 33
             for t, norm in probes:
                 assert norm == every_block(t)
-            assert tau == golden_tau(every_block, -1.0)
+            assert tau == golden_tau(every_block)
 
 
 def test_golden_step_as_good_as_ternary():
     """The golden-section step is as good as the ternary search's: the same
-    fallback decision, a tau within the ternary search's final bracket of
+    certification decision, a tau within the ternary search's final bracket of
     4 (2/3)^35 = 2.75e-6, and an all-blocks norm at most 1e-6 above."""
     rng = np.random.default_rng(25)
     games = bundled_steps() + random_alpha_steps(rng, 20)
@@ -383,9 +383,9 @@ def test_golden_step_as_good_as_ternary():
             def norm(tau):
                 return every_block_step_norm(steps, tau, eps)
 
-            golden, ternary = _best_tau(steps, eps, -1.0), ternary_tau(norm, -1.0)
-            assert (golden == -1.0) == (ternary == -1.0)
-            if golden != -1.0:
+            golden, ternary = _best_tau(steps, eps), ternary_tau(norm)
+            assert (golden is None) == (ternary is None)
+            if golden is not None:
                 assert abs(golden - ternary) <= 2.75e-6
                 assert norm(golden) <= norm(ternary) + 1e-6
 
@@ -447,16 +447,51 @@ def test_solver_warns_without_psd_certificate():
     assert not psd
     with pytest.warns(UserWarning):
         solve_strong(problem, 0.5, ViConfig(inner_tol=1e-6, max_inner=200))
-    # with two direct gains the path runs several eps rounds; it warns
-    # once, not once per round
-    spec = GameSpec.symmetric(3, [0.08, 0.1], [0.2], pbar=1.0)
-    problem = make_vi_problem(spec, enumerate_states(spec))
+    # the repro game certifies a step for its first 8 eps rounds, so the
+    # path runs several rounds; it warns once, not once per round
+    problem = make_vi_problem(*uncertified_repro())
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         report = solve_regularized(
             problem, ViConfig(inner_tol=1e-6, max_outer=3, max_inner=200))
     assert len(report.eps_path) == 3
     assert [w.category for w in caught] == [UserWarning]
+
+
+def uncertified_repro():
+    """A game that is not PSD (min_sym_eig -0.00767) and whose step search
+    certifies a contraction only down to eps = 2^-7, and its states."""
+    spec = GameSpec.symmetric(3, [1.0, 2.0], [0.6, 0.9], pbar=1.0)
+    return spec, enumerate_states(spec)
+
+
+def test_path_stops_at_first_uncertified_step():
+    """Without the PSD certificate the path ends before the first eps
+    whose step search certifies nothing, instead of iterating at the
+    uncertified sigma / L^2 step to the cap in every later round."""
+    problem = make_vi_problem(*uncertified_repro())
+    assert not problem.definite[0]
+    # room for 4 rounds past the last certified one, at a cap that bounds
+    # each of them and still leaves every certified round converging
+    config = ViConfig(max_outer=12, max_inner=20_000)
+    with pytest.warns(UserWarning):
+        report = solve_regularized(problem, config)
+    assert [eps for eps, _, _ in report.eps_path] == [2.0 ** -n for n in range(8)]
+    assert all(0 < inner < config.max_inner for _, inner, _ in report.eps_path)
+    assert not report.converged
+    assert report.eps_path[-1][2] == natural_residual(problem, report.solution)
+    assert report.eps_path[-1][2] > config.outer_tol
+    assert report.tau_used == problem._steps.step(2.0 ** -7)
+    assert problem._steps.search(2.0 ** -8)[1] is False
+    # no step is certified at the first eps: one row at the start
+    spec = GameSpec.symmetric(3, [0.08, 0.1], [0.2], pbar=1.0)
+    problem = make_vi_problem(spec, enumerate_states(spec))
+    with pytest.warns(UserWarning):
+        report = solve_regularized(problem, config)
+    start = _uniform_start(problem)
+    assert report.eps_path == [(1.0, 0, natural_residual(problem, start))]
+    assert not report.converged
+    assert np.array_equal(report.solution.powers, start)
 
 
 def test_regularized_checks_definiteness_once(monkeypatch):
@@ -469,10 +504,16 @@ def test_regularized_checks_definiteness_once(monkeypatch):
         return original(op)
 
     monkeypatch.setattr(ifgame.vi, "definiteness", counted)
-    _, _, problem = small_problem()
-    report = solve_regularized(problem)
+    # a PSD, not PD game walks the eps path
+    spec = bundled.spec("psd_boundary")
+    report = solve_regularized(make_vi_problem(spec, enumerate_states(spec)))
     assert report.converged and len(report.eps_path) > 1
     assert len(calls) == 1
+    # a PD game solves once at eps = 0
+    _, _, problem = small_problem()
+    report = solve_regularized(problem)
+    assert report.converged and [p[0] for p in report.eps_path] == [0.0]
+    assert len(calls) == 2
 
 
 def test_vi_config_rejects_nonpositive_tolerances():
@@ -505,14 +546,23 @@ def test_vi_config_rejects_zero_max_outer():
     # raised IndexError
     with pytest.raises(ValueError, match="max_outer"):
         ViConfig(max_outer=0)
-    assert len(solve_regularized(small_problem()[2],
-                                 ViConfig(max_outer=1)).eps_path) == 1
+    spec = bundled.spec("psd_boundary")  # walks the eps path
+    problem = make_vi_problem(spec, enumerate_states(spec))
+    assert len(solve_regularized(problem, ViConfig(max_outer=1)).eps_path) == 1
 
 
 def test_parameter_validation():
     spec, space, problem = small_problem()
-    with pytest.raises(ValueError):
-        solve_strong(problem, eps=0.0)
+    assert problem.definite[1]
+    with pytest.raises(ValueError, match="eps"):
+        solve_strong(problem, eps=-1e-300)
+    solve_strong(problem, eps=0.0)  # F itself is strongly monotone
+    spec = bundled.spec("psd_boundary")
+    boundary = make_vi_problem(spec, enumerate_states(spec))
+    assert boundary.definite[:2] == (True, False)
+    for eps in (0.0, -0.5):
+        with pytest.raises(ValueError, match="eps"):
+            solve_strong(boundary, eps=eps)
     with pytest.raises(ValueError):
         ViConfig(eps0=-1.0)
     with pytest.raises(ValueError):
@@ -606,17 +656,23 @@ def test_player_major_iteration_at_four_players_moves_by_rounding():
             checked += 1
 
 
-def plain_warm_start(problem, config):
-    """The eps path with every round started at the last solution, as the
-    solver ran before the secant start; kept as the reference the secant
-    start is measured against.  Returns (eps path, converged)."""
+def walk_path(problem, config, secant=True):
+    """The eps path from the uniform start, walked with ``solve_strong`` at
+    the problem's own tau(eps) on any PSD problem, PD or not.  From the
+    third round on each round starts at the projected secant of the last
+    two solutions (``secant``), as ``solve_regularized`` walks the path,
+    or at the last solution, as the solver ran before the secant start.
+    Returns (eps path, converged)."""
     P = _uniform_start(problem)
+    prev = None
     path = []
     for n in range(config.max_outer):
         eps = config.eps0 * config.decay ** n
-        prof, inner = solve_strong(problem, eps, config, init=P,
+        start = P if n < 2 or not secant else _project_face(
+            problem, config.decay * (prev - P) - P)
+        prof, inner = solve_strong(problem, eps, config, init=start,
                                    _tau=problem._steps.step(eps))
-        P = prof.powers
+        prev, P = P, prof.powers
         path.append((eps, inner, natural_residual(problem, P)))
         if path[-1][2] < config.outer_tol:
             return path, True
@@ -624,37 +680,80 @@ def plain_warm_start(problem, config):
 
 
 def test_secant_start_saves_iterations_and_costs_none():
-    """Against the plain warm start, on the bundled games at their own
-    and every sweep budget and on seeded random PSD games: the same
-    ``converged``, no more rounds and no more inner iterations on any
-    game, and at least 35 % fewer inner iterations over the whole set."""
-    cases = []
-    for name in bundled.NAMES:
-        spec = bundled.spec(name)
-        problem = make_vi_problem(spec, enumerate_states(spec))
-        cases.append((problem, ViConfig()))
-        cases += [(dataclasses.replace(problem, pbar=np.full(spec.n_players, float(v))),
-                   ViConfig()) for v in SweepConfig().values]
-    rng = np.random.default_rng(28)
-    for uniform in (True, False):
-        checked = 0
-        while checked < 6:
-            problem = random_games(rng, 1, (2, 3, 4), uniform)[0]
-            if problem.definite[0]:
-                cases.append((problem, ViConfig(max_outer=30, max_inner=3000)))
-                checked += 1
+    """Against the plain warm start, on the PSD-boundary game at its own
+    and every sweep budget, where ``solve_regularized`` walks the eps path:
+    the same ``converged``, no more rounds and no more inner iterations at
+    any budget, and at least 65 % fewer inner iterations over the set.
+    (Random games put on the PSD boundary mostly do not converge within a
+    test-sized cap, with either start, so they would compare the caps.)"""
+    spec = bundled.spec("psd_boundary")
+    problem = make_vi_problem(spec, enumerate_states(spec))
+    config = ViConfig()
     totals = np.zeros(2, dtype=int)
-    for problem, config in cases:
-        report = solve_regularized(problem, config)
-        path, converged = plain_warm_start(problem, config)
-        assert report.converged == converged
-        assert len(report.eps_path) <= len(path)
+    for value in [None] + SweepConfig().values:
+        point = problem if value is None else dataclasses.replace(
+            problem, pbar=np.full(spec.n_players, float(value)))
+        report = solve_regularized(point, config)
+        path, converged = walk_path(point, config, secant=False)
+        assert report.converged and converged
+        assert 1 < len(report.eps_path) <= len(path)
         inner = [sum(p[1] for p in report.eps_path), sum(p[1] for p in path)]
         assert inner[0] <= inner[1]
-        if report.converged:
-            assert natural_residual(problem, report.solution) < config.outer_tol
+        assert natural_residual(point, report.solution) < config.outer_tol
         totals += inner
-    assert totals[0] <= 0.65 * totals[1]
+    assert totals[0] <= 0.35 * totals[1]
+
+
+def test_eps_path_converges_on_psd_boundary_game():
+    """The bundled PSD, not PD game walks the whole regularization path
+    and converges.  The NE need not be unique at min_sym_eig = 0, so the
+    test checks the flag and an independently recomputed natural
+    residual, not one profile."""
+    spec = bundled.spec("psd_boundary")
+    space = enumerate_states(spec)
+    problem = make_vi_problem(spec, space)
+    psd, pd, min_eig = problem.definite
+    assert psd and not pd and abs(min_eig) <= 1e-12
+    config = ViConfig()
+    report = solve_regularized(problem, config)
+    assert report.converged
+    assert [p[0] for p in report.eps_path] == [0.5 ** n for n in range(len(report.eps_path))]
+    assert len(report.eps_path) > 20
+    P = report.solution.powers
+    assert dense_natural_residual(problem, P) < config.outer_tol
+    assert P.min() >= 0 and np.abs(P @ space.probs - spec.pbar).max() < 1e-9
+
+
+def test_direct_solve_beats_the_eps_path_on_pd_games():
+    """On seeded random PD games, and on the 2-player games with direct
+    gains [1, 2] and cross gains (1 - d) [1, 0.5], whose min_sym_eig is d,
+    from d = 0.1 down to 3e-10, just above the PD threshold of 1e-10: the
+    one eps = 0 solve takes no more inner iterations than the eps path,
+    reports the same ``converged``, and converges to a natural residual
+    below outer_tol."""
+    rng = np.random.default_rng(5)
+    problems = []
+    while len(problems) < 30:
+        spec = random_spec(rng, state_limit=800, uniform_probs=len(problems) % 2 == 0,
+                           min_players=2)
+        problem = make_vi_problem(spec, enumerate_states(spec))
+        if problem.definite[1]:
+            problems.append(problem)
+    for d in (1e-1, 3e-2, 1e-2, 3e-3, 1e-3, 3e-4, 1e-4, 3e-5, 1e-5, 3e-6, 1e-6,
+              3e-7, 1e-7, 3e-8, 1e-8, 3e-9, 1e-9, 3e-10):
+        spec = GameSpec.symmetric(2, [1.0, 2.0], [1.0 - d, 0.5 * (1.0 - d)], pbar=1.0)
+        problem = make_vi_problem(spec, enumerate_states(spec))
+        assert problem.definite[1] and problem.definite[2] == pytest.approx(d, rel=1e-5)
+        problems.append(problem)
+    config = ViConfig()
+    for problem in problems:
+        report = solve_regularized(problem, config)
+        path, converged = walk_path(problem, config)
+        assert [p[0] for p in report.eps_path] == [0.0]
+        assert report.eps_path[0][1] <= sum(p[1] for p in path)
+        assert report.converged == converged
+        assert report.converged
+        assert natural_residual(problem, report.solution) < config.outer_tol
 
 
 def dense_natural_residual(problem, P):
@@ -673,7 +772,8 @@ def test_reported_convergence_holds_for_random_games():
     residual of its solution, recomputed independently, is below
     outer_tol; every residual on the path is finite."""
     rng = np.random.default_rng(27)
-    # a path from eps = 2^-10 needs about 15 rounds, not 25, to converge
+    # a PD game solves at eps = 0; on a PSD game that is not PD, a path
+    # from eps = 2^-10 needs about 15 rounds, not 25, to converge
     config = ViConfig(eps0=2.0 ** -10, max_outer=20, max_inner=2000)
     checked = converged = 0
     while checked < 30:

@@ -29,15 +29,15 @@ import sys
 import tempfile
 from pathlib import Path
 
-GAMES = ("example1", "example2", "pd_not_contractive")
 COMMANDS = ("analyze", "solve", "sweep", "simulate")
 
 
 def runs(repo):
-    """(run name, subcommand, config path) of every CLI run."""
-    for game in GAMES:
+    """(run name, subcommand, config path) of every CLI run, over the
+    checkout's own ``configs/*.json`` in sorted order."""
+    for config in sorted((repo / "configs").glob("*.json")):
         for command in COMMANDS:
-            yield f"{game}-{command}", command, repo / "configs" / f"{game}.json"
+            yield f"{config.stem}-{command}", command, config
     yield "n4-simulate", "simulate", repo / "perfbench" / "n4_simulate.json"
 
 
