@@ -142,18 +142,29 @@ class StateSpace:
     (1,1), (1,2), ..., (N,N), the last link's alphabet index varying
     fastest (plain mixed-radix / lexicographic enumeration over the
     positive-probability entries of each link's alphabet).
+
+    The gains are stored player-major: ``gains.transpose(1, 2, 0)``, with
+    entry [i, j, k] = |h_ij(k)|^2, is C-contiguous, so every kernel reads
+    the row of a link over all states in place.  Gains must be finite and
+    positive, probabilities finite, nonnegative and summing to 1 within
+    1e-9.
     """
 
-    gains: np.ndarray  # (N1, N, N)
+    gains: np.ndarray  # (N1, N, N), player-major in memory
     probs: np.ndarray  # (N1,)
 
     def __post_init__(self):
-        g = np.array(self.gains, dtype=float)
+        g = np.asarray(self.gains, dtype=float)
         p = np.array(self.probs, dtype=float)
         if g.ndim != 3 or g.shape[1] != g.shape[2] or p.shape != (g.shape[0],):
             raise ValueError("inconsistent state-space shapes")
-        if abs(p.sum() - 1.0) > 1e-9:
-            raise ValueError("state probabilities must sum to 1")
+        if not np.all((g > 0) & (g < np.inf)):
+            raise ValueError("channel gains must be finite and positive")
+        # "not <=" rather than ">" so that NaN probabilities fail too
+        if not (np.all((p >= 0) & (p < np.inf)) and abs(p.sum() - 1.0) <= 1e-9):
+            raise ValueError("state probabilities must be finite, nonnegative "
+                             "and sum to 1")
+        g = g.transpose(1, 2, 0).copy().transpose(2, 0, 1)  # owned, player-major
         g.flags.writeable = False
         p.flags.writeable = False
         object.__setattr__(self, "gains", g)
@@ -221,24 +232,12 @@ def enumerate_states(spec: GameSpec, cap: int = DEFAULT_STATE_CAP) -> StateSpace
             f"state space needs {required:.0f} entries, cap is {cap}")
     total = int(required)
     digits = np.unravel_index(np.arange(total), sizes)
-    gains = np.empty((total, n, n))
+    gains = np.empty((n, n, total))  # player-major, as StateSpace stores it
     probs = np.ones(total)
     for link, (alphabet, pvec) in enumerate(zip(values, weights)):
-        gains[:, link // n, link % n] = alphabet[digits[link]]
+        gains[link // n, link % n] = alphabet[digits[link]]
         probs *= pvec[digits[link]]
-    return StateSpace(gains=gains, probs=probs)
-
-
-def _player_major(gains):
-    """View of state gains (N1, N, N) as G[i, j, k] = |h_ij(k)|^2, (N, N, N1)."""
-    return gains.transpose(1, 2, 0)
-
-
-#: states per block of the interference kernel.  The player-major view of
-#: the gains is strided: each pass over the transmitters reads whole
-#: state rows.  Taking the passes block by block keeps a block of rows
-#: (512 KB at N = 4) in cache instead of reading all the gains N times.
-_STATE_BLOCK = 4096
+    return StateSpace(gains=gains.transpose(2, 0, 1), probs=probs)
 
 
 def _transmitter_sum(G, X, out):
@@ -255,20 +254,6 @@ def _transmitter_sum(G, X, out):
     return out
 
 
-def _interference(G, alpha, P):
-    """interference() on player-major gains G, a view or a copy."""
-    signal, interf = np.empty(P.shape), np.empty(P.shape)
-    for start in range(0, P.shape[-1], _STATE_BLOCK):
-        block = slice(start, start + _STATE_BLOCK)
-        g, p = G[..., block], P[..., block]
-        own = np.einsum('iik->ik', g) * p
-        received = _transmitter_sum(g, p, interf[..., block])
-        received += 1.0
-        received -= own
-        np.multiply(alpha[:, None], own, out=signal[..., block])
-    return signal, interf
-
-
 def interference(spec: GameSpec, space: StateSpace, P):
     """Received signal and interference of every player at every state.
 
@@ -279,9 +264,15 @@ def interference(spec: GameSpec, space: StateSpace, P):
     are interf / (alpha_i |h_ii|^2), and they feed the rate gradient.
     The received power is summed over the transmitters j in index order
     (the own term included, then subtracted), so the bits do not depend
-    on the memory layout or batch shape of P.
+    on the memory layout or batch shape of P.  The gains are read in
+    place, player-major.
     """
-    return _interference(_player_major(space.gains), spec.alpha, P)
+    own = np.multiply(space.direct_gains.T, P, out=np.empty(P.shape))
+    interf = _transmitter_sum(space.gains.transpose(1, 2, 0), P, np.empty(P.shape))
+    interf += 1.0
+    interf -= own
+    own *= spec.alpha[:, None]
+    return own, interf
 
 
 def rate_table(spec, space, prof):

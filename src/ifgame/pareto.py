@@ -28,8 +28,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .game import (GameSpec, PowerProfile, StateSpace, _interference,
-                   _player_major, _powers, _transmitter_sum, expected_rates)
+from .game import (GameSpec, PowerProfile, StateSpace, _powers,
+                   _transmitter_sum, expected_rates, interference)
 
 
 @dataclass(frozen=True)
@@ -109,10 +109,11 @@ class _Gains(NamedTuple):
     wg: np.ndarray    # w_i alpha_i |h_ii(k)|^2, (N, N1)
 
 
-def _gains(spec, G):
-    """_Gains of player-major gains G, a view or a contiguous copy."""
-    diag = np.einsum('iik->ik', G)
-    return _Gains(G, diag, spec.weights[:, None] * (spec.alpha[:, None] * diag))
+def _gains(spec, space):
+    """_Gains of a state space, on views of its player-major gains."""
+    diag = space.direct_gains.T
+    return _Gains(space.gains.transpose(1, 2, 0), diag,
+                  spec.weights[:, None] * (spec.alpha[:, None] * diag))
 
 
 def _gradient(spec, space, gains, signal, interf, slack, lam, c):
@@ -144,9 +145,8 @@ def _gradient(spec, space, gains, signal, interf, slack, lam, c):
 
 def _grad_all(spec, space, P, lam, c):
     """Gradient of L w.r.t. every power variable, shape (..., N, N1)."""
-    gains = _gains(spec, _player_major(space.gains))
-    signal, interf = _interference(gains.G, spec.alpha, P)
-    return _gradient(spec, space, gains, signal, interf,
+    signal, interf = interference(spec, space, P)
+    return _gradient(spec, space, _gains(spec, space), signal, interf,
                      _slack(space, P, spec.pbar), lam, c)
 
 
@@ -175,9 +175,9 @@ def _ascent_batch(spec, space, P, lam, cfg, delta, active=None):
     values; candidate j differs from the base profile only in row j, so
     only receiver interference terms g_ij * (q_j - P_j) and player j's
     own signal are touched.  Every table is player-major, (B, N, N1),
-    on one contiguous copy of the gains made per call, and holds only
-    the members still ascending: the rows of ``active`` are gathered
-    once per call, a member is dropped when it stops, and its rows are
+    like the gains, which are read in place.  The tables hold only the
+    members still ascending: the rows of ``active`` are gathered once per
+    call, a member is dropped when it stops, and its rows are
     written back into P then or at the end.  Every member goes through
     the same arithmetic as in a table of the whole batch, so its bits do
     not depend on which other members are still ascending.
@@ -186,13 +186,12 @@ def _ascent_batch(spec, space, P, lam, cfg, delta, active=None):
     rows = np.arange(batch) if active is None else active.nonzero()[0]
     iterations = np.zeros(batch, dtype=int)
     probs = space.probs
-    gains = _gains(spec, np.ascontiguousarray(_player_major(space.gains)))
+    gains = _gains(spec, space)
     geff = spec.alpha[:, None] * gains.diag           # (N, S)
-    columns = np.ascontiguousarray(gains.G.transpose(1, 0, 2))  # [j][i, k] = |h_ij(k)|^2
     work, lam = P[rows], lam[rows]
     base_value = _lagrangian(spec, space, work, lam, cfg.c)
     for _ in range(cfg.max_inner):
-        signal, interf = _interference(gains.G, spec.alpha, work)  # (B, N, S)
+        signal, interf = interference(spec, space, work)  # (B, N, S)
         slack = _slack(space, work, spec.pbar)     # (B, N)
         grads = _gradient(spec, space, gains, signal, interf, slack, lam, cfg.c)
         eligible = _projected_grad_norms(work, grads) >= cfg.eps_grad
@@ -209,7 +208,7 @@ def _ascent_batch(spec, space, P, lam, cfg, delta, active=None):
         sel_b, sel_i = eligible.nonzero()          # ordered by (b, then i)
         mrows = np.arange(sel_b.size)
         dp = (q - work)[sel_b, sel_i]              # (M, S)
-        denom = columns[sel_i]                     # (M, N, S), then in place
+        denom = gains.G.transpose(1, 0, 2)[sel_i]  # [m, i] = |h_ij|^2, j = sel_i[m]
         denom *= dp[:, None, :]
         denom += interf[sel_b]
         denom[mrows, sel_i] = interf[sel_b, sel_i]

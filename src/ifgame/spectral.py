@@ -40,8 +40,8 @@ from .game import GameSpec, StateSpace
 class InterferenceOperator:
     """Blockwise interference coupling of the best-response map."""
 
-    hhat: np.ndarray    # (N1, N): hhat[k] is the block of state k
-    blocks: np.ndarray  # (N1, N, N): Hhat(h) per state, zero diagonals
+    hhat: np.ndarray    # (N1, N): hhat[k] is the block of state k; player-major
+    blocks: np.ndarray  # (N1, N, N): Hhat(h) per state, zero diagonals; player-major
     smax: np.ndarray    # (N, N): entrywise max of the blocks
 
     @property
@@ -70,13 +70,15 @@ def build_operator(spec: GameSpec, space: StateSpace) -> InterferenceOperator:
     """Assemble hhat, the Hhat blocks and Smax for an enumerated game.
 
     alpha_i is folded into the effective direct gain alpha_i * |h_ii|^2.
+    Like the gains, hhat and the blocks are computed player-major, so
+    ``hhat.T`` and ``blocks.transpose(1, 2, 0)`` are C-contiguous.
     """
-    geff = spec.alpha * space.direct_gains
-    blocks = space.gains / geff[:, :, None]
+    geff = spec.alpha[:, None] * space.direct_gains.T
+    blocks = space.gains.transpose(1, 2, 0) / geff[:, None, :]
     n = space.n_players
-    blocks[:, np.arange(n), np.arange(n)] = 0.0
-    return InterferenceOperator(hhat=1.0 / geff, blocks=blocks,
-                                smax=blocks.max(axis=0))
+    blocks[np.arange(n), np.arange(n)] = 0.0
+    return InterferenceOperator(hhat=(1.0 / geff).T, blocks=blocks.transpose(2, 0, 1),
+                                smax=blocks.max(axis=2))
 
 
 def spectral_radius(matrix) -> float:

@@ -86,14 +86,6 @@ class _StepData:
         return definiteness(self.op)
 
     @cached_property
-    def coupling(self):
-        """Player-major copies of the operator for the projection
-        iteration: the blocks as G[i, j, k] = Hhat(h_k)_ij, (N, N, N1),
-        and hhat, (N, N1)."""
-        return (np.ascontiguousarray(self.op.blocks.transpose(1, 2, 0)),
-                np.ascontiguousarray(self.op.hhat.T))
-
-    @cached_property
     def blocks(self):
         """The distinct blocks Hhat(h); every norm here is a max over blocks."""
         b = self.op.blocks
@@ -194,12 +186,13 @@ def _eval_F(problem, P, eps=0.0):
     """F_eps on player-major rows, (N, N1): hhat + (1 + eps) P + Hhat P.
 
     The coupling sum_j Hhat(h)_ij P_j(h) is summed over j in index
-    order by the interference kernel's transmitter loop.
+    order by the interference kernel's transmitter loop, on the
+    operator's player-major memory read in place.
     """
-    G, hhat = problem._steps.coupling
-    coupled = _transmitter_sum(G, P, np.empty(P.shape))
+    op = problem.op
+    coupled = _transmitter_sum(op.blocks.transpose(1, 2, 0), P, np.empty(P.shape))
     out = np.multiply(1.0 + eps, P)
-    out += hhat
+    out += op.hhat.T
     out += coupled
     return out
 
@@ -412,11 +405,12 @@ def solve_regularized(problem: ViProblem, config: ViConfig = ViConfig(),
     """Solve the VI from ``init``: directly if Htilde is positive definite,
     else along the regularization path eps_n = eps0 * decay^n -> 0.
 
-    A positive definite problem runs one ``solve_strong`` at eps = 0 and
-    reports the one-row path [(0.0, inner iterations, residual)].
-    Otherwise each round runs the fixed-step projection iteration on
-    F_eps_n.  The first two start from ``init`` and from the first
-    solution; every later one starts from Pi_K(P_n + decay (P_n - P_{n-1})),
+    A positive definite problem walks the one-round path eps = [0.0]: one
+    ``solve_strong`` at eps = 0, reported as the one-row path
+    [(0.0, inner iterations, residual)].  Otherwise each round runs the
+    fixed-step projection iteration on F_eps_n.  The first two start from
+    ``init`` and from the first solution; every later one starts from
+    Pi_K(P_n + decay (P_n - P_{n-1})),
     the secant through the last two solutions extrapolated to eps_{n+1}
     (on the geometric grid the step along the secant is exactly ``decay``)
     and projected onto the budget face.  Only the start moves: each round
@@ -430,23 +424,18 @@ def solve_regularized(problem: ViProblem, config: ViConfig = ViConfig(),
     """
     steps = problem._steps
     P = _uniform_start(problem) if init is None else _as_rows(problem, init)
-    if steps.definite[1]:
-        tau = steps.step(0.0)
-        prof, inner = solve_strong(problem, 0.0, config, init=P, _tau=tau)
-        residual = natural_residual(problem, prof)
-        return ViReport(solution=prof, eps_path=[(0.0, int(inner), residual)],
-                        converged=residual < config.outer_tol, tau_used=float(tau))
-    psd = steps.definite[0]
+    psd, pd, _ = steps.definite
     if not psd:
         warnings.warn("Htilde is not positive semidefinite; regularization "
                       "path has no convergence guarantee", stacklevel=2)
+    epsilons = [0.0] if pd else (config.eps0 * config.decay ** n
+                                 for n in range(config.max_outer))
     prof = PowerProfile(powers=P)
     prev = None  # the solution of the round before P's
     path = []
     converged = False
     tau = 0.0
-    for n in range(config.max_outer):
-        eps = config.eps0 * config.decay ** n
+    for n, eps in enumerate(epsilons):
         step, certified = steps.search(eps)
         if not (psd or certified):
             if not path:

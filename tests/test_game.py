@@ -112,6 +112,49 @@ def test_enumeration_keeps_only_positive_probability_states():
         enumerate_states(spec, cap=3)
 
 
+def test_state_space_stores_gains_player_major():
+    # every kernel reads the row [i, j, :] of a link over all states in place
+    spec = bundled.spec("example1")
+    space = enumerate_states(spec)
+    gains, probs = brute_force_states(spec)
+    built = StateSpace(gains=gains, probs=probs)
+    for s in (space, built):
+        assert s.gains.shape == (512, 3, 3)
+        assert s.gains.transpose(1, 2, 0).flags.c_contiguous
+        assert not s.gains.flags.writeable
+        assert np.array_equal(s.gains, gains)
+
+
+def test_state_space_owns_its_gains():
+    gains = np.array([[[2.0, 0.5], [0.5, 1.0]], [[1.0, 0.5], [0.5, 2.0]]])
+    probs = np.array([0.5, 0.5])
+    space = StateSpace(gains=gains, probs=probs)
+    gains[0, 0, 0] = 7.0
+    probs[0] = 0.25
+    assert space.gains[0, 0, 0] == 2.0 and space.probs[0] == 0.5
+    # an input that is already player-major is copied too
+    pm = np.ascontiguousarray(gains.transpose(1, 2, 0))
+    space = StateSpace(gains=pm.transpose(2, 0, 1), probs=[0.5, 0.5])
+    pm[0, 0, 0] = 3.0
+    assert space.gains[0, 0, 0] == 7.0
+
+
+@pytest.mark.parametrize("probs", [[float("nan")], [1.5, -0.5],
+                                   [float("inf"), -float("inf")]])
+def test_state_space_rejects_bad_probabilities(probs):
+    gains = np.ones((len(probs), 2, 2))
+    with pytest.raises(ValueError, match="probabilities"):
+        StateSpace(gains=gains, probs=probs)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1.0])
+def test_state_space_rejects_bad_gains(bad):
+    gains = np.ones((2, 2, 2))
+    gains[1, 0, 1] = bad
+    with pytest.raises(ValueError, match="gains must be finite and positive"):
+        StateSpace(gains=gains, probs=[0.5, 0.5])
+
+
 def test_sinr_hand_values():
     spec = GameSpec.symmetric(2, [1.0, 3.0], [0.5], pbar=1.0)
 

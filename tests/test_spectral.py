@@ -31,6 +31,15 @@ def test_single_player_operator_is_trivial():
     assert np.allclose(op.hhat[:, 0], 1.0 / space.gains[:, 0, 0])
 
 
+def test_operator_is_player_major_in_memory():
+    # the VI iteration reads blocks.transpose(1, 2, 0) and hhat.T in
+    # place, so no VI run copies the operator
+    for name in bundled.NAMES:
+        op = bundled_operator(name)
+        assert op.blocks.transpose(1, 2, 0).flags.c_contiguous
+        assert op.hhat.T.flags.c_contiguous
+
+
 def test_operator_entry_ranges():
     op1 = bundled_operator("example1")
     assert op1.smax.max() == pytest.approx(0.5 / 1.5)
