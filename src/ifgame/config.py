@@ -251,6 +251,12 @@ def _formats(value, name):
     return list(value)
 
 
+def _path(value, name):
+    if not isinstance(value, str) or not value:
+        raise ConfigError(f"{name} must be a non-empty string", field=name)
+    return value
+
+
 def _flag(value, name):
     if not isinstance(value, bool):
         raise ConfigError(f"{name} must be true or false", field=name)
@@ -283,7 +289,7 @@ def load_config(text: str) -> ExperimentConfig:
     if doc.get("simulate") is not None:
         simulate = _section(SimulateConfig, doc["simulate"], "simulate")
     output = _section(OutputConfig, doc.get("output", {}), "output",
-                      dir=lambda v, name: str(v), formats=_formats,
+                      dir=_path, formats=_formats,
                       pareto_trajectories=_flag)
     return ExperimentConfig(game=game, solver=solver, sweep=sweep,
                             simulate=simulate, output=output)

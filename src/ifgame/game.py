@@ -35,8 +35,8 @@ def _positive_vector(x, n, name):
         v = np.full(n, float(v))
     if v.shape != (n,):
         raise ValueError(f"{name} must have length {n}, got shape {v.shape}")
-    if not np.all(v > 0):
-        raise ValueError(f"{name} must be strictly positive")
+    if not np.all((v > 0) & (v < np.inf)):  # NaN fails too
+        raise ValueError(f"{name} must be finite and positive")
     v.flags.writeable = False
     return v
 
@@ -53,8 +53,8 @@ class GainAlphabets:
             v = np.array(getattr(self, name), dtype=float)
             if v.ndim != 1 or v.size == 0:
                 raise ValueError(f"{name} gain alphabet must be a non-empty vector")
-            if not np.all(v > 0):
-                raise ValueError(f"{name} gains must be strictly positive")
+            if not np.all((v > 0) & (v < np.inf)):
+                raise ValueError(f"{name} gains must be finite and positive")
             v.flags.writeable = False
             object.__setattr__(self, name, v)
 

@@ -103,13 +103,12 @@ class _StepData:
 
     @cached_property
     def sym_gram(self):
-        """S = H + H^T and G = H^T H for each distinct block H, with the
-        smallest and largest eigenvalue of each, (K, 2), for the bounds
-        in ``_step_norm``."""
+        """S = H + H^T and G = H^T H for each distinct block H, for
+        ``_step_norm``."""
         h = self.blocks
         S = h + h.transpose(0, 2, 1)
         G = np.einsum('kji,kjl->kil', h, h)
-        return S, G, np.linalg.eigvalsh(S)[:, [0, -1]], np.linalg.eigvalsh(G)[:, [0, -1]]
+        return S, G
 
     def search(self, eps):
         """(tau(eps), certified): the searched step if it certifies a
@@ -254,75 +253,18 @@ def natural_residual(problem: ViProblem, prof, eps: float = 0.0) -> float:
     return float(np.abs(P - _projection_step(problem, P, 1.0, eps)).max())
 
 
-class _SolvedTops:
-    """The top eigenvalue of M = tau^2 G - a tau S last solved for each
-    block during one tau search at a fixed eps, and the tau it was
-    solved at.
-
-    Every block starts as solved at tau = 0, where M = 0 and the value 0
-    is exact.  Since a = 1 - tau (1 + eps), M(tau) = tau^2 (G + (1+eps) S)
-    - tau S, so by Weyl's inequality a block solved at tau_k with value
-    lam_k has, at tau,
-
-        |lam(tau) - lam_k| <= |tau^2 - tau_k^2| (g_max + (1+eps) ||S||)
-                              + |tau - tau_k| ||S||.
-
-    ``scale`` is the largest rounding scale tau^2 |g| + |a tau| |s| of
-    the probes that solved a block, the size of the error in a stored
-    lam_k.
-    """
-
-    def __init__(self, steps, eps):
-        s_ends, g_ends = steps.sym_gram[2:]
-        self.lin = np.abs(s_ends).max(axis=1)
-        self.quad = g_ends[:, 1] + (1.0 + eps) * self.lin
-        self.tau = np.zeros(len(self.lin))
-        self.top = np.zeros(len(self.lin))
-        self.scale = 0.0
-
-
-def _step_norm(steps, tau, eps, solved=None):
+def _step_norm(steps, tau, eps):
     """||I - tau (Htilde + eps I)||_2 over the blocks.
 
     With a = 1 - tau (1 + eps) each block is a I - tau H, whose Gram
     matrix is a^2 I - a tau S + tau^2 G (S and G from ``sym_gram``); its
-    top eigenvalue is a^2 plus that of M = tau^2 G - a tau S.  By Weyl's
-    inequalities the top eigenvalue of M lies between
-    max(tau^2 g_max + min(-a tau s), tau^2 g_min + max(-a tau s)) and
-    tau^2 g_max + max(-a tau s), with s over the ends of the spectrum of
-    S.  The ``_SolvedTops`` record of the search (a fresh one if none is
-    passed) narrows each block's interval to within its drift bound of
-    the value last solved, and is updated with the blocks solved here.
-    Only the blocks whose upper bound reaches the largest lower bound are
-    solved.  eigvalsh solves each stacked matrix on its own, so the
-    result is bit-identical to solving every block.
+    top eigenvalue is a^2 plus that of tau^2 G - a tau S, solved for
+    every distinct block in one batched eigvalsh.
     """
-    S, G, s_ends, g_ends = steps.sym_gram
-    if solved is None:
-        solved = _SolvedTops(steps, eps)
+    S, G = steps.sym_gram
     a = 1.0 - tau * (1.0 + eps)
-    t2, at = tau * tau, a * tau
-    shift = -at * s_ends
-    upper = t2 * g_ends[:, 1] + shift.max(axis=1)
-    lower = np.maximum(t2 * g_ends[:, 1] + shift.min(axis=1),
-                       t2 * g_ends[:, 0] + shift.max(axis=1))
-    # Margin: a top eigenvalue computed here is within a few ulp times
-    # ``scale`` of the exact one, a stored lam_k within a few ulp times
-    # ``solved.scale``, and the bounds round at those sizes too.  So the
-    # block of the largest computed top reaches every lower bound to
-    # within a few ulp times (scale + solved.scale), far inside 1e-10
-    # times that sum.
-    scale = t2 * np.abs(g_ends).max() + abs(at) * np.abs(s_ends).max()
-    drift = (np.abs(t2 - solved.tau * solved.tau) * solved.quad
-             + np.abs(tau - solved.tau) * solved.lin)
-    upper = np.minimum(upper, solved.top + drift)
-    lower = np.maximum(lower, solved.top - drift)
-    keep = upper >= lower.max() - 1e-10 * (scale + solved.scale)
-    tops = np.linalg.eigvalsh(t2 * G[keep] - at * S[keep])[:, -1]
-    solved.tau[keep] = tau
-    solved.top[keep] = tops
-    solved.scale = max(solved.scale, scale)
-    return float(np.sqrt(a * a + tops.max()))
+    top = np.linalg.eigvalsh((tau * tau) * G - (a * tau) * S)[:, -1].max()
+    return float(np.sqrt(a * a + top))
 
 
 def _best_tau(steps, eps):
@@ -335,26 +277,23 @@ def _best_tau(steps, eps):
     norm, and a last comparison of the two interior norms, which leaves a
     bracket 4 * 0.618^31 = 1.33e-6 wide.  Its midpoint is returned when
     its norm is below 1, which certifies a contraction; otherwise None is
-    returned.  That makes 33 norms per search.  The probes share one
-    ``_SolvedTops`` record, so a probe solves only the blocks that the
-    values found at earlier probes cannot rule out.
+    returned.  That makes 33 norms per search.
     """
-    solved = _SolvedTops(steps, eps)
     r = 0.5 * (np.sqrt(5.0) - 1.0)
     lo, hi = 0.0, 4.0
     t1, t2 = hi - r * (hi - lo), lo + r * (hi - lo)
-    f1, f2 = _step_norm(steps, t1, eps, solved), _step_norm(steps, t2, eps, solved)
+    f1, f2 = _step_norm(steps, t1, eps), _step_norm(steps, t2, eps)
     for _ in range(30):
         if f1 <= f2:
             hi, t2, f2 = t2, t1, f1
             t1 = hi - r * (hi - lo)
-            f1 = _step_norm(steps, t1, eps, solved)
+            f1 = _step_norm(steps, t1, eps)
         else:
             lo, t1, f1 = t1, t2, f2
             t2 = lo + r * (hi - lo)
-            f2 = _step_norm(steps, t2, eps, solved)
+            f2 = _step_norm(steps, t2, eps)
     tau = 0.5 * (lo + t2) if f1 <= f2 else 0.5 * (t1 + hi)
-    return tau if _step_norm(steps, tau, eps, solved) < 1.0 else None
+    return tau if _step_norm(steps, tau, eps) < 1.0 else None
 
 
 def _uniform_start(problem):

@@ -137,6 +137,12 @@ def test_config_bad_integer_rejected(dotted, value, tmp_path, capsys):
              tmp_path, capsys)
 
 
+@pytest.mark.parametrize("value", [None, 5, [1], ""])
+def test_config_output_dir_must_be_a_string(value, tmp_path, capsys):
+    rejected(with_value(bundled.doc("example1"), "output.dir", value), "output.dir",
+             tmp_path, capsys)
+
+
 @pytest.mark.parametrize("probs", [
     {"direct": [[0.5, 0.5]] * 2, "cross": [[[1.0]] * 3] * 3},
     {"direct": [[0.5, 0.5]] * 3, "cross": [[[0.5, 0.5]] * 3] * 3},

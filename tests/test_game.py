@@ -155,6 +155,20 @@ def test_state_space_rejects_bad_gains(bad):
         StateSpace(gains=gains, probs=[0.5, 0.5])
 
 
+@pytest.mark.parametrize("key", ["pbar", "alpha", "weights"])
+def test_game_spec_rejects_infinite_player_vectors(key):
+    kwargs = {"pbar": 1.0, key: [1.0, np.inf]}
+    with pytest.raises(ValueError, match=f"{key} must be finite and positive"):
+        GameSpec.symmetric(2, [1.0, 2.0], [0.5], **kwargs)
+
+
+@pytest.mark.parametrize("name", ["direct", "cross"])
+def test_gain_alphabets_reject_infinite_gains(name):
+    alphabets = {"direct": [1.0, 2.0], "cross": [0.5], name: [1.0, np.inf]}
+    with pytest.raises(ValueError, match=f"{name} gains must be finite and positive"):
+        GainAlphabets(**alphabets)
+
+
 def test_sinr_hand_values():
     spec = GameSpec.symmetric(2, [1.0, 3.0], [0.5], pbar=1.0)
 

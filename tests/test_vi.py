@@ -277,45 +277,6 @@ def test_step_norm_matches_gram_reference():
         checked += 1
 
 
-def every_block_step_norm(steps, tau, eps):
-    """``_step_norm`` with eigvalsh run on every block, no pruning."""
-    S, G = steps.sym_gram[:2]
-    a = 1.0 - tau * (1.0 + eps)
-    top = np.linalg.eigvalsh((tau * tau) * G - (a * tau) * S)[:, -1].max()
-    return float(np.sqrt(a * a + top))
-
-
-def test_pruned_step_norm_equals_every_block():
-    """The Weyl-bound pruning never drops the block of the largest
-    eigenvalue, so the norm is the same float as without it."""
-    taus = np.r_[np.linspace(0.0, 4.0, 17), 1e-9, 0.37, 2.9]
-    for name in bundled.NAMES:
-        spec = bundled.spec(name)
-        steps = make_vi_problem(spec, enumerate_states(spec))._steps
-        for k in range(30):
-            eps = 2.0 ** -k
-            for tau in taus:
-                assert _step_norm(steps, tau, eps) == every_block_step_norm(steps, tau, eps)
-    rng = np.random.default_rng(22)
-    checked = 0
-    while checked < 30:
-        spec = random_spec(rng, state_limit=400)
-        if spec.gains.direct.size < 2:
-            continue
-        direct = spec.dists.direct.copy()
-        direct[-1, 1] = 0.0  # the last player's second direct gain never occurs
-        direct /= direct.sum(axis=1, keepdims=True)
-        spec = GameSpec(n_players=spec.n_players, gains=spec.gains,
-                        dists=LinkDistribution(direct=direct, cross=spec.dists.cross),
-                        pbar=spec.pbar,
-                        alpha=rng.uniform(0.3, 3.0, size=spec.n_players))
-        steps = make_vi_problem(spec, enumerate_states(spec))._steps
-        for eps in (1.0, 0.25, 1e-3, 1e-8):
-            for tau in np.r_[0.0, rng.uniform(0.0, 4.0, size=8)]:
-                assert _step_norm(steps, tau, eps) == every_block_step_norm(steps, tau, eps)
-        checked += 1
-
-
 def bundled_steps():
     """Step data of the bundled games."""
     return [make_vi_problem(spec, enumerate_states(spec))._steps
@@ -334,15 +295,24 @@ def random_alpha_steps(rng, count):
     return out
 
 
+def every_block_step_norm(steps, tau, eps):
+    """The step norm written out: the top eigenvalue of every block."""
+    S, G = steps.sym_gram
+    a = 1.0 - tau * (1.0 + eps)
+    top = np.linalg.eigvalsh((tau * tau) * G - (a * tau) * S)[:, -1].max()
+    return float(np.sqrt(a * a + top))
+
+
 def test_memoized_tau_search_equals_every_block_search(monkeypatch):
     """Every probe of ``_best_tau`` gives the all-blocks norm at its tau,
-    and the step equals a search that solves every block at every probe."""
+    and the step equals a search that solves every block at every probe;
+    no norm is carried from one probe or one eps to the next."""
     import ifgame.vi
     probes = []
     original = ifgame.vi._step_norm
 
-    def recorded(steps, tau, eps, *rest):
-        norm = original(steps, tau, eps, *rest)
+    def recorded(steps, tau, eps):
+        norm = original(steps, tau, eps)
         probes.append((tau, norm))
         return norm
 
@@ -351,8 +321,8 @@ def test_memoized_tau_search_equals_every_block_search(monkeypatch):
     rng = np.random.default_rng(23)
     games += random_alpha_steps(rng, 30)
     for i, steps in enumerate(games):
-        # eps in a shuffled order: a record carried over from another
-        # eps would be stale in both directions
+        # eps in a shuffled order: a norm carried over from another eps
+        # would be stale in both directions
         for k in rng.permutation(30 if i < len(bundled.NAMES) else 12):
             eps = 2.0 ** -int(k)
             every = {}
@@ -381,31 +351,13 @@ def test_golden_step_as_good_as_ternary():
             eps = 2.0 ** -k
 
             def norm(tau):
-                return every_block_step_norm(steps, tau, eps)
+                return _step_norm(steps, tau, eps)
 
             golden, ternary = _best_tau(steps, eps), ternary_tau(norm)
             assert (golden is None) == (ternary is None)
             if golden is not None:
                 assert abs(golden - ternary) <= 2.75e-6
                 assert norm(golden) <= norm(ternary) + 1e-6
-
-
-def test_solved_tops_hold_for_any_probe_order():
-    """The drift bound from the values stored at earlier taus is valid for
-    any sequence of probes, not only the golden-section search's."""
-    from ifgame.vi import _SolvedTops
-    rng = np.random.default_rng(24)
-    games = bundled_steps()
-    games += random_alpha_steps(rng, 10)
-    for steps in games:
-        for eps in (1.0, 0.1, 2.0 ** -20):
-            solved = _SolvedTops(steps, eps)
-            taus = np.r_[rng.uniform(0.0, 4.0, size=12), rng.uniform(0.0, 0.05, size=6),
-                         1e-9, 0.0]
-            rng.shuffle(taus)
-            for tau in taus:
-                assert (_step_norm(steps, tau, eps, solved)
-                        == every_block_step_norm(steps, tau, eps))
 
 
 def test_regularized_example1_agrees_with_iwf():
