@@ -201,6 +201,41 @@ def _check_quotients(game: GameConfig):
                               f"and direct gain {direct!r}", field="game.cross_gains")
 
 
+def _check_budgets(game: GameConfig, budgets, field, c=None):
+    """Every product the solvers form from a budget must be finite.
+
+    With pbar the largest of ``budgets`` and pi_min the smallest state
+    probability, a feasible policy can put pbar / pi_min in one state;
+    a receiver sums N such powers times the largest gain (alpha times a
+    direct gain, or a direct or cross gain), and the water-filling
+    floors divide that by the smallest alpha * direct gain.  With ``c``
+    given, the AL penalty c * sum_i slack_i^2 is formed too, with
+    |slack_i| up to pbar.  Each is evaluated in float64 in the order
+    the solvers form it, so an intermediate overflow shows as inf.
+    """
+    spec = game.build_spec()
+    n = game.players
+    links = [spec.dists.direct[i] if i == j else spec.dists.cross[i, j]
+             for i in range(n) for j in range(n)]
+    pi_min = np.prod([link[link > 0].min() for link in links])
+    alpha = np.ones(n) if game.alpha is None else np.array(game.alpha)
+    gain = max(max(game.direct_gains) * max(1.0, alpha.max()), max(game.cross_gains))
+    pbar = np.float64(max(budgets))
+    with np.errstate(over="ignore", divide="ignore"):
+        peak = pbar / pi_min
+        received = n * gain * peak
+        products = {"the power of one state, pbar / min state probability": peak,
+                    "the received power": received,
+                    "the water-filling floor": received / (alpha.min()
+                                                          * min(game.direct_gains))}
+        if c is not None:
+            products["the AL penalty c * N * pbar^2"] = c * (n * (pbar * pbar))
+    for what, value in products.items():
+        if not np.isfinite(value):
+            raise ConfigError(f"{field}: budget {float(pbar)!r} overflows {what}",
+                              field=field)
+
+
 #: exclusive (low, high) bounds of numeric fields; unlisted ones must be > 0
 #: (numpy seeds must be >= 0, and numpy draws the slot counts as int64)
 _BOUNDS = {"seed": (-1, None), "decay": (0.0, 1.0), "slots": (0.0, 2**63)}
@@ -291,6 +326,10 @@ def load_config(text: str) -> ExperimentConfig:
     output = _section(OutputConfig, doc.get("output", {}), "output",
                       dir=_path, formats=_formats,
                       pareto_trajectories=_flag)
+    c = solver.pareto.c if solver.which in ("pareto", "all") else None
+    _check_budgets(game, game.pbar, "game.pbar", c)
+    if sweep is not None:
+        _check_budgets(game, sweep.values, "sweep.values", c)
     return ExperimentConfig(game=game, solver=solver, sweep=sweep,
                             simulate=simulate, output=output)
 

@@ -235,11 +235,13 @@ def ne_outcome_for_simulation(config: ExperimentConfig,
 # serialization
 # ---------------------------------------------------------------------------
 
-_BLOCK = 4096  # profile values per write
+_BLOCK = 4096  # states of a profile per write
 # Report fields that repeat the outcome's profile; result.json has one copy.
 _REPEATED = frozenset({"profile", "solution", "best"})
 # json.dumps of the placeholder "\x00<i>" for row i of the profiles
 _MARKER = re.compile(r'"\\u0000(\d+)"')
+# json's spelling of the floats whose repr is nan, inf and -inf
+_JSON_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def _jsonable(obj):
@@ -258,24 +260,25 @@ def _jsonable(obj):
     return obj
 
 
-def _write_json(fh, result: RunResult, texts):
+def _write_json(fh, result: RunResult, spelled):
     """``json.dumps(indent=2, sort_keys=True)`` of the result.  json lays
     out each profile with one placeholder per player row, which is then
-    replaced by the row's ``texts`` at the placeholder's indent."""
+    replaced by the row's values, spelled from ``spelled``, at the
+    placeholder's indent."""
     doc, rows = _jsonable(result), []
-    for k in result.solvers:
+    for k, (words, index) in spelled.items():
         doc["solvers"][str(k)]["profile"] = [[f"\x00{len(rows) + i}"]
-                                             for i in range(len(texts[k]))]
-        rows += texts[k]
+                                             for i in range(len(index))]
+        json_words = [_JSON_WORDS.get(w, w) for w in words]
+        rows += [(json_words, row) for row in index]
     parts = _MARKER.split(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     for k in range(0, len(parts) - 1, 2):
         fh.write(parts[k])
         sep = ",\n" + parts[k][len(parts[k].rstrip(" ")):]
-        for b, block in enumerate(rows[int(parts[k + 1])]):
-            # repr spells the non-finite floats nan, inf and -inf, json
-            # NaN, Infinity and -Infinity; a finite repr has no n or i
-            chunk = (sep if b else "") + block.replace(",", sep)
-            fh.write(chunk.replace("nan", "NaN").replace("inf", "Infinity"))
+        words, row = rows[int(parts[k + 1])]
+        for a in range(0, row.size, _BLOCK):
+            fh.write((sep if a else "")
+                     + sep.join(map(words.__getitem__, row[a:a + _BLOCK].tolist())))
     fh.write(parts[-1])
 
 
@@ -292,13 +295,34 @@ def _write_csv(fh, header, rows):
         fh.write(",".join(map(_fmt, row)) + "\n")
 
 
-def _write_profile_csv(fh, text):
-    """One row per state from a profile's text, one list of blocks per player."""
-    _write_csv(fh, ["state"] + [f"player{i + 1}" for i in range(len(text))], [])
-    for b, blocks in enumerate(zip(*text)):
-        a = b * _BLOCK
-        rows = zip(map(str, range(a, a + _BLOCK)), *(block.split(",") for block in blocks))
-        fh.write("".join([",".join(cells) + "\n" for cells in rows]))
+def _write_profile_csv(fh, spelled):
+    """One row per state, ``state,player1,...,playerN``, spelled from
+    ``spelled``; each _BLOCK of rows is one list of cells, joined once."""
+    words, index = spelled
+    n, n1 = index.shape
+    width = 2 * n + 2  # the label, then "," and a value per player, then "\n"
+    _write_csv(fh, ["state"] + [f"player{i + 1}" for i in range(n)], [])
+    for a in range(0, n1, _BLOCK):
+        b = min(a + _BLOCK, n1)
+        cells = [","] * (width * (b - a))
+        cells[0::width] = map(str, range(a, b))
+        for i in range(n):
+            cells[2 * i + 2::width] = map(words.__getitem__, index[i, a:b].tolist())
+        cells[width - 1::width] = ["\n"] * (b - a)
+        fh.write("".join(cells))
+
+
+def _spell(powers):
+    """``(words, index)``: the repr of each distinct value of ``powers``,
+    and the position in ``words`` of every entry, in the shape of
+    ``powers``.  Values are told apart by their float64 bits, which keeps
+    0.0 apart from -0.0 and every NaN payload apart; repr depends only on
+    the bits, so each entry's word is its own repr."""
+    flat = np.ascontiguousarray(powers, dtype=np.float64).reshape(-1)
+    bits, index = np.unique(flat.view(np.int64), return_inverse=True)
+    # unique's inverse is 1-D for 1-D input in every numpy version
+    return (list(map(repr, bits.view(np.float64).tolist())),
+            index.reshape(powers.shape))
 
 
 def write_outputs(result: RunResult, config: ExperimentConfig, out_dir) -> list[Path]:
@@ -306,12 +330,10 @@ def write_outputs(result: RunResult, config: ExperimentConfig, out_dir) -> list[
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
-    # repr is the one float format; each profile is formatted once, for both
-    # files, as one comma-joined string per _BLOCK values of a player's row
-    # (a float repr has no comma): a small string per value held ~19 MB at n4
-    texts = {k: [[",".join(map(repr, row[a:a + _BLOCK].tolist()))
-                  for a in range(0, row.size, _BLOCK)] for row in s.profile.powers]
-             for k, s in result.solvers.items()}
+    # repr is the one float format; each profile is spelled once, for both
+    # files, one repr per distinct value (the n4 NE profile has 24 401
+    # distinct values among its 262 144), and written in blocks of _BLOCK
+    spelled = {k: _spell(s.profile.powers) for k, s in result.solvers.items()}
 
     def emit(name, write, *args):
         with open(out / name, "w", encoding="utf-8", newline="") as fh:
@@ -319,7 +341,7 @@ def write_outputs(result: RunResult, config: ExperimentConfig, out_dir) -> list[
         written.append(out / name)
 
     if "json" in config.output.formats:
-        emit("result.json", _write_json, result, texts)
+        emit("result.json", _write_json, result, spelled)
     if "csv" not in config.output.formats:
         return written
     fields = [f.name for f in dataclasses.fields(ConditionReport)]
@@ -334,7 +356,7 @@ def write_outputs(result: RunResult, config: ExperimentConfig, out_dir) -> list[
              [[s.name, s.sum_rate, s.converged, s.iterations, s.residual,
                *s.rates, *s.avg_powers] for s in result.solvers.values()])
         for k, s in result.solvers.items():
-            emit(f"profile_{s.name}.csv", _write_profile_csv, texts[k])
+            emit(f"profile_{s.name}.csv", _write_profile_csv, spelled[k])
             if s.name == "vi" and isinstance(s.report, ViReport):
                 emit("vi_eps_path.csv", _write_csv,
                      ["eps", "inner_iterations", "natural_residual"],

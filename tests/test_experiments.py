@@ -170,6 +170,50 @@ def test_config_overflowing_gain_quotient_names_field(game, field, tmp_path, cap
     rejected(doc, field, tmp_path, capsys)
 
 
+@pytest.mark.parametrize("which, dotted, value", [
+    ("iwf", "game.pbar", 1e308),           # pbar / min state probability
+    ("all", "game.pbar", [1.0, 1e300]),    # the AL penalty c * N * pbar^2
+    ("pareto", "game.pbar", 1e200),
+    ("iwf", "sweep.values", [1.0, 1e308]),
+    ("all", "sweep.values", [1e200]),
+])
+def test_config_overflowing_budget_names_field(which, dotted, value, tmp_path, capsys):
+    """A budget for which a product the solvers form overflows is rejected
+    before any solver starts; run unchecked, such budgets make IWF write
+    NaN and AL overflow in its penalty."""
+    doc = with_value(SMALL, "solver.which", which)
+    rejected(with_value(doc, dotted, value), dotted, tmp_path, capsys)
+
+
+def test_config_budget_limit_follows_the_solver_products():
+    """The AL penalty c * N * pbar^2 decides the limit only when AL is
+    selected, and it is evaluated in the solvers' order: pbar^2 first."""
+    limit = np.sqrt(np.finfo(float).max / (2 * 10.0))  # N = 2, c = 10
+    for which, pbar, ok in [("all", 0.99 * limit, True), ("all", 1.01 * limit, False),
+                            ("iwf", 1.01 * limit, True), ("vi", 1e200, True)]:
+        doc = with_value(with_value(SMALL, "solver.which", which), "game.pbar", pbar)
+        if ok:
+            load_config(json.dumps(doc))
+        else:
+            with pytest.raises(ConfigError, match="AL penalty"):
+                load_config(json.dumps(doc))
+    # a small c does not save a pbar whose square overflows
+    doc = with_value(with_value(SMALL, "solver.pareto.c", 1e-20), "game.pbar", 1e155)
+    with pytest.raises(ConfigError, match="AL penalty"):
+        load_config(json.dumps(doc))
+
+
+def test_large_finite_budget_solves_without_overflow():
+    """pbar = 1e100 stays inside every limit, and every solver runs on it
+    without a RuntimeWarning."""
+    config = load_config(json.dumps(with_value(SMALL, "game.pbar", 1e100)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        result = run_solve(config)
+    for outcome in result.solvers.values():
+        assert np.isfinite(outcome.rates).all() and np.isfinite(outcome.sum_rate)
+
+
 def test_config_defaults_come_from_dataclasses():
     bare = {"game": bundled.doc("example1")["game"], "sweep": {},
             "simulate": {}}

@@ -219,3 +219,63 @@ def test_awkward_values_match_reference_writer(tmp_path):
         one = dataclasses.replace(config, output=dataclasses.replace(
             config.output, formats=[fmt]))
         assert_same_files(result, one, tmp_path / fmt)
+
+
+def one_profile_result(powers):
+    """A result with one IWF outcome whose profile is ``powers``, set past
+    PowerProfile's checks so that any float64 bit pattern reaches the
+    writer (PowerProfile rejects -inf as a negative power)."""
+    profile = PowerProfile(np.zeros(powers.shape))
+    object.__setattr__(profile, "powers", powers)
+    n = powers.shape[0]
+    report = IwfReport(profile=profile, iterations=1, residual_history=[0.0],
+                       converged=True, scheme="simultaneous")
+    outcome = SolverOutcome(name="iwf", profile=profile, sum_rate=1.0,
+                            rates=np.ones(n), avg_powers=np.ones(n), converged=True,
+                            iterations=1, residual=0.0, report=report)
+    condition = ConditionReport(rho_smax=0.5, rho_hhat=0.5, ratio_bound=0.5,
+                                contraction_ok=True, htilde_psd=True,
+                                htilde_pd=True, min_sym_eig=1.0)
+    return RunResult(condition=condition, solvers={"iwf": outcome})
+
+
+def assert_same_files_in_every_format(result, tmp_path):
+    config = load_config(json.dumps({"game": GAME["game"]}))
+    for formats in (["csv", "json"], ["json"], ["csv"]):
+        one = dataclasses.replace(config, output=dataclasses.replace(
+            config.output, formats=formats))
+        assert_same_files(result, one, tmp_path / "-".join(formats))
+
+
+def test_distinct_bit_patterns_match_reference_writer(tmp_path):
+    """The writer spells each distinct bit pattern once: 0.0 and -0.0
+    differ in bits and in spelling, NaNs with different payloads differ in
+    bits but all spell nan, and every byte matches the reference."""
+    nans = np.array([0x7FF8000000000000, 0x7FF8000000000001, 0xFFF8000000000000,
+                     0x7FF0000000000001, 0x7FF4000000000000, 0xFFFFFFFFFFFFFFFF],
+                    dtype=np.uint64).view(np.float64)
+    assert np.isnan(nans).all() and np.unique(nans.view(np.int64)).size == nans.size
+    pool = np.concatenate([nans, [np.inf, -np.inf, 0.0, -0.0, 5e-324, 1e22, 0.1,
+                                  1e16, 2.0 ** -1074 * 3, 1.0],
+                           np.random.default_rng(1).random(14)])
+    rng = np.random.default_rng(2)
+    powers = pool[rng.integers(pool.size, size=(3, 5000))]  # many repeats
+    powers[0, :4] = [0.0, -0.0, 0.0, -0.0]
+    powers[2, 4094:4100] = nans
+    result = one_profile_result(powers)
+    assert_same_files_in_every_format(result, tmp_path)
+    rows = (tmp_path / "csv-json" / "new" / "profile_iwf.csv").read_text().splitlines()
+    assert [row[:row.index(",", 2)] for row in rows[1:5]] == [
+        "0,0.0", "1,-0.0", "2,0.0", "3,-0.0"]
+
+
+@pytest.mark.parametrize("n_players", [1, 4])
+@pytest.mark.parametrize("n_states", [1, 4095, 4096, 4097, 8192])
+def test_block_edges_match_reference_writer(n_players, n_states, tmp_path):
+    """Profiles of one state, of one block less or more than a write block,
+    and of whole blocks: the last block may be short, and the 65 536-state
+    profile is exactly 16 whole blocks."""
+    rng = np.random.default_rng(n_states)
+    powers = rng.random((n_players, n_states))
+    powers[:, ::3] = powers[:, :1]  # repeated values, across players too
+    assert_same_files_in_every_format(one_profile_result(powers), tmp_path)
