@@ -11,16 +11,16 @@ from .game import (GainAlphabets, GameSpec, LinkDistribution, PowerProfile,
 from .spectral import (ConditionReport, InterferenceOperator, build_operator,
                        condition_report, contraction_condition, definiteness,
                        rho_blockdiag, spectral_radius)
-from .waterfilling import (IwfConfig, IwfReport, WaterfillResult,
-                           interference_floors, iterate_waterfilling, waterfill,
-                           waterfill_levels, waterfill_map, wf_residual)
+from .waterfilling import (IwfConfig, IwfReport, interference_floors,
+                           iterate_waterfilling, waterfill_levels, waterfill_map,
+                           wf_residual)
 from .vi import (ViConfig, ViProblem, ViReport, make_vi_problem,
                  natural_residual, project_block, solve_regularized,
                  solve_strong)
 from .pareto import (AlConfig, ParetoReport, StartResult, multi_start,
                      random_start, steepest_ascent)
 from .config import (ConfigError, ExperimentConfig, load_config,
-                     load_config_file, serialize_config)
+                     load_config_file)
 from .experiments import (MonteCarloSummary, RunResult, SolverOutcome,
                           run_analyze, run_simulate, run_solve, run_sweep,
                           write_outputs)

@@ -12,7 +12,7 @@ import dataclasses
 import sys
 
 from .config import (FORMAT_CHOICES, SOLVER_CHOICES, ConfigError,
-                     ExperimentConfig, SimulateConfig, load_config_file)
+                     ExperimentConfig, SimulateConfig, _path, load_config_file)
 from .experiments import (RunResult, build_game, ne_outcome_for_simulation,
                           run_analyze, run_simulate, run_solve, run_sweep,
                           write_outputs)
@@ -46,7 +46,7 @@ def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
         raise ConfigError("--seed must be >= 0", field="--seed")
     output = config.output
     if args.out is not None:
-        output = dataclasses.replace(output, dir=args.out)
+        output = dataclasses.replace(output, dir=_path(args.out, "--out"))
     if args.format is not None:
         output = dataclasses.replace(output, formats=[args.format])
     solver = config.solver

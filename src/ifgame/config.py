@@ -2,15 +2,16 @@
 
 The exact grammar is documented in the README (section "Configuration
 reference").  Unknown keys are rejected, missing required keys and
-out-of-range values raise ConfigError naming the offending field, and a
-loaded config serializes back to the identical normalized document.
+out-of-range values raise ConfigError naming the offending field.  A
+loaded config round-trips through ``dataclasses.asdict``:
+``load_config(json.dumps(asdict(config)))`` equals ``config``.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -91,18 +92,6 @@ class ExperimentConfig:
     simulate: SimulateConfig | None = None
     output: OutputConfig = field(default_factory=OutputConfig)
 
-    def to_dict(self) -> dict:
-        doc = asdict(self)
-        if self.sweep is None:
-            doc.pop("sweep")
-        if self.simulate is None:
-            doc.pop("simulate")
-        return doc
-
-
-def serialize_config(config: ExperimentConfig) -> str:
-    return json.dumps(config.to_dict(), indent=2, sort_keys=True) + "\n"
-
 
 def _require_keys(node, allowed, required, where):
     if not isinstance(node, dict):
@@ -145,6 +134,14 @@ def _positive_list(value, name):
     return [_number(v, name) for v in value]
 
 
+def _nested_numbers(value, name):
+    """Every entry of nested lists as a finite number; the shapes and the
+    signs are left to ``LinkDistribution``."""
+    if isinstance(value, list):
+        return [_nested_numbers(v, name) for v in value]
+    return _number(value, name, low=None)
+
+
 def _vector(node, key, n, where):
     """A positive per-player vector, given as n numbers or as one."""
     if node.get(key) is None:
@@ -165,6 +162,8 @@ def _parse_game(node) -> GameConfig:
     if link_probs != "uniform":
         _require_keys(link_probs, {"direct", "cross"}, {"direct", "cross"},
                       "game.link_probs")
+        link_probs = {key: _nested_numbers(link_probs[key], "game.link_probs")
+                      for key in ("direct", "cross")}
     pbar = _vector(node, "pbar", players, "game")
     if pbar is None:
         raise ConfigError("game.pbar must be given", field="game.pbar")

@@ -45,16 +45,6 @@ class IwfConfig:
 
 
 @dataclass(frozen=True)
-class WaterfillResult:
-    """One player's water-filled powers, the water level, and the number
-    of states with positive power."""
-
-    powers: np.ndarray
-    level: float
-    active_states: int
-
-
-@dataclass(frozen=True)
 class IwfReport:
     profile: PowerProfile
     iterations: int
@@ -77,7 +67,7 @@ def waterfill_levels(floors, probs, pbars) -> np.ndarray:
     probs = np.asarray(probs, dtype=float)
     pbars = np.asarray(pbars, dtype=float)
     if floors.shape[-1] == 0:
-        raise ValueError("waterfill needs at least one state")
+        raise ValueError("water-filling needs at least one state")
     with np.errstate(divide='ignore', invalid='ignore'):
         level = (pbars + (floors * probs).sum(axis=-1)) / probs.sum(axis=-1)
     if np.all(floors.max(axis=-1) <= level):
@@ -141,16 +131,6 @@ def _breakpoint_levels(floors, probs, pbars, mass=None) -> np.ndarray:
     return rows[np.arange(len(rows)), k.ravel()].reshape(k.shape)
 
 
-def waterfill(floors, probs, pbar: float) -> WaterfillResult:
-    """Exact water-filling: powers = max{0, level - floors} with
-    sum_h probs[h] * powers[h] == pbar."""
-    floors = np.asarray(floors, dtype=float)
-    level = float(waterfill_levels(floors, probs, np.asarray(float(pbar))))
-    powers = np.maximum(0.0, level - floors)
-    return WaterfillResult(powers=powers, level=level,
-                           active_states=int(np.count_nonzero(powers)))
-
-
 def interference_floors(spec: GameSpec, space: StateSpace, prof) -> np.ndarray:
     """Floors f_i(h) of every player under the same frozen profile, (N, N1)."""
     _, interf = interference(spec, space, _powers(prof))
@@ -193,7 +173,8 @@ def iterate_waterfilling(spec: GameSpec, space: StateSpace,
             new = P.copy()
             for i in range(n):
                 floors = interference_floors(spec, space, new)[i]
-                new[i] = waterfill(floors, space.probs, spec.pbar[i]).powers
+                level = waterfill_levels(floors, space.probs, spec.pbar[i])
+                new[i] = np.maximum(0.0, level - floors)
         residual = float(np.abs(new - P).max())
         history.append(residual)
         P = new

@@ -13,7 +13,7 @@ import numpy as np
 from ifgame import (IwfConfig, ViConfig, build_operator, enumerate_states,
                     iterate_waterfilling, make_vi_problem, natural_residual,
                     project_block, run_analyze, run_simulate, run_sweep,
-                    solve_regularized, spectral_radius, waterfill, wf_residual)
+                    solve_regularized, spectral_radius, wf_residual)
 from ifgame.cli import main
 from ifgame.config import SimulateConfig, SweepConfig
 from ifgame.experiments import build_game, ne_outcome_for_simulation
@@ -138,7 +138,7 @@ def test_criterion_6_example2_regularized_vi():
 
 
 def test_criterion_7_waterfilling_against_bisection():
-    from test_waterfilling import bisect_waterfill
+    from test_waterfilling import bisect_waterfill, fill
     rng = np.random.default_rng(777)
     worst_gap = worst_budget = worst_slack = 0.0
     for _ in range(500):
@@ -147,17 +147,17 @@ def test_criterion_7_waterfilling_against_bisection():
         probs = rng.uniform(0.01, 1.0, size=n)
         probs /= probs.sum()
         pbar = rng.uniform(0.05, 6.0)
-        res = waterfill(floors, probs, pbar)
+        level, powers = fill(floors, probs, pbar)
         oracle = bisect_waterfill(floors, probs, pbar)
-        worst_gap = max(worst_gap, float(np.abs(res.powers - oracle).max()))
-        worst_budget = max(worst_budget, abs(probs @ res.powers - pbar))
-        on = res.powers > 0
+        worst_gap = max(worst_gap, float(np.abs(powers - oracle).max()))
+        worst_budget = max(worst_budget, abs(probs @ powers - pbar))
+        on = powers > 0
         if on.any():
             worst_slack = max(worst_slack, float(
-                np.abs(res.powers[on] + floors[on] - res.level).max()))
+                np.abs(powers[on] + floors[on] - level).max()))
         if (~on).any():
             worst_slack = max(worst_slack,
-                              max(0.0, float((res.level - floors[~on]).max())))
+                              max(0.0, float((level - floors[~on]).max())))
     ok = worst_gap < 1e-9 and worst_budget < 1e-9 and worst_slack < 1e-9
     report(7, ok, f"500 instances: |wf - bisection| <= {worst_gap:.2e}, "
                   f"budget gap <= {worst_budget:.2e}, slackness <= {worst_slack:.2e}")

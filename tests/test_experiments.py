@@ -16,7 +16,7 @@ import pytest
 import ifgame
 from ifgame import (AlConfig, ConfigError, enumerate_states, expected_rates,
                     is_feasible, load_config, make_vi_problem, run_analyze, run_simulate,
-                    run_solve, run_sweep, serialize_config, write_outputs)
+                    run_solve, run_sweep, write_outputs)
 from ifgame.cli import main
 from ifgame.config import (IwfConfig, OutputConfig, SimulateConfig, SolverConfig,
                            SweepConfig, ViConfig)
@@ -40,12 +40,17 @@ def cfg(doc, **game_overrides):
     return load_config(json.dumps(doc))
 
 
+def config_text(config):
+    """The config as a JSON document, through ``dataclasses.asdict``."""
+    return json.dumps(dataclasses.asdict(config), indent=2, sort_keys=True)
+
+
 def test_config_round_trip():
     config = bundled.config("example1")
-    text = serialize_config(config)
+    text = config_text(config)
     again = load_config(text)
     assert again == config
-    assert serialize_config(again) == text
+    assert config_text(again) == text
 
 
 def test_config_missing_pbar_names_field():
@@ -143,6 +148,37 @@ def test_config_output_dir_must_be_a_string(value, tmp_path, capsys):
              tmp_path, capsys)
 
 
+def test_cli_empty_out_is_rejected(tmp_path, monkeypatch, capsys):
+    """``--out ""`` is an error, as ``output.dir: ""`` is; it does not
+    write into the working directory."""
+    monkeypatch.chdir(tmp_path)
+    assert main(["analyze", "--config", str(bundled.path("example1")),
+                 "--out", ""]) == 1
+    assert "(field: --out)" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_missing_config_file_exits_1(tmp_path, capsys):
+    assert main(["analyze", "--config", str(tmp_path / "missing.json"),
+                 "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("dotted, value", [
+    ("solver", []),
+    ("game.direct_gains", []),
+    ("game.pbar", None),
+    ("solver.which", "nash"),
+    ("output.formats", ["xml"]),
+    ("output.pareto_trajectories", 1),
+    pytest.param("game.players", 10**400, id="game.players-10**400"),
+])
+def test_config_wrong_shape_or_choice_rejected(dotted, value, tmp_path, capsys):
+    rejected(with_value(bundled.doc("example1"), dotted, value), dotted,
+             tmp_path, capsys)
+
+
 @pytest.mark.parametrize("probs", [
     {"direct": [[0.5, 0.5]] * 2, "cross": [[[1.0]] * 3] * 3},
     {"direct": [[0.5, 0.5]] * 3, "cross": [[[0.5, 0.5]] * 3] * 3},
@@ -150,6 +186,9 @@ def test_config_output_dir_must_be_a_string(value, tmp_path, capsys):
     {"direct": [[0.5, 0.5], [0.5], [0.5, 0.5]], "cross": [[[1.0]] * 3] * 3},
     {"direct": [[0.5, float("nan")]] * 3, "cross": [[[1.0]] * 3] * 3},
     {"direct": [[0.5, 0.6]] * 3, "cross": [[[1.0]] * 3] * 3},
+    {"direct": [[True, False]] * 3, "cross": [[[1.0]] * 3] * 3},
+    {"direct": [[0.5, 0.5]] * 3, "cross": [[[True]] * 3] * 3},
+    {"direct": [["0.5", "0.5"]] * 3, "cross": [[[1.0]] * 3] * 3},
 ])
 def test_config_link_probs_errors_name_field(probs, tmp_path, capsys):
     doc = with_value(bundled.doc("example1"), "game.cross_gains", [0.1])
@@ -276,9 +315,9 @@ BUNDLED_REGIMES = {
 @pytest.mark.parametrize("name", bundled.NAMES)
 def test_bundled_config_loads_round_trips_and_matches_regime(name):
     config = bundled.config(name)
-    text = serialize_config(config)
+    text = config_text(config)
     assert load_config(text) == config
-    assert serialize_config(load_config(text)) == text
+    assert config_text(load_config(text)) == text
     rho, contraction, pd = BUNDLED_REGIMES[name]
     report = run_analyze(config)
     assert report.rho_smax == pytest.approx(rho, abs=1e-12)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from ifgame import (GameSpec, IwfConfig, enumerate_states, interference_floors,
-                    iterate_waterfilling, waterfill, waterfill_levels,
-                    waterfill_map, wf_residual)
+                    iterate_waterfilling, waterfill_levels, waterfill_map,
+                    wf_residual)
 from ifgame.spectral import contraction_condition
 from ifgame.waterfilling import _breakpoint_levels
 import bundled
@@ -33,6 +33,14 @@ def bisect_waterfill(floors, probs, pbar, tol=1e-13):
     return np.maximum(0.0, 0.5 * (lo + hi) - floors)
 
 
+def fill(floors, probs, pbar):
+    """One player's water level from ``waterfill_levels``, and the powers
+    max{0, level - floors}, as the sequential sweep computes them."""
+    floors = np.asarray(floors, float)
+    level = float(waterfill_levels(floors, probs, pbar))
+    return level, np.maximum(0.0, level - floors)
+
+
 def test_floor_values():
     spec = GameSpec.symmetric(2, [1.0, 2.0], [0.5], pbar=1.0)
     space = enumerate_states(spec)
@@ -58,25 +66,25 @@ def test_floor_affine_increasing_in_interferer():
 
 
 def test_waterfill_hand_values():
-    one = waterfill([1.0], [1.0], 1.0)
-    assert one.level == pytest.approx(2.0)
-    assert one.powers == pytest.approx([1.0])
-    assert one.active_states == 1
+    level, powers = fill([1.0], [1.0], 1.0)
+    assert level == pytest.approx(2.0)
+    assert powers == pytest.approx([1.0])
+    assert np.count_nonzero(powers) == 1
 
-    half = waterfill([1.0, 3.0], [0.5, 0.5], 0.5)
-    assert half.level == pytest.approx(2.0)
-    assert np.allclose(half.powers, [1.0, 0.0])
-    assert half.active_states == 1
+    level, powers = fill([1.0, 3.0], [0.5, 0.5], 0.5)
+    assert level == pytest.approx(2.0)
+    assert np.allclose(powers, [1.0, 0.0])
+    assert np.count_nonzero(powers) == 1
 
-    full = waterfill([1.0, 3.0], [0.5, 0.5], 2.0)
-    assert full.level == pytest.approx(4.0)
-    assert np.allclose(full.powers, [3.0, 1.0])
-    assert full.active_states == 2
+    level, powers = fill([1.0, 3.0], [0.5, 0.5], 2.0)
+    assert level == pytest.approx(4.0)
+    assert np.allclose(powers, [3.0, 1.0])
+    assert np.count_nonzero(powers) == 2
 
 
 def test_waterfill_empty_input():
     with pytest.raises(ValueError):
-        waterfill([], [], 1.0)
+        waterfill_levels([], [], 1.0)
 
 
 def test_waterfill_matches_bisection_oracle():
@@ -87,15 +95,14 @@ def test_waterfill_matches_bisection_oracle():
         probs = rng.uniform(0.01, 1.0, size=n)
         probs /= probs.sum()
         pbar = rng.uniform(0.1, 5.0)
-        res = waterfill(floors, probs, pbar)
+        level, powers = fill(floors, probs, pbar)
         oracle = bisect_waterfill(floors, probs, pbar)
-        assert np.abs(res.powers - oracle).max() < 1e-9
+        assert np.abs(powers - oracle).max() < 1e-9
         # budget equality and complementary slackness
-        assert probs @ res.powers == pytest.approx(pbar, abs=1e-9)
-        on = res.powers > 0
-        assert np.allclose(res.powers[on] + floors[on], res.level, atol=1e-12)
-        assert np.all(res.level <= floors[~on] + 1e-12)
-        assert np.array_equal(res.powers, np.maximum(0.0, res.level - floors))
+        assert probs @ powers == pytest.approx(pbar, abs=1e-9)
+        on = powers > 0
+        assert np.allclose(powers[on] + floors[on], level, atol=1e-12)
+        assert np.all(level <= floors[~on] + 1e-12)
 
 
 def test_all_active_level_agrees_with_breakpoints():
@@ -232,9 +239,9 @@ def test_value_sort_through_waterfill_levels():
                           rng.uniform(0.0, 0.9) * need[1]])
         assert_same_bits(waterfill_levels(floors, probs, pbars),
                          reference_breakpoint_levels(floors, probs, pbars))
-        res = waterfill(floors[1], probs, pbars[1])
-        assert res.level == reference_breakpoint_levels(floors[1], probs,
-                                                        np.asarray(pbars[1]))
+        level = waterfill_levels(floors[1], probs, pbars[1])
+        assert level == reference_breakpoint_levels(floors[1], probs,
+                                                    np.asarray(pbars[1]))
 
 
 def test_unequal_weights_keep_the_index_sort():
@@ -267,13 +274,13 @@ def test_unequal_weights_keep_the_index_sort():
     ([1.0, 0.5, 2.0], [0.5, 0.0, 0.5], 1.0, 2.5),     # zero-probability state below
 ])
 def test_waterfill_level_edge_cases(floors, probs, pbar, level):
-    res = waterfill(floors, probs, pbar)
-    assert res.level == pytest.approx(level, rel=1e-15)
-    assert np.asarray(probs) @ res.powers == pytest.approx(pbar, abs=1e-12)
-    assert res.level == pytest.approx(
+    got, powers = fill(floors, probs, pbar)
+    assert got == pytest.approx(level, rel=1e-15)
+    assert np.asarray(probs) @ powers == pytest.approx(pbar, abs=1e-12)
+    assert got == pytest.approx(
         float(_breakpoint_levels(np.asarray(floors), np.asarray(probs),
                                  np.asarray(pbar))), rel=1e-13)
-    assert np.abs(res.powers - bisect_waterfill(floors, probs, pbar)).max() < 1e-9
+    assert np.abs(powers - bisect_waterfill(floors, probs, pbar)).max() < 1e-9
 
 
 def test_waterfill_budget_with_zero_probability_states():
@@ -286,10 +293,10 @@ def test_waterfill_budget_with_zero_probability_states():
         probs[0] = max(probs[0], 0.1)
         probs /= probs.sum()
         pbar = rng.uniform(0.05, 8.0)
-        res = waterfill(floors, probs, pbar)
-        assert probs @ res.powers == pytest.approx(pbar, rel=1e-12, abs=0)
+        _, powers = fill(floors, probs, pbar)
+        assert probs @ powers == pytest.approx(pbar, rel=1e-12, abs=0)
         on = probs > 0
-        assert np.abs(res.powers[on] - bisect_waterfill(floors[on], probs[on], pbar)
+        assert np.abs(powers[on] - bisect_waterfill(floors[on], probs[on], pbar)
                       ).max() < 1e-9
 
 
@@ -301,10 +308,10 @@ def test_waterfill_monotone_in_floors():
         probs = np.full(n, 1.0 / n)
         pbar = rng.uniform(0.2, 3.0)
         raised = floors + rng.uniform(0.0, 1.0, size=n)
-        base = waterfill(floors, probs, pbar)
-        worse = waterfill(raised, probs, pbar)
+        base = waterfill_levels(floors, probs, pbar)
+        worse = waterfill_levels(raised, probs, pbar)
         # entrywise higher floors can only raise the level
-        assert worse.level >= base.level - 1e-12
+        assert worse >= base - 1e-12
 
 
 def test_best_response_single_user_classic():
@@ -439,5 +446,5 @@ def test_waterfill_map_matches_best_response():
     floors = interference_floors(spec, space, prof)
     for i in range(spec.n_players):
         # one player's water-filling, as the sequential sweep computes it
-        single = waterfill(floors[i], space.probs, spec.pbar[i]).powers
-        assert np.array_equal(wf[i], single)
+        level = waterfill_levels(floors[i], space.probs, spec.pbar[i])
+        assert np.array_equal(wf[i], np.maximum(0.0, level - floors[i]))
