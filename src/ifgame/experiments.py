@@ -84,16 +84,18 @@ def build_game(config: ExperimentConfig) -> tuple[GameSpec, StateSpace]:
         raise ConfigError(str(exc), field="solver.state_cap") from None
 
 
+def _problem_and_conditions(spec, space, keep=True):
+    """The VI problem of the game, or None unless ``keep`` (which frees
+    its operator before any solver runs), and the condition checks, which
+    share the problem's operator and PSD certificate."""
+    problem = make_vi_problem(spec, space)
+    report = condition_report(spec, space, problem.op, problem.definite)
+    return problem if keep else None, report
+
+
 def run_analyze(config: ExperimentConfig) -> ConditionReport:
     """Uniqueness/convergence condition checks for the configured game."""
-    spec, space = build_game(config)
-    return condition_report(spec, space)
-
-
-def _conditions(spec, space, problem):
-    """Condition checks, sharing the VI ``problem``'s operator and certificate."""
-    return (condition_report(spec, space) if problem is None else
-            condition_report(spec, space, problem.op, problem.definite))
+    return _problem_and_conditions(*build_game(config))[1]
 
 
 def _solver_names(which: str) -> list[str]:
@@ -101,8 +103,8 @@ def _solver_names(which: str) -> list[str]:
 
 
 def _run_one_solver(name, spec, space, config, problem=None):
-    """Run one solver; VI runs on ``problem``, which the caller built
-    for ``spec`` and shares with the condition checks."""
+    """Run one solver; VI runs on ``problem``, the caller's problem of the
+    game, at ``spec``'s budgets."""
     if name == "iwf":
         rep = iterate_waterfilling(spec, space, config.solver.iwf)
         profile, converged = rep.profile, rep.converged
@@ -113,7 +115,8 @@ def _run_one_solver(name, spec, space, config, problem=None):
             # the PSD status is already in the report; other warnings pass
             warnings.filterwarnings("ignore", "Htilde is not positive semidefinite",
                                     UserWarning)
-            rep = solve_regularized(problem, config.solver.vi)
+            rep = solve_regularized(dataclasses.replace(problem, pbar=spec.pbar),
+                                    config.solver.vi)
         profile, converged = rep.solution, rep.converged
         iterations = sum(p[1] for p in rep.eps_path)
         residual = rep.eps_path[-1][2]  # natural residual of the solution
@@ -141,8 +144,7 @@ def run_solve(config: ExperimentConfig) -> RunResult:
     """
     spec, space = build_game(config)
     names = _solver_names(config.solver.which)
-    problem = make_vi_problem(spec, space) if "vi" in names else None
-    condition = _conditions(spec, space, problem)
+    problem, condition = _problem_and_conditions(spec, space, "vi" in names)
     outcomes = {}
     for name in names:
         outcomes[name] = _run_one_solver(name, spec, space, config, problem)
@@ -161,17 +163,14 @@ def run_sweep(config: ExperimentConfig) -> RunResult:
     """
     spec, space = build_game(config)
     names = _solver_names(config.solver.which)
-    problem = make_vi_problem(spec, space) if "vi" in names else None
-    condition = _conditions(spec, space, problem)
+    problem, condition = _problem_and_conditions(spec, space, "vi" in names)
     rows = []
     for value in (config.sweep or SweepConfig()).values:
         point = dataclasses.replace(spec, pbar=value)
-        point_problem = (None if problem is None
-                         else dataclasses.replace(problem, pbar=point.pbar))
         row = {"pbar": float(value), "ne_iwf": float("nan"),
                "ne_vi": float("nan"), "pareto": float("nan"), "converged": True}
         for name in names:
-            outcome = _run_one_solver(name, point, space, config, point_problem)
+            outcome = _run_one_solver(name, point, space, config, problem)
             key = {"iwf": "ne_iwf", "vi": "ne_vi", "pareto": "pareto"}[name]
             row[key] = outcome.sum_rate if outcome.converged else float("nan")
             row["converged"] &= outcome.converged
@@ -223,8 +222,7 @@ def ne_outcome_for_simulation(config: ExperimentConfig,
     A caller that passes ``_game`` has already run ``build_game(config)``.
     The condition checks and the VI share one operator."""
     spec, space = build_game(config) if _game is None else _game
-    problem = make_vi_problem(spec, space)
-    report = _conditions(spec, space, problem)
+    problem, report = _problem_and_conditions(spec, space)
     if report.contraction_ok:
         problem = None  # free the operator before IWF runs
         return report, _run_one_solver("iwf", spec, space, config)

@@ -21,8 +21,12 @@ import numpy as np
 
 DEFAULT_STATE_CAP = 100_000
 
-#: slack allowed when checking the average-power budget
+#: slack allowed when checking the average-power budget, relative to
+#: budgets above 1
 FEAS_TOL = 1e-9
+#: floor of the IWF and VI stopping tests, relative to the largest budget:
+#: 8 ulps, since a budget-tight profile has max|P| >= max(pbar)
+ULP_FLOOR = 8 * 2.0 ** -52
 
 
 class StateSpaceTooLargeError(ValueError):
@@ -302,8 +306,9 @@ def sum_rate(spec: GameSpec, space: StateSpace, prof) -> float:
 
 
 def is_feasible(space: StateSpace, prof, pbar) -> np.ndarray:
-    """Per-player feasibility: nonnegative and E[P_i] <= pbar_i + 1e-9."""
+    """Per-player feasibility: nonnegative and
+    E[P_i] <= pbar_i + FEAS_TOL * max(1, pbar_i)."""
     P = _powers(prof)
     pbar = np.asarray(pbar, dtype=float)
     nonneg = np.all(P >= 0, axis=-1)
-    return nonneg & (P @ space.probs <= pbar + FEAS_TOL)
+    return nonneg & (P @ space.probs <= pbar + FEAS_TOL * np.maximum(1.0, pbar))

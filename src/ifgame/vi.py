@@ -37,9 +37,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .game import GameSpec, PowerProfile, StateSpace, _powers, _transmitter_sum
-from .spectral import (InterferenceOperator, _plus_identity, build_operator,
-                       definiteness)
+from .game import (ULP_FLOOR, GameSpec, PowerProfile, StateSpace, _powers,
+                   _transmitter_sum)
+from .spectral import InterferenceOperator, build_operator, definiteness
 from .waterfilling import (_breakpoint_levels, _equal_weight_sums,
                            waterfill_levels)
 
@@ -96,33 +96,30 @@ class _StepData:
 
     @cached_property
     def lipschitz(self):
-        """||Htilde||_2 = max over blocks of the largest singular value."""
-        h = _plus_identity(self.blocks.copy())
-        gram = np.einsum('kji,kjl->kil', h, h)
-        return float(np.sqrt(np.linalg.eigvalsh(gram)[:, -1].max()))
+        """||Htilde||_2 = max over blocks of the largest singular value of
+        I + H, whose Gram matrix is I + S + G."""
+        S, G = self.sym_gram
+        return float(np.sqrt(1.0 + np.linalg.eigvalsh(S + G)[:, -1].max()))
 
     @cached_property
     def sym_gram(self):
-        """S = H + H^T and G = H^T H for each distinct block H, for
-        ``_step_norm``."""
+        """S = H + H^T and G = H^T H for each distinct block H."""
         h = self.blocks
         S = h + h.transpose(0, 2, 1)
         G = np.einsum('kji,kjl->kil', h, h)
         return S, G
 
     def search(self, eps):
-        """(tau(eps), certified): the searched step if it certifies a
-        contraction, else the fallback sigma / L^2 at L = ||Htilde||_2 + eps."""
+        """(tau(eps), guaranteed): the searched step, whose certified
+        contraction guarantees convergence, else sigma / L^2 with sigma =
+        eps + max(0, min_sym_eig) and L = ||Htilde||_2 + eps, guaranteed
+        if Htilde is PSD, where sigma > 0 makes F_eps strongly monotone."""
         if eps not in self.taus:
             tau = _best_tau(self, eps)
-            sigma = max(0.0, self.definite[2])
+            psd, _, m = self.definite
             self.taus[eps] = ((tau, True) if tau is not None else
-                              ((eps + sigma) / (self.lipschitz + eps) ** 2, False))
+                              ((eps + max(0.0, m)) / (self.lipschitz + eps) ** 2, psd))
         return self.taus[eps]
-
-    def step(self, eps):
-        """tau(eps), certified or not (see ``search``)."""
-        return self.search(eps)[0]
 
 
 @dataclass(frozen=True)
@@ -302,36 +299,29 @@ def _uniform_start(problem):
 
 
 def solve_strong(problem: ViProblem, eps: float, config: ViConfig = ViConfig(),
-                 init=None, _tau: float | None = None) -> tuple[PowerProfile, int]:
+                 init=None) -> tuple[PowerProfile, int]:
     """Projection iteration P <- Pi_K(P - tau F_eps(P)) at fixed eps.
 
-    The step minimizes the computed per-iteration contraction norm
-    ||I - tau (Htilde + eps I)||_2 over the blocks; if no step certifies
-    contraction it falls back to sigma / L^2 with the strong-monotonicity
-    modulus sigma = eps + max(0, min_sym_eig(Htilde)) and the Lipschitz
-    constant L = ||Htilde||_2 + eps.  Stops when both the
-    successive-iterate gap and the natural residual of F_eps fall below
-    ``config.inner_tol``; hitting ``config.max_inner`` is reported by
-    returning the iterate reached (no exception).  eps = 0 is accepted
-    only when Htilde is positive definite, where F itself is strongly
-    monotone.  The step is searched once per operator and eps (see
-    ``_StepData``).  A caller that passes ``_tau`` has chosen the step and
-    checked the semidefinite certificate itself, so neither is done again
-    here.
+    tau is ``_StepData.search(eps)``, searched once per operator and eps;
+    a step without a convergence guarantee is taken with a warning.
+    Stops when both the successive-iterate gap and the natural residual
+    of F_eps fall below max(``config.inner_tol``, ULP_FLOOR * max(pbar));
+    hitting ``config.max_inner`` is reported by returning the iterate
+    reached (no exception).  eps = 0 is accepted only when Htilde is
+    positive definite, where F itself is strongly monotone.
     """
     if not (eps > 0 or (eps == 0 and problem.definite[1])):
         raise ValueError("eps must be positive, or zero on a positive "
                          "definite problem")
-    if _tau is None:
-        if not problem.definite[0]:
-            warnings.warn("Htilde is not positive semidefinite; the projection "
-                          "iteration has no convergence guarantee", stacklevel=2)
-        _tau = problem._steps.step(eps)
-    tol = config.inner_tol
+    tau, guaranteed = problem._steps.search(eps)
+    if not guaranteed:
+        warnings.warn("Htilde is not positive semidefinite; the projection "
+                      "iteration has no convergence guarantee", stacklevel=2)
+    tol = max(config.inner_tol, ULP_FLOOR * problem.pbar.max())
     P = _uniform_start(problem) if init is None else _as_rows(problem, init)
     iterations = 0
     for iterations in range(1, config.max_inner + 1):
-        new = _projection_step(problem, P, _tau, eps)
+        new = _projection_step(problem, P, tau, eps)
         gap = float(np.abs(new - P).max())
         P = new
         if gap < tol and natural_residual(problem, P, eps=eps) < tol:
@@ -355,11 +345,11 @@ def solve_regularized(problem: ViProblem, config: ViConfig = ViConfig(),
     and projected onto the budget face.  Only the start moves: each round
     still converges to the same P(eps_n) to ``config.inner_tol``.  The
     path stops as soon as the natural residual of the *unregularized* F
-    drops below ``config.outer_tol``, or after ``config.max_outer``
-    rounds.  Without the semidefinite certificate it also stops before
-    the first round whose step search certifies no contraction; if that
-    is the first round, the path is the one row (eps0, 0, residual of the
-    start).  The steps come from the problem's budget-free ``_StepData``.
+    drops below max(``config.outer_tol``, ULP_FLOOR * max(pbar)), or after
+    ``config.max_outer`` rounds.  It also stops before the first round
+    whose step has no convergence guarantee (``_StepData.search``); if
+    that is the first round, the path is the one row (eps0, 0, residual
+    of the start).
     """
     steps = problem._steps
     P = _uniform_start(problem) if init is None else _as_rows(problem, init)
@@ -374,22 +364,23 @@ def solve_regularized(problem: ViProblem, config: ViConfig = ViConfig(),
     path = []
     converged = False
     tau = 0.0
+    outer_tol = max(config.outer_tol, ULP_FLOOR * problem.pbar.max())
     for n, eps in enumerate(epsilons):
-        step, certified = steps.search(eps)
-        if not (psd or certified):
+        step, guaranteed = steps.search(eps)
+        if not guaranteed:
             if not path:
                 residual = natural_residual(problem, P)
                 path.append((float(eps), 0, residual))
-                converged = residual < config.outer_tol
+                converged = residual < outer_tol
             break
         tau = step
         # Pi_K(P + decay (P - prev)); _project_face takes the negated point
         start = P if n < 2 else _project_face(problem, config.decay * (prev - P) - P)
-        prof, inner = solve_strong(problem, eps, config, init=start, _tau=tau)
+        prof, inner = solve_strong(problem, eps, config, init=start)
         prev, P = P, prof.powers
         residual = natural_residual(problem, P)
         path.append((float(eps), int(inner), float(residual)))
-        if residual < config.outer_tol:
+        if residual < outer_tol:
             converged = True
             break
     return ViReport(solution=prof, eps_path=path, converged=converged,

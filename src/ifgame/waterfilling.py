@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import GameSpec, PowerProfile, StateSpace, _powers, interference
+from .game import (ULP_FLOOR, GameSpec, PowerProfile, StateSpace, _powers,
+                   interference)
 
 SCHEME_CHOICES = ("simultaneous", "sequential")
 
@@ -153,7 +154,7 @@ def wf_residual(spec: GameSpec, space: StateSpace, prof) -> float:
 def iterate_waterfilling(spec: GameSpec, space: StateSpace,
                          config: IwfConfig = IwfConfig(), init=None) -> IwfReport:
     """Iterate the best-response map until the sweep moves no player by
-    ``config.tol`` or more.
+    ``config.tol`` or more, or by ULP_FLOOR * max(pbar) if that is larger.
 
     ``simultaneous`` updates every player from the same previous profile
     (Jacobi, the scheme the contraction analysis covers); ``sequential``
@@ -166,6 +167,7 @@ def iterate_waterfilling(spec: GameSpec, space: StateSpace,
     history = []
     converged = False
     iterations = 0
+    tol = max(config.tol, ULP_FLOOR * spec.pbar.max())
     for iterations in range(1, config.max_iter + 1):
         if config.scheme == "simultaneous":
             new = waterfill_map(spec, space, P)
@@ -178,7 +180,7 @@ def iterate_waterfilling(spec: GameSpec, space: StateSpace,
         residual = float(np.abs(new - P).max())
         history.append(residual)
         P = new
-        if residual < config.tol:
+        if residual < tol:
             converged = True
             break
     return IwfReport(profile=PowerProfile(powers=P), iterations=iterations,

@@ -73,7 +73,7 @@ def solve_regularized(problem, config):
     steps = problem._steps
     table = np.tile(problem.pbar[None, :], (problem.n_states, 1))
     if steps.definite[1]:
-        tau = steps.step(0.0)
+        tau = steps.search(0.0)[0]
         table, inner = solve_strong(problem, 0.0, config, table, tau)
         residual = natural_residual(problem, table)
         return (PowerProfile(powers=table.T.copy()).powers,

@@ -22,6 +22,7 @@ from ifgame.config import (IwfConfig, OutputConfig, SimulateConfig, SolverConfig
                            SweepConfig, ViConfig)
 from ifgame.experiments import build_game, ne_outcome_for_simulation
 from ifgame.game import DEFAULT_STATE_CAP
+from ifgame.spectral import condition_report
 from ifgame.vi import solve_regularized, solve_strong
 from ifgame.waterfilling import iterate_waterfilling
 import bundled
@@ -251,6 +252,45 @@ def test_large_finite_budget_solves_without_overflow():
         result = run_solve(config)
     for outcome in result.solvers.values():
         assert np.isfinite(outcome.rates).all() and np.isfinite(outcome.sum_rate)
+
+
+@pytest.mark.parametrize("pbar", [1e7, 1e8])
+def test_large_budget_stopping_tests_reach_the_rounding_floor(pbar):
+    """On example 1 at a large budget the iterates settle a few ulps of
+    max|P| apart, above the absolute tolerances: IWF and VI stop there,
+    converged, instead of running to their caps."""
+    spec, space = build_game(bundled.config("example1"))
+    spec = dataclasses.replace(spec, pbar=pbar)
+    iwf = iterate_waterfilling(spec, space)
+    assert iwf.converged and iwf.iterations < 100
+    config = ViConfig(max_inner=1000)
+    vi = solve_regularized(make_vi_problem(spec, space), config)
+    assert vi.converged and vi.eps_path[-1][1] < config.max_inner
+    assert np.abs(vi.solution.powers - iwf.profile.powers).max() < 1e-6 * pbar
+
+
+def test_cli_solve_and_simulate_at_large_budgets(tmp_path):
+    """At pbar 1e8 IWF's residual stalls a few ulps of max|P| above its
+    tolerance, and the solve is reported converged (exit 0).  At pbar 1e7
+    the NE's average power rounds 3.7e-9 above the budget, more than the
+    absolute FEAS_TOL, and simulate accepts it."""
+    for command, pbar in (("solve", 1e8), ("simulate", 1e7)):
+        path = tmp_path / f"{command}.json"
+        path.write_text(json.dumps(with_value(bundled.doc("example1"), "game.pbar", pbar)))
+        assert main([command, "--config", str(path), "--solver", "iwf",
+                     "--out", str(tmp_path / command)]) == 0
+
+
+@pytest.mark.parametrize("name", bundled.NAMES)
+def test_every_subcommand_reports_the_same_conditions(name):
+    """analyze, and solve with and without the VI, share one set-up of the
+    condition checks, which report what ``condition_report`` reports."""
+    config = bundled.config(name)
+    expected = condition_report(*build_game(config))
+    assert run_analyze(config) == expected
+    for which in ("iwf", "vi"):
+        solver = dataclasses.replace(config.solver, which=which)
+        assert run_solve(dataclasses.replace(config, solver=solver)).condition == expected
 
 
 def test_config_defaults_come_from_dataclasses():

@@ -304,6 +304,18 @@ def test_is_feasible():
         PowerProfile(powers=np.array([[-0.1], [0.5]]))
 
 
+def test_is_feasible_slack_scales_with_large_budgets():
+    """Up to a budget of 1 the slack is FEAS_TOL; above it, FEAS_TOL times
+    the budget, so rounding a few ulps over a large budget is feasible."""
+    spec = GameSpec.symmetric(2, [1.0], [0.5], pbar=[0.5, 1e7])
+    space = enumerate_states(spec)
+    # two ulps over 1e7 is 3.7e-9, above the absolute slack of 1e-9
+    rounded = np.array([[0.5 + 0.9e-9], [np.nextafter(np.nextafter(1e7, 2e7), 2e7)]])
+    assert is_feasible(space, rounded, spec.pbar).all()
+    over = np.array([[0.5 + 1.1e-9], [1e7 * (1 + 1.1e-9)]])
+    assert not is_feasible(space, over, spec.pbar).any()
+
+
 def test_rate_concave_in_own_powers():
     rng = np.random.default_rng(11)
     for _ in range(20):

@@ -182,7 +182,7 @@ def test_projection_iteration_gap_is_monotone():
     problem = make_vi_problem(spec, space)
     eps = 0.01
     steps = problem._steps
-    tau = steps.step(eps)
+    tau = steps.search(eps)[0]
     P = _uniform_start(problem)
     gaps = []
     for _ in range(60):
@@ -433,7 +433,7 @@ def test_path_stops_at_first_uncertified_step():
     assert not report.converged
     assert report.eps_path[-1][2] == natural_residual(problem, report.solution)
     assert report.eps_path[-1][2] > config.outer_tol
-    assert report.tau_used == problem._steps.step(2.0 ** -7)
+    assert report.tau_used == problem._steps.search(2.0 ** -7)[0]
     assert problem._steps.search(2.0 ** -8)[1] is False
     # no step is certified at the first eps: one row at the start
     spec = GameSpec.symmetric(3, [0.08, 0.1], [0.2], pbar=1.0)
@@ -444,6 +444,40 @@ def test_path_stops_at_first_uncertified_step():
     assert report.eps_path == [(1.0, 0, natural_residual(problem, start))]
     assert not report.converged
     assert np.array_equal(report.solution.powers, start)
+
+
+def test_solve_strong_warns_only_without_a_guaranteed_step():
+    """The repro game is not PSD, but its searched step certifies a
+    contraction down to eps = 2^-7: there the iteration converges, and
+    only at 2^-8, where no step is certified, does it warn."""
+    problem = make_vi_problem(*uncertified_repro())
+    assert not problem.definite[0]
+    config = ViConfig(inner_tol=1e-6, max_inner=200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        solve_strong(problem, 2.0 ** -7, config)
+    with pytest.warns(UserWarning, match="no convergence guarantee"):
+        solve_strong(problem, 2.0 ** -8, config)
+
+
+def test_fallback_step_is_guaranteed_only_on_psd_games(monkeypatch):
+    """With no step certified, the sigma / L^2 fallback is guaranteed on a
+    PSD game, where eps + sigma > 0 makes F_eps strongly monotone, and
+    not on any other game."""
+    import ifgame.vi
+    monkeypatch.setattr(ifgame.vi, "_best_tau", lambda steps, eps: None)
+    config = ViConfig(max_inner=50)
+    _, _, psd_game = small_problem()
+    spec = GameSpec.symmetric(3, [0.08], [0.2], pbar=1.0)
+    indefinite = make_vi_problem(spec, enumerate_states(spec))
+    for problem, psd in ((psd_game, True), (indefinite, False)):
+        assert problem.definite[0] is psd
+        tau, guaranteed = problem._steps.search(0.5)
+        assert guaranteed is psd and tau > 0
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            solve_strong(problem, 0.5, config)
+        assert [w.category for w in caught] == ([] if psd else [UserWarning])
 
 
 def test_regularized_checks_definiteness_once(monkeypatch):
@@ -622,8 +656,7 @@ def walk_path(problem, config, secant=True):
         eps = config.eps0 * config.decay ** n
         start = P if n < 2 or not secant else _project_face(
             problem, config.decay * (prev - P) - P)
-        prof, inner = solve_strong(problem, eps, config, init=start,
-                                   _tau=problem._steps.step(eps))
+        prof, inner = solve_strong(problem, eps, config, init=start)
         prev, P = P, prof.powers
         path.append((eps, inner, natural_residual(problem, P)))
         if path[-1][2] < config.outer_tol:
