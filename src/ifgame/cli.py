@@ -12,7 +12,7 @@ import dataclasses
 import sys
 
 from .config import (FORMAT_CHOICES, SOLVER_CHOICES, ConfigError,
-                     ExperimentConfig, SimulateConfig, _path, load_config_file)
+                     ExperimentConfig, _path, load_config_file)
 from .experiments import (RunResult, build_game, ne_outcome_for_simulation,
                           run_analyze, run_simulate, run_solve, run_sweep,
                           write_outputs)
@@ -56,7 +56,7 @@ def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
     if args.seed is not None:
         solver = dataclasses.replace(
             solver, pareto=dataclasses.replace(solver.pareto, seed=args.seed))
-        simulate = dataclasses.replace(simulate or SimulateConfig(), seed=args.seed)
+        simulate = dataclasses.replace(simulate, seed=args.seed)
     return dataclasses.replace(config, solver=solver, simulate=simulate,
                                output=output)
 

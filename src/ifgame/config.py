@@ -21,7 +21,6 @@ from .vi import ViConfig
 from .waterfilling import SCHEME_CHOICES, IwfConfig
 
 SOLVER_CHOICES = ("iwf", "vi", "pareto", "all")
-SWEEP_PARAMETERS = ("pbar",)
 FORMAT_CHOICES = ("csv", "json")
 
 DEFAULT_SWEEP_VALUES = [0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0]
@@ -67,7 +66,6 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class SweepConfig:
-    parameter: str = "pbar"
     values: list[float] = field(default_factory=lambda: list(DEFAULT_SWEEP_VALUES))
 
 
@@ -88,8 +86,8 @@ class OutputConfig:
 class ExperimentConfig:
     game: GameConfig
     solver: SolverConfig = field(default_factory=SolverConfig)
-    sweep: SweepConfig | None = None
-    simulate: SimulateConfig | None = None
+    sweep: SweepConfig = field(default_factory=SweepConfig)
+    simulate: SimulateConfig = field(default_factory=SimulateConfig)
     output: OutputConfig = field(default_factory=OutputConfig)
 
 
@@ -152,7 +150,7 @@ def _vector(node, key, n, where):
     return [_number(v, f"{where}.{key}") for v in raw]
 
 
-def _parse_game(node) -> GameConfig:
+def _parse_game(node) -> tuple[GameConfig, GameSpec]:
     _require_keys(node, {f.name for f in fields(GameConfig)},
                   {"players", "direct_gains", "cross_gains", "pbar"}, "game")
     players = _number(node["players"], "game.players", integral=True)
@@ -172,19 +170,19 @@ def _parse_game(node) -> GameConfig:
                       alpha=_vector(node, "alpha", players, "game"),
                       weights=_vector(node, "weights", players, "game"))
     try:
-        game.build_spec()  # every other input it checks was checked above
+        spec = game.build_spec()  # every other input it checks was checked above
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"game.link_probs: {exc}", field="game.link_probs") from None
-    _check_quotients(game)
-    return game
+    _check_quotients(spec)
+    return game, spec
 
 
-def _check_quotients(game: GameConfig):
+def _check_quotients(spec: GameSpec):
     """The condition checks and solvers use 1/(alpha*direct) and
     cross/(alpha*direct); both must be finite for every alphabet entry.
     The extremes are the smallest alpha*direct and the largest cross."""
-    alpha = 1.0 if game.alpha is None else min(game.alpha)
-    direct = min(game.direct_gains)
+    alpha = float(spec.alpha.min())
+    direct = float(spec.gains.direct.min())
     with np.errstate(over="ignore", divide="ignore"):
         geff = np.float64(alpha) * direct
         if not np.isfinite(1.0 / geff):
@@ -193,14 +191,14 @@ def _check_quotients(game: GameConfig):
             raise ConfigError(f"{field}: 1 / (alpha * direct gain) overflows for "
                               f"alpha {alpha!r} and direct gain {direct!r}",
                               field=field)
-        cross = max(game.cross_gains)
-        if game.players > 1 and not np.isfinite(cross / geff):
+        cross = float(spec.gains.cross.max())
+        if spec.n_players > 1 and not np.isfinite(cross / geff):
             raise ConfigError(f"game.cross_gains: cross gain / (alpha * direct gain) "
                               f"overflows for cross gain {cross!r}, alpha {alpha!r} "
                               f"and direct gain {direct!r}", field="game.cross_gains")
 
 
-def _check_budgets(game: GameConfig, budgets, field, c=None):
+def _check_budgets(spec: GameSpec, budgets, field, c=None):
     """Every product the solvers form from a budget must be finite.
 
     With pbar the largest of ``budgets`` and pi_min the smallest state
@@ -212,21 +210,19 @@ def _check_budgets(game: GameConfig, budgets, field, c=None):
     |slack_i| up to pbar.  Each is evaluated in float64 in the order
     the solvers form it, so an intermediate overflow shows as inf.
     """
-    spec = game.build_spec()
-    n = game.players
+    n = spec.n_players
     links = [spec.dists.direct[i] if i == j else spec.dists.cross[i, j]
              for i in range(n) for j in range(n)]
     pi_min = np.prod([link[link > 0].min() for link in links])
-    alpha = np.ones(n) if game.alpha is None else np.array(game.alpha)
-    gain = max(max(game.direct_gains) * max(1.0, alpha.max()), max(game.cross_gains))
+    alpha, direct = spec.alpha, spec.gains.direct
+    gain = max(direct.max() * max(1.0, alpha.max()), spec.gains.cross.max())
     pbar = np.float64(max(budgets))
     with np.errstate(over="ignore", divide="ignore"):
         peak = pbar / pi_min
         received = n * gain * peak
         products = {"the power of one state, pbar / min state probability": peak,
                     "the received power": received,
-                    "the water-filling floor": received / (alpha.min()
-                                                          * min(game.direct_gains))}
+                    "the water-filling floor": received / (alpha.min() * direct.min())}
         if c is not None:
             products["the AL penalty c * N * pbar^2"] = c * (n * (pbar * pbar))
     for what, value in products.items():
@@ -314,21 +310,16 @@ def load_config(text: str) -> ExperimentConfig:
         raise ConfigError(f"parse error at line {exc.lineno}, column {exc.colno}: "
                           f"{exc.msg}", field=None) from None
     _require_keys(doc, {f.name for f in fields(ExperimentConfig)}, {"game"}, "config")
-    game = _parse_game(doc["game"])
+    game, spec = _parse_game(doc["game"])
     solver = _parse_solver(doc.get("solver", {}))
-    sweep = simulate = None
-    if doc.get("sweep") is not None:
-        sweep = _section(SweepConfig, doc["sweep"], "sweep",
-                         parameter=_choice(SWEEP_PARAMETERS), values=_positive_list)
-    if doc.get("simulate") is not None:
-        simulate = _section(SimulateConfig, doc["simulate"], "simulate")
+    sweep = _section(SweepConfig, doc.get("sweep", {}), "sweep", values=_positive_list)
+    simulate = _section(SimulateConfig, doc.get("simulate", {}), "simulate")
     output = _section(OutputConfig, doc.get("output", {}), "output",
                       dir=_path, formats=_formats,
                       pareto_trajectories=_flag)
     c = solver.pareto.c if solver.which in ("pareto", "all") else None
-    _check_budgets(game, game.pbar, "game.pbar", c)
-    if sweep is not None:
-        _check_budgets(game, sweep.values, "sweep.values", c)
+    _check_budgets(spec, spec.pbar, "game.pbar", c)
+    _check_budgets(spec, sweep.values, "sweep.values", c)
     return ExperimentConfig(game=game, solver=solver, sweep=sweep,
                             simulate=simulate, output=output)
 

@@ -21,13 +21,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, ExperimentConfig, SimulateConfig, SweepConfig
+from .config import ConfigError, ExperimentConfig
 from .game import (GameSpec, PowerProfile, StateSpace, StateSpaceTooLargeError,
                    average_powers, enumerate_states, expected_rates, is_feasible,
                    rate_table)
-from .pareto import ParetoReport, multi_start
+from .pareto import multi_start
 from .spectral import ConditionReport, condition_report
-from .vi import ViReport, make_vi_problem, solve_regularized
+from .vi import make_vi_problem, solve_regularized
 from .waterfilling import iterate_waterfilling
 
 
@@ -152,8 +152,7 @@ def run_solve(config: ExperimentConfig) -> RunResult:
 
 
 def run_sweep(config: ExperimentConfig) -> RunResult:
-    """Re-solve the game for every sweep value of the common budget; a
-    config without a sweep section sweeps the ``SweepConfig`` defaults.
+    """Re-solve the game for every sweep value of the common budget.
 
     The game and the VI problem are built once; only the budget changes
     from point to point, so the points share the VI step data.  Produces
@@ -165,7 +164,7 @@ def run_sweep(config: ExperimentConfig) -> RunResult:
     names = _solver_names(config.solver.which)
     problem, condition = _problem_and_conditions(spec, space, "vi" in names)
     rows = []
-    for value in (config.sweep or SweepConfig()).values:
+    for value in config.sweep.values:
         point = dataclasses.replace(spec, pbar=value)
         row = {"pbar": float(value), "ne_iwf": float("nan"),
                "ne_vi": float("nan"), "pareto": float("nan"), "converged": True}
@@ -181,8 +180,7 @@ def run_sweep(config: ExperimentConfig) -> RunResult:
 def run_simulate(config: ExperimentConfig, profile: PowerProfile,
                  _game: tuple[GameSpec, StateSpace] | None = None
                  ) -> MonteCarloSummary:
-    """Simulate i.i.d. channel slots under a fixed stationary policy, with
-    the ``SimulateConfig`` defaults when the config has no such section.
+    """Simulate i.i.d. channel slots under a fixed stationary policy.
 
     The time averages depend on the slots only through the number of
     slots in each state, so the seeded generator draws those counts,
@@ -191,7 +189,7 @@ def run_simulate(config: ExperimentConfig, profile: PowerProfile,
     compared to the analytic expectations.  A caller that passes
     ``_game`` has already run ``build_game(config)``.
     """
-    sim = config.simulate or SimulateConfig()
+    sim = config.simulate
     spec, space = build_game(config) if _game is None else _game
     P = profile.powers
     if not np.all(is_feasible(space, P, spec.pbar)):
@@ -355,11 +353,11 @@ def write_outputs(result: RunResult, config: ExperimentConfig, out_dir) -> list[
                *s.rates, *s.avg_powers] for s in result.solvers.values()])
         for k, s in result.solvers.items():
             emit(f"profile_{s.name}.csv", _write_profile_csv, spelled[k])
-            if s.name == "vi" and isinstance(s.report, ViReport):
+            if s.name == "vi":
                 emit("vi_eps_path.csv", _write_csv,
                      ["eps", "inner_iterations", "natural_residual"],
                      s.report.eps_path)
-            if s.name == "pareto" and isinstance(s.report, ParetoReport):
+            if s.name == "pareto":
                 emit("pareto_starts.csv", _write_csv,
                      ["start", "sum_rate_nats", "outer_iterations",
                       "max_feasibility_residual", "converged"],

@@ -59,7 +59,7 @@ class ConditionReport:
 
     rho_smax: float
     rho_hhat: float
-    ratio_bound: float       # largest row sum of Smax, see contraction_condition
+    ratio_bound: float       # alphabet bound on rho(Smax), see contraction_condition
     contraction_ok: bool
     htilde_psd: bool
     htilde_pd: bool

@@ -5,6 +5,7 @@ import dataclasses
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -174,6 +175,9 @@ def test_cli_missing_config_file_exits_1(tmp_path, capsys):
     ("output.formats", ["xml"]),
     ("output.pareto_trajectories", 1),
     pytest.param("game.players", 10**400, id="game.players-10**400"),
+    ("sweep", None),
+    ("simulate", None),
+    ("sweep.parameter", "pbar"),
 ])
 def test_config_wrong_shape_or_choice_rejected(dotted, value, tmp_path, capsys):
     rejected(with_value(bundled.doc("example1"), dotted, value), dotted,
@@ -216,13 +220,17 @@ def test_config_overflowing_gain_quotient_names_field(game, field, tmp_path, cap
     ("pareto", "game.pbar", 1e200),
     ("iwf", "sweep.values", [1.0, 1e308]),
     ("all", "sweep.values", [1e200]),
+    # no sweep section: the default values are checked, and their 2.0
+    # overflows where the game's own 0.1 does not
+    ("iwf", "game", {"players": 2, "direct_gains": [6e307, 1.0],
+                     "cross_gains": [0.3], "pbar": 0.1}),
 ])
 def test_config_overflowing_budget_names_field(which, dotted, value, tmp_path, capsys):
     """A budget for which a product the solvers form overflows is rejected
     before any solver starts; run unchecked, such budgets make IWF write
     NaN and AL overflow in its penalty."""
-    doc = with_value(SMALL, "solver.which", which)
-    rejected(with_value(doc, dotted, value), dotted, tmp_path, capsys)
+    doc = with_value(with_value(SMALL, "solver.which", which), dotted, value)
+    rejected(doc, "sweep.values" if dotted == "game" else dotted, tmp_path, capsys)
 
 
 def test_config_budget_limit_follows_the_solver_products():
@@ -294,14 +302,14 @@ def test_every_subcommand_reports_the_same_conditions(name):
 
 
 def test_config_defaults_come_from_dataclasses():
-    bare = {"game": bundled.doc("example1")["game"], "sweep": {},
-            "simulate": {}}
-    config = load_config(json.dumps(bare))
-    assert config.solver == SolverConfig()
-    assert config.solver.iwf == IwfConfig() and config.solver.vi == ViConfig()
-    assert config.solver.pareto == AlConfig()
-    assert config.simulate == SimulateConfig() and config.output == OutputConfig()
-    assert config.sweep == SweepConfig()
+    game = bundled.doc("example1")["game"]
+    for bare in ({"game": game}, {"game": game, "sweep": {}, "simulate": {}}):
+        config = load_config(json.dumps(bare))
+        assert config.solver == SolverConfig()
+        assert config.solver.iwf == IwfConfig() and config.solver.vi == ViConfig()
+        assert config.solver.pareto == AlConfig()
+        assert config.simulate == SimulateConfig() and config.output == OutputConfig()
+        assert config.sweep == SweepConfig()
     assert SolverConfig().state_cap == DEFAULT_STATE_CAP
     # the library solvers default to the same dataclasses, defined once
     for solver, default in [(iterate_waterfilling, IwfConfig()),
@@ -310,6 +318,19 @@ def test_config_defaults_come_from_dataclasses():
         assert inspect.signature(solver).parameters["config"].default == default
     assert ifgame.config.IwfConfig is ifgame.waterfilling.IwfConfig
     assert ifgame.config.ViConfig is ifgame.vi.ViConfig
+
+
+def test_readme_config_reference_shows_the_defaults():
+    """The README's configuration reference, with its ``//`` comments
+    stripped, loads to the dataclass defaults, as its "Defaults are as
+    shown" promises."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(
+        encoding="utf-8")
+    section = readme.split("## Configuration reference", 1)[1]
+    block = section.split("```jsonc\n", 1)[1].split("```", 1)[0]
+    config = load_config(re.sub(r"//.*", "", block))
+    assert config.solver == SolverConfig() and config.sweep == SweepConfig()
+    assert config.simulate == SimulateConfig() and config.output == OutputConfig()
 
 
 def test_missing_sweep_and_simulate_sections_run_the_defaults(tmp_path):
