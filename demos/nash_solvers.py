@@ -43,7 +43,7 @@ def solve_and_print(name, config):
           "   (identical quantities: the projection onto the budget face")
     print("                          in the pi-weighted metric IS water-filling)")
     if sim.converged:
-        gap = np.abs(sim.profile.powers - vi.solution.powers).max()
+        gap = np.abs(sim.profile - vi.solution).max()
         print(f"  |IWF - VI| = {gap:.2e}")
     print(f"  NE sum rate = {sum_rate(spec, space, vi.solution):.6f} nats")
     print()

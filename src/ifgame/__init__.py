@@ -4,10 +4,10 @@ projection method for the equivalent variational inequality, solver-guarantee
 condition checks, and local Pareto-optimal allocations by a distributed
 augmented-Lagrangian method."""
 
-from .game import (GainAlphabets, GameSpec, LinkDistribution, PowerProfile,
-                   StateSpace, StateSpaceTooLargeError, average_powers,
-                   enumerate_states, expected_rates, interference,
-                   is_feasible, rate_table, sum_rate)
+from .game import (GainAlphabets, GameSpec, LinkDistribution, StateSpace,
+                   StateSpaceTooLargeError, average_powers, enumerate_states,
+                   expected_rates, interference, is_feasible, rate_table,
+                   sum_rate)
 from .spectral import (ConditionReport, InterferenceOperator, build_operator,
                        condition_report, contraction_condition, definiteness,
                        rho_blockdiag, spectral_radius)

@@ -22,9 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, ExperimentConfig
-from .game import (GameSpec, PowerProfile, StateSpace, StateSpaceTooLargeError,
-                   average_powers, enumerate_states, expected_rates, is_feasible,
-                   rate_table)
+from .game import (GameSpec, StateSpace, StateSpaceTooLargeError, average_powers,
+                   enumerate_states, expected_rates, is_feasible, rate_table)
 from .pareto import multi_start
 from .spectral import ConditionReport, condition_report
 from .vi import make_vi_problem, solve_regularized
@@ -49,7 +48,7 @@ class MonteCarloSummary:
 @dataclass(frozen=True)
 class SolverOutcome:
     name: str
-    profile: PowerProfile
+    profile: np.ndarray  # (N, N1) power profile, see ifgame.game
     sum_rate: float
     rates: np.ndarray
     avg_powers: np.ndarray
@@ -177,7 +176,7 @@ def run_sweep(config: ExperimentConfig) -> RunResult:
     return RunResult(condition=condition, solvers={}, sweep_rows=rows)
 
 
-def run_simulate(config: ExperimentConfig, profile: PowerProfile,
+def run_simulate(config: ExperimentConfig, profile: np.ndarray,
                  _game: tuple[GameSpec, StateSpace] | None = None
                  ) -> MonteCarloSummary:
     """Simulate i.i.d. channel slots under a fixed stationary policy.
@@ -191,7 +190,7 @@ def run_simulate(config: ExperimentConfig, profile: PowerProfile,
     """
     sim = config.simulate
     spec, space = build_game(config) if _game is None else _game
-    P = profile.powers
+    P = np.asarray(profile, float)
     if not np.all(is_feasible(space, P, spec.pbar)):
         raise ValueError("profile must be feasible for the simulation")
     counts = np.random.default_rng(sim.seed).multinomial(
@@ -329,7 +328,7 @@ def write_outputs(result: RunResult, config: ExperimentConfig, out_dir) -> list[
     # repr is the one float format; each profile is spelled once, for both
     # files, one repr per distinct value (the n4 NE profile has 24 401
     # distinct values among its 262 144), and written in blocks of _BLOCK
-    spelled = {k: _spell(s.profile.powers) for k, s in result.solvers.items()}
+    spelled = {k: _spell(s.profile) for k, s in result.solvers.items()}
 
     def emit(name, write, *args):
         with open(out / name, "w", encoding="utf-8", newline="") as fh:

@@ -11,6 +11,10 @@ P_i(h) and receives
 noise power normalized to 1.  Expected rates are in nats
 (natural logarithm), and the budget constraint is on the average power
 E_pi[P_i] <= Pbar_i.
+
+A power profile is the float array of shape (N, N1) whose entry [i, k]
+is P_i at state k of the enumerated StateSpace; every solver returns
+one, and every function here takes one (or a batch (..., N, N1)).
 """
 
 from __future__ import annotations
@@ -188,27 +192,6 @@ class StateSpace:
         return np.einsum('kii->ki', self.gains)
 
 
-@dataclass(frozen=True)
-class PowerProfile:
-    """Stationary powers of all players; entry (i, k) is P_i at state k."""
-
-    powers: np.ndarray  # (N, N1)
-
-    def __post_init__(self):
-        p = np.array(self.powers, dtype=float)
-        if p.ndim != 2:
-            raise ValueError("powers must be an N x N1 matrix")
-        if np.any(p < 0):
-            raise ValueError("powers must be nonnegative")
-        p.flags.writeable = False
-        object.__setattr__(self, "powers", p)
-
-
-def _powers(prof):
-    """Accept a PowerProfile or a bare (N, N1) array."""
-    return prof.powers if isinstance(prof, PowerProfile) else np.asarray(prof, float)
-
-
 def enumerate_states(spec: GameSpec, cap: int = DEFAULT_STATE_CAP) -> StateSpace:
     """Enumerate the channel states of positive probability.
 
@@ -286,7 +269,7 @@ def rate_table(spec, space, prof):
     states in expected_rates and the Monte-Carlo average always sum in
     the same order.
     """
-    signal, interf = interference(spec, space, _powers(prof))
+    signal, interf = interference(spec, space, np.asarray(prof, float))
     return np.ascontiguousarray(np.swapaxes(np.log1p(signal / interf), -1, -2))
 
 
@@ -297,7 +280,7 @@ def expected_rates(spec, space, prof):
 
 def average_powers(space, prof):
     """Average transmit powers E_h[P_i(h)], shape (..., N)."""
-    return _powers(prof) @ space.probs
+    return np.asarray(prof, float) @ space.probs
 
 
 def sum_rate(spec: GameSpec, space: StateSpace, prof) -> float:
@@ -308,7 +291,7 @@ def sum_rate(spec: GameSpec, space: StateSpace, prof) -> float:
 def is_feasible(space: StateSpace, prof, pbar) -> np.ndarray:
     """Per-player feasibility: nonnegative and
     E[P_i] <= pbar_i + FEAS_TOL * max(1, pbar_i)."""
-    P = _powers(prof)
+    P = np.asarray(prof, float)
     pbar = np.asarray(pbar, dtype=float)
     nonneg = np.all(P >= 0, axis=-1)
     return nonneg & (P @ space.probs <= pbar + FEAS_TOL * np.maximum(1.0, pbar))

@@ -28,8 +28,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .game import (GameSpec, PowerProfile, StateSpace, _powers,
-                   _transmitter_sum, expected_rates, interference)
+from .game import (GameSpec, StateSpace, _transmitter_sum, expected_rates,
+                   interference)
 
 
 @dataclass(frozen=True)
@@ -71,7 +71,7 @@ class AlConfig:
 
 @dataclass(frozen=True)
 class StartResult:
-    profile: PowerProfile
+    profile: np.ndarray  # (N, N1) power profile, see ifgame.game
     sum_rate: float
     outer_iterations: int
     feasibility_residuals: np.ndarray
@@ -82,7 +82,7 @@ class StartResult:
 
 @dataclass(frozen=True)
 class ParetoReport:
-    best: PowerProfile
+    best: np.ndarray  # (N, N1) power profile, see ifgame.game
     best_sum_rate: float
     per_start: list[StartResult]
     multipliers: np.ndarray
@@ -238,16 +238,16 @@ def _default_delta(space, cfg):
 
 
 def steepest_ascent(spec: GameSpec, space: StateSpace, prof, lambdas,
-                    config: AlConfig = AlConfig()) -> PowerProfile:
+                    config: AlConfig = AlConfig()) -> np.ndarray:
     """Single-profile steepest ascent at fixed multipliers."""
-    P = _powers(prof).copy()[None]
+    P = np.array(prof, float)[None]
     lam = np.asarray(lambdas, float)[None]
     P, _, capped = _ascent_batch(spec, space, P, lam, config,
                                  _default_delta(space, config))
     if capped[0]:
         warnings.warn("steepest ascent hit the inner iteration cap before "
                       "reaching the gradient tolerance", stacklevel=2)
-    return PowerProfile(powers=P[0])
+    return P[0]
 
 
 def _cap_budgets(space, P, pbar):
@@ -318,8 +318,7 @@ def multi_start(spec: GameSpec, space: StateSpace,
         spec, space, starts, lam, config, track=track)
     P = _cap_budgets(space, P, spec.pbar)
     rates = expected_rates(spec, space, P).sum(axis=-1)
-    per_start = [StartResult(profile=PowerProfile(powers=P[j].copy()),
-                             sum_rate=float(rates[j]),
+    per_start = [StartResult(profile=P[j], sum_rate=float(rates[j]),
                              outer_iterations=int(iters[j]),
                              feasibility_residuals=residuals[j].copy(),
                              converged=bool(conv[j]),

@@ -37,8 +37,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .game import (ULP_FLOOR, GameSpec, PowerProfile, StateSpace, _powers,
-                   _transmitter_sum)
+from .game import ULP_FLOOR, GameSpec, StateSpace, _transmitter_sum
 from .spectral import InterferenceOperator, build_operator, definiteness
 from .waterfilling import (_breakpoint_levels, _equal_weight_sums,
                            waterfill_levels)
@@ -158,7 +157,7 @@ class ViProblem:
 
 @dataclass(frozen=True)
 class ViReport:
-    solution: PowerProfile
+    solution: np.ndarray  # (N, N1) power profile, see ifgame.game
     eps_path: list[tuple[float, int, float]]  # (eps, inner iterations, residual)
     converged: bool
     tau_used: float
@@ -171,7 +170,7 @@ def make_vi_problem(spec: GameSpec, space: StateSpace) -> ViProblem:
 
 def _as_rows(problem, prof):
     """Power data as the player-major rows (N, N1) the iteration runs on."""
-    P = _powers(prof)
+    P = np.asarray(prof, float)
     if P.shape == (problem.n_players, problem.n_states):
         return P
     raise ValueError(f"profile shape {P.shape} does not match problem "
@@ -299,7 +298,7 @@ def _uniform_start(problem):
 
 
 def solve_strong(problem: ViProblem, eps: float, config: ViConfig = ViConfig(),
-                 init=None) -> tuple[PowerProfile, int]:
+                 init=None) -> tuple[np.ndarray, int]:
     """Projection iteration P <- Pi_K(P - tau F_eps(P)) at fixed eps.
 
     tau is ``_StepData.search(eps)``, searched once per operator and eps;
@@ -326,7 +325,7 @@ def solve_strong(problem: ViProblem, eps: float, config: ViConfig = ViConfig(),
         P = new
         if gap < tol and natural_residual(problem, P, eps=eps) < tol:
             break
-    return PowerProfile(powers=P), iterations
+    return P, iterations
 
 
 def solve_regularized(problem: ViProblem, config: ViConfig = ViConfig(),
@@ -359,7 +358,6 @@ def solve_regularized(problem: ViProblem, config: ViConfig = ViConfig(),
                       "path has no convergence guarantee", stacklevel=2)
     epsilons = [0.0] if pd else (config.eps0 * config.decay ** n
                                  for n in range(config.max_outer))
-    prof = PowerProfile(powers=P)
     prev = None  # the solution of the round before P's
     path = []
     converged = False
@@ -376,12 +374,12 @@ def solve_regularized(problem: ViProblem, config: ViConfig = ViConfig(),
         tau = step
         # Pi_K(P + decay (P - prev)); _project_face takes the negated point
         start = P if n < 2 else _project_face(problem, config.decay * (prev - P) - P)
-        prof, inner = solve_strong(problem, eps, config, init=start)
-        prev, P = P, prof.powers
+        prev = P
+        P, inner = solve_strong(problem, eps, config, init=start)
         residual = natural_residual(problem, P)
         path.append((float(eps), int(inner), float(residual)))
         if residual < outer_tol:
             converged = True
             break
-    return ViReport(solution=prof, eps_path=path, converged=converged,
+    return ViReport(solution=P, eps_path=path, converged=converged,
                     tau_used=float(tau))

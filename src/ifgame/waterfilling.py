@@ -22,8 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import (ULP_FLOOR, GameSpec, PowerProfile, StateSpace, _powers,
-                   interference)
+from .game import ULP_FLOOR, GameSpec, StateSpace, interference
 
 SCHEME_CHOICES = ("simultaneous", "sequential")
 
@@ -47,7 +46,7 @@ class IwfConfig:
 
 @dataclass(frozen=True)
 class IwfReport:
-    profile: PowerProfile
+    profile: np.ndarray  # (N, N1) power profile, see ifgame.game
     iterations: int
     residual_history: list[float]
     converged: bool
@@ -134,7 +133,7 @@ def _breakpoint_levels(floors, probs, pbars, mass=None) -> np.ndarray:
 
 def interference_floors(spec: GameSpec, space: StateSpace, prof) -> np.ndarray:
     """Floors f_i(h) of every player under the same frozen profile, (N, N1)."""
-    _, interf = interference(spec, space, _powers(prof))
+    _, interf = interference(spec, space, np.asarray(prof, float))
     return interf / (spec.alpha[:, None] * space.direct_gains.T)
 
 
@@ -147,7 +146,7 @@ def waterfill_map(spec: GameSpec, space: StateSpace, prof) -> np.ndarray:
 
 def wf_residual(spec: GameSpec, space: StateSpace, prof) -> float:
     """Fixed-point residual ||P - WF(P)||_inf; zero exactly at an NE."""
-    P = _powers(prof)
+    P = np.asarray(prof, float)
     return float(np.abs(P - waterfill_map(spec, space, P)).max())
 
 
@@ -163,7 +162,7 @@ def iterate_waterfilling(spec: GameSpec, space: StateSpace,
     raised.
     """
     n = spec.n_players
-    P = np.zeros((n, space.n_states)) if init is None else _powers(init).copy()
+    P = np.zeros((n, space.n_states)) if init is None else np.array(init, float)
     history = []
     converged = False
     iterations = 0
@@ -183,6 +182,5 @@ def iterate_waterfilling(spec: GameSpec, space: StateSpace,
         if residual < tol:
             converged = True
             break
-    return IwfReport(profile=PowerProfile(powers=P), iterations=iterations,
-                     residual_history=history, converged=converged,
-                     scheme=config.scheme)
+    return IwfReport(profile=P, iterations=iterations, residual_history=history,
+                     converged=converged, scheme=config.scheme)

@@ -10,8 +10,6 @@ bits from both wherever einsum sums in index order (N <= 3).
 
 import numpy as np
 
-from ifgame import PowerProfile
-
 
 def breakpoint_levels(floors, probs, pbars):
     p0 = probs.flat[0]
@@ -76,7 +74,7 @@ def solve_regularized(problem, config):
         tau = steps.search(0.0)[0]
         table, inner = solve_strong(problem, 0.0, config, table, tau)
         residual = natural_residual(problem, table)
-        return (PowerProfile(powers=table.T.copy()).powers,
+        return (table.T.copy(),
                 [(0.0, int(inner), residual)], residual < config.outer_tol, float(tau))
     psd = steps.definite[0]
     prev = None
@@ -102,4 +100,4 @@ def solve_regularized(problem, config):
         if residual < config.outer_tol:
             converged = True
             break
-    return PowerProfile(powers=table.T.copy()).powers, path, converged, float(tau)
+    return table.T.copy(), path, converged, float(tau)

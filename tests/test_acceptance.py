@@ -106,7 +106,7 @@ def test_criterion_5_example1_ne_fixed_point():
     residual = wf_residual(spec, space, iwf.profile)
     problem = make_vi_problem(spec, space)
     vi = solve_regularized(problem, ViConfig(outer_tol=1e-8))
-    distance = float(np.abs(iwf.profile.powers - vi.solution.powers).max())
+    distance = float(np.abs(iwf.profile - vi.solution).max())
     elapsed = time.perf_counter() - t0
     ok = (iwf.converged and iwf.iterations <= 500 and residual < 1e-6
           and vi.converged and distance < 1e-4 and elapsed < 30.0)
@@ -126,7 +126,7 @@ def test_criterion_6_example2_regularized_vi():
         init = random_feasible_profile(rng, spec, space, tight=True)
         rep = solve_regularized(problem, ViConfig(outer_tol=1e-8), init=init)
         assert rep.converged
-        solutions.append(rep.solution.powers)
+        solutions.append(rep.solution)
         residuals.append(natural_residual(problem, rep.solution))
     wf_gap = max(wf_residual(spec, space, s) for s in solutions)
     spread = max(np.abs(a - b).max() for a in solutions for b in solutions)

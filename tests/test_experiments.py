@@ -274,7 +274,7 @@ def test_large_budget_stopping_tests_reach_the_rounding_floor(pbar):
     config = ViConfig(max_inner=1000)
     vi = solve_regularized(make_vi_problem(spec, space), config)
     assert vi.converged and vi.eps_path[-1][1] < config.max_inner
-    assert np.abs(vi.solution.powers - iwf.profile.powers).max() < 1e-6 * pbar
+    assert np.abs(vi.solution - iwf.profile).max() < 1e-6 * pbar
 
 
 def test_cli_solve_and_simulate_at_large_budgets(tmp_path):
@@ -331,6 +331,20 @@ def test_readme_config_reference_shows_the_defaults():
     config = load_config(re.sub(r"//.*", "", block))
     assert config.solver == SolverConfig() and config.sweep == SweepConfig()
     assert config.simulate == SimulateConfig() and config.output == OutputConfig()
+
+
+def test_readme_library_quick_start_runs():
+    """The README's library quick start runs as written, from the
+    repository root, without a RuntimeWarning."""
+    root = Path(__file__).resolve().parent.parent
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Quick start (library)", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"),
+               PYTHONWARNINGS="error::RuntimeWarning")
+    proc = subprocess.run([sys.executable, "-c", block], cwd=root, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_missing_sweep_and_simulate_sections_run_the_defaults(tmp_path):
@@ -429,7 +443,7 @@ def test_run_solve_single_user_all_solvers_agree():
     config = cfg(SMALL, players=1, direct_gains=[2.0, 0.5],
                  cross_gains=[1.0], pbar=1.0)
     result = run_solve(config)
-    profiles = {name: s.profile.powers for name, s in result.solvers.items()}
+    profiles = {name: s.profile for name, s in result.solvers.items()}
     assert set(profiles) == {"iwf", "vi", "pareto"}
     assert result.all_converged
     assert np.abs(profiles["iwf"] - profiles["vi"]).max() < 1e-5
@@ -445,8 +459,15 @@ def test_run_solve_small_game_outcomes():
     assert abs(iwf.sum_rate - vi.sum_rate) < 1e-4
     assert pareto.sum_rate >= vi.sum_rate - 1e-9
     spec, space = build_game(cfg(SMALL))
-    for outcome in result.solvers.values():
+    reports = {"iwf": iwf.report.profile, "vi": vi.report.solution,
+               "pareto": pareto.report.best}
+    for name, outcome in result.solvers.items():
         assert is_feasible(space, outcome.profile, spec.pbar).all()
+        # the profile is the (N, N1) array itself, the report's own object
+        assert type(outcome.profile) is np.ndarray
+        assert outcome.profile.shape == (spec.n_players, space.n_states)
+        assert not np.any(outcome.profile < 0)
+        assert outcome.profile is reports[name]
 
 
 def test_vi_solve_hides_only_the_psd_warning(monkeypatch):
@@ -545,9 +566,7 @@ def test_run_simulate_singleton_exact():
         cfg(SMALL, players=1, direct_gains=[2.0], cross_gains=[1.0]),
         simulate=SimulateConfig(slots=1, seed=0))
     spec, space = build_game(config)
-    from ifgame import PowerProfile
-    profile = PowerProfile(powers=np.array([[1.0]]))
-    summary = run_simulate(config, profile)
+    summary = run_simulate(config, np.array([[1.0]]))
     assert summary.empirical_rate == pytest.approx(summary.analytic_rate)
     assert summary.empirical_power == pytest.approx(summary.analytic_power)
 
@@ -569,10 +588,13 @@ def test_cli_simulate_draws_counts_not_slots(slots, tmp_path):
 def test_run_simulate_requires_feasible_profile():
     config = dataclasses.replace(cfg(SMALL), simulate=SimulateConfig(slots=10))
     _, space = build_game(config)
-    from ifgame import PowerProfile
-    bad = PowerProfile(powers=np.full((2, space.n_states), 100.0))
-    with pytest.raises(ValueError, match="feasible"):
-        run_simulate(config, bad)
+    over = np.full((2, space.n_states), 100.0)
+    # within budget on average, but one power is negative
+    negative = np.full((2, space.n_states), 0.5)
+    negative[1, 0] = -0.1
+    for bad in (over, negative):
+        with pytest.raises(ValueError, match="feasible"):
+            run_simulate(config, bad)
 
 
 def test_run_simulate_close_to_analytic():

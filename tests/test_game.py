@@ -6,7 +6,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from ifgame import (GainAlphabets, GameSpec, LinkDistribution, PowerProfile,
+from ifgame import (GainAlphabets, GameSpec, LinkDistribution,
                     StateSpace, StateSpaceTooLargeError, average_powers,
                     enumerate_states, expected_rates, interference,
                     interference_floors, is_feasible, rate_table, sum_rate)
@@ -298,10 +298,8 @@ def test_is_feasible():
     assert is_feasible(space, tight, spec.pbar).all()
     over = np.array([[1.0 + 1e-6], [2.0]])
     assert not is_feasible(space, over, spec.pbar)[0]
-    # PowerProfile rejects negatives outright; raw arrays report infeasible
+    # a negative power is infeasible whatever the budget
     assert not is_feasible(space, np.array([[-0.1], [0.5]]), spec.pbar)[0]
-    with pytest.raises(ValueError):
-        PowerProfile(powers=np.array([[-0.1], [0.5]]))
 
 
 def test_is_feasible_slack_scales_with_large_budgets():

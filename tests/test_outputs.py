@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 import ifgame.cli
-from ifgame import (ConditionReport, IwfReport, ParetoReport, PowerProfile,
-                    StartResult, ViReport, load_config, write_outputs)
+from ifgame import (ConditionReport, IwfReport, ParetoReport, StartResult,
+                    ViReport, load_config, write_outputs)
 from ifgame.cli import main
 from ifgame.experiments import MonteCarloSummary, RunResult, SolverOutcome
 
@@ -27,8 +27,6 @@ def _ref_jsonable(obj):
         return int(obj)
     if isinstance(obj, np.ndarray):
         return [_ref_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, PowerProfile):
-        return _ref_jsonable(obj.powers)
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: _ref_jsonable(getattr(obj, f.name))
                 for f in dataclasses.fields(obj)}
@@ -93,9 +91,9 @@ def reference_write_outputs(result, config, out_dir):
         written.append(out / "sum_rates.csv")
         for s in result.solvers.values():
             path = out / f"profile_{s.name}.csv"
-            n, n1 = s.profile.powers.shape
+            n, n1 = s.profile.shape
             _ref_write_csv(path, ["state"] + [f"player{i + 1}" for i in range(n)],
-                           [[k] + list(s.profile.powers[:, k]) for k in range(n1)])
+                           [[k] + list(s.profile[:, k]) for k in range(n1)])
             written.append(path)
             if s.name == "vi" and isinstance(s.report, ViReport):
                 _ref_write_csv(out / "vi_eps_path.csv",
@@ -181,21 +179,20 @@ def test_awkward_values_match_reference_writer(tmp_path):
     powers[0, :8] = awkward
     powers[1, -8:] = awkward
     powers[1, 4096] = float("nan")
-    profile = PowerProfile(powers)
     signed = np.array([float("-inf"), -0.0, float("nan")])
-    iwf = IwfReport(profile=profile, iterations=np.int64(7),
+    iwf = IwfReport(profile=powers, iterations=np.int64(7),
                     residual_history=[float("inf"), 1e-300, float("nan")],
                     converged=np.bool_(False), scheme="simultaneous")
-    vi = ViReport(solution=profile, eps_path=[(1.0, 3, float("-inf")), (0.5, 0, 5e-324)],
+    vi = ViReport(solution=powers, eps_path=[(1.0, 3, float("-inf")), (0.5, 0, 5e-324)],
                   converged=True, tau_used=-0.0)
-    starts = [StartResult(profile=profile, sum_rate=float("-inf"), outer_iterations=2,
+    starts = [StartResult(profile=powers, sum_rate=float("-inf"), outer_iterations=2,
                           feasibility_residuals=signed, converged=np.bool_(True),
                           multipliers=np.array([1e22, -0.0]), seed_key=(5, j))
               for j in range(2)]
-    pareto = ParetoReport(best=profile, best_sum_rate=1e16, per_start=starts,
+    pareto = ParetoReport(best=powers, best_sum_rate=1e16, per_start=starts,
                           multipliers=np.array([0, 1]), converged=False,
                           trajectories=[[1.0, float("nan")], []])
-    solvers = {name: SolverOutcome(name=name, profile=profile, sum_rate=float("nan"),
+    solvers = {name: SolverOutcome(name=name, profile=powers, sum_rate=float("nan"),
                                    rates=signed, avg_powers=np.array([1, 2, 3]),
                                    converged=name != "iwf", iterations=0,
                                    residual=float("inf"), report=report)
@@ -222,15 +219,12 @@ def test_awkward_values_match_reference_writer(tmp_path):
 
 
 def one_profile_result(powers):
-    """A result with one IWF outcome whose profile is ``powers``, set past
-    PowerProfile's checks so that any float64 bit pattern reaches the
-    writer (PowerProfile rejects -inf as a negative power)."""
-    profile = PowerProfile(np.zeros(powers.shape))
-    object.__setattr__(profile, "powers", powers)
+    """A result with one IWF outcome whose profile is ``powers``, any
+    float64 bit pattern."""
     n = powers.shape[0]
-    report = IwfReport(profile=profile, iterations=1, residual_history=[0.0],
+    report = IwfReport(profile=powers, iterations=1, residual_history=[0.0],
                        converged=True, scheme="simultaneous")
-    outcome = SolverOutcome(name="iwf", profile=profile, sum_rate=1.0,
+    outcome = SolverOutcome(name="iwf", profile=powers, sum_rate=1.0,
                             rates=np.ones(n), avg_powers=np.ones(n), converged=True,
                             iterations=1, residual=0.0, report=report)
     condition = ConditionReport(rho_smax=0.5, rho_hhat=0.5, ratio_bound=0.5,

@@ -107,7 +107,7 @@ def test_steepest_ascent_fixed_point_is_unchanged():
     lam_star = 2.0 / (1.0 + 2.0 * 1.5)
     P = np.array([[1.5]])
     out = steepest_ascent(spec, space, P, [lam_star], AlConfig())
-    assert np.array_equal(out.powers, P)
+    assert np.array_equal(out, P)
 
 
 def test_steepest_ascent_never_decreases_lagrangian():
@@ -121,7 +121,7 @@ def test_steepest_ascent_never_decreases_lagrangian():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the one-step cap warning is the point
         for _ in range(60):
-            prof = steepest_ascent(spec, space, prof, lam, cfg).powers
+            prof = steepest_ascent(spec, space, prof, lam, cfg)
             values.append(_lagrangian(spec, space, prof, lam, cfg.c))
     diffs = np.diff(values)
     assert np.all(diffs >= -1e-12)
@@ -132,9 +132,9 @@ def test_single_player_unconstrained_ascent_drives_gradient_down():
     space = enumerate_states(spec)
     cfg = AlConfig(c=1e-12, eps_grad=0.05, delta=0.5, max_inner=3000)
     out = steepest_ascent(spec, space, np.zeros((1, 1)), [0.0], cfg)
-    g = _grad_all(spec, space, out.powers, np.zeros(1), 1e-12)[0]
+    g = _grad_all(spec, space, out, np.zeros(1), 1e-12)[0]
     assert np.linalg.norm(g) < 0.05
-    assert out.powers[0, 0] > 10.0  # heading toward the unconstrained maximum
+    assert out[0, 0] > 10.0  # heading toward the unconstrained maximum
 
 
 def test_solve_outer_trivial_start_converges_immediately():
@@ -166,7 +166,7 @@ def test_multi_start_k1_reduces_to_solve_outer():
     rep = multi_start(spec, space, cfg)
     init = random_start(spec, space, np.random.default_rng([5, 0]))
     P, lam, iters, converged = solve_one(spec, space, init, cfg)
-    assert np.array_equal(rep.best.powers, P)
+    assert np.array_equal(rep.best, P)
     assert rep.per_start[0].outer_iterations == iters
     assert rep.converged == converged
 
@@ -175,7 +175,7 @@ def test_multi_start_deterministic_and_monotone_in_k():
     spec, space = small_game()
     rep_a = multi_start(spec, space, AlConfig(starts=3, seed=9))
     rep_b = multi_start(spec, space, AlConfig(starts=3, seed=9))
-    assert rep_a.best.powers.tobytes() == rep_b.best.powers.tobytes()
+    assert rep_a.best.tobytes() == rep_b.best.tobytes()
     assert rep_a.best_sum_rate == rep_b.best_sum_rate
     best_by_k = [multi_start(spec, space, AlConfig(starts=k, seed=9)).best_sum_rate
                  for k in (1, 2, 3)]
@@ -201,7 +201,7 @@ def test_local_pareto_stationarity_certificate():
     cfg = AlConfig(seed=3)
     rep = multi_start(spec, space, cfg)
     assert rep.converged
-    P = rep.best.powers
+    P = rep.best
     grads = _grad_all(spec, space, P, np.zeros(spec.n_players), 0.0)
     for i, g in enumerate(grads):
         active = P[i] > 1e-12
@@ -417,7 +417,7 @@ def test_multi_start_matches_state_major_reference(monkeypatch):
             assert got.sum_rate == want.sum_rate
             assert got.outer_iterations == want.outer_iterations
             assert np.array_equal(got.multipliers, want.multipliers)
-            assert np.array_equal(got.profile.powers, want.profile.powers)
+            assert np.array_equal(got.profile, want.profile)
 
 
 def test_ascent_tie_moves_the_lowest_player():

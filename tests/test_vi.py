@@ -144,7 +144,7 @@ def test_solve_strong_single_player_matches_best_response():
     # eps shrinks the solution toward the floor shape; follow the path down
     for eps in (1.0, 0.1, 0.01, 1e-4, 1e-8):
         prof, _ = solve_strong(problem, eps, ViConfig(inner_tol=1e-12), init=prof)
-    assert np.abs(prof.powers[0] - wf).max() < 1e-8
+    assert np.abs(prof[0] - wf).max() < 1e-8
 
 
 def test_solve_strong_satisfies_vi_inequality():
@@ -154,7 +154,7 @@ def test_solve_strong_satisfies_vi_inequality():
     problem = make_vi_problem(spec, space)
     eps = 0.05
     prof, _ = solve_strong(problem, eps, ViConfig(inner_tol=1e-11))
-    P = prof.powers
+    P = prof
     f_eps = _eval_F(problem, P, eps=eps)
     for _ in range(100):
         x = random_feasible_profile(rng, spec, space, tight=True)
@@ -367,7 +367,7 @@ def test_regularized_example1_agrees_with_iwf():
     report = solve_regularized(problem, ViConfig(outer_tol=1e-8))
     assert report.converged
     iwf = iterate_waterfilling(spec, space, IwfConfig(tol=1e-10))
-    assert np.abs(report.solution.powers - iwf.profile.powers).max() < 1e-5
+    assert np.abs(report.solution - iwf.profile).max() < 1e-5
     eps_values = [p[0] for p in report.eps_path]
     assert eps_values == sorted(eps_values, reverse=True)
     assert report.tau_used > 0
@@ -386,7 +386,7 @@ def test_regularized_example2_finds_wf_fixed_point():
     other = solve_regularized(problem, ViConfig(outer_tol=1e-8),
                               init=random_feasible_profile(rng, spec, space,
                                                            tight=True))
-    assert np.abs(report.solution.powers - other.solution.powers).max() < 1e-5
+    assert np.abs(report.solution - other.solution).max() < 1e-5
 
 
 def test_solver_warns_without_psd_certificate():
@@ -443,7 +443,7 @@ def test_path_stops_at_first_uncertified_step():
     start = _uniform_start(problem)
     assert report.eps_path == [(1.0, 0, natural_residual(problem, start))]
     assert not report.converged
-    assert np.array_equal(report.solution.powers, start)
+    assert np.array_equal(report.solution, start)
 
 
 def test_solve_strong_warns_only_without_a_guaranteed_step():
@@ -583,7 +583,7 @@ def solve_both(problem, config):
 
 def assert_same_solve(problem, config):
     report, (powers, path, converged, tau) = solve_both(problem, config)
-    assert report.solution.powers.tobytes() == powers.tobytes()
+    assert report.solution.tobytes() == powers.tobytes()
     assert repr(report.eps_path) == repr(path)  # repr tells every float apart
     assert report.converged == converged
     assert repr(report.tau_used) == repr(tau)
@@ -636,7 +636,7 @@ def test_player_major_iteration_at_four_players_moves_by_rounding():
                 continue
             report, (powers, path, converged, tau) = solve_both(problem, config)
             scale = np.abs(powers).max()
-            assert np.abs(report.solution.powers - powers).max() <= 1e-14 * scale
+            assert np.abs(report.solution - powers).max() <= 1e-14 * scale
             assert [p[:2] for p in report.eps_path] == [p[:2] for p in path]
             assert report.converged == converged and report.tau_used == tau
             checked += 1
@@ -657,7 +657,7 @@ def walk_path(problem, config, secant=True):
         start = P if n < 2 or not secant else _project_face(
             problem, config.decay * (prev - P) - P)
         prof, inner = solve_strong(problem, eps, config, init=start)
-        prev, P = P, prof.powers
+        prev, P = P, prof
         path.append((eps, inner, natural_residual(problem, P)))
         if path[-1][2] < config.outer_tol:
             return path, True
@@ -704,7 +704,7 @@ def test_eps_path_converges_on_psd_boundary_game():
     assert report.converged
     assert [p[0] for p in report.eps_path] == [0.5 ** n for n in range(len(report.eps_path))]
     assert len(report.eps_path) > 20
-    P = report.solution.powers
+    P = report.solution
     assert dense_natural_residual(problem, P) < config.outer_tol
     assert P.min() >= 0 and np.abs(P @ space.probs - spec.pbar).max() < 1e-9
 
@@ -769,7 +769,7 @@ def test_reported_convergence_holds_for_random_games():
         report = solve_regularized(problem, config)
         assert all(np.isfinite(r) for _, _, r in report.eps_path)
         if report.converged:
-            residual = dense_natural_residual(problem, report.solution.powers)
+            residual = dense_natural_residual(problem, report.solution)
             assert residual < config.outer_tol
             converged += 1
         checked += 1

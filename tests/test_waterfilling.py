@@ -403,7 +403,7 @@ def test_iwf_example1_unique_limit_from_random_starts():
         rep = iterate_waterfilling(spec, space, IwfConfig(tol=1e-9, max_iter=500),
                                    init=init)
         assert rep.converged
-        limits.append(rep.profile.powers)
+        limits.append(rep.profile)
     for other in limits[1:]:
         assert np.abs(limits[0] - other).max() < 1e-6
 
