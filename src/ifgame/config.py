@@ -15,7 +15,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .game import DEFAULT_STATE_CAP, GainAlphabets, GameSpec, LinkDistribution
+from .game import (DEFAULT_STATE_CAP, GainAlphabets, GameSpec, LinkDistribution,
+                   StateSpaceTooLargeError, _link_supports, state_count)
 from .pareto import AlConfig
 from .vi import ViConfig
 from .waterfilling import SCHEME_CHOICES, IwfConfig
@@ -211,9 +212,7 @@ def _check_budgets(spec: GameSpec, budgets, field, c=None):
     the solvers form it, so an intermediate overflow shows as inf.
     """
     n = spec.n_players
-    links = [spec.dists.direct[i] if i == j else spec.dists.cross[i, j]
-             for i in range(n) for j in range(n)]
-    pi_min = np.prod([link[link > 0].min() for link in links])
+    pi_min = np.prod([probs.min() for _, probs in _link_supports(spec)])
     alpha, direct = spec.alpha, spec.gains.direct
     gain = max(direct.max() * max(1.0, alpha.max()), spec.gains.cross.max())
     pbar = np.float64(max(budgets))
@@ -317,11 +316,25 @@ def load_config(text: str) -> ExperimentConfig:
     output = _section(OutputConfig, doc.get("output", {}), "output",
                       dir=_path, formats=_formats,
                       pareto_trajectories=_flag)
-    c = solver.pareto.c if solver.which in ("pareto", "all") else None
+    try:  # before the budgets: a huge space overflows 1 / min state probability
+        state_count(spec, solver.state_cap)
+    except StateSpaceTooLargeError as exc:
+        raise ConfigError(str(exc), field="solver.state_cap") from None
+    config = ExperimentConfig(game=game, solver=solver, sweep=sweep,
+                              simulate=simulate, output=output)
+    check_budgets(config, spec)
+    return config
+
+
+def check_budgets(config: ExperimentConfig, spec: GameSpec | None = None):
+    """Reject a ``game.pbar`` or ``sweep.values`` budget for which a
+    product formed by the solvers of ``solver.which`` overflows; ``spec``
+    is ``config.game.build_spec()`` when the caller has it.  A change of
+    ``solver.which`` after loading must be checked again."""
+    spec = config.game.build_spec() if spec is None else spec
+    c = config.solver.pareto.c if config.solver.which in ("pareto", "all") else None
     _check_budgets(spec, spec.pbar, "game.pbar", c)
-    _check_budgets(spec, sweep.values, "sweep.values", c)
-    return ExperimentConfig(game=game, solver=solver, sweep=sweep,
-                            simulate=simulate, output=output)
+    _check_budgets(spec, config.sweep.values, "sweep.values", c)
 
 
 def load_config_file(path) -> ExperimentConfig:

@@ -86,15 +86,15 @@ def build_game(config: ExperimentConfig) -> tuple[GameSpec, StateSpace]:
 def _problem_and_conditions(spec, space, keep=True):
     """The VI problem of the game, or None unless ``keep`` (which frees
     its operator before any solver runs), and the condition checks, which
-    share the problem's operator and PSD certificate."""
+    share the problem's operator."""
     problem = make_vi_problem(spec, space)
-    report = condition_report(spec, space, problem.op, problem.definite)
+    report = condition_report(spec, space, problem.op)
     return problem if keep else None, report
 
 
 def run_analyze(config: ExperimentConfig) -> ConditionReport:
     """Uniqueness/convergence condition checks for the configured game."""
-    return _problem_and_conditions(*build_game(config))[1]
+    return condition_report(*build_game(config))
 
 
 def _solver_names(which: str) -> list[str]:

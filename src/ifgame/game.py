@@ -19,6 +19,7 @@ one, and every function here takes one (or a batch (..., N, N1)).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -192,17 +193,10 @@ class StateSpace:
         return np.einsum('kii->ki', self.gains)
 
 
-def enumerate_states(spec: GameSpec, cap: int = DEFAULT_STATE_CAP) -> StateSpace:
-    """Enumerate the channel states of positive probability.
-
-    Links are independent, so these are the Cartesian product of each
-    link's positive-probability alphabet entries, and the joint
-    probability of a state is the product of its per-link probabilities.
-    Raises StateSpaceTooLargeError when that product has more than
-    ``cap`` states.
-    """
+def _link_supports(spec: GameSpec):
+    """(alphabet entries, probabilities) of positive probability of each
+    link (i, j), in the order i * N + j."""
     n = spec.n_players
-    values, weights = [], []
     for i in range(n):
         for j in range(n):
             if i == j:
@@ -210,18 +204,43 @@ def enumerate_states(spec: GameSpec, cap: int = DEFAULT_STATE_CAP) -> StateSpace
             else:
                 alphabet, pvec = spec.gains.cross, spec.dists.cross[i, j]
             support = pvec > 0
-            values.append(alphabet[support])
-            weights.append(pvec[support])
-    sizes = [v.size for v in values]
-    required = float(np.prod([float(s) for s in sizes]))
-    if required > cap:
-        raise StateSpaceTooLargeError(
-            f"state space needs {required:.0f} entries, cap is {cap}")
-    total = int(required)
-    digits = np.unravel_index(np.arange(total), sizes)
+            yield alphabet[support], pvec[support]
+
+
+def state_count(spec: GameSpec, cap: int = DEFAULT_STATE_CAP) -> int:
+    """The number of channel states of positive probability, the product
+    of the links' support sizes.  Raises StateSpaceTooLargeError when it
+    is over ``cap``; the product is formed exactly only while it is at
+    most ``cap``, and a count of more than 18 digits is named by its
+    order of magnitude."""
+    sizes = [values.size for values, _ in _link_supports(spec)]
+    count = 1
+    for size in sizes:
+        count *= size
+        if count > cap:
+            digits = sum(map(math.log10, sizes))
+            needs = math.prod(sizes) if digits < 18 else f"about 10^{digits:.0f}"
+            raise StateSpaceTooLargeError(
+                f"state space needs {needs} entries, cap is {cap}")
+    return count
+
+
+def enumerate_states(spec: GameSpec, cap: int = DEFAULT_STATE_CAP) -> StateSpace:
+    """Enumerate the channel states of positive probability.
+
+    Links are independent, so these are the Cartesian product of each
+    link's positive-probability alphabet entries, and the joint
+    probability of a state is the product of its per-link probabilities.
+    Raises StateSpaceTooLargeError when there are more than ``cap``
+    states (``state_count``).
+    """
+    n = spec.n_players
+    total = state_count(spec, cap)
+    supports = list(_link_supports(spec))
+    digits = np.unravel_index(np.arange(total), [v.size for v, _ in supports])
     gains = np.empty((n, n, total))  # player-major, as StateSpace stores it
     probs = np.ones(total)
-    for link, (alphabet, pvec) in enumerate(zip(values, weights)):
+    for link, (alphabet, pvec) in enumerate(supports):
         gains[link // n, link % n] = alphabet[digits[link]]
         probs *= pvec[digits[link]]
     return StateSpace(gains=gains.transpose(2, 0, 1), probs=probs)

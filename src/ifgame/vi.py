@@ -32,13 +32,14 @@ certifies a contraction, and stops at the first eps where it does not.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .game import ULP_FLOOR, GameSpec, StateSpace, _transmitter_sum
-from .spectral import InterferenceOperator, build_operator, definiteness
+# unused here, but perfbench/layers.py wraps ifgame.vi.definiteness by name
+from .spectral import InterferenceOperator, build_operator, definiteness  # noqa: F401
 from .waterfilling import (_breakpoint_levels, _equal_weight_sums,
                            waterfill_levels)
 
@@ -67,60 +68,6 @@ class ViConfig:
             raise ValueError("max_outer and max_inner must be at least 1")
 
 
-class _StepData:
-    """Budget-free data of the projection step, computed on first use.
-
-    The PSD certificate, ||Htilde||_2 and tau(eps) depend on the operator
-    only, so problems made by ``dataclasses.replace(problem, pbar=...)``
-    share them; tau is searched once per eps.
-    """
-
-    def __init__(self, op):
-        self.op = op
-        self.taus = {}
-
-    @cached_property
-    def definite(self):
-        """The PSD certificate ``definiteness(op)``: (psd, pd, min_sym_eig)."""
-        return definiteness(self.op)
-
-    @cached_property
-    def blocks(self):
-        """The distinct blocks Hhat(h); every norm here is a max over blocks."""
-        b = self.op.blocks
-        rows = b.reshape(b.shape[0], -1)
-        rows = rows[np.lexsort(rows.T)]  # equal rows end up adjacent
-        first = np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)]
-        return rows[first].reshape(-1, *b.shape[1:])
-
-    @cached_property
-    def lipschitz(self):
-        """||Htilde||_2 = max over blocks of the largest singular value of
-        I + H, whose Gram matrix is I + S + G."""
-        S, G = self.sym_gram
-        return float(np.sqrt(1.0 + np.linalg.eigvalsh(S + G)[:, -1].max()))
-
-    @cached_property
-    def sym_gram(self):
-        """S = H + H^T and G = H^T H for each distinct block H."""
-        h = self.blocks
-        S = h + h.transpose(0, 2, 1)
-        G = np.einsum('kji,kjl->kil', h, h)
-        return S, G
-
-    def search(self, eps):
-        """(tau(eps), guaranteed): the searched step, whose certified
-        contraction guarantees convergence, else sigma / L^2 with sigma =
-        eps + max(0, min_sym_eig) and L = ||Htilde||_2 + eps, guaranteed
-        if Htilde is PSD, where sigma > 0 makes F_eps strongly monotone."""
-        if eps not in self.taus:
-            tau = _best_tau(self, eps)
-            psd, _, m = self.definite
-            self.taus[eps] = ((tau, True) if tau is not None else
-                              ((eps + max(0.0, m)) / (self.lipschitz + eps) ** 2, psd))
-        return self.taus[eps]
-
-
 @dataclass(frozen=True)
 class ViProblem:
     """Operator data plus the per-player feasible-set description."""
@@ -128,11 +75,6 @@ class ViProblem:
     op: InterferenceOperator
     probs: np.ndarray
     pbar: np.ndarray
-    _steps: _StepData | None = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self._steps is None or self._steps.op is not self.op:
-            object.__setattr__(self, "_steps", _StepData(self.op))
 
     @property
     def n_players(self):
@@ -141,12 +83,6 @@ class ViProblem:
     @property
     def n_states(self):
         return self.op.n_states
-
-    @property
-    def definite(self):
-        """``definiteness(op)``, computed once per operator; the condition
-        checks take it from here."""
-        return self._steps.definite
 
     @cached_property
     def _mass(self):
@@ -249,49 +185,6 @@ def natural_residual(problem: ViProblem, prof, eps: float = 0.0) -> float:
     return float(np.abs(P - _projection_step(problem, P, 1.0, eps)).max())
 
 
-def _step_norm(steps, tau, eps):
-    """||I - tau (Htilde + eps I)||_2 over the blocks.
-
-    With a = 1 - tau (1 + eps) each block is a I - tau H, whose Gram
-    matrix is a^2 I - a tau S + tau^2 G (S and G from ``sym_gram``); its
-    top eigenvalue is a^2 plus that of tau^2 G - a tau S, solved for
-    every distinct block in one batched eigvalsh.
-    """
-    S, G = steps.sym_gram
-    a = 1.0 - tau * (1.0 + eps)
-    top = np.linalg.eigvalsh((tau * tau) * G - (a * tau) * S)[:, -1].max()
-    return float(np.sqrt(a * a + top))
-
-
-def _best_tau(steps, eps):
-    """Step minimizing the contraction norm ||I - tau*(Htilde + eps I)||_2.
-
-    The norm is a convex function of tau (max of singular values of an
-    affine matrix family), so a golden-section search on [0, 4] finds the
-    minimizer: two interior probes, then one new probe in each of 30
-    rounds, each round keeping the 0.618 of the bracket around the lower
-    norm, and a last comparison of the two interior norms, which leaves a
-    bracket 4 * 0.618^31 = 1.33e-6 wide.  Its midpoint is returned when
-    its norm is below 1, which certifies a contraction; otherwise None is
-    returned.  That makes 33 norms per search.
-    """
-    r = 0.5 * (np.sqrt(5.0) - 1.0)
-    lo, hi = 0.0, 4.0
-    t1, t2 = hi - r * (hi - lo), lo + r * (hi - lo)
-    f1, f2 = _step_norm(steps, t1, eps), _step_norm(steps, t2, eps)
-    for _ in range(30):
-        if f1 <= f2:
-            hi, t2, f2 = t2, t1, f1
-            t1 = hi - r * (hi - lo)
-            f1 = _step_norm(steps, t1, eps)
-        else:
-            lo, t1, f1 = t1, t2, f2
-            t2 = lo + r * (hi - lo)
-            f2 = _step_norm(steps, t2, eps)
-    tau = 0.5 * (lo + t2) if f1 <= f2 else 0.5 * (t1 + hi)
-    return tau if _step_norm(steps, tau, eps) < 1.0 else None
-
-
 def _uniform_start(problem):
     """Budget-tight constant policy, P_i(h) = pbar_i."""
     return np.repeat(problem.pbar[:, None], problem.n_states, axis=1)
@@ -301,7 +194,7 @@ def solve_strong(problem: ViProblem, eps: float, config: ViConfig = ViConfig(),
                  init=None) -> tuple[np.ndarray, int]:
     """Projection iteration P <- Pi_K(P - tau F_eps(P)) at fixed eps.
 
-    tau is ``_StepData.search(eps)``, searched once per operator and eps;
+    tau is ``problem.op.step(eps)``, searched once per operator and eps;
     a step without a convergence guarantee is taken with a warning.
     Stops when both the successive-iterate gap and the natural residual
     of F_eps fall below max(``config.inner_tol``, ULP_FLOOR * max(pbar));
@@ -309,10 +202,10 @@ def solve_strong(problem: ViProblem, eps: float, config: ViConfig = ViConfig(),
     reached (no exception).  eps = 0 is accepted only when Htilde is
     positive definite, where F itself is strongly monotone.
     """
-    if not (eps > 0 or (eps == 0 and problem.definite[1])):
+    if not (eps > 0 or (eps == 0 and problem.op.definite[1])):
         raise ValueError("eps must be positive, or zero on a positive "
                          "definite problem")
-    tau, guaranteed = problem._steps.search(eps)
+    tau, guaranteed = problem.op.step(eps)
     if not guaranteed:
         warnings.warn("Htilde is not positive semidefinite; the projection "
                       "iteration has no convergence guarantee", stacklevel=2)
@@ -346,13 +239,12 @@ def solve_regularized(problem: ViProblem, config: ViConfig = ViConfig(),
     path stops as soon as the natural residual of the *unregularized* F
     drops below max(``config.outer_tol``, ULP_FLOOR * max(pbar)), or after
     ``config.max_outer`` rounds.  It also stops before the first round
-    whose step has no convergence guarantee (``_StepData.search``); if
+    whose step has no convergence guarantee (``problem.op.step``); if
     that is the first round, the path is the one row (eps0, 0, residual
     of the start).
     """
-    steps = problem._steps
     P = _uniform_start(problem) if init is None else _as_rows(problem, init)
-    psd, pd, _ = steps.definite
+    psd, pd, _ = problem.op.definite
     if not psd:
         warnings.warn("Htilde is not positive semidefinite; regularization "
                       "path has no convergence guarantee", stacklevel=2)
@@ -364,7 +256,7 @@ def solve_regularized(problem: ViProblem, config: ViConfig = ViConfig(),
     tau = 0.0
     outer_tol = max(config.outer_tol, ULP_FLOOR * problem.pbar.max())
     for n, eps in enumerate(epsilons):
-        step, guaranteed = steps.search(eps)
+        step, guaranteed = problem.op.step(eps)
         if not guaranteed:
             if not path:
                 residual = natural_residual(problem, P)

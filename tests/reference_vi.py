@@ -68,22 +68,22 @@ def solve_regularized(problem, config):
 
     Returns (solution powers (N, N1), eps path, converged, tau used).
     """
-    steps = problem._steps
+    op = problem.op
     table = np.tile(problem.pbar[None, :], (problem.n_states, 1))
-    if steps.definite[1]:
-        tau = steps.search(0.0)[0]
+    if op.definite[1]:
+        tau = op.step(0.0)[0]
         table, inner = solve_strong(problem, 0.0, config, table, tau)
         residual = natural_residual(problem, table)
         return (table.T.copy(),
                 [(0.0, int(inner), residual)], residual < config.outer_tol, float(tau))
-    psd = steps.definite[0]
+    psd = op.definite[0]
     prev = None
     path = []
     converged = False
     tau = 0.0
     for n in range(config.max_outer):
         eps = config.eps0 * config.decay ** n
-        step, certified = steps.search(eps)
+        step, certified = op.step(eps)
         if not (psd or certified):
             if not path:
                 residual = natural_residual(problem, table)

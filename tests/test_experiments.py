@@ -532,7 +532,7 @@ def assert_sweep_builds_vi_data_once(monkeypatch, name, searches):
     for module in (ifgame.spectral, ifgame.vi):
         count_calls(monkeypatch, calls, module, "build_operator")
         count_calls(monkeypatch, calls, module, "definiteness")
-    count_calls(monkeypatch, calls, ifgame.vi, "_best_tau")
+    count_calls(monkeypatch, calls, ifgame.spectral, "_best_tau")
     config = dataclasses.replace(bundled.config(name), sweep=SweepConfig())
     rows = run_sweep(config).sweep_rows
     monkeypatch.undo()
@@ -660,6 +660,44 @@ def test_cli_oversize_game_names_state_cap(tmp_path, capsys):
     assert main(["analyze", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert "68719476736" in err and "(field: solver.state_cap)" in err
+
+
+def test_config_state_space_far_over_cap_names_state_cap(tmp_path, capsys):
+    """At 32 players the 2^1024 states overflow a float and their smallest
+    probability underflows to 0.  The count is still compared with the
+    cap, before any budget check, and it is never printed as inf."""
+    doc = with_value(bundled.doc("example1"), "game.players", 32)
+    doc = with_value(doc, "solver.which", "iwf")
+    with pytest.raises(ConfigError, match=r"needs about 10\^308 entries") as caught:
+        load_config(json.dumps(doc))
+    assert "inf" not in str(caught.value)
+    rejected(doc, "solver.state_cap", tmp_path, capsys)
+
+
+@pytest.mark.parametrize("command, solver, dotted, value", [
+    ("solve", "pareto", "game.pbar", 1e300),
+    ("solve", "all", "game.pbar", 1e300),
+    ("sweep", "all", "game.pbar", 1e300),
+    ("sweep", "pareto", "sweep.values", [1.0, 1e300]),
+])
+def test_cli_solver_override_checks_the_al_budget(command, solver, dotted, value,
+                                                  tmp_path, capsys):
+    """The file selects IWF, whose budget limit is far above AL's, and
+    ``--solver`` selects AL: the budgets are checked for the solvers that
+    run, and the run stops before AL overflows its penalty."""
+    doc = with_value(with_value(SMALL, "solver.which", "iwf"), dotted, value)
+    doc = with_value(doc, "solver.pareto.max_outer", 5)
+    load_config(json.dumps(doc))  # IWF alone can run these budgets
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main([command, "--config", str(path), "--solver", solver,
+                     "--out", str(tmp_path / "o")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "AL penalty" in err and f"(field: {dotted})" in err
+    assert not (tmp_path / "o").exists()  # rejected before any solver ran
 
 
 def test_cli_nonconvergence_exit_two(tmp_path):

@@ -11,9 +11,8 @@ from ifgame import (GameSpec, IwfConfig, LinkDistribution, ViConfig,
                     natural_residual, project_block, solve_regularized,
                     solve_strong, waterfill_map, wf_residual)
 from ifgame.config import SweepConfig
-from ifgame.spectral import _plus_identity
-from ifgame.vi import (_best_tau, _eval_F, _project_face, _projection_step,
-                       _step_norm, _uniform_start)
+from ifgame.spectral import _best_tau, _plus_identity, _step_norm
+from ifgame.vi import _eval_F, _project_face, _projection_step, _uniform_start
 import bundled
 import reference_vi
 from test_waterfilling import bisect_waterfill
@@ -181,8 +180,7 @@ def test_projection_iteration_gap_is_monotone():
     space = enumerate_states(spec)
     problem = make_vi_problem(spec, space)
     eps = 0.01
-    steps = problem._steps
-    tau = steps.search(eps)[0]
+    tau = problem.op.step(eps)[0]
     P = _uniform_start(problem)
     gaps = []
     for _ in range(60):
@@ -247,7 +245,7 @@ def test_step_norm_matches_gram_reference():
     for name in bundled.NAMES:
         spec = bundled.spec(name)
         problem = make_vi_problem(spec, enumerate_states(spec))
-        steps, blocks = problem._steps, problem.op.blocks
+        steps, blocks = problem.op, problem.op.blocks
         for k in range(30):
             eps = 2.0 ** -k
             for tau in np.linspace(0.05, 4.0, 8):
@@ -272,26 +270,26 @@ def test_step_norm_matches_gram_reference():
         problem = make_vi_problem(spec, enumerate_states(spec))
         for eps in (1.0, 0.3, 1e-3, 1e-8):
             for tau in rng.uniform(0.0, 4.0, size=6):
-                assert _step_norm(problem._steps, tau, eps) == pytest.approx(
+                assert _step_norm(problem.op, tau, eps) == pytest.approx(
                     reference_step_norm(problem.op.blocks, tau, eps), rel=1e-12)
         checked += 1
 
 
 def bundled_steps():
-    """Step data of the bundled games."""
-    return [make_vi_problem(spec, enumerate_states(spec))._steps
+    """Operators of the bundled games."""
+    return [make_vi_problem(spec, enumerate_states(spec)).op
             for spec in map(bundled.spec, bundled.NAMES)]
 
 
 def random_alpha_steps(rng, count):
-    """Step data of ``count`` seeded random games with random alpha."""
+    """Operators of ``count`` seeded random games with random alpha."""
     out = []
     while len(out) < count:
         spec = random_spec(rng, state_limit=400)
         spec = GameSpec(n_players=spec.n_players, gains=spec.gains,
                         dists=spec.dists, pbar=spec.pbar,
                         alpha=rng.uniform(0.3, 3.0, size=spec.n_players))
-        out.append(make_vi_problem(spec, enumerate_states(spec))._steps)
+        out.append(make_vi_problem(spec, enumerate_states(spec)).op)
     return out
 
 
@@ -307,16 +305,16 @@ def test_memoized_tau_search_equals_every_block_search(monkeypatch):
     """Every probe of ``_best_tau`` gives the all-blocks norm at its tau,
     and the step equals a search that solves every block at every probe;
     no norm is carried from one probe or one eps to the next."""
-    import ifgame.vi
+    import ifgame.spectral
     probes = []
-    original = ifgame.vi._step_norm
+    original = ifgame.spectral._step_norm
 
     def recorded(steps, tau, eps):
         norm = original(steps, tau, eps)
         probes.append((tau, norm))
         return norm
 
-    monkeypatch.setattr(ifgame.vi, "_step_norm", recorded)
+    monkeypatch.setattr(ifgame.spectral, "_step_norm", recorded)
     games = bundled_steps()
     rng = np.random.default_rng(23)
     games += random_alpha_steps(rng, 30)
@@ -422,7 +420,7 @@ def test_path_stops_at_first_uncertified_step():
     whose step search certifies nothing, instead of iterating at the
     uncertified sigma / L^2 step to the cap in every later round."""
     problem = make_vi_problem(*uncertified_repro())
-    assert not problem.definite[0]
+    assert not problem.op.definite[0]
     # room for 4 rounds past the last certified one, at a cap that bounds
     # each of them and still leaves every certified round converging
     config = ViConfig(max_outer=12, max_inner=20_000)
@@ -433,8 +431,8 @@ def test_path_stops_at_first_uncertified_step():
     assert not report.converged
     assert report.eps_path[-1][2] == natural_residual(problem, report.solution)
     assert report.eps_path[-1][2] > config.outer_tol
-    assert report.tau_used == problem._steps.search(2.0 ** -7)[0]
-    assert problem._steps.search(2.0 ** -8)[1] is False
+    assert report.tau_used == problem.op.step(2.0 ** -7)[0]
+    assert problem.op.step(2.0 ** -8)[1] is False
     # no step is certified at the first eps: one row at the start
     spec = GameSpec.symmetric(3, [0.08, 0.1], [0.2], pbar=1.0)
     problem = make_vi_problem(spec, enumerate_states(spec))
@@ -451,7 +449,7 @@ def test_solve_strong_warns_only_without_a_guaranteed_step():
     contraction down to eps = 2^-7: there the iteration converges, and
     only at 2^-8, where no step is certified, does it warn."""
     problem = make_vi_problem(*uncertified_repro())
-    assert not problem.definite[0]
+    assert not problem.op.definite[0]
     config = ViConfig(inner_tol=1e-6, max_inner=200)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -464,15 +462,15 @@ def test_fallback_step_is_guaranteed_only_on_psd_games(monkeypatch):
     """With no step certified, the sigma / L^2 fallback is guaranteed on a
     PSD game, where eps + sigma > 0 makes F_eps strongly monotone, and
     not on any other game."""
-    import ifgame.vi
-    monkeypatch.setattr(ifgame.vi, "_best_tau", lambda steps, eps: None)
+    import ifgame.spectral
+    monkeypatch.setattr(ifgame.spectral, "_best_tau", lambda steps, eps: None)
     config = ViConfig(max_inner=50)
     _, _, psd_game = small_problem()
     spec = GameSpec.symmetric(3, [0.08], [0.2], pbar=1.0)
     indefinite = make_vi_problem(spec, enumerate_states(spec))
     for problem, psd in ((psd_game, True), (indefinite, False)):
-        assert problem.definite[0] is psd
-        tau, guaranteed = problem._steps.search(0.5)
+        assert problem.op.definite[0] is psd
+        tau, guaranteed = problem.op.step(0.5)
         assert guaranteed is psd and tau > 0
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -481,15 +479,15 @@ def test_fallback_step_is_guaranteed_only_on_psd_games(monkeypatch):
 
 
 def test_regularized_checks_definiteness_once(monkeypatch):
-    import ifgame.vi
+    import ifgame.spectral
     calls = []
-    original = ifgame.vi.definiteness
+    original = ifgame.spectral.definiteness
 
     def counted(op):
         calls.append(op)
         return original(op)
 
-    monkeypatch.setattr(ifgame.vi, "definiteness", counted)
+    monkeypatch.setattr(ifgame.spectral, "definiteness", counted)
     # a PSD, not PD game walks the eps path
     spec = bundled.spec("psd_boundary")
     report = solve_regularized(make_vi_problem(spec, enumerate_states(spec)))
@@ -539,13 +537,13 @@ def test_vi_config_rejects_zero_max_outer():
 
 def test_parameter_validation():
     spec, space, problem = small_problem()
-    assert problem.definite[1]
+    assert problem.op.definite[1]
     with pytest.raises(ValueError, match="eps"):
         solve_strong(problem, eps=-1e-300)
     solve_strong(problem, eps=0.0)  # F itself is strongly monotone
     spec = bundled.spec("psd_boundary")
     boundary = make_vi_problem(spec, enumerate_states(spec))
-    assert boundary.definite[:2] == (True, False)
+    assert boundary.op.definite[:2] == (True, False)
     for eps in (0.0, -0.5):
         with pytest.raises(ValueError, match="eps"):
             solve_strong(boundary, eps=eps)
@@ -616,7 +614,7 @@ def test_player_major_iteration_matches_reference_on_random_games():
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)
                 report = assert_same_solve(
-                    problem, config if problem.definite[0] else capped)
+                    problem, config if problem.op.definite[0] else capped)
             converged += report.converged
     assert converged >= 10
 
@@ -632,7 +630,7 @@ def test_player_major_iteration_at_four_players_moves_by_rounding():
         checked = 0
         while checked < 3:
             problem = random_games(rng, 1, (4,), uniform)[0]
-            if not problem.definite[0]:
+            if not problem.op.definite[0]:
                 continue
             report, (powers, path, converged, tau) = solve_both(problem, config)
             scale = np.abs(powers).max()
@@ -697,7 +695,7 @@ def test_eps_path_converges_on_psd_boundary_game():
     spec = bundled.spec("psd_boundary")
     space = enumerate_states(spec)
     problem = make_vi_problem(spec, space)
-    psd, pd, min_eig = problem.definite
+    psd, pd, min_eig = problem.op.definite
     assert psd and not pd and abs(min_eig) <= 1e-12
     config = ViConfig()
     report = solve_regularized(problem, config)
@@ -722,13 +720,13 @@ def test_direct_solve_beats_the_eps_path_on_pd_games():
         spec = random_spec(rng, state_limit=800, uniform_probs=len(problems) % 2 == 0,
                            min_players=2)
         problem = make_vi_problem(spec, enumerate_states(spec))
-        if problem.definite[1]:
+        if problem.op.definite[1]:
             problems.append(problem)
     for d in (1e-1, 3e-2, 1e-2, 3e-3, 1e-3, 3e-4, 1e-4, 3e-5, 1e-5, 3e-6, 1e-6,
               3e-7, 1e-7, 3e-8, 1e-8, 3e-9, 1e-9, 3e-10):
         spec = GameSpec.symmetric(2, [1.0, 2.0], [1.0 - d, 0.5 * (1.0 - d)], pbar=1.0)
         problem = make_vi_problem(spec, enumerate_states(spec))
-        assert problem.definite[1] and problem.definite[2] == pytest.approx(d, rel=1e-5)
+        assert problem.op.definite[1] and problem.op.definite[2] == pytest.approx(d, rel=1e-5)
         problems.append(problem)
     config = ViConfig()
     for problem in problems:
@@ -764,7 +762,7 @@ def test_reported_convergence_holds_for_random_games():
     while checked < 30:
         uniform = checked % 2 == 0
         problem = random_games(rng, 1, (1, 2, 3, 4), uniform)[0]
-        if not problem.definite[0]:
+        if not problem.op.definite[0]:
             continue
         report = solve_regularized(problem, config)
         assert all(np.isfinite(r) for _, _, r in report.eps_path)
