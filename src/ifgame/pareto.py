@@ -188,6 +188,7 @@ def _ascent_batch(spec, space, P, lam, cfg, delta, active=None):
     probs = space.probs
     gains = _gains(spec, space)
     geff = spec.alpha[:, None] * gains.diag           # (N, S)
+    by_tx = np.ascontiguousarray(gains.G.transpose(1, 0, 2))  # [j, i] = |h_ij|^2
     work, lam = P[rows], lam[rows]
     base_value = _lagrangian(spec, space, work, lam, cfg.c)
     for _ in range(cfg.max_inner):
@@ -208,7 +209,7 @@ def _ascent_batch(spec, space, P, lam, cfg, delta, active=None):
         sel_b, sel_i = eligible.nonzero()          # ordered by (b, then i)
         mrows = np.arange(sel_b.size)
         dp = (q - work)[sel_b, sel_i]              # (M, S)
-        denom = gains.G.transpose(1, 0, 2)[sel_i]  # [m, i] = |h_ij|^2, j = sel_i[m]
+        denom = by_tx[sel_i]                       # [m, i] = |h_ij|^2, j = sel_i[m]
         denom *= dp[:, None, :]
         denom += interf[sel_b]
         denom[mrows, sel_i] = interf[sel_b, sel_i]

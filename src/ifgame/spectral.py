@@ -69,13 +69,27 @@ class InterferenceOperator:
         return definiteness(self)
 
     @cached_property
+    def representatives(self):
+        """Index of the first block of each class of blocks equal up to a
+        relabelling of the players: each block's players are ordered by
+        their sorted row entries, then their sorted column entries (ties in
+        index order), and equal relabelled blocks are one class.  A tie can
+        split a class in two, which costs only time."""
+        b = self.blocks
+        keys = np.concatenate([np.sort(b, axis=2), np.sort(b, axis=1).transpose(0, 2, 1)], 2)
+        perm = np.lexsort(keys.transpose(2, 0, 1)[::-1], axis=-1)
+        rows = b[np.arange(self.n_states)[:, None, None], perm[:, :, None], perm[:, None, :]]
+        rows = rows.reshape(self.n_states, -1)
+        order = np.lexsort(rows.T)  # equal rows end up adjacent, in index order
+        rows = rows[order]
+        return order[np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)]]
+
+    @cached_property
     def sym_gram(self):
-        """S = H + H^T and G = H^T H for each distinct block H; every norm
-        here is a max over blocks."""
-        rows = self.blocks.reshape(self.n_states, -1)
-        rows = rows[np.lexsort(rows.T)]  # equal rows end up adjacent
-        first = np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)]
-        h = rows[first].reshape(-1, *self.blocks.shape[1:])
+        """S = H + H^T and G = H^T H for each representative block H; every
+        norm here is a max over blocks, and a relabelling of the players, an
+        orthogonal similarity, keeps the norms of a block."""
+        h = self.blocks[self.representatives]
         return h + h.transpose(0, 2, 1), np.einsum('kji,kjl->kil', h, h)
 
     @cached_property
@@ -179,7 +193,8 @@ def _step_norm(op, tau, eps):
     With a = 1 - tau (1 + eps) each block is a I - tau H, whose Gram
     matrix is a^2 I - a tau S + tau^2 G (S and G from ``sym_gram``); its
     top eigenvalue is a^2 plus that of tau^2 G - a tau S, solved for
-    every distinct block in one batched eigvalsh.
+    one block of each relabelling class (``representatives``) in one
+    batched eigvalsh: a relabelled block has the same norm.
     """
     S, G = op.sym_gram
     a = 1.0 - tau * (1.0 + eps)

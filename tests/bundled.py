@@ -11,6 +11,8 @@ from ifgame import load_config_file
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 NAMES = tuple(sorted(p.stem for p in CONFIGS.glob("*.json")))
+# the 4-player binary game of the benchmark, 65 536 states
+N4 = CONFIGS.parent / "perfbench" / "n4_simulate.json"
 
 
 def path(name):
@@ -30,3 +32,8 @@ def config(name):
 def spec(name):
     """The GameSpec of ``configs/<name>.json``."""
     return config(name).game.build_spec()
+
+
+def n4_spec():
+    """The GameSpec of ``perfbench/n4_simulate.json``."""
+    return load_config_file(N4).game.build_spec()

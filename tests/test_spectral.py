@@ -1,6 +1,7 @@
 """Interference operator, spectral radii, and the solver-guarantee checks."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -216,3 +217,36 @@ def test_condition_report_consistency():
         assert rep.contraction_ok == (rep.rho_smax < 1.0)
         assert rep.rho_hhat == pytest.approx(rep.rho_smax, abs=1e-9)
         assert rep.htilde_pd == (rep.min_sym_eig > 1e-10)
+
+
+def test_representatives_stand_for_every_block_up_to_relabelling():
+    """The step search reads one block per relabelling class: each
+    representative is a distinct block index, S and G are formed from those
+    blocks, and every block is a simultaneous row and column permutation of
+    some representative, found by trying all N! orders of its players."""
+    rng = np.random.default_rng(31)
+    ops = [bundled_operator(name) for name in bundled.NAMES]
+    for k in range(20):
+        spec = random_spec(rng, n_max=3, state_limit=800, min_players=2,
+                           uniform_probs=k % 2 == 0)
+        ops.append(build_operator(spec, enumerate_states(spec)))
+    for op in ops:
+        reps = op.representatives
+        assert np.unique(reps).size == reps.size
+        assert 0 <= reps.min() and reps.max() < op.n_states
+        h = op.blocks[reps]
+        S, G = op.sym_gram
+        assert np.array_equal(S, h + h.transpose(0, 2, 1))
+        assert np.array_equal(G, np.einsum('kji,kjl->kil', h, h))
+        known = {block.tobytes() for block in h}
+        orders = list(itertools.permutations(range(op.n_players)))
+        for block in op.blocks:
+            assert any(block[np.ix_(p, p)].tobytes() in known for p in orders)
+
+
+def test_fewer_representatives_than_distinct_blocks():
+    """Exchangeable players leave fewer classes than distinct blocks."""
+    n4 = bundled.n4_spec()
+    for op in (bundled_operator("example1"), build_operator(n4, enumerate_states(n4))):
+        distinct = np.unique(op.blocks.reshape(op.n_states, -1), axis=0)
+        assert op.representatives.size < len(distinct)

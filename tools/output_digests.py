@@ -1,10 +1,10 @@
 """SHA-256 digests of everything the ``ifgame`` CLI writes for the bundled games.
 
 Runs ``ifgame analyze``, ``solve``, ``sweep`` and ``simulate`` on each
-``configs/*.json`` game, and ``simulate`` on ``perfbench/n4_simulate.json``,
-with every output sent to a temporary directory.  Prints one line per
-output file, and one for the standard output and one for the standard
-error of each run, sorted by path:
+``configs/*.json`` game, and ``simulate`` and ``solve --solver vi`` on
+``perfbench/n4_simulate.json``, with every output sent to a temporary
+directory.  Prints one line per output file, and one for the standard
+output and one for the standard error of each run, sorted by path:
 
     <sha256>  <run>/<file>  exit=<code>
 
@@ -33,12 +33,14 @@ COMMANDS = ("analyze", "solve", "sweep", "simulate")
 
 
 def runs(repo):
-    """(run name, subcommand, config path) of every CLI run, over the
-    checkout's own ``configs/*.json`` in sorted order."""
+    """(run name, CLI arguments before ``--out``) of every CLI run, over
+    the checkout's own ``configs/*.json`` in sorted order."""
     for config in sorted((repo / "configs").glob("*.json")):
         for command in COMMANDS:
-            yield f"{config.stem}-{command}", command, config
-    yield "n4-simulate", "simulate", repo / "perfbench" / "n4_simulate.json"
+            yield f"{config.stem}-{command}", [command, "--config", str(config)]
+    n4 = str(repo / "perfbench" / "n4_simulate.json")
+    yield "n4-simulate", ["simulate", "--config", n4]
+    yield "n4-solve-vi", ["solve", "--config", n4, "--solver", "vi"]
 
 
 def digest(data):
@@ -55,11 +57,10 @@ def main(argv=None):
     env = dict(os.environ, PYTHONPATH=str(repo / "src"))
     lines = []
     with tempfile.TemporaryDirectory() as tmp:
-        for name, command, config in runs(repo):
+        for name, args in runs(repo):
             out = Path(tmp) / name
             proc = subprocess.run(
-                [sys.executable, "-m", "ifgame", command, "--config", str(config),
-                 "--out", str(out)],
+                [sys.executable, "-m", "ifgame", *args, "--out", str(out)],
                 cwd=repo, env=env, capture_output=True, check=False)
             code = proc.returncode
             for stream, data in (("stdout", proc.stdout), ("stderr", proc.stderr)):
