@@ -230,20 +230,31 @@ def enumerate_states(spec: GameSpec, cap: int = DEFAULT_STATE_CAP) -> StateSpace
 
     Links are independent, so these are the Cartesian product of each
     link's positive-probability alphabet entries, and the joint
-    probability of a state is the product of its per-link probabilities.
-    Raises StateSpaceTooLargeError when there are more than ``cap``
-    states (``state_count``).
+    probability of a state is the product of its per-link probabilities,
+    multiplied in link order.  Raises StateSpaceTooLargeError when there
+    are more than ``cap`` states (``state_count``).
+
+    The states are laid out as a C-ordered grid with one axis per link of
+    more than one support entry, in link order; each link's gains and
+    probabilities are broadcast along its own axis.  A grid over d axes
+    holds at least 2^d states, so the cap keeps d far inside numpy's
+    dimension limit.
     """
     n = spec.n_players
     total = state_count(spec, cap)
     supports = list(_link_supports(spec))
-    digits = np.unravel_index(np.arange(total), [v.size for v, _ in supports])
+    grid = [values.size for values, _ in supports if values.size > 1]
     gains = np.empty((n, n, total))  # player-major, as StateSpace stores it
-    probs = np.ones(total)
+    probs = np.ones(grid)
+    axis = 0
     for link, (alphabet, pvec) in enumerate(supports):
-        gains[link // n, link % n] = alphabet[digits[link]]
-        probs *= pvec[digits[link]]
-    return StateSpace(gains=gains.transpose(2, 0, 1), probs=probs)
+        shape = [1] * len(grid)
+        if alphabet.size > 1:
+            shape[axis] = alphabet.size
+            axis += 1
+        gains[link // n, link % n].reshape(grid)[...] = alphabet.reshape(shape)
+        probs *= pvec.reshape(shape)
+    return StateSpace(gains=gains.transpose(2, 0, 1), probs=probs.reshape(total))
 
 
 def _transmitter_sum(G, X, out):

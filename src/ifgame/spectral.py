@@ -19,9 +19,10 @@ guaranteed to work:
     the report takes it from Smax; rho_blockdiag computes it over every
     block, and the tests check the two agree bit for bit;
   * positive (semi)definiteness of the quadratic form of
-    Htilde = I + Hhat, tested on the symmetric part of each block; this
-    is the monotonicity condition under which the regularized projection
-    solver converges even when rho(Hhat) >= 1;
+    Htilde = I + Hhat, tested on the symmetric part of each block up to
+    a rounding band of a few ulp (``_band``); this is the monotonicity
+    condition under which the regularized projection solver converges
+    even when rho(Hhat) >= 1;
   * the step certificate: a step tau with ||I - tau (Htilde + eps I)||_2
     < 1, which makes the projection iteration on F_eps a contraction
     (Facchinei & Pang 2003, Sec. 12.1); InterferenceOperator.step
@@ -101,14 +102,19 @@ class InterferenceOperator:
 
     def step(self, eps):
         """(tau(eps), guaranteed): the searched step, whose certified
-        contraction guarantees convergence, else sigma / L^2 with sigma =
-        eps + max(0, min_sym_eig) and L = ||Htilde||_2 + eps, guaranteed
-        if Htilde is PSD, where sigma > 0 makes F_eps strongly monotone."""
+        contraction guarantees convergence, else sigma / L^2 with
+        sigma = eps + min_sym_eig - delta (delta = ``_band(self)``) and
+        L = ||Htilde||_2 + eps, guaranteed when sigma > 0, where F_eps is
+        strongly monotone with modulus sigma; with sigma <= 0 the step is
+        eps / L^2, not guaranteed."""
         if eps not in self._taus:
             tau = _best_tau(self, eps)
-            psd, _, m = self.definite
-            self._taus[eps] = ((tau, True) if tau is not None else
-                               ((eps + max(0.0, m)) / (self.lipschitz + eps) ** 2, psd))
+            if tau is not None:
+                self._taus[eps] = (tau, True)
+            else:
+                sigma = eps + self.definite[2] - _band(self)
+                tau = (sigma if sigma > 0 else eps) / (self.lipschitz + eps) ** 2
+                self._taus[eps] = (tau, sigma > 0)
         return self._taus[eps]
 
 
@@ -153,13 +159,6 @@ def rho_blockdiag(op: InterferenceOperator) -> float:
     return float(np.abs(np.linalg.eigvals(op.blocks)).max(-1).max())
 
 
-def _plus_identity(blocks, shift=1.0):
-    """Add ``shift`` to the diagonal of each square block, in place."""
-    n = blocks.shape[-1]
-    blocks[..., np.arange(n), np.arange(n)] += shift
-    return blocks
-
-
 def contraction_condition(spec: GameSpec) -> tuple[float, bool]:
     """Contraction ratio (N-1) * max(H_c) / (min_i alpha_i * min(H_d)) and
     whether it is < 1.  The ratio is taken over the whole alphabets, so it
@@ -173,6 +172,64 @@ def contraction_condition(spec: GameSpec) -> tuple[float, bool]:
     return float(ratio), bool(ratio < 1.0)
 
 
+#: blocks of large Gershgorin radius that ``definiteness`` solves first
+_SAMPLE = 64
+#: blocks per chunk of the certificate pass, which bounds its temporaries
+_CHUNK = 4096
+
+
+def _band(op) -> float:
+    """delta = 16 N^2 u R, the rounding band of ``definiteness``.
+
+    u = 2^-53, and R = 1 + max_i (row sum + column sum of Smax)_i / 2
+    bounds ||I + S(h)/2||_inf, and so the 2-norm, of every block from
+    above (the blocks are nonnegative and Smax is their entrywise max);
+    R is the largest such norm when the states are the full product of
+    the link supports.  delta covers eigvalsh's error on a block, u R
+    times a modest function of N (Golub & Van Loan, Matrix Computations,
+    4th ed., 2013, ch. 8), plus that of an LDL^T factorization of a
+    block shifted by at most R + delta, about 2 N (N + 1) u R (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., 2002,
+    Thm 10.3).
+    """
+    s = op.smax
+    norm = 1.0 + 0.5 * float((s.sum(axis=0) + s.sum(axis=1)).max())
+    return 16 * op.n_players ** 2 * 2.0 ** -53 * norm
+
+
+def _sym(h):
+    """I + (H + H^T)/2 of player-major blocks h (N, N, K), player-major."""
+    a = 0.5 * (h + h.transpose(1, 0, 2))
+    n = a.shape[0]
+    a[np.arange(n), np.arange(n)] += 1.0
+    return a
+
+
+def _clears(a, t, band):
+    """Mask of the symmetric player-major blocks a (N, N, K) whose eigvalsh
+    minimum exceeds t (a scalar or one value per block): those whose
+    LDL^T factorization of a - (t + band) I, without pivoting, has only
+    positive pivots.
+
+    The factorization is exact for a nearby matrix (Higham, Thm 10.3), so
+    positive pivots put the exact smallest eigenvalue above t + band less
+    the factorization's error, and with band = ``_band`` eigvalsh's result
+    above t.  Only the lower triangle is read, so every diagonal entry
+    only falls and a positive pivot is finite; a NaN pivot fails.
+    """
+    n = a.shape[0]
+    a = a.copy()
+    a[np.arange(n), np.arange(n)] -= t + band
+    clear = np.ones(a.shape[2], dtype=bool)
+    with np.errstate(all="ignore"):  # a failed pivot can be 0 or tiny
+        for k in range(n):
+            d = a[k, k]
+            clear &= d > 0
+            col = a[k + 1:, k]
+            a[k + 1:, k + 1:] -= (col / d)[:, None] * col
+    return clear
+
+
 def definiteness(op: InterferenceOperator) -> tuple[bool, bool, float]:
     """Quadratic-form definiteness of Htilde = I + Hhat.
 
@@ -180,11 +237,33 @@ def definiteness(op: InterferenceOperator) -> tuple[bool, bool, float]:
     eigenvalue over all blocks of I + (Hhat(h) + Hhat(h)^T)/2.  The
     symmetric part is what bounds (P-V)^T Htilde (P-V), which is the
     quantity the monotonicity analysis needs; for nonsymmetric blocks it
-    is not implied by eigenvalues having positive real parts.
+    is not implied by eigenvalues having positive real parts.  With the
+    rounding band delta = ``_band(op)``, psd is min_sym_eig >= -delta and
+    pd is min_sym_eig > delta.
+
+    min_sym_eig is, bit for bit, the minimum of eigvalsh's smallest
+    eigenvalue over every block, but eigvalsh solves only the blocks that
+    could set it: first ``_SAMPLE`` blocks whose Gershgorin radius is
+    among the ``_SAMPLE`` largest, then, chunk by chunk, each block that
+    ``_clears`` does not certify above the minimum found so far.
     """
-    sym = _plus_identity(0.5 * (op.blocks + op.blocks.transpose(0, 2, 1)))
-    m = float(np.linalg.eigvalsh(sym)[:, 0].min())
-    return bool(m >= -1e-10), bool(m > 1e-10), m
+    h = op.blocks.transpose(1, 2, 0)  # player-major, C-contiguous
+    band = _band(op)
+    # twice the Gershgorin radius of each block: its largest row sum of S
+    radius = (h.sum(axis=0) + h.sum(axis=1)).max(axis=0)
+    sampled = op.n_states > _SAMPLE
+    # np.sort, which the solvers use anyway: the first argpartition call
+    # maps in about 0.25 MB more of numpy's code
+    sample = (np.flatnonzero(radius >= np.sort(radius)[-_SAMPLE])[:_SAMPLE]
+              if sampled else slice(None))
+    m = np.linalg.eigvalsh(_sym(h[:, :, sample]).transpose(2, 0, 1))[:, 0].min()
+    for start in range(0, op.n_states if sampled else 0, _CHUNK):
+        a = _sym(h[:, :, start:start + _CHUNK])
+        left = ~_clears(a, m, band)
+        if left.any():
+            m = min(m, np.linalg.eigvalsh(a[:, :, left].transpose(2, 0, 1))[:, 0].min())
+    m = float(m)
+    return bool(m >= -band), bool(m > band), m
 
 
 def _step_norm(op, tau, eps):

@@ -89,6 +89,56 @@ def test_enumeration_matches_brute_force():
         assert abs(space.probs.sum() - 1.0) <= 1e-9
 
 
+def unravel_states(spec):
+    """Enumeration by one np.unravel_index over every link's support and
+    a gather per link, the probabilities multiplied in link order."""
+    n = spec.n_players
+    supports = []
+    for i in range(n):
+        for j in range(n):
+            alphabet = spec.gains.direct if i == j else spec.gains.cross
+            pvec = spec.dists.direct[i] if i == j else spec.dists.cross[i, j]
+            supports.append((alphabet[pvec > 0], pvec[pvec > 0]))
+    total = math.prod(v.size for v, _ in supports)
+    digits = np.unravel_index(np.arange(total), [v.size for v, _ in supports])
+    gains = np.empty((total, n, n))
+    probs = np.ones(total)
+    for link, (alphabet, pvec) in enumerate(supports):
+        gains[:, link // n, link % n] = alphabet[digits[link]]
+        probs *= pvec[digits[link]]
+    return gains, probs
+
+
+def test_enumeration_matches_unravel_reference_bit_for_bit():
+    """Broadcasting along one axis per link gives the gains and the
+    probabilities of the unravel reference bit for bit: on random
+    non-uniform games, a zero-probability entry, size-1 links, one
+    player, a one-state 7-player game (49 links) and the 65 536-state
+    game."""
+    rng = np.random.default_rng(77)
+    specs = [random_spec(rng, state_limit=3000, min_states=2) for _ in range(40)]
+    zero = LinkDistribution(direct=[[0.3, 0.7], [1.0, 0.0], [0.5, 0.5]],
+                            cross=np.tile([0.2, 0.0, 0.8], (3, 3, 1)))
+    specs.append(GameSpec(n_players=3, pbar=1.0, dists=zero,
+                          gains=GainAlphabets(direct=[2.0, 1.0], cross=[0.1, 0.3, 0.7])))
+    sized_one = LinkDistribution(direct=[[0.25, 0.75], [0.6, 0.4]],
+                                 cross=np.array([[[1.0, 0.0], [0.0, 1.0]],
+                                                 [[0.1, 0.9], [0.5, 0.5]]]))
+    specs.append(GameSpec(n_players=2, pbar=1.0, dists=sized_one,
+                          gains=GainAlphabets(direct=[3.0, 1.5], cross=[0.2, 0.4])))
+    specs.append(GameSpec.symmetric(2, [1.0, 2.0], [0.5], pbar=1.0))
+    specs.append(GameSpec.symmetric(1, [1.0, 2.0, 4.0], [1.0], pbar=1.0))
+    specs.append(GameSpec.symmetric(7, [2.0], [0.1], pbar=1.0))
+    specs.append(bundled.n4_spec())
+    for spec in specs:
+        space = enumerate_states(spec)
+        gains, probs = unravel_states(spec)
+        assert space.gains.tobytes() == np.ascontiguousarray(gains).tobytes()
+        assert space.probs.tobytes() == probs.tobytes()
+    assert space.n_states == 65536
+    assert enumerate_states(specs[-2]).gains.shape == (1, 7, 7)
+
+
 def test_cap_guard():
     spec = GameSpec.symmetric(4, [1.0, 2.0, 3.0], [0.1, 0.2, 0.3], pbar=1.0)
     with pytest.raises(StateSpaceTooLargeError, match="43046721"):

@@ -6,9 +6,11 @@ import itertools
 import numpy as np
 import pytest
 
-from ifgame import (GameSpec, build_operator, condition_report,
-                    contraction_condition, definiteness, enumerate_states,
-                    rho_blockdiag, spectral_radius)
+from ifgame import (GameSpec, InterferenceOperator, build_operator,
+                    condition_report, contraction_condition, definiteness,
+                    enumerate_states, rho_blockdiag, spectral_radius)
+from ifgame import spectral
+from ifgame.spectral import _band, _clears, _sym
 import bundled
 from util_random import random_spec
 
@@ -216,7 +218,7 @@ def test_condition_report_consistency():
         rep = condition_report(spec, enumerate_states(spec))
         assert rep.contraction_ok == (rep.rho_smax < 1.0)
         assert rep.rho_hhat == pytest.approx(rep.rho_smax, abs=1e-9)
-        assert rep.htilde_pd == (rep.min_sym_eig > 1e-10)
+        assert rep.htilde_pd == (rep.min_sym_eig > _band(build_operator(spec, enumerate_states(spec))))
 
 
 def test_representatives_stand_for_every_block_up_to_relabelling():
@@ -250,3 +252,94 @@ def test_fewer_representatives_than_distinct_blocks():
     for op in (bundled_operator("example1"), build_operator(n4, enumerate_states(n4))):
         distinct = np.unique(op.blocks.reshape(op.n_states, -1), axis=0)
         assert op.representatives.size < len(distinct)
+
+
+def all_blocks_definiteness(op):
+    """(psd, pd, min_sym_eig) from eigvalsh on every block of I + S/2."""
+    b = op.blocks
+    sym = 0.5 * (b + b.transpose(0, 2, 1))
+    n = op.n_players
+    sym[:, np.arange(n), np.arange(n)] += 1.0
+    m = float(np.linalg.eigvalsh(sym)[:, 0].min())
+    band = _band(op)
+    return m >= -band, m > band, m
+
+
+def test_definiteness_matches_every_block_bit_for_bit():
+    """Solving only the sampled and the uncertified blocks leaves the
+    certificate exactly that of eigvalsh on every block: on the bundled
+    games, the 65 536-state game, 300 seeded random games (uniform and
+    not, random alpha, many not PSD), games whose blocks tie at the
+    minimum, one player, and one state."""
+    specs = [bundled.spec(name) for name in bundled.NAMES] + [bundled.n4_spec()]
+    rng = np.random.default_rng(23)
+    for k in range(300):
+        spec = random_spec(rng, state_limit=3000, uniform_probs=k % 2 == 0,
+                           min_states=65 if k % 3 else 1)
+        if k % 4 == 0:
+            spec = dataclasses.replace(spec, alpha=rng.uniform(0.5, 2.0, spec.n_players))
+        specs.append(spec)
+    # every block the same, then many blocks equal to the minimizing one
+    specs.append(GameSpec.symmetric(3, [1.0], [0.4, 0.4, 0.4], pbar=1.0))
+    specs.append(GameSpec.symmetric(3, [1.0, 1.0], [0.6, 0.6, 0.2], pbar=1.0))
+    specs.append(GameSpec.symmetric(1, [1.0, 2.0, 3.0], [1.0], pbar=1.0))
+    specs.append(GameSpec.symmetric(3, [0.3], [0.2], pbar=1.0))
+    specs.append(GameSpec.symmetric(2, [1.0], [1.5], pbar=1.0))
+    flags = set()
+    for spec in specs:
+        op = build_operator(spec, enumerate_states(spec))
+        got, want = definiteness(op), all_blocks_definiteness(op)
+        assert got == want
+        assert all(type(flag) is bool for flag in got[:2]) and type(got[2]) is float
+        flags.add(got[:2])
+    assert flags == {(True, True), (True, False), (False, False)}
+
+
+def test_ldl_certificate_never_clears_a_block_at_or_below_t():
+    """``_clears`` passes no block whose eigvalsh minimum is at most t, with
+    t placed within 4 bands of each block's minimum (a quarter of them
+    exactly on it), and passes every block whose minimum is 2 bands or
+    more above t."""
+    rng = np.random.default_rng(19)
+    count = 4000
+    for n in range(1, 6):
+        h = rng.uniform(0.0, 1.5, size=(n, n, count))
+        h[np.arange(n), np.arange(n)] = 0.0
+        op = InterferenceOperator(hhat=np.ones((count, n)), blocks=h.transpose(2, 0, 1),
+                                  smax=h.max(axis=2))
+        band = _band(op)
+        a = _sym(h)
+        low = np.linalg.eigvalsh(a.transpose(2, 0, 1))[:, 0]
+        offset = np.where(rng.random(count) < 0.25, 0.0, rng.uniform(-4.0, 4.0, count))
+        t = low + offset * band
+        before = a.copy()
+        clear = _clears(a, t, band)
+        assert np.array_equal(a, before)
+        assert not (clear & (low <= t)).any()
+        assert clear[offset <= -2.0].all() and clear.sum() > count // 4
+
+
+def test_flags_allow_only_the_rounding_band():
+    """min_sym_eig -5e-11 is not PSD, and +5e-11 is PD: the band is a few
+    ulp wide, not 1e-10; the bundled boundary game stays PSD."""
+    for cross, flags in ((1.0 + 5e-11, (False, False)), (1.0 - 5e-11, (True, True))):
+        spec = GameSpec.symmetric(2, [1.0], [cross], pbar=1.0)
+        report = condition_report(spec, enumerate_states(spec))
+        assert (report.htilde_psd, report.htilde_pd) == flags
+        assert abs(report.min_sym_eig) == pytest.approx(5e-11, rel=1e-6)
+    op = bundled_operator("psd_boundary")
+    assert op.definite[:2] == (True, False) and 0 < _band(op) < 1e-13
+
+
+def test_fallback_step_needs_a_positive_modulus(monkeypatch):
+    """With no step certified, the sigma / L^2 fallback is guaranteed only
+    when sigma = eps + min_sym_eig - delta > 0; otherwise the step is
+    eps / L^2 and not guaranteed."""
+    spec = GameSpec.symmetric(2, [1.0, 2.0], [1.0 + 5e-11], pbar=1.0)
+    op = build_operator(spec, enumerate_states(spec))
+    m = op.definite[2]
+    assert op.step(1e-11) == (1e-11 / (op.lipschitz + 1e-11) ** 2, False)
+    monkeypatch.setattr(spectral, "_best_tau", lambda steps, eps: None)
+    op = build_operator(spec, enumerate_states(spec))
+    sigma = 1e-9 + m - _band(op)
+    assert op.step(1e-9) == (sigma / (op.lipschitz + 1e-9) ** 2, True)

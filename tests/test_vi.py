@@ -12,7 +12,7 @@ from ifgame import (GameSpec, IwfConfig, LinkDistribution, ViConfig,
                     natural_residual, project_block, solve_regularized,
                     solve_strong, waterfill_map, wf_residual)
 from ifgame.config import SweepConfig
-from ifgame.spectral import _best_tau, _plus_identity, _step_norm
+from ifgame.spectral import _best_tau, _step_norm
 from ifgame.vi import _eval_F, _project_face, _projection_step, _uniform_start
 import bundled
 import reference_vi
@@ -194,11 +194,18 @@ def test_projection_iteration_gap_is_monotone():
         assert after <= before * (1.0 + 1e-9)
 
 
+def plus_identity(blocks, shift=1.0):
+    """Add ``shift`` to the diagonal of each square block, in place."""
+    n = blocks.shape[-1]
+    blocks[..., np.arange(n), np.arange(n)] += shift
+    return blocks
+
+
 def reference_step_norm(blocks, tau, eps):
     """||I - tau (I + H + eps I)||_2 from the Gram matrix of every assembled
     block I - tau M, as the step search computed it before S and G."""
-    m = _plus_identity(blocks.copy(), 1.0 + eps)
-    b = _plus_identity(-tau * m)
+    m = plus_identity(blocks.copy(), 1.0 + eps)
+    b = plus_identity(-tau * m)
     gram = np.einsum('kji,kjl->kil', b, b)
     return float(np.sqrt(np.linalg.eigvalsh(gram)[:, -1].max()))
 
@@ -488,9 +495,10 @@ def test_solve_strong_warns_only_without_a_guaranteed_step():
 
 
 def test_fallback_step_is_guaranteed_only_on_psd_games(monkeypatch):
-    """With no step certified, the sigma / L^2 fallback is guaranteed on a
-    PSD game, where eps + sigma > 0 makes F_eps strongly monotone, and
-    not on any other game."""
+    """With no step certified, the sigma / L^2 fallback is guaranteed when
+    sigma = eps + min_sym_eig - delta > 0 makes F_eps strongly monotone:
+    on a PSD game at eps = 0.5, and not on a game whose min_sym_eig is
+    -1.5."""
     import ifgame.spectral
     monkeypatch.setattr(ifgame.spectral, "_best_tau", lambda steps, eps: None)
     config = ViConfig(max_inner=50)
@@ -739,7 +747,7 @@ def test_eps_path_converges_on_psd_boundary_game():
 def test_direct_solve_beats_the_eps_path_on_pd_games():
     """On seeded random PD games, and on the 2-player games with direct
     gains [1, 2] and cross gains (1 - d) [1, 0.5], whose min_sym_eig is d,
-    from d = 0.1 down to 3e-10, just above the PD threshold of 1e-10: the
+    from d = 0.1 down to 3e-10, still far above the PD band delta: the
     one eps = 0 solve takes no more inner iterations than the eps path,
     reports the same ``converged``, and converges to a natural residual
     below outer_tol."""

@@ -2,8 +2,9 @@
 
 Runs ``ifgame analyze``, ``solve``, ``sweep`` and ``simulate`` on each
 ``configs/*.json`` game, and ``simulate`` and ``solve --solver vi`` on
-``perfbench/n4_simulate.json``, with every output sent to a temporary
-directory.  Prints one line per output file, and one for the standard
+``perfbench/n4_simulate.json`` and on ``NONUNIFORM``, a game with
+non-uniform link probabilities and one zero-probability entry that is
+written into the temporary directory the outputs go to.  Prints one line per output file, and one for the standard
 output and one for the standard error of each run, sorted by path:
 
     <sha256>  <run>/<file>  exit=<code>
@@ -23,6 +24,7 @@ used here; the runs themselves need numpy.
 
 import argparse
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -31,16 +33,40 @@ from pathlib import Path
 
 COMMANDS = ("analyze", "solve", "sweep", "simulate")
 
+#: 3 players, 256 states: link (1, 2) never takes cross gain 0.5, so the
+#: state probabilities are products of unequal factors, and water-filling
+#: sorts its breakpoints
+NONUNIFORM = {
+    "game": {
+        "players": 3,
+        "direct_gains": [3.0, 1.5],
+        "cross_gains": [0.1, 0.5],
+        "link_probs": {
+            "direct": [[0.7, 0.3], [0.4, 0.6], [0.25, 0.75]],
+            "cross": [[[0.5, 0.5], [1.0, 0.0], [0.6, 0.4]],
+                      [[0.3, 0.7], [0.5, 0.5], [0.9, 0.1]],
+                      [[0.2, 0.8], [0.55, 0.45], [0.5, 0.5]]],
+        },
+        "pbar": [1.0, 1.5, 0.5],
+    },
+    "simulate": {"slots": 100000, "seed": 3},
+}
 
-def runs(repo):
+
+def runs(repo, tmp):
     """(run name, CLI arguments before ``--out``) of every CLI run, over
-    the checkout's own ``configs/*.json`` in sorted order."""
+    the checkout's own ``configs/*.json`` in sorted order, then the n4 and
+    the non-uniform games; the latter is written into ``tmp``."""
     for config in sorted((repo / "configs").glob("*.json")):
         for command in COMMANDS:
             yield f"{config.stem}-{command}", [command, "--config", str(config)]
     n4 = str(repo / "perfbench" / "n4_simulate.json")
     yield "n4-simulate", ["simulate", "--config", n4]
     yield "n4-solve-vi", ["solve", "--config", n4, "--solver", "vi"]
+    nonuniform = Path(tmp) / "nonuniform.json"
+    nonuniform.write_text(json.dumps(NONUNIFORM), encoding="utf-8")
+    yield "nonuniform-simulate", ["simulate", "--config", str(nonuniform)]
+    yield "nonuniform-solve-vi", ["solve", "--config", str(nonuniform), "--solver", "vi"]
 
 
 def digest(data):
@@ -57,7 +83,7 @@ def main(argv=None):
     env = dict(os.environ, PYTHONPATH=str(repo / "src"))
     lines = []
     with tempfile.TemporaryDirectory() as tmp:
-        for name, args in runs(repo):
+        for name, args in runs(repo, tmp):
             out = Path(tmp) / name
             proc = subprocess.run(
                 [sys.executable, "-m", "ifgame", *args, "--out", str(out)],
