@@ -23,7 +23,7 @@ games = {
     "example1 (weak cross gains)": bundled("example1"),
     "example2 (strong cross gains)": bundled("example2"),
     "pd_not_contractive (small direct spread)": bundled("pd_not_contractive"),
-    "no certificate at all": GameSpec.symmetric(3, [0.08], [0.2], pbar=1.0),
+    "no certificate at all": GameSpec(3, [0.08], [0.2], pbar=1.0),
 }
 
 print(f"{'game':42s} {'rho(Smax)':>10s} {'ratio':>8s} {'contr':>6s} "

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .game import (DEFAULT_STATE_CAP, GainAlphabets, GameSpec, LinkDistribution,
-                   StateSpaceTooLargeError, _link_supports, state_count)
+from .game import (DEFAULT_STATE_CAP, GameSpec, StateSpaceTooLargeError, _per_link,
+                   state_count)
 from .pareto import AlConfig
 from .vi import ViConfig
 from .waterfilling import SCHEME_CHOICES, IwfConfig
@@ -46,14 +47,10 @@ class GameConfig:
     weights: list[float] | None = None
 
     def build_spec(self) -> GameSpec:
-        vectors = dict(pbar=self.pbar, alpha=self.alpha, weights=self.weights)
-        if self.link_probs == "uniform":
-            return GameSpec.symmetric(self.players, self.direct_gains,
-                                      self.cross_gains, **vectors)
-        gains = GainAlphabets(direct=self.direct_gains, cross=self.cross_gains)
-        dists = LinkDistribution(direct=np.array(self.link_probs["direct"]),
-                                 cross=np.array(self.link_probs["cross"]))
-        return GameSpec(n_players=self.players, gains=gains, dists=dists, **vectors)
+        probs = {} if self.link_probs == "uniform" else {
+            f"{key}_probs": self.link_probs[key] for key in ("direct", "cross")}
+        return GameSpec(self.players, self.direct_gains, self.cross_gains, self.pbar,
+                        self.alpha, self.weights, **probs)
 
 
 @dataclass(frozen=True)
@@ -74,6 +71,14 @@ class SweepConfig:
 class SimulateConfig:
     slots: int = 1_000_000
     seed: int = 7
+
+    def __post_init__(self):
+        # numpy draws the slot counts as int64, and the empirical rates
+        # divide by the slot count
+        if not (isinstance(self.slots, numbers.Integral) and 1 <= self.slots < 2**63):
+            raise ValueError("slots must be an integer in [1, 2^63)")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -135,7 +140,7 @@ def _positive_list(value, name):
 
 def _nested_numbers(value, name):
     """Every entry of nested lists as a finite number; the shapes and the
-    signs are left to ``LinkDistribution``."""
+    signs are left to ``GameSpec``."""
     if isinstance(value, list):
         return [_nested_numbers(v, name) for v in value]
     return _number(value, name, low=None)
@@ -183,7 +188,7 @@ def _check_quotients(spec: GameSpec):
     cross/(alpha*direct); both must be finite for every alphabet entry.
     The extremes are the smallest alpha*direct and the largest cross."""
     alpha = float(spec.alpha.min())
-    direct = float(spec.gains.direct.min())
+    direct = float(spec.direct_alphabet.min())
     with np.errstate(over="ignore", divide="ignore"):
         geff = np.float64(alpha) * direct
         if not np.isfinite(1.0 / geff):
@@ -192,7 +197,7 @@ def _check_quotients(spec: GameSpec):
             raise ConfigError(f"{field}: 1 / (alpha * direct gain) overflows for "
                               f"alpha {alpha!r} and direct gain {direct!r}",
                               field=field)
-        cross = float(spec.gains.cross.max())
+        cross = float(spec.cross_alphabet.max())
         if spec.n_players > 1 and not np.isfinite(cross / geff):
             raise ConfigError(f"game.cross_gains: cross gain / (alpha * direct gain) "
                               f"overflows for cross gain {cross!r}, alpha {alpha!r} "
@@ -212,9 +217,12 @@ def _check_budgets(spec: GameSpec, budgets, field, c=None):
     the solvers form it, so an intermediate overflow shows as inf.
     """
     n = spec.n_players
-    pi_min = np.prod([probs.min() for _, probs in _link_supports(spec)])
-    alpha, direct = spec.alpha, spec.gains.direct
-    gain = max(direct.max() * max(1.0, alpha.max()), spec.gains.cross.max())
+    def least(probs):  # the smallest positive probability of each link
+        return np.where(probs > 0, probs, np.inf).min(axis=-1)
+
+    pi_min = np.prod(_per_link(least(spec.direct_probs), least(spec.cross_probs)))
+    alpha, direct = spec.alpha, spec.direct_alphabet
+    gain = max(direct.max() * max(1.0, alpha.max()), spec.cross_alphabet.max())
     pbar = np.float64(max(budgets))
     with np.errstate(over="ignore", divide="ignore"):
         peak = pbar / pi_min

@@ -38,12 +38,17 @@ class StateSpaceTooLargeError(ValueError):
     """Raised when the full channel-state enumeration would exceed the cap."""
 
 
-def _positive_vector(x, n, name):
+def _positive(x, name, n=None):
+    """An owned, read-only float vector of finite positive entries: a
+    non-empty alphabet, or with ``n`` given a per-player vector of length
+    n, which one number fills."""
     v = np.array(x, dtype=float)  # owned copy; frozen below
-    if v.ndim == 0:
+    if n is not None and v.ndim == 0:
         v = np.full(n, float(v))
-    if v.shape != (n,):
+    if n is not None and v.shape != (n,):
         raise ValueError(f"{name} must have length {n}, got shape {v.shape}")
+    if v.ndim != 1 or v.size == 0:
+        raise ValueError(f"{name} must be a non-empty vector")
     if not np.all((v > 0) & (v < np.inf)):  # NaN fails too
         raise ValueError(f"{name} must be finite and positive")
     v.flags.writeable = False
@@ -51,95 +56,63 @@ def _positive_vector(x, n, name):
 
 
 @dataclass(frozen=True)
-class GainAlphabets:
-    """Finite alphabets of direct and cross power gains."""
+class GameSpec:
+    """Players, gain alphabets, link distributions, budgets and weights.
 
-    direct: np.ndarray
-    cross: np.ndarray
-
-    def __post_init__(self):
-        for name in ("direct", "cross"):
-            v = np.array(getattr(self, name), dtype=float)
-            if v.ndim != 1 or v.size == 0:
-                raise ValueError(f"{name} gain alphabet must be a non-empty vector")
-            if not np.all((v > 0) & (v < np.inf)):
-                raise ValueError(f"{name} gains must be finite and positive")
-            v.flags.writeable = False
-            object.__setattr__(self, name, v)
-
-
-@dataclass(frozen=True)
-class LinkDistribution:
-    """Per-link categorical distributions over the gain alphabets.
-
-    ``direct[i]`` is the distribution of link (i, i) over the direct
-    alphabet, ``cross[i, j]`` of link (i, j), i != j, over the cross
-    alphabet.  Rows must sum to 1 within 1e-12.
+    ``direct_probs[i]`` is the categorical distribution of link (i, i)
+    over ``direct_alphabet``, ``cross_probs[i, j]`` that of link (i, j),
+    i != j, over ``cross_alphabet``; the diagonal rows of ``cross_probs``
+    are unused.  A distribution not given is uniform.  Probabilities
+    must be nonnegative and every used row must sum to 1 within 1e-12.
+    ``alpha`` and ``weights`` default to ones; ``pbar``, ``alpha`` and
+    ``weights`` may be given as one number for every player.
     """
 
-    direct: np.ndarray  # (N, n1)
-    cross: np.ndarray   # (N, N, n2); diagonal rows unused
-
-    def __post_init__(self):
-        d = np.array(self.direct, dtype=float)
-        c = np.array(self.cross, dtype=float)
-        if d.ndim != 2 or c.ndim != 3 or c.shape[0] != c.shape[1] or c.shape[0] != d.shape[0]:
-            raise ValueError("inconsistent link-distribution shapes")
-        n = d.shape[0]
-        if np.any(d < 0) or np.any(c < 0):
-            raise ValueError("link probabilities must be nonnegative")
-        # "not <=" rather than ">" so that NaN probabilities fail too
-        if not np.all(np.abs(d.sum(axis=1) - 1.0) <= 1e-12):
-            raise ValueError("direct-link probabilities must sum to 1")
-        off = [(i, j) for i in range(n) for j in range(n) if i != j]
-        for i, j in off:
-            if not abs(c[i, j].sum() - 1.0) <= 1e-12:
-                raise ValueError(f"cross-link ({i},{j}) probabilities must sum to 1")
-        d.flags.writeable = False
-        c.flags.writeable = False
-        object.__setattr__(self, "direct", d)
-        object.__setattr__(self, "cross", c)
-
-    @classmethod
-    def uniform(cls, n_players, n_direct, n_cross):
-        d = np.full((n_players, n_direct), 1.0 / n_direct)
-        c = np.full((n_players, n_players, n_cross), 1.0 / n_cross)
-        return cls(direct=d, cross=c)
-
-
-@dataclass(frozen=True)
-class GameSpec:
-    """Players, gain alphabets, link distributions, budgets and weights."""
-
     n_players: int
-    gains: GainAlphabets
-    dists: LinkDistribution
+    direct_alphabet: np.ndarray  # (n1,)
+    cross_alphabet: np.ndarray   # (n2,)
     pbar: np.ndarray
     alpha: np.ndarray = None
     weights: np.ndarray = None
+    direct_probs: np.ndarray = None  # (N, n1)
+    cross_probs: np.ndarray = None   # (N, N, n2)
 
     def __post_init__(self):
         n = self.n_players
         if n < 1:
             raise ValueError("need at least one player")
-        object.__setattr__(self, "pbar", _positive_vector(self.pbar, n, "pbar"))
+        direct = _positive(self.direct_alphabet, "direct_alphabet")
+        cross = _positive(self.cross_alphabet, "cross_alphabet")
+        d = (np.full((n, direct.size), 1.0 / direct.size) if self.direct_probs is None
+             else np.array(self.direct_probs, dtype=float))
+        c = (np.full((n, n, cross.size), 1.0 / cross.size) if self.cross_probs is None
+             else np.array(self.cross_probs, dtype=float))
+        if d.shape != (n, direct.size):
+            raise ValueError(f"direct_probs must have shape {(n, direct.size)}, "
+                             f"got {d.shape}")
+        if c.shape != (n, n, cross.size):
+            raise ValueError(f"cross_probs must have shape {(n, n, cross.size)}, "
+                             f"got {c.shape}")
+        if np.any(d < 0) or np.any(c < 0):
+            raise ValueError("link probabilities must be nonnegative")
+        # "not <=" rather than ">" so that NaN probabilities fail too
+        if not np.all(np.abs(d.sum(axis=1) - 1.0) <= 1e-12):
+            raise ValueError("direct-link probabilities must sum to 1")
+        bad = ~(np.abs(c.sum(axis=2) - 1.0) <= 1e-12)
+        np.fill_diagonal(bad, False)
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
+            raise ValueError(f"cross-link ({i},{j}) probabilities must sum to 1")
+        d.flags.writeable = False
+        c.flags.writeable = False
         alpha = np.ones(n) if self.alpha is None else self.alpha
         weights = np.ones(n) if self.weights is None else self.weights
-        object.__setattr__(self, "alpha", _positive_vector(alpha, n, "alpha"))
-        object.__setattr__(self, "weights", _positive_vector(weights, n, "weights"))
-        if self.dists.direct.shape != (n, self.gains.direct.size):
-            raise ValueError("direct link distribution shape does not match alphabet")
-        if self.dists.cross.shape != (n, n, self.gains.cross.size):
-            raise ValueError("cross link distribution shape does not match alphabet")
-
-    @classmethod
-    def symmetric(cls, n_players, direct, cross, pbar, alpha=None, weights=None):
-        """Game with uniform link distributions over the given alphabets."""
-        gains = GainAlphabets(direct=np.asarray(direct, float),
-                              cross=np.asarray(cross, float))
-        dists = LinkDistribution.uniform(n_players, gains.direct.size, gains.cross.size)
-        return cls(n_players=n_players, gains=gains, dists=dists, pbar=pbar,
-                   alpha=alpha, weights=weights)
+        for name, value in (("direct_alphabet", direct), ("cross_alphabet", cross),
+                            ("pbar", _positive(self.pbar, "pbar", n)),
+                            ("alpha", _positive(alpha, "alpha", n)),
+                            ("weights", _positive(weights, "weights", n)),
+                            ("direct_probs", d), ("cross_probs", c)):
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -200,11 +173,19 @@ def _link_supports(spec: GameSpec):
     for i in range(n):
         for j in range(n):
             if i == j:
-                alphabet, pvec = spec.gains.direct, spec.dists.direct[i]
+                alphabet, pvec = spec.direct_alphabet, spec.direct_probs[i]
             else:
-                alphabet, pvec = spec.gains.cross, spec.dists.cross[i, j]
+                alphabet, pvec = spec.cross_alphabet, spec.cross_probs[i, j]
             support = pvec > 0
             yield alphabet[support], pvec[support]
+
+
+def _per_link(direct, cross):
+    """The (N, N) table of a value of each link: ``cross[i, j]`` off the
+    diagonal and ``direct[i]`` on it, so its C order is link order."""
+    table = np.array(cross)
+    np.fill_diagonal(table, direct)
+    return table
 
 
 def state_count(spec: GameSpec, cap: int = DEFAULT_STATE_CAP) -> int:
@@ -213,7 +194,8 @@ def state_count(spec: GameSpec, cap: int = DEFAULT_STATE_CAP) -> int:
     is over ``cap``; the product is formed exactly only while it is at
     most ``cap``, and a count of more than 18 digits is named by its
     order of magnitude."""
-    sizes = [values.size for values, _ in _link_supports(spec)]
+    sizes = _per_link(np.count_nonzero(spec.direct_probs > 0, axis=1),
+                      np.count_nonzero(spec.cross_probs > 0, axis=2)).ravel().tolist()
     count = 1
     for size in sizes:
         count *= size

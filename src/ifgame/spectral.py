@@ -167,8 +167,8 @@ def contraction_condition(spec: GameSpec) -> tuple[float, bool]:
     on every link and alpha is constant."""
     if spec.n_players == 1:
         return 0.0, True
-    ratio = ((spec.n_players - 1) * spec.gains.cross.max()
-             / (spec.alpha.min() * spec.gains.direct.min()))
+    ratio = ((spec.n_players - 1) * spec.cross_alphabet.max()
+             / (spec.alpha.min() * spec.direct_alphabet.min()))
     return float(ratio), bool(ratio < 1.0)
 
 

@@ -64,8 +64,8 @@ def test_criterion_2_contraction_equivalence():
         if spec.n_players == 1:
             row_sum = 0.0
         else:
-            row_sum = (spec.n_players - 1) * spec.gains.cross.max() \
-                / spec.gains.direct.min()
+            row_sum = (spec.n_players - 1) * spec.cross_alphabet.max() \
+                / spec.direct_alphabet.min()
         ok &= (rho < 1.0) == (row_sum < 1.0)
         worst = max(worst, abs(rho - row_sum))
     elapsed = time.perf_counter() - t0

@@ -426,10 +426,10 @@ def test_run_analyze_equivalences_end_to_end():
         spec = random_spec(rng, state_limit=400)
         doc = {
             "game": {"players": spec.n_players,
-                     "direct_gains": spec.gains.direct.tolist(),
-                     "cross_gains": spec.gains.cross.tolist(),
-                     "link_probs": {"direct": spec.dists.direct.tolist(),
-                                    "cross": spec.dists.cross.tolist()},
+                     "direct_gains": spec.direct_alphabet.tolist(),
+                     "cross_gains": spec.cross_alphabet.tolist(),
+                     "link_probs": {"direct": spec.direct_probs.tolist(),
+                                    "cross": spec.cross_probs.tolist()},
                      "pbar": spec.pbar.tolist()},
         }
         report = run_analyze(load_config(json.dumps(doc)))
@@ -585,6 +585,14 @@ def test_cli_simulate_draws_counts_not_slots(slots, tmp_path):
     assert max(mc["rate_rel_gap"] + mc["power_rel_gap"]) < 1e-4
 
 
+@pytest.mark.parametrize("values", [{"slots": 0}, {"slots": 2.5}, {"slots": -4},
+                                    {"slots": 2**63}, {"seed": -1}])
+def test_simulate_config_rejects_bad_values(values):
+    # zero slots would make the empirical rates 0 / 0
+    with pytest.raises(ValueError, match=next(iter(values))):
+        SimulateConfig(**values)
+
+
 def test_run_simulate_requires_feasible_profile():
     config = dataclasses.replace(cfg(SMALL), simulate=SimulateConfig(slots=10))
     _, space = build_game(config)
@@ -672,6 +680,16 @@ def test_config_state_space_far_over_cap_names_state_cap(tmp_path, capsys):
         load_config(json.dumps(doc))
     assert "inf" not in str(caught.value)
     rejected(doc, "solver.state_cap", tmp_path, capsys)
+
+
+def test_config_many_players_name_state_cap():
+    """1500 players have 2^(1500^2) states; the config is rejected by the
+    state count, with every link's support read at once."""
+    doc = {"game": {"players": 1500, "direct_gains": [1, 2], "cross_gains": [0.1, 0.2],
+                    "pbar": 1}}
+    with pytest.raises(ConfigError, match=r"needs about 10\^677317 entries") as caught:
+        load_config(json.dumps(doc))
+    assert caught.value.field == "solver.state_cap"
 
 
 @pytest.mark.parametrize("command, solver, dotted, value", [

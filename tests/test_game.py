@@ -1,13 +1,13 @@
 """Channel model, state enumeration, rates and feasibility."""
 
+import dataclasses
 import math
 from itertools import product
 
 import numpy as np
 import pytest
 
-from ifgame import (GainAlphabets, GameSpec, LinkDistribution,
-                    StateSpace, StateSpaceTooLargeError, average_powers,
+from ifgame import (GameSpec, StateSpace, StateSpaceTooLargeError, average_powers,
                     enumerate_states, expected_rates, interference,
                     interference_floors, is_feasible, rate_table, sum_rate)
 import bundled
@@ -21,11 +21,11 @@ def brute_force_states(spec):
     for i in range(n):
         for j in range(n):
             if i == j:
-                alphabets.append(spec.gains.direct)
-                pvecs.append(spec.dists.direct[i])
+                alphabets.append(spec.direct_alphabet)
+                pvecs.append(spec.direct_probs[i])
             else:
-                alphabets.append(spec.gains.cross)
-                pvecs.append(spec.dists.cross[i, j])
+                alphabets.append(spec.cross_alphabet)
+                pvecs.append(spec.cross_probs[i, j])
     gains, probs = [], []
     for combo in product(*[range(a.size) for a in alphabets]):
         g = np.empty((n, n))
@@ -57,7 +57,7 @@ def brute_force_rate(spec, space, P, i):
 
 
 def test_singleton_product():
-    spec = GameSpec.symmetric(1, [2.0], [1.0], pbar=1.0)
+    spec = GameSpec(1, [2.0], [1.0], pbar=1.0)
     space = enumerate_states(spec)
     assert space.n_states == 1
     assert space.probs[0] == 1.0
@@ -72,7 +72,7 @@ def test_three_player_count_and_uniform_probs():
 
 
 def test_two_player_mixed_alphabets_count():
-    spec = GameSpec.symmetric(2, [1.0, 2.0], [0.1, 0.2, 0.3], pbar=1.0)
+    spec = GameSpec(2, [1.0, 2.0], [0.1, 0.2, 0.3], pbar=1.0)
     space = enumerate_states(spec)
     assert space.n_states == 36
 
@@ -96,8 +96,8 @@ def unravel_states(spec):
     supports = []
     for i in range(n):
         for j in range(n):
-            alphabet = spec.gains.direct if i == j else spec.gains.cross
-            pvec = spec.dists.direct[i] if i == j else spec.dists.cross[i, j]
+            alphabet = spec.direct_alphabet if i == j else spec.cross_alphabet
+            pvec = spec.direct_probs[i] if i == j else spec.cross_probs[i, j]
             supports.append((alphabet[pvec > 0], pvec[pvec > 0]))
     total = math.prod(v.size for v, _ in supports)
     digits = np.unravel_index(np.arange(total), [v.size for v, _ in supports])
@@ -117,18 +117,16 @@ def test_enumeration_matches_unravel_reference_bit_for_bit():
     game."""
     rng = np.random.default_rng(77)
     specs = [random_spec(rng, state_limit=3000, min_states=2) for _ in range(40)]
-    zero = LinkDistribution(direct=[[0.3, 0.7], [1.0, 0.0], [0.5, 0.5]],
-                            cross=np.tile([0.2, 0.0, 0.8], (3, 3, 1)))
-    specs.append(GameSpec(n_players=3, pbar=1.0, dists=zero,
-                          gains=GainAlphabets(direct=[2.0, 1.0], cross=[0.1, 0.3, 0.7])))
-    sized_one = LinkDistribution(direct=[[0.25, 0.75], [0.6, 0.4]],
-                                 cross=np.array([[[1.0, 0.0], [0.0, 1.0]],
-                                                 [[0.1, 0.9], [0.5, 0.5]]]))
-    specs.append(GameSpec(n_players=2, pbar=1.0, dists=sized_one,
-                          gains=GainAlphabets(direct=[3.0, 1.5], cross=[0.2, 0.4])))
-    specs.append(GameSpec.symmetric(2, [1.0, 2.0], [0.5], pbar=1.0))
-    specs.append(GameSpec.symmetric(1, [1.0, 2.0, 4.0], [1.0], pbar=1.0))
-    specs.append(GameSpec.symmetric(7, [2.0], [0.1], pbar=1.0))
+    specs.append(GameSpec(3, [2.0, 1.0], [0.1, 0.3, 0.7], pbar=1.0,
+                          direct_probs=[[0.3, 0.7], [1.0, 0.0], [0.5, 0.5]],
+                          cross_probs=np.tile([0.2, 0.0, 0.8], (3, 3, 1))))
+    specs.append(GameSpec(2, [3.0, 1.5], [0.2, 0.4], pbar=1.0,
+                          direct_probs=[[0.25, 0.75], [0.6, 0.4]],
+                          cross_probs=[[[1.0, 0.0], [0.0, 1.0]],
+                                       [[0.1, 0.9], [0.5, 0.5]]]))
+    specs.append(GameSpec(2, [1.0, 2.0], [0.5], pbar=1.0))
+    specs.append(GameSpec(1, [1.0, 2.0, 4.0], [1.0], pbar=1.0))
+    specs.append(GameSpec(7, [2.0], [0.1], pbar=1.0))
     specs.append(bundled.n4_spec())
     for spec in specs:
         space = enumerate_states(spec)
@@ -140,18 +138,15 @@ def test_enumeration_matches_unravel_reference_bit_for_bit():
 
 
 def test_cap_guard():
-    spec = GameSpec.symmetric(4, [1.0, 2.0, 3.0], [0.1, 0.2, 0.3], pbar=1.0)
+    spec = GameSpec(4, [1.0, 2.0, 3.0], [0.1, 0.2, 0.3], pbar=1.0)
     with pytest.raises(StateSpaceTooLargeError, match="43046721"):
         enumerate_states(spec, cap=100_000)
 
 
 def test_enumeration_keeps_only_positive_probability_states():
     # cross gain 5.0 has probability 0 on both links
-    spec = GameSpec(n_players=2,
-                    gains=GainAlphabets(direct=[1.0, 2.0], cross=[0.1, 5.0]),
-                    dists=LinkDistribution(direct=np.full((2, 2), 0.5),
-                                           cross=np.tile([1.0, 0.0], (2, 2, 1))),
-                    pbar=1.0)
+    spec = GameSpec(2, [1.0, 2.0], [0.1, 5.0], pbar=1.0,
+                    cross_probs=np.tile([1.0, 0.0], (2, 2, 1)))
     space = enumerate_states(spec, cap=4)  # the cap counts the 4 states, not 16
     assert space.n_states == 4
     assert np.all(space.probs == 0.25)
@@ -209,18 +204,73 @@ def test_state_space_rejects_bad_gains(bad):
 def test_game_spec_rejects_infinite_player_vectors(key):
     kwargs = {"pbar": 1.0, key: [1.0, np.inf]}
     with pytest.raises(ValueError, match=f"{key} must be finite and positive"):
-        GameSpec.symmetric(2, [1.0, 2.0], [0.5], **kwargs)
+        GameSpec(2, [1.0, 2.0], [0.5], **kwargs)
 
 
 @pytest.mark.parametrize("name", ["direct", "cross"])
 def test_gain_alphabets_reject_infinite_gains(name):
-    alphabets = {"direct": [1.0, 2.0], "cross": [0.5], name: [1.0, np.inf]}
-    with pytest.raises(ValueError, match=f"{name} gains must be finite and positive"):
-        GainAlphabets(**alphabets)
+    alphabets = {"direct_alphabet": [1.0, 2.0], "cross_alphabet": [0.5],
+                 f"{name}_alphabet": [1.0, np.inf]}
+    with pytest.raises(ValueError, match=f"{name}_alphabet must be finite and positive"):
+        GameSpec(2, pbar=1.0, **alphabets)
+
+
+def test_game_spec_default_probabilities_are_uniform():
+    # a distribution not given is the uniform one, to the bit
+    spec = GameSpec(3, [1.0, 2.0], [0.1, 0.2, 0.3], pbar=1.0)
+    given = GameSpec(3, [1.0, 2.0], [0.1, 0.2, 0.3], pbar=1.0,
+                     direct_probs=np.full((3, 2), 1.0 / 2),
+                     cross_probs=np.full((3, 3, 3), 1.0 / 3))
+    for a, b in ((spec.direct_probs, given.direct_probs),
+                 (spec.cross_probs, given.cross_probs)):
+        assert a.tobytes() == b.tobytes()
+    space, other = enumerate_states(spec), enumerate_states(given)
+    assert space.gains.tobytes() == other.gains.tobytes()
+    assert space.probs.tobytes() == other.probs.tobytes()
+
+
+@pytest.mark.parametrize("probs, match", [
+    ({"direct_probs": [[1.5, -0.5], [0.5, 0.5]]}, "nonnegative"),
+    ({"cross_probs": [[[0.5, 0.5], [1.2, -0.2]], [[0.5, 0.5], [0.5, 0.5]]]},
+     "nonnegative"),
+    ({"direct_probs": [[0.5, 0.5], [0.5, np.nan]]}, "direct-link"),
+    ({"direct_probs": [[0.5, 0.5]]}, r"direct_probs must have shape \(2, 2\)"),
+    ({"direct_probs": [0.5, 0.5]}, "direct_probs must have shape"),
+    ({"cross_probs": np.full((2, 2, 3), 1 / 3)}, r"cross_probs must have shape \(2, 2, 2\)"),
+    ({"cross_probs": np.full((2, 1, 2), 0.5)}, "cross_probs must have shape"),
+])
+def test_game_spec_rejects_bad_probabilities(probs, match):
+    with pytest.raises(ValueError, match=match):
+        GameSpec(2, [1.0, 2.0], [0.1, 0.2], pbar=1.0, **probs)
+
+
+def test_game_spec_cross_rows_checked_off_the_diagonal_only():
+    # the diagonal rows of cross_probs are unused, so their sums are not checked
+    cross = np.full((3, 3, 2), 0.5)
+    cross[1, 1] = [0.9, 0.9]
+    spec = GameSpec(3, [1.0], [0.1, 0.2], pbar=1.0, cross_probs=cross)
+    assert spec.cross_probs[1, 1, 0] == 0.9
+    # of several bad off-diagonal rows the first in row-major order is named
+    cross[2, 0] = cross[1, 2] = cross[2, 1] = [0.9, 0.9]
+    with pytest.raises(ValueError, match=r"cross-link \(1,2\) probabilities"):
+        GameSpec(3, [1.0], [0.1, 0.2], pbar=1.0, cross_probs=cross)
+
+
+def test_game_spec_owns_read_only_copies():
+    direct, cross = [2.0, 1.0], np.array([0.1, 0.3])
+    d, c, pbar = np.array([[0.25, 0.75]] * 2), np.full((2, 2, 2), 0.5), np.ones(2)
+    spec = GameSpec(2, direct, cross, pbar, direct_probs=d, cross_probs=c)
+    direct[0] = cross[0] = d[0, 0] = c[0, 1, 0] = pbar[0] = 7.0
+    assert spec.direct_alphabet[0] == 2.0 and spec.cross_alphabet[0] == 0.1
+    assert spec.direct_probs[0, 0] == 0.25 and spec.cross_probs[0, 1, 0] == 0.5
+    assert spec.pbar[0] == 1.0
+    for name in ("direct_alphabet", "cross_alphabet", "direct_probs", "cross_probs",
+                 "pbar", "alpha", "weights"):
+        assert not getattr(spec, name).flags.writeable
 
 
 def test_sinr_hand_values():
-    spec = GameSpec.symmetric(2, [1.0, 3.0], [0.5], pbar=1.0)
+    spec = GameSpec(2, [1.0, 3.0], [0.5], pbar=1.0)
 
     def sinr(state, p):
         space = StateSpace(gains=[state], probs=[1.0])
@@ -238,9 +288,7 @@ def test_rate_table_and_floors_match_loop_reference():
     rng = np.random.default_rng(14)
     for _ in range(10):
         spec = random_spec(rng, state_limit=400)
-        spec = GameSpec(n_players=spec.n_players, gains=spec.gains, dists=spec.dists,
-                        pbar=spec.pbar,
-                        alpha=rng.uniform(0.5, 2.0, size=spec.n_players))
+        spec = dataclasses.replace(spec, alpha=rng.uniform(0.5, 2.0, size=spec.n_players))
         space = enumerate_states(spec)
         P = random_feasible_profile(rng, spec, space)
         rates = rate_table(spec, space, P)
@@ -268,8 +316,8 @@ def test_interference_is_layout_independent():
         while spec.n_players != n:
             spec = random_spec(rng, n_max=n, state_limit=600)
         specs.append(spec)
-    specs.append(GameSpec.symmetric(3, [2.0, 1.0], [0.3, 0.2, 0.1], pbar=1.0,
-                                    alpha=[1.0, 0.5, 2.0]))  # 5832 states
+    specs.append(GameSpec(3, [2.0, 1.0], [0.3, 0.2, 0.1], pbar=1.0,
+                          alpha=[1.0, 0.5, 2.0]))  # 5832 states
     for spec in specs:
         space = enumerate_states(spec)
         P = random_feasible_profile(rng, spec, space)
@@ -294,7 +342,7 @@ def test_interference_is_layout_independent():
 
 
 def test_expected_rate_basics():
-    spec = GameSpec.symmetric(1, [1.0], [1.0], pbar=1.0)
+    spec = GameSpec(1, [1.0], [1.0], pbar=1.0)
     space = enumerate_states(spec)
     assert expected_rates(spec, space, np.zeros((1, 1)))[0] == 0.0
     assert expected_rates(spec, space, np.ones((1, 1)))[0] == pytest.approx(math.log(2.0))
@@ -318,22 +366,18 @@ def test_average_power():
 
 
 def test_average_power_two_states_hand_value():
-    spec = GameSpec(n_players=1,
-                    gains=GainAlphabets(direct=[1.0, 2.0], cross=[1.0]),
-                    dists=LinkDistribution(direct=np.array([[0.25, 0.75]]),
-                                           cross=np.ones((1, 1, 1))),
-                    pbar=[1.0])
+    spec = GameSpec(1, [1.0, 2.0], [1.0], pbar=[1.0], direct_probs=[[0.25, 0.75]])
     space = enumerate_states(spec)
     assert average_powers(space, np.array([[4.0, 0.0]]))[0] == pytest.approx(1.0)
 
 
 def test_sum_rate_cases():
-    spec1 = GameSpec.symmetric(1, [1.0], [1.0], pbar=1.0)
+    spec1 = GameSpec(1, [1.0], [1.0], pbar=1.0)
     space1 = enumerate_states(spec1)
     assert sum_rate(spec1, space1, np.zeros((1, 1))) == 0.0
     assert sum_rate(spec1, space1, np.ones((1, 1))) == pytest.approx(
         expected_rates(spec1, space1, np.ones((1, 1)))[0])
-    spec2 = GameSpec.symmetric(2, [2.0], [0.3], pbar=1.0)
+    spec2 = GameSpec(2, [2.0], [0.3], pbar=1.0)
     space2 = enumerate_states(spec2)
     P = np.full((2, space2.n_states), 1.0)
     assert sum_rate(spec2, space2, P) == pytest.approx(
@@ -341,7 +385,7 @@ def test_sum_rate_cases():
 
 
 def test_is_feasible():
-    spec = GameSpec.symmetric(2, [1.0], [0.5], pbar=[1.0, 2.0])
+    spec = GameSpec(2, [1.0], [0.5], pbar=[1.0, 2.0])
     space = enumerate_states(spec)
     assert is_feasible(space, np.zeros((2, 1)), spec.pbar).all()
     tight = np.array([[1.0], [2.0]])
@@ -355,7 +399,7 @@ def test_is_feasible():
 def test_is_feasible_slack_scales_with_large_budgets():
     """Up to a budget of 1 the slack is FEAS_TOL; above it, FEAS_TOL times
     the budget, so rounding a few ulps over a large budget is feasible."""
-    spec = GameSpec.symmetric(2, [1.0], [0.5], pbar=[0.5, 1e7])
+    spec = GameSpec(2, [1.0], [0.5], pbar=[0.5, 1e7])
     space = enumerate_states(spec)
     # two ulps over 1e7 is 3.7e-9, above the absolute slack of 1e-9
     rounded = np.array([[0.5 + 0.9e-9], [np.nextafter(np.nextafter(1e7, 2e7), 2e7)]])

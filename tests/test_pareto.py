@@ -6,9 +6,9 @@ import warnings
 import numpy as np
 import pytest
 
-from ifgame import (AlConfig, GameSpec, LinkDistribution, average_powers,
-                    enumerate_states, expected_rates, is_feasible, multi_start,
-                    random_start, steepest_ascent)
+from ifgame import (AlConfig, GameSpec, average_powers, enumerate_states,
+                    expected_rates, is_feasible, multi_start, random_start,
+                    steepest_ascent)
 from ifgame.pareto import (_ascent_batch, _cap_budgets, _default_delta, _grad_all,
                            _lagrangian, _projected_grad_norms, _slack,
                            _solve_outer_batch)
@@ -17,7 +17,7 @@ from util_random import random_feasible_profile, random_spec
 
 
 def small_game(pbar=1.0):
-    spec = GameSpec.symmetric(2, [2.0, 1.0], [0.3], pbar=pbar)
+    spec = GameSpec(2, [2.0, 1.0], [0.3], pbar=pbar)
     return spec, enumerate_states(spec)
 
 
@@ -81,7 +81,7 @@ def test_gradient_matches_fd_on_random_games():
 
 
 def test_grad_player_single_user_at_zero():
-    spec = GameSpec.symmetric(1, [1.0], [1.0], pbar=1.0)
+    spec = GameSpec(1, [1.0], [1.0], pbar=1.0)
     space = enumerate_states(spec)
     g = _grad_all(spec, space, np.zeros((1, 1)), np.zeros(1), 0.0)[0]
     assert g == pytest.approx([1.0])
@@ -92,8 +92,7 @@ def test_cross_terms_never_positive():
     rng = np.random.default_rng(23)
     spec, space = small_game()
     P = random_feasible_profile(rng, spec, space)
-    solo = GameSpec.symmetric(2, [2.0, 1.0], [0.3], pbar=1.0,
-                              weights=[1.0, 1e-12])
+    solo = GameSpec(2, [2.0, 1.0], [0.3], pbar=1.0, weights=[1.0, 1e-12])
     g_full = _grad_all(spec, space, P, np.zeros(2), 0.0)[0]
     g_own = _grad_all(solo, space, P, np.zeros(2), 0.0)[0]
     assert np.all(g_full <= g_own + 1e-12)
@@ -102,7 +101,7 @@ def test_cross_terms_never_positive():
 def test_steepest_ascent_fixed_point_is_unchanged():
     # single player, one state: P = pbar with the matching multiplier is
     # stationary: grad = pi (w g / (1 + g P) - lam) = 0
-    spec = GameSpec.symmetric(1, [2.0], [1.0], pbar=1.5)
+    spec = GameSpec(1, [2.0], [1.0], pbar=1.5)
     space = enumerate_states(spec)
     lam_star = 2.0 / (1.0 + 2.0 * 1.5)
     P = np.array([[1.5]])
@@ -128,7 +127,7 @@ def test_steepest_ascent_never_decreases_lagrangian():
 
 
 def test_single_player_unconstrained_ascent_drives_gradient_down():
-    spec = GameSpec.symmetric(1, [1.0], [1.0], pbar=1.0)
+    spec = GameSpec(1, [1.0], [1.0], pbar=1.0)
     space = enumerate_states(spec)
     cfg = AlConfig(c=1e-12, eps_grad=0.05, delta=0.5, max_inner=3000)
     out = steepest_ascent(spec, space, np.zeros((1, 1)), [0.0], cfg)
@@ -138,7 +137,7 @@ def test_single_player_unconstrained_ascent_drives_gradient_down():
 
 
 def test_solve_outer_trivial_start_converges_immediately():
-    spec = GameSpec.symmetric(1, [2.0], [1.0], pbar=1.5)
+    spec = GameSpec(1, [2.0], [1.0], pbar=1.5)
     space = enumerate_states(spec)
     lam_star = 2.0 / (1.0 + 2.0 * 1.5)
     P, lam, iters, converged = solve_one(spec, space, [[1.5]], AlConfig(),
@@ -272,7 +271,7 @@ def test_alconfig_rejects_negative_seed():
 
 
 def test_default_delta_scales_with_state_probability():
-    spec1 = GameSpec.symmetric(1, [1.0], [1.0], pbar=1.0)
+    spec1 = GameSpec(1, [1.0], [1.0], pbar=1.0)
     space1 = enumerate_states(spec1)
     assert _default_delta(space1, AlConfig()) == pytest.approx(0.05)
     spec2 = bundled.spec("example1")
@@ -382,17 +381,14 @@ def test_ascent_matches_state_major_reference_on_random_games():
         checked = 0
         while checked < 3:
             spec = random_spec(rng, n_max=n, state_limit=300)
-            if spec.n_players != n or spec.gains.direct.size < 2:
+            if spec.n_players != n or spec.direct_alphabet.size < 2:
                 continue
-            direct = spec.dists.direct.copy()
+            direct = spec.direct_probs.copy()
             direct[0, 0] = 0.0  # player 1's first direct gain never occurs
             direct /= direct.sum(axis=1, keepdims=True)
-            spec = GameSpec(n_players=n, gains=spec.gains,
-                            dists=LinkDistribution(direct=direct,
-                                                   cross=spec.dists.cross),
-                            pbar=spec.pbar,
-                            alpha=rng.uniform(0.5, 2.0, size=n),
-                            weights=rng.uniform(0.5, 2.0, size=n))
+            spec = dataclasses.replace(spec, direct_probs=direct,
+                                       alpha=rng.uniform(0.5, 2.0, size=n),
+                                       weights=rng.uniform(0.5, 2.0, size=n))
             space = enumerate_states(spec)
             starts = np.stack([random_start(spec, space, rng) for _ in range(3)])
             lam = rng.uniform(0.0, 1.0, size=(3, n))
@@ -422,7 +418,7 @@ def test_multi_start_matches_state_major_reference(monkeypatch):
 
 def test_ascent_tie_moves_the_lowest_player():
     # one state, mirror-image players: both candidates gain exactly as much
-    spec = GameSpec.symmetric(2, [2.0], [0.3], pbar=1.0)
+    spec = GameSpec(2, [2.0], [0.3], pbar=1.0)
     space = enumerate_states(spec)
     start = np.full((1, 2, 1), 0.5)
     P, iters, capped = assert_ascent_matches_reference(

@@ -25,7 +25,7 @@ def dense_rho(matrix):
 
 
 def test_single_player_operator_is_trivial():
-    spec = GameSpec.symmetric(1, [2.0, 0.5], [1.0], pbar=1.0)
+    spec = GameSpec(1, [2.0, 0.5], [1.0], pbar=1.0)
     space = enumerate_states(spec)
     op = build_operator(spec, space)
     assert np.all(op.blocks == 0.0)
@@ -57,8 +57,8 @@ def test_operator_entry_ranges():
 
 
 def test_alpha_folds_into_effective_gain():
-    base = GameSpec.symmetric(2, [2.0], [0.5], pbar=1.0)
-    scaled = GameSpec.symmetric(2, [2.0], [0.5], pbar=1.0, alpha=[2.0, 4.0])
+    base = GameSpec(2, [2.0], [0.5], pbar=1.0)
+    scaled = GameSpec(2, [2.0], [0.5], pbar=1.0, alpha=[2.0, 4.0])
     op_b = build_operator(base, enumerate_states(base))
     op_s = build_operator(scaled, enumerate_states(scaled))
     assert np.allclose(op_s.hhat, op_b.hhat / np.array([2.0, 4.0]))
@@ -139,10 +139,10 @@ def test_contraction_condition_values():
     assert (ratio1, ok1) == (pytest.approx(2.0 / 3.0), True)
     ratio2, ok2 = contraction_condition(bundled.spec("example2"))
     assert (ratio2, ok2) == (pytest.approx(4.0 / 3.0), False)
-    boundary = GameSpec.symmetric(2, [1.0], [1.0], pbar=1.0)
+    boundary = GameSpec(2, [1.0], [1.0], pbar=1.0)
     ratio_b, ok_b = contraction_condition(boundary)
     assert ratio_b == pytest.approx(1.0) and not ok_b
-    assert contraction_condition(GameSpec.symmetric(1, [1.0], [1.0], pbar=1.0)) \
+    assert contraction_condition(GameSpec(1, [1.0], [1.0], pbar=1.0)) \
         == (0.0, True)
 
 
@@ -174,7 +174,7 @@ def test_ratio_bound_honours_alpha():
 
 
 def test_definiteness_single_player():
-    spec = GameSpec.symmetric(1, [1.0], [1.0], pbar=1.0)
+    spec = GameSpec(1, [1.0], [1.0], pbar=1.0)
     psd, pd, min_eig = definiteness(build_operator(spec, enumerate_states(spec)))
     assert psd and pd
     assert min_eig == pytest.approx(1.0)
@@ -183,7 +183,7 @@ def test_definiteness_single_player():
 def test_definiteness_closed_form_block():
     # singleton alphabets: one state, every off-diagonal ratio 0.2/0.3 = 2/3;
     # I + (2/3)(J - I) has eigenvalues {7/3, 1/3, 1/3}
-    spec = GameSpec.symmetric(3, [0.3], [0.2], pbar=1.0)
+    spec = GameSpec(3, [0.3], [0.2], pbar=1.0)
     op = build_operator(spec, enumerate_states(spec))
     psd, pd, min_eig = definiteness(op)
     assert psd and pd
@@ -280,11 +280,11 @@ def test_definiteness_matches_every_block_bit_for_bit():
             spec = dataclasses.replace(spec, alpha=rng.uniform(0.5, 2.0, spec.n_players))
         specs.append(spec)
     # every block the same, then many blocks equal to the minimizing one
-    specs.append(GameSpec.symmetric(3, [1.0], [0.4, 0.4, 0.4], pbar=1.0))
-    specs.append(GameSpec.symmetric(3, [1.0, 1.0], [0.6, 0.6, 0.2], pbar=1.0))
-    specs.append(GameSpec.symmetric(1, [1.0, 2.0, 3.0], [1.0], pbar=1.0))
-    specs.append(GameSpec.symmetric(3, [0.3], [0.2], pbar=1.0))
-    specs.append(GameSpec.symmetric(2, [1.0], [1.5], pbar=1.0))
+    specs.append(GameSpec(3, [1.0], [0.4, 0.4, 0.4], pbar=1.0))
+    specs.append(GameSpec(3, [1.0, 1.0], [0.6, 0.6, 0.2], pbar=1.0))
+    specs.append(GameSpec(1, [1.0, 2.0, 3.0], [1.0], pbar=1.0))
+    specs.append(GameSpec(3, [0.3], [0.2], pbar=1.0))
+    specs.append(GameSpec(2, [1.0], [1.5], pbar=1.0))
     flags = set()
     for spec in specs:
         op = build_operator(spec, enumerate_states(spec))
@@ -323,7 +323,7 @@ def test_flags_allow_only_the_rounding_band():
     """min_sym_eig -5e-11 is not PSD, and +5e-11 is PD: the band is a few
     ulp wide, not 1e-10; the bundled boundary game stays PSD."""
     for cross, flags in ((1.0 + 5e-11, (False, False)), (1.0 - 5e-11, (True, True))):
-        spec = GameSpec.symmetric(2, [1.0], [cross], pbar=1.0)
+        spec = GameSpec(2, [1.0], [cross], pbar=1.0)
         report = condition_report(spec, enumerate_states(spec))
         assert (report.htilde_psd, report.htilde_pd) == flags
         assert abs(report.min_sym_eig) == pytest.approx(5e-11, rel=1e-6)
@@ -335,7 +335,7 @@ def test_fallback_step_needs_a_positive_modulus(monkeypatch):
     """With no step certified, the sigma / L^2 fallback is guaranteed only
     when sigma = eps + min_sym_eig - delta > 0; otherwise the step is
     eps / L^2 and not guaranteed."""
-    spec = GameSpec.symmetric(2, [1.0, 2.0], [1.0 + 5e-11], pbar=1.0)
+    spec = GameSpec(2, [1.0, 2.0], [1.0 + 5e-11], pbar=1.0)
     op = build_operator(spec, enumerate_states(spec))
     m = op.definite[2]
     assert op.step(1e-11) == (1e-11 / (op.lipschitz + 1e-11) ** 2, False)

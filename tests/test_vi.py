@@ -7,10 +7,10 @@ import warnings
 import numpy as np
 import pytest
 
-from ifgame import (GameSpec, IwfConfig, LinkDistribution, ViConfig,
-                    enumerate_states, iterate_waterfilling, make_vi_problem,
-                    natural_residual, project_block, solve_regularized,
-                    solve_strong, waterfill_map, wf_residual)
+from ifgame import (GameSpec, IwfConfig, ViConfig, enumerate_states,
+                    iterate_waterfilling, make_vi_problem, natural_residual,
+                    project_block, solve_regularized, solve_strong,
+                    waterfill_map, wf_residual)
 from ifgame.config import SweepConfig
 from ifgame.spectral import _best_tau, _step_norm
 from ifgame.vi import _eval_F, _project_face, _projection_step, _uniform_start
@@ -21,7 +21,7 @@ from util_random import random_feasible_profile, random_spec
 
 
 def small_problem():
-    spec = GameSpec.symmetric(2, [1.0, 2.0], [0.5], pbar=[1.0, 1.5])
+    spec = GameSpec(2, [1.0, 2.0], [0.5], pbar=[1.0, 1.5])
     space = enumerate_states(spec)
     return spec, space, make_vi_problem(spec, space)
 
@@ -55,7 +55,7 @@ def test_eval_F_trivial_and_dense_oracle():
 
 
 def test_eval_F_single_player_is_shift():
-    spec = GameSpec.symmetric(1, [1.0, 2.0], [1.0], pbar=1.0)
+    spec = GameSpec(1, [1.0, 2.0], [1.0], pbar=1.0)
     space = enumerate_states(spec)
     problem = make_vi_problem(spec, space)
     P = np.array([[0.3, 0.7]])
@@ -136,7 +136,7 @@ def test_natural_residual_equals_waterfilling_residual():
 
 
 def test_solve_strong_single_player_matches_best_response():
-    spec = GameSpec.symmetric(1, [2.0, 0.5], [1.0], pbar=1.0)
+    spec = GameSpec(1, [2.0, 0.5], [1.0], pbar=1.0)
     space = enumerate_states(spec)
     problem = make_vi_problem(spec, space)
     wf = waterfill_map(spec, space, np.zeros((1, space.n_states)))[0]
@@ -266,15 +266,13 @@ def test_step_norm_matches_gram_reference():
     checked = 0
     while checked < 8:
         spec = random_spec(rng, state_limit=400)
-        if spec.gains.direct.size < 2:
+        if spec.direct_alphabet.size < 2:
             continue
-        direct = spec.dists.direct.copy()
+        direct = spec.direct_probs.copy()
         direct[0, 0] = 0.0  # player 1's first direct gain never occurs
         direct /= direct.sum(axis=1, keepdims=True)
-        spec = GameSpec(n_players=spec.n_players, gains=spec.gains,
-                        dists=LinkDistribution(direct=direct, cross=spec.dists.cross),
-                        pbar=spec.pbar,
-                        alpha=rng.uniform(0.5, 2.0, size=spec.n_players))
+        spec = dataclasses.replace(spec, direct_probs=direct,
+                                   alpha=rng.uniform(0.5, 2.0, size=spec.n_players))
         problem = make_vi_problem(spec, enumerate_states(spec))
         for eps in (1.0, 0.3, 1e-3, 1e-8):
             for tau in rng.uniform(0.0, 4.0, size=6):
@@ -295,9 +293,8 @@ def random_alpha_steps(rng, count, shared=False):
     out = []
     while len(out) < count:
         spec = random_spec(rng, state_limit=400)
-        spec = GameSpec(n_players=spec.n_players, gains=spec.gains,
-                        dists=spec.dists, pbar=spec.pbar,
-                        alpha=rng.uniform(0.3, 3.0, size=None if shared else spec.n_players))
+        spec = dataclasses.replace(
+            spec, alpha=rng.uniform(0.3, 3.0, size=None if shared else spec.n_players))
         out.append(make_vi_problem(spec, enumerate_states(spec)).op)
     return out
 
@@ -425,7 +422,7 @@ def test_regularized_example2_finds_wf_fixed_point():
 
 def test_solver_warns_without_psd_certificate():
     # shrink direct gains until the symmetric part goes indefinite
-    spec = GameSpec.symmetric(3, [0.08], [0.2], pbar=1.0)
+    spec = GameSpec(3, [0.08], [0.2], pbar=1.0)
     space = enumerate_states(spec)
     problem = make_vi_problem(spec, space)
     from ifgame import definiteness
@@ -447,7 +444,7 @@ def test_solver_warns_without_psd_certificate():
 def uncertified_repro():
     """A game that is not PSD (min_sym_eig -0.00767) and whose step search
     certifies a contraction only down to eps = 2^-7, and its states."""
-    spec = GameSpec.symmetric(3, [1.0, 2.0], [0.6, 0.9], pbar=1.0)
+    spec = GameSpec(3, [1.0, 2.0], [0.6, 0.9], pbar=1.0)
     return spec, enumerate_states(spec)
 
 
@@ -470,7 +467,7 @@ def test_path_stops_at_first_uncertified_step():
     assert report.tau_used == problem.op.step(2.0 ** -7)[0]
     assert problem.op.step(2.0 ** -8)[1] is False
     # no step is certified at the first eps: one row at the start
-    spec = GameSpec.symmetric(3, [0.08, 0.1], [0.2], pbar=1.0)
+    spec = GameSpec(3, [0.08, 0.1], [0.2], pbar=1.0)
     problem = make_vi_problem(spec, enumerate_states(spec))
     with pytest.warns(UserWarning):
         report = solve_regularized(problem, config)
@@ -503,7 +500,7 @@ def test_fallback_step_is_guaranteed_only_on_psd_games(monkeypatch):
     monkeypatch.setattr(ifgame.spectral, "_best_tau", lambda steps, eps: None)
     config = ViConfig(max_inner=50)
     _, _, psd_game = small_problem()
-    spec = GameSpec.symmetric(3, [0.08], [0.2], pbar=1.0)
+    spec = GameSpec(3, [0.08], [0.2], pbar=1.0)
     indefinite = make_vi_problem(spec, enumerate_states(spec))
     for problem, psd in ((psd_game, True), (indefinite, False)):
         assert problem.op.definite[0] is psd
@@ -602,9 +599,7 @@ def random_games(rng, count, n_players, uniform_probs):
         space = enumerate_states(spec)
         if spec.n_players not in n_players or space.n_states < 4:
             continue
-        spec = GameSpec(n_players=spec.n_players, gains=spec.gains,
-                        dists=spec.dists, pbar=spec.pbar,
-                        alpha=rng.uniform(0.3, 3.0, size=spec.n_players))
+        spec = dataclasses.replace(spec, alpha=rng.uniform(0.3, 3.0, size=spec.n_players))
         out.append(make_vi_problem(spec, space))
     return out
 
@@ -761,7 +756,7 @@ def test_direct_solve_beats_the_eps_path_on_pd_games():
             problems.append(problem)
     for d in (1e-1, 3e-2, 1e-2, 3e-3, 1e-3, 3e-4, 1e-4, 3e-5, 1e-5, 3e-6, 1e-6,
               3e-7, 1e-7, 3e-8, 1e-8, 3e-9, 1e-9, 3e-10):
-        spec = GameSpec.symmetric(2, [1.0, 2.0], [1.0 - d, 0.5 * (1.0 - d)], pbar=1.0)
+        spec = GameSpec(2, [1.0, 2.0], [1.0 - d, 0.5 * (1.0 - d)], pbar=1.0)
         problem = make_vi_problem(spec, enumerate_states(spec))
         assert problem.op.definite[1] and problem.op.definite[2] == pytest.approx(d, rel=1e-5)
         problems.append(problem)

@@ -42,7 +42,7 @@ def fill(floors, probs, pbar):
 
 
 def test_floor_values():
-    spec = GameSpec.symmetric(2, [1.0, 2.0], [0.5], pbar=1.0)
+    spec = GameSpec(2, [1.0, 2.0], [0.5], pbar=1.0)
     space = enumerate_states(spec)
     zero = np.zeros((2, space.n_states))
     f = interference_floors(spec, space, zero)[0]
@@ -55,7 +55,7 @@ def test_floor_values():
 
 
 def test_floor_affine_increasing_in_interferer():
-    spec = GameSpec.symmetric(2, [1.0], [0.5], pbar=1.0)
+    spec = GameSpec(2, [1.0], [0.5], pbar=1.0)
     space = enumerate_states(spec)
     base = np.zeros((2, 1))
     for bump in (0.5, 1.0, 2.0):
@@ -315,7 +315,7 @@ def test_waterfill_monotone_in_floors():
 
 
 def test_best_response_single_user_classic():
-    spec = GameSpec.symmetric(1, [2.0, 0.5], [1.0], pbar=1.0, alpha=[2.0])
+    spec = GameSpec(1, [2.0, 0.5], [1.0], pbar=1.0, alpha=[2.0])
     space = enumerate_states(spec)
     powers = waterfill_map(spec, space, np.zeros((1, space.n_states)))[0]
     oracle = bisect_waterfill(1.0 / (2.0 * space.gains[:, 0, 0]),
@@ -357,7 +357,7 @@ def test_best_response_is_weighted_projection_of_negative_floors():
 
 
 def test_iwf_single_user_immediate():
-    spec = GameSpec.symmetric(1, [2.0, 0.5], [1.0], pbar=1.0)
+    spec = GameSpec(1, [2.0, 0.5], [1.0], pbar=1.0)
     space = enumerate_states(spec)
     report = iterate_waterfilling(spec, space, IwfConfig(tol=1e-10))
     assert report.converged

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from ifgame import GameSpec, LinkDistribution, enumerate_states
+from ifgame import GameSpec, enumerate_states
 
 
 def random_spec(rng, n_max=4, alph_max=3, state_limit=6561, uniform_probs=False,
@@ -24,19 +24,14 @@ def random_spec(rng, n_max=4, alph_max=3, state_limit=6561, uniform_probs=False,
             break
     direct = np.sort(rng.uniform(0.2, 4.0, size=n1))[::-1].copy()
     cross = np.sort(rng.uniform(0.05, 2.0, size=n2))[::-1].copy()
-    if uniform_probs:
-        dists = LinkDistribution.uniform(n, n1, n2)
-    else:
+    d = c = None  # uniform
+    if not uniform_probs:
         d = rng.uniform(0.1, 1.0, size=(n, n1))
         d /= d.sum(axis=1, keepdims=True)
         c = rng.uniform(0.1, 1.0, size=(n, n, n2))
         c /= c.sum(axis=2, keepdims=True)
-        dists = LinkDistribution(direct=d, cross=c)
-    from ifgame import GainAlphabets
-    return GameSpec(n_players=n,
-                    gains=GainAlphabets(direct=direct, cross=cross),
-                    dists=dists,
-                    pbar=rng.uniform(0.5, 3.0, size=n))
+    return GameSpec(n, direct, cross, pbar=rng.uniform(0.5, 3.0, size=n),
+                    direct_probs=d, cross_probs=c)
 
 
 def random_feasible_profile(rng, spec, space, tight=False):
