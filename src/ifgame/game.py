@@ -166,20 +166,6 @@ class StateSpace:
         return np.einsum('kii->ki', self.gains)
 
 
-def _link_supports(spec: GameSpec):
-    """(alphabet entries, probabilities) of positive probability of each
-    link (i, j), in the order i * N + j."""
-    n = spec.n_players
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                alphabet, pvec = spec.direct_alphabet, spec.direct_probs[i]
-            else:
-                alphabet, pvec = spec.cross_alphabet, spec.cross_probs[i, j]
-            support = pvec > 0
-            yield alphabet[support], pvec[support]
-
-
 def _per_link(direct, cross):
     """The (N, N) table of a value of each link: ``cross[i, j]`` off the
     diagonal and ``direct[i]`` on it, so its C order is link order."""
@@ -188,14 +174,20 @@ def _per_link(direct, cross):
     return table
 
 
+def _support_sizes(spec):
+    """The (N, N) table of each link's number of positive-probability
+    alphabet entries."""
+    return _per_link(np.count_nonzero(spec.direct_probs > 0, axis=1),
+                     np.count_nonzero(spec.cross_probs > 0, axis=2))
+
+
 def state_count(spec: GameSpec, cap: int = DEFAULT_STATE_CAP) -> int:
     """The number of channel states of positive probability, the product
     of the links' support sizes.  Raises StateSpaceTooLargeError when it
     is over ``cap``; the product is formed exactly only while it is at
     most ``cap``, and a count of more than 18 digits is named by its
     order of magnitude."""
-    sizes = _per_link(np.count_nonzero(spec.direct_probs > 0, axis=1),
-                      np.count_nonzero(spec.cross_probs > 0, axis=2)).ravel().tolist()
+    sizes = _support_sizes(spec).ravel().tolist()
     count = 1
     for size in sizes:
         count *= size
@@ -220,27 +212,40 @@ def enumerate_states(spec: GameSpec, cap: int = DEFAULT_STATE_CAP) -> StateSpace
     more than one support entry, in link order; each link's gains and
     probabilities are broadcast along its own axis.  A grid over d axes
     holds at least 2^d states, so the cap keeps d far inside numpy's
-    dimension limit.
+    dimension limit.  The links of one support entry are set all at
+    once, and only those of probability other than exactly 1.0 join the
+    product, since multiplying by 1.0 changes no bit.
     """
     n = spec.n_players
     total = state_count(spec, cap)
-    supports = list(_link_supports(spec))
-    grid = [values.size for values, _ in supports if values.size > 1]
+    sizes = _support_sizes(spec)
+    one = sizes == 1
+    # a one-entry link's only positive probability is its row's maximum
+    only_gain = _per_link(spec.direct_alphabet[spec.direct_probs.argmax(axis=1)],
+                          spec.cross_alphabet[spec.cross_probs.argmax(axis=2)])
+    only_prob = _per_link(spec.direct_probs.max(axis=1), spec.cross_probs.max(axis=2))
+    grid = sizes[~one].tolist()
+    axes = np.cumsum(~one) - 1  # the grid axis of each link of several entries
     gains = np.empty((n, n, total))  # player-major, as StateSpace stores it
+    gains[one] = only_gain[one][:, None]
     probs = np.ones(grid)
-    axis = 0
-    for link, (alphabet, pvec) in enumerate(supports):
+    for link in np.flatnonzero(~one | (only_prob != 1.0)).tolist():
+        i, j = divmod(link, n)
+        if one[i, j]:
+            probs *= only_prob[i, j]
+            continue
+        alphabet, pvec = ((spec.direct_alphabet, spec.direct_probs[i]) if i == j
+                          else (spec.cross_alphabet, spec.cross_probs[i, j]))
         shape = [1] * len(grid)
-        if alphabet.size > 1:
-            shape[axis] = alphabet.size
-            axis += 1
-        gains[link // n, link % n].reshape(grid)[...] = alphabet.reshape(shape)
-        probs *= pvec.reshape(shape)
+        shape[axes[link]] = sizes[i, j]
+        support = pvec > 0
+        gains[i, j].reshape(grid)[...] = alphabet[support].reshape(shape)
+        probs *= pvec[support].reshape(shape)
     return StateSpace(gains=gains.transpose(2, 0, 1), probs=probs.reshape(total))
 
 
 def _transmitter_sum(G, X, out):
-    """sum_j G[i, j, k] X[..., j, k] into out, for G (N, N, N1) and
+    """sum_j G[i, j, k] X[..., j, k] into out, for G (M, N, N1) and
     X (..., N, N1).
 
     A plain loop over the transmitters j, in index order: every element
@@ -251,6 +256,35 @@ def _transmitter_sum(G, X, out):
     for j in range(1, G.shape[1]):
         out += np.multiply(G[:, j], X[..., j:j + 1, :], out=term)
     return out
+
+
+#: states per block of the interference kernel: a (4, 8192) table of
+#: floats is 256 KB, so a block's chain of operations stays in L2
+_STATE_BLOCK = 8192
+
+
+def _interference(spec, space, P, rows):
+    """``interference`` of the receivers ``rows`` (a slice) alone, shape
+    P.shape[:-2] + (len(rows), N1).
+
+    The states are taken in blocks of ``_STATE_BLOCK``, each block
+    through the whole chain of elementwise operations, so every element
+    goes through the same operations in the same order as on the whole
+    table, whatever the batch shape, layout or block.
+    """
+    gains = space.gains.transpose(1, 2, 0)[rows]
+    direct = space.direct_gains.T[rows]
+    shape = P[..., rows, :].shape
+    own, interf = np.empty(shape), np.empty(shape)
+    alpha = spec.alpha[rows, None]
+    for start in range(0, shape[-1], _STATE_BLOCK):
+        block = slice(start, start + _STATE_BLOCK)
+        o = np.multiply(direct[:, block], P[..., rows, block], out=own[..., block])
+        f = _transmitter_sum(gains[..., block], P[..., block], interf[..., block])
+        f += 1.0
+        f -= o
+        o *= alpha
+    return own, interf
 
 
 def interference(spec: GameSpec, space: StateSpace, P):
@@ -264,14 +298,10 @@ def interference(spec: GameSpec, space: StateSpace, P):
     The received power is summed over the transmitters j in index order
     (the own term included, then subtracted), so the bits do not depend
     on the memory layout or batch shape of P.  The gains are read in
-    place, player-major.
+    place, player-major, and the states in blocks of ``_STATE_BLOCK``,
+    which changes no bit (``_interference``).
     """
-    own = np.multiply(space.direct_gains.T, P, out=np.empty(P.shape))
-    interf = _transmitter_sum(space.gains.transpose(1, 2, 0), P, np.empty(P.shape))
-    interf += 1.0
-    interf -= own
-    own *= spec.alpha[:, None]
-    return own, interf
+    return _interference(spec, space, P, slice(None))
 
 
 def rate_table(spec, space, prof):

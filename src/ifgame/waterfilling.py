@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import ULP_FLOOR, GameSpec, StateSpace, interference
+from .game import ULP_FLOOR, GameSpec, StateSpace, _interference
 
 SCHEME_CHOICES = ("simultaneous", "sequential")
 
@@ -131,17 +131,26 @@ def _breakpoint_levels(floors, probs, pbars, mass=None) -> np.ndarray:
     return rows[np.arange(len(rows)), k.ravel()].reshape(k.shape)
 
 
+def _floors(spec, space, P, rows):
+    """Floors f_i(h) of the players ``rows`` (a slice) under the frozen
+    profile P, (len(rows), N1); row i has the same bits whichever rows
+    are formed."""
+    _, interf = _interference(spec, space, P, rows)
+    interf /= spec.alpha[rows, None] * space.direct_gains.T[rows]
+    return interf
+
+
 def interference_floors(spec: GameSpec, space: StateSpace, prof) -> np.ndarray:
     """Floors f_i(h) of every player under the same frozen profile, (N, N1)."""
-    _, interf = interference(spec, space, np.asarray(prof, float))
-    return interf / (spec.alpha[:, None] * space.direct_gains.T)
+    return _floors(spec, space, np.asarray(prof, float), slice(None))
 
 
 def waterfill_map(spec: GameSpec, space: StateSpace, prof) -> np.ndarray:
     """Best responses of all players to the same frozen profile, (N, N1)."""
     floors = interference_floors(spec, space, prof)
     levels = waterfill_levels(floors, space.probs, spec.pbar)
-    return np.maximum(0.0, levels[:, None] - floors)
+    best = np.subtract(levels[:, None], floors, out=floors)
+    return np.maximum(0.0, best, out=best)
 
 
 def wf_residual(spec: GameSpec, space: StateSpace, prof) -> float:
@@ -157,7 +166,8 @@ def iterate_waterfilling(spec: GameSpec, space: StateSpace,
 
     ``simultaneous`` updates every player from the same previous profile
     (Jacobi, the scheme the contraction analysis covers); ``sequential``
-    updates players in index order using fresh values (Gauss-Seidel).
+    updates players in index order using fresh values (Gauss-Seidel),
+    forming only the updated player's floors.
     Non-convergence within ``config.max_iter`` sweeps is reported, not
     raised.
     """
@@ -173,10 +183,13 @@ def iterate_waterfilling(spec: GameSpec, space: StateSpace,
         else:
             new = P.copy()
             for i in range(n):
-                floors = interference_floors(spec, space, new)[i]
+                floors = _floors(spec, space, new, slice(i, i + 1))[0]
                 level = waterfill_levels(floors, space.probs, spec.pbar[i])
                 new[i] = np.maximum(0.0, level - floors)
-        residual = float(np.abs(new - P).max())
+        # P is this loop's own buffer: its zeros, its copy of init, or an
+        # earlier sweep's result, so the old profile can hold |new - P|
+        change = np.abs(np.subtract(new, P, out=P), out=P)
+        residual = float(change.max())
         history.append(residual)
         P = new
         if residual < tol:

@@ -10,7 +10,9 @@ import pytest
 from ifgame import (GameSpec, StateSpace, StateSpaceTooLargeError, average_powers,
                     enumerate_states, expected_rates, interference,
                     interference_floors, is_feasible, rate_table, sum_rate)
+from ifgame.game import _STATE_BLOCK, _interference
 import bundled
+import reference_iwf
 from util_random import random_feasible_profile, random_spec
 
 
@@ -90,8 +92,10 @@ def test_enumeration_matches_brute_force():
 
 
 def unravel_states(spec):
-    """Enumeration by one np.unravel_index over every link's support and
-    a gather per link, the probabilities multiplied in link order."""
+    """Enumeration by one np.unravel_index over the supports of the links
+    of more than one entry (a one-entry link's digit is always 0) and a
+    gather per link, the probabilities of every link multiplied in link
+    order."""
     n = spec.n_players
     supports = []
     for i in range(n):
@@ -100,12 +104,14 @@ def unravel_states(spec):
             pvec = spec.direct_probs[i] if i == j else spec.cross_probs[i, j]
             supports.append((alphabet[pvec > 0], pvec[pvec > 0]))
     total = math.prod(v.size for v, _ in supports)
-    digits = np.unravel_index(np.arange(total), [v.size for v, _ in supports])
+    sizes = [v.size for v, _ in supports if v.size > 1] or [1]  # [1]: one state
+    several = iter(np.unravel_index(np.arange(total), sizes))
     gains = np.empty((total, n, n))
     probs = np.ones(total)
     for link, (alphabet, pvec) in enumerate(supports):
-        gains[:, link // n, link % n] = alphabet[digits[link]]
-        probs *= pvec[digits[link]]
+        digits = next(several) if alphabet.size > 1 else np.zeros(total, dtype=int)
+        gains[:, link // n, link % n] = alphabet[digits]
+        probs *= pvec[digits]
     return gains, probs
 
 
@@ -113,8 +119,9 @@ def test_enumeration_matches_unravel_reference_bit_for_bit():
     """Broadcasting along one axis per link gives the gains and the
     probabilities of the unravel reference bit for bit: on random
     non-uniform games, a zero-probability entry, size-1 links, one
-    player, a one-state 7-player game (49 links) and the 65 536-state
-    game."""
+    player, one-state games of 7 and 120 players (49 and 14 400 links),
+    one-entry links of probability 1 - 1e-13, which join the product
+    unlike those of probability 1, and the 65 536-state game."""
     rng = np.random.default_rng(77)
     specs = [random_spec(rng, state_limit=3000, min_states=2) for _ in range(40)]
     specs.append(GameSpec(3, [2.0, 1.0], [0.1, 0.3, 0.7], pbar=1.0,
@@ -127,6 +134,13 @@ def test_enumeration_matches_unravel_reference_bit_for_bit():
     specs.append(GameSpec(2, [1.0, 2.0], [0.5], pbar=1.0))
     specs.append(GameSpec(1, [1.0, 2.0, 4.0], [1.0], pbar=1.0))
     specs.append(GameSpec(7, [2.0], [0.1], pbar=1.0))
+    specs.append(GameSpec(120, [2.0], [0.1], pbar=1.0))
+    near = 1.0 - 1e-13
+    cross = np.tile([0.0, 1.0], (3, 3, 1))
+    cross[2, 0] = [near, 0.0]
+    specs.append(GameSpec(3, [2.0, 1.0], [0.1, 0.3], pbar=1.0,
+                          direct_probs=[[0.3, 0.7], [near, 0.0], [0.5, 0.5]],
+                          cross_probs=cross))
     specs.append(bundled.n4_spec())
     for spec in specs:
         space = enumerate_states(spec)
@@ -134,7 +148,12 @@ def test_enumeration_matches_unravel_reference_bit_for_bit():
         assert space.gains.tobytes() == np.ascontiguousarray(gains).tobytes()
         assert space.probs.tobytes() == probs.tobytes()
     assert space.n_states == 65536
-    assert enumerate_states(specs[-2]).gains.shape == (1, 7, 7)
+    assert enumerate_states(specs[-4]).gains.shape == (1, 7, 7)
+    assert enumerate_states(specs[-3]).gains.shape == (1, 120, 120)
+    # links (1, 1) and (2, 0) multiply by near in link order, between
+    # the factors of the two-entry links (0, 0) and (2, 2)
+    assert enumerate_states(specs[-2]).probs.tolist() == (
+        [0.3 * near * near * 0.5] * 2 + [0.7 * near * near * 0.5] * 2)
 
 
 def test_cap_guard():
@@ -339,6 +358,34 @@ def test_interference_is_layout_independent():
                 assert np.array_equal(got, ref)
         for got, ref in zip(interference(spec, space, batch), want):
             assert np.array_equal(got[1], ref)
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_interference_blocks_keep_every_bit():
+    """The kernel walks the states in blocks of ``_STATE_BLOCK``: both
+    tables have the bits of the whole-table formula on a game of two full
+    blocks and a partial one, for a profile, a batch of two, a strided
+    view and a Fortran-ordered copy, and the tables of one receiver row
+    are that row of the whole tables."""
+    rng = np.random.default_rng(28)
+    for spec in (reference_iwf.blocks_spec(),
+                 reference_iwf.blocks_spec(alpha=[1.0, 0.5, 2.0])):
+        space = enumerate_states(spec)
+        assert 2 * _STATE_BLOCK < space.n_states == 19683 < 3 * _STATE_BLOCK
+        P = random_feasible_profile(rng, spec, space)
+        wide = np.repeat(random_feasible_profile(rng, spec, space), 2, axis=1)
+        for X in (P, np.stack([P, 2.0 * P]), wide[:, 1::2], np.asfortranarray(P)):
+            tables = interference(spec, space, X)
+            for got, want in zip(tables, reference_iwf.interference(spec, space, X)):
+                assert_same_bits(got, want)
+            for i in range(spec.n_players):
+                row = _interference(spec, space, X, slice(i, i + 1))
+                for got, want in zip(row, tables):
+                    assert_same_bits(got, want[..., i:i + 1, :])
 
 
 def test_expected_rate_basics():

@@ -9,6 +9,7 @@ from ifgame import (GameSpec, IwfConfig, enumerate_states, interference_floors,
 from ifgame.spectral import contraction_condition
 from ifgame.waterfilling import _breakpoint_levels
 import bundled
+import reference_iwf
 from util_random import random_feasible_profile, random_spec
 
 
@@ -419,6 +420,32 @@ def test_iwf_example2_simultaneous_cycles_sequential_converges():
     seq = iterate_waterfilling(
         spec, space, IwfConfig(scheme="sequential", tol=1e-8, max_iter=500))
     assert seq.converged
+
+
+@pytest.mark.parametrize("scheme", ["simultaneous", "sequential"])
+def test_iwf_matches_whole_table_reference(scheme):
+    """Both schemes keep the bits of the whole-table loops, in profile,
+    iteration count and residual history, on a game of two full kernel
+    blocks and a partial one (capped at 15 sweeps) and on example 2,
+    where the simultaneous sweep cycles; a start profile is read, not
+    written."""
+    rng = np.random.default_rng(29)
+    games = [(reference_iwf.blocks_spec(), 15),
+             (reference_iwf.blocks_spec(alpha=[1.0, 0.5, 2.0]), 15),
+             (bundled.spec("example2"), 500)]
+    for spec, cap in games:
+        space = enumerate_states(spec)
+        config = IwfConfig(scheme=scheme, max_iter=cap)
+        report = iterate_waterfilling(spec, space, config)
+        profile, iterations, history, converged = reference_iwf.iterate_waterfilling(
+            spec, space, config)
+        assert report.profile.view(np.int64).tobytes() == profile.view(np.int64).tobytes()
+        assert (report.iterations, report.converged) == (iterations, converged)
+        assert report.residual_history == history
+        init = random_feasible_profile(rng, spec, space)
+        kept = init.copy()
+        iterate_waterfilling(spec, space, IwfConfig(scheme=scheme, max_iter=2), init=init)
+        assert np.array_equal(init, kept)
 
 
 def test_iwf_config_rejects_zero_max_iter():

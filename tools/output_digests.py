@@ -3,9 +3,13 @@
 Runs ``ifgame analyze``, ``solve``, ``sweep`` and ``simulate`` on each
 ``configs/*.json`` game, and ``simulate`` and ``solve --solver vi`` on
 ``perfbench/n4_simulate.json`` and on ``NONUNIFORM``, a game with
-non-uniform link probabilities and one zero-probability entry that is
-written into the temporary directory the outputs go to.  Prints one line per output file, and one for the standard
-output and one for the standard error of each run, sorted by path:
+non-uniform link probabilities and one zero-probability entry.  Then
+``simulate``, and ``solve --solver iwf`` with the sequential scheme, on
+``BLOCKS``, whose states fill two and a part of the interference
+kernel's blocks.  The last two games are written into the temporary
+directory the outputs go to.  Prints one line per output file, and one
+for the standard output and one for the standard error of each run,
+sorted by path:
 
     <sha256>  <run>/<file>  exit=<code>
 
@@ -52,11 +56,24 @@ NONUNIFORM = {
     "simulate": {"slots": 100000, "seed": 3},
 }
 
+#: 3 players, 3^9 = 19 683 states: two full blocks of the interference
+#: kernel and a partial one.  The contraction condition holds, so
+#: ``simulate`` runs IWF
+BLOCKS = {
+    "game": {
+        "players": 3,
+        "direct_gains": [1.0, 2.0, 3.0],
+        "cross_gains": [0.05, 0.1, 0.2],
+        "pbar": 1.0,
+    },
+}
+
 
 def runs(repo, tmp):
     """(run name, CLI arguments before ``--out``) of every CLI run, over
-    the checkout's own ``configs/*.json`` in sorted order, then the n4 and
-    the non-uniform games; the latter is written into ``tmp``."""
+    the checkout's own ``configs/*.json`` in sorted order, then the n4,
+    the non-uniform and the blocks games; the last two are written into
+    ``tmp``."""
     for config in sorted((repo / "configs").glob("*.json")):
         for command in COMMANDS:
             yield f"{config.stem}-{command}", [command, "--config", str(config)]
@@ -67,6 +84,14 @@ def runs(repo, tmp):
     nonuniform.write_text(json.dumps(NONUNIFORM), encoding="utf-8")
     yield "nonuniform-simulate", ["simulate", "--config", str(nonuniform)]
     yield "nonuniform-solve-vi", ["solve", "--config", str(nonuniform), "--solver", "vi"]
+    blocks = Path(tmp) / "blocks.json"
+    blocks.write_text(json.dumps(BLOCKS), encoding="utf-8")
+    yield "blocks-simulate", ["simulate", "--config", str(blocks)]
+    sequential = Path(tmp) / "blocks-sequential.json"
+    sequential.write_text(json.dumps(
+        dict(BLOCKS, solver={"iwf": {"scheme": "sequential"}})), encoding="utf-8")
+    yield "blocks-solve-iwf-sequential", ["solve", "--config", str(sequential),
+                                          "--solver", "iwf"]
 
 
 def digest(data):
