@@ -12,7 +12,7 @@ import dataclasses
 import sys
 
 from .config import (FORMAT_CHOICES, SOLVER_CHOICES, ConfigError,
-                     ExperimentConfig, _path, check_budgets, load_config_file)
+                     ExperimentConfig, _path, load_config_file)
 from .experiments import (RunResult, build_game, ne_outcome_for_simulation,
                           run_analyze, run_simulate, run_solve, run_sweep,
                           write_outputs)
@@ -57,11 +57,8 @@ def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
         solver = dataclasses.replace(
             solver, pareto=dataclasses.replace(solver.pareto, seed=args.seed))
         simulate = dataclasses.replace(simulate, seed=args.seed)
-    config = dataclasses.replace(config, solver=solver, simulate=simulate,
-                                 output=output)
-    if args.solver is not None:  # AL's budget limit depends on the solvers run
-        check_budgets(config)
-    return config
+    # made anew, the config checks AL's budget limit for the solvers it runs
+    return dataclasses.replace(config, solver=solver, simulate=simulate, output=output)
 
 
 def main(argv=None) -> int:

@@ -2,8 +2,11 @@
 
 The exact grammar is documented in the README (section "Configuration
 reference").  Unknown keys are rejected, missing required keys and
-out-of-range values raise ConfigError naming the offending field.  A
-loaded config round-trips through ``dataclasses.asdict``:
+out-of-range values raise ConfigError naming the offending field.  The
+checks that span sections (the state count, the gain quotients and the
+budgets) run whenever an ``ExperimentConfig`` is made, by
+``dataclasses.replace`` too, so every config is valid.  A loaded config
+round-trips through ``dataclasses.asdict``:
 ``load_config(json.dumps(asdict(config)))`` equals ``config``.
 """
 
@@ -13,6 +16,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, field, fields
+from functools import partial
 
 import numpy as np
 
@@ -20,7 +24,7 @@ from .game import (DEFAULT_STATE_CAP, GameSpec, StateSpaceTooLargeError, _per_li
                    state_count)
 from .pareto import AlConfig
 from .vi import ViConfig
-from .waterfilling import SCHEME_CHOICES, IwfConfig
+from .waterfilling import IwfConfig
 
 SOLVER_CHOICES = ("iwf", "vi", "pareto", "all")
 FORMAT_CHOICES = ("csv", "json")
@@ -61,6 +65,15 @@ class SolverConfig:
     vi: ViConfig = field(default_factory=ViConfig)
     pareto: AlConfig = field(default_factory=AlConfig)
 
+    def __post_init__(self):
+        if self.which not in SOLVER_CHOICES:
+            raise ValueError(f"which must be one of {SOLVER_CHOICES}")
+
+    @property
+    def names(self) -> tuple[str, ...]:
+        """The solvers ``which`` runs, in their run order."""
+        return ("iwf", "vi", "pareto") if self.which == "all" else (self.which,)
+
 
 @dataclass(frozen=True)
 class SweepConfig:
@@ -96,6 +109,18 @@ class ExperimentConfig:
     simulate: SimulateConfig = field(default_factory=SimulateConfig)
     output: OutputConfig = field(default_factory=OutputConfig)
 
+    def __post_init__(self):
+        """The checks that span sections, run on every config made."""
+        spec = self.game.build_spec()
+        try:  # before the budgets: a huge space overflows 1 / min state probability
+            state_count(spec, self.solver.state_cap)
+        except StateSpaceTooLargeError as exc:
+            raise ConfigError(str(exc), field="solver.state_cap") from None
+        _check_quotients(spec)
+        c = self.solver.pareto.c if "pareto" in self.solver.names else None
+        _check_products(spec, spec.pbar, "game.pbar", c)
+        _check_products(spec, self.sweep.values, "sweep.values", c)
+
 
 def _require_keys(node, allowed, required, where):
     if not isinstance(node, dict):
@@ -109,8 +134,8 @@ def _require_keys(node, allowed, required, where):
                               field=f"{where}.{key}")
 
 
-def _number(value, name, integral=False, low=0.0, high=None):
-    """A finite JSON number within the exclusive bounds (low, high).
+def _number(value, name, integral=False, low=0.0):
+    """A finite JSON number above ``low``, unless that is None.
 
     Booleans are rejected although Python treats them as ints, and an
     integral field rejects a fractional value instead of truncating it.
@@ -127,8 +152,6 @@ def _number(value, name, integral=False, low=0.0, high=None):
         raise ConfigError(f"{name} must be an integer", field=name)
     if low is not None and number <= low:
         raise ConfigError(f"{name} must be > {low}", field=name)
-    if high is not None and value >= high:  # exact: float(2**63 - 1) == 2**63
-        raise ConfigError(f"{name} must be < {high}", field=name)
     return int(value) if integral else number
 
 
@@ -156,7 +179,7 @@ def _vector(node, key, n, where):
     return [_number(v, f"{where}.{key}") for v in raw]
 
 
-def _parse_game(node) -> tuple[GameConfig, GameSpec]:
+def _parse_game(node) -> GameConfig:
     _require_keys(node, {f.name for f in fields(GameConfig)},
                   {"players", "direct_gains", "cross_gains", "pbar"}, "game")
     players = _number(node["players"], "game.players", integral=True)
@@ -176,11 +199,10 @@ def _parse_game(node) -> tuple[GameConfig, GameSpec]:
                       alpha=_vector(node, "alpha", players, "game"),
                       weights=_vector(node, "weights", players, "game"))
     try:
-        spec = game.build_spec()  # every other input it checks was checked above
+        game.build_spec()  # every other input it checks was checked above
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"game.link_probs: {exc}", field="game.link_probs") from None
-    _check_quotients(spec)
-    return game, spec
+    return game
 
 
 def _check_quotients(spec: GameSpec):
@@ -204,7 +226,7 @@ def _check_quotients(spec: GameSpec):
                               f"and direct gain {direct!r}", field="game.cross_gains")
 
 
-def _check_budgets(spec: GameSpec, budgets, field, c=None):
+def _check_products(spec: GameSpec, budgets, field, c=None):
     """Every product the solvers form from a budget must be finite.
 
     With pbar the largest of ``budgets`` and pi_min the smallest state
@@ -238,47 +260,36 @@ def _check_budgets(spec: GameSpec, budgets, field, c=None):
                               field=field)
 
 
-#: exclusive (low, high) bounds of numeric fields; unlisted ones must be > 0
-#: (numpy seeds must be >= 0, and numpy draws the slot counts as int64)
-_BOUNDS = {"seed": (-1, None), "decay": (0.0, 1.0), "slots": (0.0, 2**63)}
-
-
 def _section(cls, node, where, **parsers):
     """Parse a config object into the dataclass ``cls``.
 
     The keys are the field names, and an absent key keeps the field's
-    default.  A field named in ``parsers`` is read by that function; any
-    other is a number, integral when its default is an int and bounded
-    by ``_BOUNDS``.
+    default.  A field named in ``parsers`` is read by that function, a
+    string field is passed on as given, and any other must be a finite
+    number, integral when its default is an int.  The dataclass then
+    checks each given field alone, so a value it rejects is reported
+    against that field.
     """
     _require_keys(node, {f.name for f in fields(cls)}, set(), where)
     values = {}
     for f in fields(cls):
         if f.name not in node:
             continue
-        name = f"{where}.{f.name}"
+        name, value = f"{where}.{f.name}", node[f.name]
         if f.name in parsers:
-            values[f.name] = parsers[f.name](node[f.name], name)
-        else:
-            low, high = _BOUNDS.get(f.name, (0.0, None))
-            values[f.name] = _number(node[f.name], name, type(f.default) is int,
-                                     low, high)
-    try:
-        return cls(**values)
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}", field=where) from None
-
-
-def _choice(choices):
-    def parse(value, name):
-        if value not in choices:
-            raise ConfigError(f"{name} must be one of {choices}", field=name)
-        return value
-    return parse
+            value = parsers[f.name](value, name)
+        elif not isinstance(f.default, str):
+            value = _number(value, name, type(f.default) is int, low=None)
+        try:
+            cls(**{f.name: value})
+        except ValueError as exc:
+            raise ConfigError(f"{name}: {exc}", field=name) from None
+        values[f.name] = value
+    return cls(**values)
 
 
 def _optional_number(value, name):
-    return None if value is None else _number(value, name)
+    return None if value is None else _number(value, name, low=None)
 
 
 def _formats(value, name):
@@ -301,12 +312,9 @@ def _flag(value, name):
 
 
 def _parse_solver(node) -> SolverConfig:
-    return _section(
-        SolverConfig, node, "solver", which=_choice(SOLVER_CHOICES),
-        iwf=lambda v, name: _section(IwfConfig, v, name,
-                                     scheme=_choice(SCHEME_CHOICES)),
-        vi=lambda v, name: _section(ViConfig, v, name),
-        pareto=lambda v, name: _section(AlConfig, v, name, delta=_optional_number))
+    return _section(SolverConfig, node, "solver", iwf=partial(_section, IwfConfig),
+                    vi=partial(_section, ViConfig),
+                    pareto=partial(_section, AlConfig, delta=_optional_number))
 
 
 def load_config(text: str) -> ExperimentConfig:
@@ -317,32 +325,13 @@ def load_config(text: str) -> ExperimentConfig:
         raise ConfigError(f"parse error at line {exc.lineno}, column {exc.colno}: "
                           f"{exc.msg}", field=None) from None
     _require_keys(doc, {f.name for f in fields(ExperimentConfig)}, {"game"}, "config")
-    game, spec = _parse_game(doc["game"])
-    solver = _parse_solver(doc.get("solver", {}))
-    sweep = _section(SweepConfig, doc.get("sweep", {}), "sweep", values=_positive_list)
-    simulate = _section(SimulateConfig, doc.get("simulate", {}), "simulate")
-    output = _section(OutputConfig, doc.get("output", {}), "output",
-                      dir=_path, formats=_formats,
-                      pareto_trajectories=_flag)
-    try:  # before the budgets: a huge space overflows 1 / min state probability
-        state_count(spec, solver.state_cap)
-    except StateSpaceTooLargeError as exc:
-        raise ConfigError(str(exc), field="solver.state_cap") from None
-    config = ExperimentConfig(game=game, solver=solver, sweep=sweep,
-                              simulate=simulate, output=output)
-    check_budgets(config, spec)
-    return config
-
-
-def check_budgets(config: ExperimentConfig, spec: GameSpec | None = None):
-    """Reject a ``game.pbar`` or ``sweep.values`` budget for which a
-    product formed by the solvers of ``solver.which`` overflows; ``spec``
-    is ``config.game.build_spec()`` when the caller has it.  A change of
-    ``solver.which`` after loading must be checked again."""
-    spec = config.game.build_spec() if spec is None else spec
-    c = config.solver.pareto.c if config.solver.which in ("pareto", "all") else None
-    _check_budgets(spec, spec.pbar, "game.pbar", c)
-    _check_budgets(spec, config.sweep.values, "sweep.values", c)
+    return ExperimentConfig(
+        game=_parse_game(doc["game"]),
+        solver=_parse_solver(doc.get("solver", {})),
+        sweep=_section(SweepConfig, doc.get("sweep", {}), "sweep", values=_positive_list),
+        simulate=_section(SimulateConfig, doc.get("simulate", {}), "simulate"),
+        output=_section(OutputConfig, doc.get("output", {}), "output",
+                        dir=_path, formats=_formats, pareto_trajectories=_flag))
 
 
 def load_config_file(path) -> ExperimentConfig:

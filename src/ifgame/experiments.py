@@ -21,9 +21,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, ExperimentConfig
-from .game import (GameSpec, StateSpace, StateSpaceTooLargeError, average_powers,
-                   enumerate_states, expected_rates, is_feasible, rate_table)
+from .config import ExperimentConfig
+from .game import (GameSpec, StateSpace, average_powers, enumerate_states,
+                   expected_rates, is_feasible, rate_table)
 from .pareto import multi_start
 from .spectral import ConditionReport, condition_report
 from .vi import make_vi_problem, solve_regularized
@@ -74,13 +74,11 @@ class RunResult:
 
 
 def build_game(config: ExperimentConfig) -> tuple[GameSpec, StateSpace]:
-    """The game and its state space; a space over ``solver.state_cap`` is
-    a ConfigError naming that field."""
+    """The game and its state space.  ``config`` checked its state count
+    against ``solver.state_cap`` when it was made, as every
+    ``ExperimentConfig`` is checked, ``dataclasses.replace`` included."""
     spec = config.game.build_spec()
-    try:
-        return spec, enumerate_states(spec, cap=config.solver.state_cap)
-    except StateSpaceTooLargeError as exc:
-        raise ConfigError(str(exc), field="solver.state_cap") from None
+    return spec, enumerate_states(spec, cap=config.solver.state_cap)
 
 
 def _problem_and_conditions(spec, space, keep=True):
@@ -95,10 +93,6 @@ def _problem_and_conditions(spec, space, keep=True):
 def run_analyze(config: ExperimentConfig) -> ConditionReport:
     """Uniqueness/convergence condition checks for the configured game."""
     return condition_report(*build_game(config))
-
-
-def _solver_names(which: str) -> list[str]:
-    return ["iwf", "vi", "pareto"] if which == "all" else [which]
 
 
 def _run_one_solver(name, spec, space, config, problem=None):
@@ -142,7 +136,7 @@ def run_solve(config: ExperimentConfig) -> RunResult:
     the run continues with the remaining solvers.
     """
     spec, space = build_game(config)
-    names = _solver_names(config.solver.which)
+    names = config.solver.names
     problem, condition = _problem_and_conditions(spec, space, "vi" in names)
     outcomes = {}
     for name in names:
@@ -160,7 +154,7 @@ def run_sweep(config: ExperimentConfig) -> RunResult:
     row.
     """
     spec, space = build_game(config)
-    names = _solver_names(config.solver.which)
+    names = config.solver.names
     problem, condition = _problem_and_conditions(spec, space, "vi" in names)
     rows = []
     for value in config.sweep.values:

@@ -8,16 +8,27 @@ player in the sequential sweep; every operation is elementwise and
 keeps its order, so the tests require the same bits from both.
 """
 
+import dataclasses
+import json
+import sys
+from pathlib import Path
+
 import numpy as np
 
-from ifgame import GameSpec, waterfill_levels
+from ifgame import load_config, waterfill_levels
 from ifgame.game import ULP_FLOOR
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+
+from output_digests import BLOCKS  # noqa: E402
 
 
 def blocks_spec(alpha=None):
-    """3 players, 3^9 = 19 683 states: two full blocks of the interference
-    kernel and a partial one."""
-    return GameSpec(3, [1.0, 2.0, 3.0], [0.05, 0.1, 0.2], pbar=1.0, alpha=alpha)
+    """The game ``BLOCKS`` of ``tools/output_digests.py``, 3 players and
+    3^9 = 19 683 states: two full blocks of the interference kernel and a
+    partial one; ``alpha`` replaces its modulation constants."""
+    spec = load_config(json.dumps(BLOCKS)).game.build_spec()
+    return spec if alpha is None else dataclasses.replace(spec, alpha=alpha)
 
 
 def interference(spec, space, P):

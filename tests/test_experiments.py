@@ -138,6 +138,10 @@ def test_config_non_finite_number_rejected(dotted, value, tmp_path, capsys):
     ("game.pbar", True),
     ("solver.pareto.seed", -1),
     ("simulate.seed", -3),
+    ("solver.iwf.max_iter", 0),
+    ("solver.vi.max_inner", 0),
+    ("solver.state_cap", 0),
+    ("simulate.slots", 0),
 ])
 def test_config_bad_integer_rejected(dotted, value, tmp_path, capsys):
     rejected(with_value(bundled.doc("example1"), dotted, value), dotted,
@@ -178,6 +182,9 @@ def test_cli_missing_config_file_exits_1(tmp_path, capsys):
     ("sweep", None),
     ("simulate", None),
     ("sweep.parameter", "pbar"),
+    ("solver.iwf.scheme", "gauss"),
+    ("solver.vi.decay", 0),
+    ("solver.vi.decay", 1),
 ])
 def test_config_wrong_shape_or_choice_rejected(dotted, value, tmp_path, capsys):
     rejected(with_value(bundled.doc("example1"), dotted, value), dotted,
@@ -231,6 +238,26 @@ def test_config_overflowing_budget_names_field(which, dotted, value, tmp_path, c
     NaN and AL overflow in its penalty."""
     doc = with_value(with_value(SMALL, "solver.which", which), dotted, value)
     rejected(doc, "sweep.values" if dotted == "game" else dotted, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("field, section, changes", [
+    ("sweep.values", "sweep", {"values": [1.0, 1e308]}),
+    ("game.pbar", "solver", {"which": "pareto"}),
+    ("game.direct_gains", "game", {"direct_gains": [1e-310, 1.0]}),
+    ("solver.state_cap", "solver", {"state_cap": 10}),
+])
+def test_replaced_config_is_checked(field, section, changes):
+    """A config made by ``dataclasses.replace`` is checked as a loaded one
+    is.  Unchecked, these wrote a NaN sweep row, reported AL converged
+    after its penalty overflowed, and made ``run_analyze`` raise
+    LinAlgError."""
+    config = (load_config(json.dumps(with_value(
+        with_value(SMALL, "solver.which", "iwf"), "game.pbar", 1e300)))
+        if field == "game.pbar" else bundled.config("example1"))
+    with pytest.raises(ConfigError) as caught:
+        dataclasses.replace(config, **{
+            section: dataclasses.replace(getattr(config, section), **changes)})
+    assert caught.value.field == field
 
 
 def test_config_budget_limit_follows_the_solver_products():
