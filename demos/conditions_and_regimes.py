@@ -16,7 +16,7 @@ CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 
 
 def bundled(name):
-    return load_config_file(CONFIGS / f"{name}.json").game.build_spec()
+    return load_config_file(CONFIGS / f"{name}.json").game.spec
 
 
 games = {

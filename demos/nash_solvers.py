@@ -24,7 +24,7 @@ CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 
 
 def solve_and_print(name, config):
-    spec = load_config_file(CONFIGS / f"{config}.json").game.build_spec()
+    spec = load_config_file(CONFIGS / f"{config}.json").game.spec
     print(f"=== {name} ===")
     space = enumerate_states(spec)
     problem = make_vi_problem(spec, space)

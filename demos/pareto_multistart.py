@@ -14,7 +14,7 @@ CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 
 for name, config in [("example1 (budget 1.0)", "example1"),
                      ("example2 (budget 2.0)", "example2")]:
-    spec = load_config_file(CONFIGS / f"{config}.json").game.build_spec()
+    spec = load_config_file(CONFIGS / f"{config}.json").game.spec
     space = enumerate_states(spec)
     ne = solve_regularized(make_vi_problem(spec, space)).solution
     ne_rate = sum_rate(spec, space, ne)

@@ -1,10 +1,12 @@
 """Experiment configuration: a flat JSON key-value tree.
 
 The exact grammar is documented in the README (section "Configuration
-reference").  Unknown keys are rejected, missing required keys and
-out-of-range values raise ConfigError naming the offending field.  The
+reference").  The loader reads JSON types only: unknown keys, missing
+required keys and values of the wrong JSON type raise ConfigError naming
+the offending field.  Every section checks its own values when it is
+made, and ``GameConfig`` builds and checks its ``GameSpec`` then; the
 checks that span sections (the state count, the gain quotients and the
-budgets) run whenever an ``ExperimentConfig`` is made, by
+budgets) run whenever an ``ExperimentConfig`` is made.  Both hold for
 ``dataclasses.replace`` too, so every config is valid.  A loaded config
 round-trips through ``dataclasses.asdict``:
 ``load_config(json.dumps(asdict(config)))`` equals ``config``.
@@ -16,12 +18,12 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, field, fields
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
 from .game import (DEFAULT_STATE_CAP, GameSpec, StateSpaceTooLargeError, _per_link,
-                   state_count)
+                   _positive, state_count)
 from .pareto import AlConfig
 from .vi import ViConfig
 from .waterfilling import IwfConfig
@@ -29,7 +31,10 @@ from .waterfilling import IwfConfig
 SOLVER_CHOICES = ("iwf", "vi", "pareto", "all")
 FORMAT_CHOICES = ("csv", "json")
 
-DEFAULT_SWEEP_VALUES = [0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0]
+#: the game field of each ``GameSpec`` argument named otherwise
+_GAME_FIELDS = {"n_players": "players", "direct_alphabet": "direct_gains",
+                "cross_alphabet": "cross_gains", "direct_probs": "link_probs",
+                "cross_probs": "link_probs"}
 
 
 class ConfigError(ValueError):
@@ -42,6 +47,10 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class GameConfig:
+    """The game section.  Making one builds its ``GameSpec``, kept as
+    ``spec``; a value the spec rejects raises ConfigError naming its
+    ``game.<field>``."""
+
     players: int
     direct_gains: list[float]
     cross_gains: list[float]
@@ -50,11 +59,20 @@ class GameConfig:
     alpha: list[float] | None = None
     weights: list[float] | None = None
 
-    def build_spec(self) -> GameSpec:
+    def __post_init__(self):
+        self.spec  # built and checked now
+
+    @cached_property
+    def spec(self) -> GameSpec:
         probs = {} if self.link_probs == "uniform" else {
             f"{key}_probs": self.link_probs[key] for key in ("direct", "cross")}
-        return GameSpec(self.players, self.direct_gains, self.cross_gains, self.pbar,
-                        self.alpha, self.weights, **probs)
+        try:
+            return GameSpec(self.players, self.direct_gains, self.cross_gains,
+                            self.pbar, self.alpha, self.weights, **probs)
+        except ValueError as exc:  # each message starts with its argument's name
+            name = str(exc).split(maxsplit=1)[0].rstrip(":")
+            field = f"game.{_GAME_FIELDS.get(name, name)}"
+            raise ConfigError(f"{field}: {exc}", field=field) from None
 
 
 @dataclass(frozen=True)
@@ -77,7 +95,13 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class SweepConfig:
-    values: list[float] = field(default_factory=lambda: list(DEFAULT_SWEEP_VALUES))
+    """The budgets a sweep solves at: finite and positive, at least one."""
+
+    values: tuple[float, ...] = (0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0)
+
+    def __post_init__(self):
+        values = _positive(self.values, "values")
+        object.__setattr__(self, "values", tuple(values.tolist()))
 
 
 @dataclass(frozen=True)
@@ -97,8 +121,18 @@ class SimulateConfig:
 @dataclass(frozen=True)
 class OutputConfig:
     dir: str = "out"
-    formats: list[str] = field(default_factory=lambda: ["csv", "json"])
+    formats: tuple[str, ...] = FORMAT_CHOICES
     pareto_trajectories: bool = False
+
+    def __post_init__(self):
+        if not (isinstance(self.dir, str) and self.dir):
+            raise ValueError("dir must be a non-empty string")
+        if not (isinstance(self.formats, (list, tuple)) and self.formats
+                and all(f in FORMAT_CHOICES for f in self.formats)):
+            raise ValueError(f"formats must be a non-empty list from {FORMAT_CHOICES}")
+        object.__setattr__(self, "formats", tuple(self.formats))
+        if not isinstance(self.pareto_trajectories, bool):
+            raise ValueError("pareto_trajectories must be true or false")
 
 
 @dataclass(frozen=True)
@@ -111,7 +145,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         """The checks that span sections, run on every config made."""
-        spec = self.game.build_spec()
+        spec = self.game.spec
         try:  # before the budgets: a huge space overflows 1 / min state probability
             state_count(spec, self.solver.state_cap)
         except StateSpaceTooLargeError as exc:
@@ -134,8 +168,8 @@ def _require_keys(node, allowed, required, where):
                               field=f"{where}.{key}")
 
 
-def _number(value, name, integral=False, low=0.0):
-    """A finite JSON number above ``low``, unless that is None.
+def _number(value, name, integral=False):
+    """A finite JSON number.
 
     Booleans are rejected although Python treats them as ints, and an
     integral field rejects a fractional value instead of truncating it.
@@ -150,59 +184,32 @@ def _number(value, name, integral=False, low=0.0):
         raise ConfigError(f"{name} must be finite", field=name)
     if integral and not number.is_integer():
         raise ConfigError(f"{name} must be an integer", field=name)
-    if low is not None and number <= low:
-        raise ConfigError(f"{name} must be > {low}", field=name)
     return int(value) if integral else number
-
-
-def _positive_list(value, name):
-    if not isinstance(value, list) or not value:
-        raise ConfigError(f"{name} must be a non-empty list", field=name)
-    return [_number(v, name) for v in value]
 
 
 def _nested_numbers(value, name):
     """Every entry of nested lists as a finite number; the shapes and the
-    signs are left to ``GameSpec``."""
+    signs are left to the dataclass."""
     if isinstance(value, list):
         return [_nested_numbers(v, name) for v in value]
-    return _number(value, name, low=None)
-
-
-def _vector(node, key, n, where):
-    """A positive per-player vector, given as n numbers or as one."""
-    if node.get(key) is None:
-        return None
-    raw = node[key] if isinstance(node[key], list) else [node[key]] * n
-    if len(raw) != n:
-        raise ConfigError(f"{where}.{key} must have {n} entries", field=f"{where}.{key}")
-    return [_number(v, f"{where}.{key}") for v in raw]
+    return _number(value, name)
 
 
 def _parse_game(node) -> GameConfig:
+    """The game section: its numbers are read here, and ``GameConfig``
+    checks their shapes and ranges.  A null is passed on, and only
+    ``alpha`` and ``weights`` accept one."""
     _require_keys(node, {f.name for f in fields(GameConfig)},
                   {"players", "direct_gains", "cross_gains", "pbar"}, "game")
-    players = _number(node["players"], "game.players", integral=True)
-    direct = _positive_list(node["direct_gains"], "game.direct_gains")
-    cross = _positive_list(node["cross_gains"], "game.cross_gains")
-    link_probs = node.get("link_probs", GameConfig.link_probs)
-    if link_probs != "uniform":
-        _require_keys(link_probs, {"direct", "cross"}, {"direct", "cross"},
-                      "game.link_probs")
-        link_probs = {key: _nested_numbers(link_probs[key], "game.link_probs")
-                      for key in ("direct", "cross")}
-    pbar = _vector(node, "pbar", players, "game")
-    if pbar is None:
-        raise ConfigError("game.pbar must be given", field="game.pbar")
-    game = GameConfig(players=players, direct_gains=direct, cross_gains=cross,
-                      pbar=pbar, link_probs=link_probs,
-                      alpha=_vector(node, "alpha", players, "game"),
-                      weights=_vector(node, "weights", players, "game"))
-    try:
-        game.build_spec()  # every other input it checks was checked above
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"game.link_probs: {exc}", field="game.link_probs") from None
-    return game
+    game = {key: value if value is None or key == "link_probs"
+            else _nested_numbers(value, f"game.{key}") for key, value in node.items()}
+    game["players"] = _number(node["players"], "game.players", integral=True)
+    if game.get("link_probs", "uniform") != "uniform":
+        probs = game["link_probs"]
+        _require_keys(probs, {"direct", "cross"}, {"direct", "cross"}, "game.link_probs")
+        game["link_probs"] = {k: _nested_numbers(v, "game.link_probs")
+                              for k, v in probs.items()}
+    return GameConfig(**game)
 
 
 def _check_quotients(spec: GameSpec):
@@ -265,10 +272,10 @@ def _section(cls, node, where, **parsers):
 
     The keys are the field names, and an absent key keeps the field's
     default.  A field named in ``parsers`` is read by that function, a
-    string field is passed on as given, and any other must be a finite
-    number, integral when its default is an int.  The dataclass then
-    checks each given field alone, so a value it rejects is reported
-    against that field.
+    field whose default is a number must be a finite number, integral
+    when that default is an int, and any other is passed on as given.
+    The dataclass then checks each given field alone, so a value it
+    rejects is reported against that field.
     """
     _require_keys(node, {f.name for f in fields(cls)}, set(), where)
     values = {}
@@ -278,8 +285,8 @@ def _section(cls, node, where, **parsers):
         name, value = f"{where}.{f.name}", node[f.name]
         if f.name in parsers:
             value = parsers[f.name](value, name)
-        elif not isinstance(f.default, str):
-            value = _number(value, name, type(f.default) is int, low=None)
+        elif type(f.default) in (int, float):
+            value = _number(value, name, type(f.default) is int)
         try:
             cls(**{f.name: value})
         except ValueError as exc:
@@ -289,26 +296,7 @@ def _section(cls, node, where, **parsers):
 
 
 def _optional_number(value, name):
-    return None if value is None else _number(value, name, low=None)
-
-
-def _formats(value, name):
-    if not isinstance(value, list) or not value or any(
-            f not in FORMAT_CHOICES for f in value):
-        raise ConfigError(f"{name} entries must be among {FORMAT_CHOICES}", field=name)
-    return list(value)
-
-
-def _path(value, name):
-    if not isinstance(value, str) or not value:
-        raise ConfigError(f"{name} must be a non-empty string", field=name)
-    return value
-
-
-def _flag(value, name):
-    if not isinstance(value, bool):
-        raise ConfigError(f"{name} must be true or false", field=name)
-    return value
+    return None if value is None else _number(value, name)
 
 
 def _parse_solver(node) -> SolverConfig:
@@ -328,10 +316,10 @@ def load_config(text: str) -> ExperimentConfig:
     return ExperimentConfig(
         game=_parse_game(doc["game"]),
         solver=_parse_solver(doc.get("solver", {})),
-        sweep=_section(SweepConfig, doc.get("sweep", {}), "sweep", values=_positive_list),
+        sweep=_section(SweepConfig, doc.get("sweep", {}), "sweep",
+                       values=_nested_numbers),
         simulate=_section(SimulateConfig, doc.get("simulate", {}), "simulate"),
-        output=_section(OutputConfig, doc.get("output", {}), "output",
-                        dir=_path, formats=_formats, pareto_trajectories=_flag))
+        output=_section(OutputConfig, doc.get("output", {}), "output"))
 
 
 def load_config_file(path) -> ExperimentConfig:

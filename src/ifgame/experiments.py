@@ -77,7 +77,7 @@ def build_game(config: ExperimentConfig) -> tuple[GameSpec, StateSpace]:
     """The game and its state space.  ``config`` checked its state count
     against ``solver.state_cap`` when it was made, as every
     ``ExperimentConfig`` is checked, ``dataclasses.replace`` included."""
-    spec = config.game.build_spec()
+    spec = config.game.spec
     return spec, enumerate_states(spec, cap=config.solver.state_cap)
 
 

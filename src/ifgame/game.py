@@ -20,6 +20,7 @@ one, and every function here takes one (or a batch (..., N, N1)).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,11 +39,20 @@ class StateSpaceTooLargeError(ValueError):
     """Raised when the full channel-state enumeration would exceed the cap."""
 
 
+def _floats(x, name):
+    """An owned float array of ``x``; a value numpy cannot read as one,
+    such as a ragged table, is rejected under ``name``."""
+    try:
+        return np.array(x, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{name}: {exc}") from None
+
+
 def _positive(x, name, n=None):
     """An owned, read-only float vector of finite positive entries: a
     non-empty alphabet, or with ``n`` given a per-player vector of length
     n, which one number fills."""
-    v = np.array(x, dtype=float)  # owned copy; frozen below
+    v = _floats(x, name)  # owned copy; frozen below
     if n is not None and v.ndim == 0:
         v = np.full(n, float(v))
     if n is not None and v.shape != (n,):
@@ -65,7 +75,8 @@ class GameSpec:
     are unused.  A distribution not given is uniform.  Probabilities
     must be nonnegative and every used row must sum to 1 within 1e-12.
     ``alpha`` and ``weights`` default to ones; ``pbar``, ``alpha`` and
-    ``weights`` may be given as one number for every player.
+    ``weights`` may be given as one number for every player.  Every
+    error message starts with the name of the argument it rejects.
     """
 
     n_players: int
@@ -79,30 +90,32 @@ class GameSpec:
 
     def __post_init__(self):
         n = self.n_players
-        if n < 1:
-            raise ValueError("need at least one player")
+        if not (isinstance(n, numbers.Integral) and n >= 1):
+            raise ValueError(f"n_players: need at least one player, got {n!r}")
         direct = _positive(self.direct_alphabet, "direct_alphabet")
         cross = _positive(self.cross_alphabet, "cross_alphabet")
         d = (np.full((n, direct.size), 1.0 / direct.size) if self.direct_probs is None
-             else np.array(self.direct_probs, dtype=float))
+             else _floats(self.direct_probs, "direct_probs"))
         c = (np.full((n, n, cross.size), 1.0 / cross.size) if self.cross_probs is None
-             else np.array(self.cross_probs, dtype=float))
+             else _floats(self.cross_probs, "cross_probs"))
         if d.shape != (n, direct.size):
             raise ValueError(f"direct_probs must have shape {(n, direct.size)}, "
                              f"got {d.shape}")
         if c.shape != (n, n, cross.size):
             raise ValueError(f"cross_probs must have shape {(n, n, cross.size)}, "
                              f"got {c.shape}")
-        if np.any(d < 0) or np.any(c < 0):
-            raise ValueError("link probabilities must be nonnegative")
+        for name, probs in (("direct_probs", d), ("cross_probs", c)):
+            if np.any(probs < 0):
+                raise ValueError(f"{name}: link probabilities must be nonnegative")
         # "not <=" rather than ">" so that NaN probabilities fail too
         if not np.all(np.abs(d.sum(axis=1) - 1.0) <= 1e-12):
-            raise ValueError("direct-link probabilities must sum to 1")
+            raise ValueError("direct_probs: direct-link probabilities must sum to 1")
         bad = ~(np.abs(c.sum(axis=2) - 1.0) <= 1e-12)
         np.fill_diagonal(bad, False)
         if bad.any():
             i, j = np.argwhere(bad)[0]
-            raise ValueError(f"cross-link ({i},{j}) probabilities must sum to 1")
+            raise ValueError(f"cross_probs: cross-link ({i},{j}) probabilities "
+                             "must sum to 1")
         d.flags.writeable = False
         c.flags.writeable = False
         alpha = np.ones(n) if self.alpha is None else self.alpha

@@ -31,9 +31,9 @@ def config(name):
 
 def spec(name):
     """The GameSpec of ``configs/<name>.json``."""
-    return config(name).game.build_spec()
+    return config(name).game.spec
 
 
 def n4_spec():
     """The GameSpec of ``perfbench/n4_simulate.json``."""
-    return load_config_file(N4).game.build_spec()
+    return load_config_file(N4).game.spec

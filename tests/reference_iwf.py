@@ -27,7 +27,7 @@ def blocks_spec(alpha=None):
     """The game ``BLOCKS`` of ``tools/output_digests.py``, 3 players and
     3^9 = 19 683 states: two full blocks of the interference kernel and a
     partial one; ``alpha`` replaces its modulation constants."""
-    spec = load_config(json.dumps(BLOCKS)).game.build_spec()
+    spec = load_config(json.dumps(BLOCKS)).game.spec
     return spec if alpha is None else dataclasses.replace(spec, alpha=alpha)
 
 

@@ -142,13 +142,15 @@ def test_config_non_finite_number_rejected(dotted, value, tmp_path, capsys):
     ("solver.vi.max_inner", 0),
     ("solver.state_cap", 0),
     ("simulate.slots", 0),
+    ("game.players", 0),
+    ("game.players", -2),
 ])
 def test_config_bad_integer_rejected(dotted, value, tmp_path, capsys):
     rejected(with_value(bundled.doc("example1"), dotted, value), dotted,
              tmp_path, capsys)
 
 
-@pytest.mark.parametrize("value", [None, 5, [1], ""])
+@pytest.mark.parametrize("value", [None, 5, [1], "", []])
 def test_config_output_dir_must_be_a_string(value, tmp_path, capsys):
     rejected(with_value(bundled.doc("example1"), "output.dir", value), "output.dir",
              tmp_path, capsys)
@@ -185,6 +187,17 @@ def test_cli_missing_config_file_exits_1(tmp_path, capsys):
     ("solver.iwf.scheme", "gauss"),
     ("solver.vi.decay", 0),
     ("solver.vi.decay", 1),
+    ("game.alpha", [1.0, 2.0]),
+    ("game.direct_gains", 2.0),
+    ("game.pbar", [[1.0, 1.0, 1.0]]),
+    ("game.weights", [1.0, -1.0, 1.0]),
+    ("sweep.values", []),
+    ("sweep.values", 1.0),
+    ("sweep.values", [True]),
+    ("output.formats", "csv"),
+    ("output.formats", []),
+    ("output.formats", ["csv", 1]),
+    ("output.pareto_trajectories", "yes"),
 ])
 def test_config_wrong_shape_or_choice_rejected(dotted, value, tmp_path, capsys):
     rejected(with_value(bundled.doc("example1"), dotted, value), dotted,
@@ -245,15 +258,20 @@ def test_config_overflowing_budget_names_field(which, dotted, value, tmp_path, c
     ("game.pbar", "solver", {"which": "pareto"}),
     ("game.direct_gains", "game", {"direct_gains": [1e-310, 1.0]}),
     ("solver.state_cap", "solver", {"state_cap": 10}),
+    ("game.pbar", "game", {"pbar": [1.0, 2.0]}),
+    ("game.players", "game", {"players": 0}),
+    ("game.direct_gains", "game", {"direct_gains": [-1.0, 2.0]}),
+    ("game.link_probs", "game", {"link_probs": {
+        "direct": [[0.5, 0.5], [0.5], [0.5, 0.5]], "cross": [[[0.5, 0.5]] * 3] * 3}}),
 ])
 def test_replaced_config_is_checked(field, section, changes):
     """A config made by ``dataclasses.replace`` is checked as a loaded one
     is.  Unchecked, these wrote a NaN sweep row, reported AL converged
-    after its penalty overflowed, and made ``run_analyze`` raise
-    LinAlgError."""
+    after its penalty overflowed, made ``run_analyze`` raise LinAlgError,
+    or raised a bare ValueError naming no field."""
     config = (load_config(json.dumps(with_value(
         with_value(SMALL, "solver.which", "iwf"), "game.pbar", 1e300)))
-        if field == "game.pbar" else bundled.config("example1"))
+        if changes == {"which": "pareto"} else bundled.config("example1"))
     with pytest.raises(ConfigError) as caught:
         dataclasses.replace(config, **{
             section: dataclasses.replace(getattr(config, section), **changes)})
@@ -612,12 +630,40 @@ def test_cli_simulate_draws_counts_not_slots(slots, tmp_path):
     assert max(mc["rate_rel_gap"] + mc["power_rel_gap"]) < 1e-4
 
 
-@pytest.mark.parametrize("values", [{"slots": 0}, {"slots": 2.5}, {"slots": -4},
-                                    {"slots": 2**63}, {"seed": -1}])
-def test_simulate_config_rejects_bad_values(values):
-    # zero slots would make the empirical rates 0 / 0
+BAD_SECTION_VALUES = [
+    (SimulateConfig, {"slots": 0}),  # would make the empirical rates 0 / 0
+    (SimulateConfig, {"slots": 2.5}),
+    (SimulateConfig, {"slots": -4}),
+    (SimulateConfig, {"slots": 2**63}),
+    (SimulateConfig, {"seed": -1}),
+    (SweepConfig, {"values": []}),
+    (SweepConfig, {"values": [-1.0]}),
+    (SweepConfig, {"values": [1.0, float("nan")]}),
+    (OutputConfig, {"dir": ""}),  # would write into the working directory
+    (OutputConfig, {"formats": ["xml"]}),  # would write nothing
+    (OutputConfig, {"formats": []}),
+    (OutputConfig, {"pareto_trajectories": 1}),
+]
+
+
+# the ids number the cases values0, values1, ... in list order, so the
+# SimulateConfig cases keep the names they had before the other sections
+@pytest.mark.parametrize("cls, values", BAD_SECTION_VALUES,
+                         ids=[f"values{k}" for k in range(len(BAD_SECTION_VALUES))])
+def test_simulate_config_rejects_bad_values(cls, values):
+    """Each section checks its own values when it is made, and the
+    message names the field."""
     with pytest.raises(ValueError, match=next(iter(values))):
-        SimulateConfig(**values)
+        cls(**values)
+
+
+def test_config_sequences_cannot_change_in_place():
+    """``sweep.values`` and ``output.formats`` are tuples, so no change in
+    place skips the checks made with the config."""
+    config = bundled.config("example1")
+    for values in (config.sweep.values, config.output.formats):
+        with pytest.raises(AttributeError):
+            values.append(1e308)
 
 
 def test_run_simulate_requires_feasible_profile():
@@ -878,15 +924,18 @@ def test_cli_outputs_are_deterministic(tmp_path):
 
 
 def test_cli_simulate_enumerates_once(monkeypatch, tmp_path):
+    """A simulate run enumerates the states once and builds the game once."""
+    import ifgame.config
     import ifgame.experiments
     calls = {}
     count_calls(monkeypatch, calls, ifgame.experiments, "enumerate_states")
+    count_calls(monkeypatch, calls, ifgame.config, "GameSpec")
     doc = json.loads(json.dumps(SMALL))
     doc["simulate"] = {"slots": 5000, "seed": 3}
     path = tmp_path / "c.json"
     path.write_text(json.dumps(doc))
     assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
-    assert calls["enumerate_states"] == 1
+    assert calls == {"enumerate_states": 1, "GameSpec": 1}
 
 
 def test_cli_solve_and_simulate_build_operator_once(monkeypatch, tmp_path):

@@ -627,7 +627,7 @@ def test_player_major_iteration_matches_state_major_reference():
     for name in bundled.NAMES:
         spec = bundled.spec(name)
         problem = make_vi_problem(spec, enumerate_states(spec))
-        for value in [None] + SweepConfig().values:
+        for value in [None, *SweepConfig().values]:
             point = problem if value is None else dataclasses.replace(
                 problem, pbar=np.full(spec.n_players, float(value)))
             assert assert_same_solve(point, config).converged
@@ -705,7 +705,7 @@ def test_secant_start_saves_iterations_and_costs_none():
     problem = make_vi_problem(spec, enumerate_states(spec))
     config = ViConfig()
     totals = np.zeros(2, dtype=int)
-    for value in [None] + SweepConfig().values:
+    for value in [None, *SweepConfig().values]:
         point = problem if value is None else dataclasses.replace(
             problem, pbar=np.full(spec.n_players, float(value)))
         report = solve_regularized(point, config)

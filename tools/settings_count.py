@@ -20,15 +20,14 @@ from pathlib import Path
 
 
 def leaves(cls):
-    """The dotted names of the leaf fields of the dataclass ``cls``; an
-    optional section, ``SweepConfig | None``, counts as its dataclass."""
+    """The dotted names of the leaf fields of the dataclass ``cls``; a
+    field whose type is a config dataclass, a section, counts as its
+    own leaves."""
     hints = typing.get_type_hints(cls)
     for f in dataclasses.fields(cls):
         hint = hints[f.name]
-        nested = [t for t in typing.get_args(hint) or (hint,)
-                  if dataclasses.is_dataclass(t)]
-        if nested:
-            yield from (f"{f.name}.{leaf}" for leaf in leaves(nested[0]))
+        if dataclasses.is_dataclass(hint):
+            yield from (f"{f.name}.{leaf}" for leaf in leaves(hint))
         else:
             yield f.name
 
