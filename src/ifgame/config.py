@@ -64,8 +64,14 @@ class GameConfig:
 
     @cached_property
     def spec(self) -> GameSpec:
-        probs = {} if self.link_probs == "uniform" else {
-            f"{key}_probs": self.link_probs[key] for key in ("direct", "cross")}
+        probs = self.link_probs
+        if probs == "uniform":
+            probs = {}
+        elif isinstance(probs, dict) and probs.keys() == {"direct", "cross"}:
+            probs = {f"{key}_probs": probs[key] for key in ("direct", "cross")}
+        else:
+            raise ConfigError('game.link_probs: must be "uniform" or an object '
+                              'with the keys direct and cross', field="game.link_probs")
         try:
             return GameSpec(self.players, self.direct_gains, self.cross_gains,
                             self.pbar, self.alpha, self.weights, **probs)

@@ -276,24 +276,29 @@ def _transmitter_sum(G, X, out):
 _STATE_BLOCK = 8192
 
 
-def _interference(spec, space, P, rows):
+def _interference(spec, space, P, rows, out=None):
     """``interference`` of the receivers ``rows`` (a slice) alone, shape
-    P.shape[:-2] + (len(rows), N1).
+    P.shape[:-2] + (len(rows), N1), into the pair of tables ``out`` if
+    given.
 
     The states are taken in blocks of ``_STATE_BLOCK``, each block
     through the whole chain of elementwise operations, so every element
     goes through the same operations in the same order as on the whole
-    table, whatever the batch shape, layout or block.
+    table, whatever the batch shape, layout or block.  A game of one
+    block is not sliced.
     """
-    gains = space.gains.transpose(1, 2, 0)[rows]
-    direct = space.direct_gains.T[rows]
-    shape = P[..., rows, :].shape
-    own, interf = np.empty(shape), np.empty(shape)
+    mine = P[..., rows, :]
+    own, interf = out or (np.empty(mine.shape), np.empty(mine.shape))
+    tables = (space.direct_gains.T[rows], mine, space.gains.transpose(1, 2, 0)[rows],
+              P, own, interf)
+    n_states = P.shape[-1]
+    blocks = ([tables] if n_states <= _STATE_BLOCK else
+              [[t[..., start:start + _STATE_BLOCK] for t in tables]
+               for start in range(0, n_states, _STATE_BLOCK)])
     alpha = spec.alpha[rows, None]
-    for start in range(0, shape[-1], _STATE_BLOCK):
-        block = slice(start, start + _STATE_BLOCK)
-        o = np.multiply(direct[:, block], P[..., rows, block], out=own[..., block])
-        f = _transmitter_sum(gains[..., block], P[..., block], interf[..., block])
+    for direct, p, gains, x, o, f in blocks:
+        np.multiply(direct, p, out=o)
+        _transmitter_sum(gains, x, f)
         f += 1.0
         f -= o
         o *= alpha

@@ -28,8 +28,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .game import (GameSpec, StateSpace, _transmitter_sum, expected_rates,
-                   interference)
+from .game import (GameSpec, StateSpace, _interference, _transmitter_sum,
+                   expected_rates, interference)
 
 
 @dataclass(frozen=True)
@@ -104,19 +104,20 @@ def _lagrangian(spec, space, P, lam, c):
 class _Gains(NamedTuple):
     """Player-major gains and the per-game factors of the gradient."""
 
-    G: np.ndarray     # G[i, j, k] = |h_ij(k)|^2, (N, N, N1)
-    diag: np.ndarray  # |h_ii(k)|^2, (N, N1)
-    wg: np.ndarray    # w_i alpha_i |h_ii(k)|^2, (N, N1)
+    by_tx: np.ndarray  # by_tx[j, i, k] = |h_ij(k)|^2, (N, N, N1), contiguous
+    diag: np.ndarray   # |h_ii(k)|^2, (N, N1)
+    wg: np.ndarray     # w_i alpha_i |h_ii(k)|^2, (N, N1)
 
 
 def _gains(spec, space):
-    """_Gains of a state space, on views of its player-major gains."""
+    """_Gains of a state space: a by-transmitter copy of its gains, and
+    views of its direct gains."""
     diag = space.direct_gains.T
-    return _Gains(space.gains.transpose(1, 2, 0), diag,
+    return _Gains(np.ascontiguousarray(space.gains.transpose(2, 1, 0)), diag,
                   spec.weights[:, None] * (spec.alpha[:, None] * diag))
 
 
-def _gradient(spec, space, gains, signal, interf, slack, lam, c):
+def _gradient(spec, space, gains, signal, interf, slack, lam, c, scratch=None):
     """Gradient of L w.r.t. every power variable, shape (..., N, N1), from
     the interference tables of the profiles and their budget slacks.
 
@@ -124,16 +125,18 @@ def _gradient(spec, space, gains, signal, interf, slack, lam, c):
         - sum_{j != i} w_j |h_ji|^2 s_j A_j B_j  - lam_i + 2c (pbar_i - E[P_i]) ]
     with g_ii = alpha_i |h_ii|^2, s_j the received own signal, A_j and
     B_j the reciprocals of (1 + I_j + s_j) and (1 + I_j).  The sum over
-    j is the interference kernel's transmitter loop on the transposed
-    gains, the own term included and then subtracted.
+    j is the interference kernel's transmitter loop on the by-transmitter
+    gains, the own term included and then subtracted.  ``scratch`` is
+    three tables shaped like ``signal`` to work in, the first of which
+    returns the gradient; fresh ones are made if it is not given.
     """
-    a = interf + signal
+    a, w_sab, cross = scratch or [np.empty(signal.shape) for _ in range(3)]
+    np.add(interf, signal, out=a)
     np.divide(1.0, a, out=a)
-    w_sab = spec.weights[:, None] * signal
+    np.multiply(spec.weights[:, None], signal, out=w_sab)
     w_sab *= a
     w_sab /= interf
-    cross = _transmitter_sum(gains.G.transpose(1, 0, 2), w_sab,
-                             np.empty(w_sab.shape))
+    _transmitter_sum(gains.by_tx, w_sab, cross)
     cross -= gains.diag * w_sab
     grad = np.multiply(gains.wg, a, out=a)    # the per-state bracket, in place
     grad -= cross
@@ -172,29 +175,39 @@ def _ascent_batch(spec, space, P, lam, cfg, delta, active=None):
     the argmax against any player still above it.
 
     All intermediates are shared between the gradient and the candidate
-    values; candidate j differs from the base profile only in row j, so
-    only receiver interference terms g_ij * (q_j - P_j) and player j's
-    own signal are touched.  Every table is player-major, (B, N, N1),
-    like the gains, which are read in place.  The tables hold only the
-    members still ascending: the rows of ``active`` are gathered once per
-    call, a member is dropped when it stops, and its rows are
-    written back into P then or at the end.  Every member goes through
-    the same arithmetic as in a table of the whole batch, so its bits do
-    not depend on which other members are still ascending.
+    values.  Candidate (b, j) differs from profile b only in row j, so
+    only its own rate and the interference terms g_ij * (q_j - P_j) of
+    the receivers i != j change: the own rates of every candidate come
+    from one (B, N, N1) table, and the other receivers' rates from an
+    (M, N-1, N1) table of the M candidates, built on a contiguous copy
+    of the off-diagonal gains made once per call.  Every table is
+    player-major, like the gains.  The tables hold only the members
+    still ascending: the rows of ``active`` are gathered once per call,
+    a member is dropped when it stops, and its rows are written back
+    into P then or at the end.  The interference and gradient tables are
+    made once per call and sliced to the members still ascending.  Every
+    member goes through the same arithmetic as in a table of the whole
+    batch, so its bits do not depend on which other members are still
+    ascending.
     """
-    batch, n, _ = P.shape
+    batch, n, n_states = P.shape
     rows = np.arange(batch) if active is None else active.nonzero()[0]
     iterations = np.zeros(batch, dtype=int)
     probs = space.probs
     gains = _gains(spec, space)
     geff = spec.alpha[:, None] * gains.diag           # (N, S)
-    by_tx = np.ascontiguousarray(gains.G.transpose(1, 0, 2))  # [j, i] = |h_ij|^2
+    off = ~np.eye(n, dtype=bool)
+    others = off.nonzero()[1].reshape(n, n - 1)       # [j] = the rows i != j
+    off_tx = gains.by_tx[off].reshape(n, n - 1, n_states)  # [j, m] = |h_ij|^2
+    tables = np.empty((5, rows.size, n, n_states))    # reused by every step
     work, lam = P[rows], lam[rows]
     base_value = _lagrangian(spec, space, work, lam, cfg.c)
     for _ in range(cfg.max_inner):
-        signal, interf = interference(spec, space, work)  # (B, N, S)
+        signal, interf, *scratch = tables[:, :rows.size]  # (B, N, S) each
+        _interference(spec, space, work, slice(None), (signal, interf))
         slack = _slack(space, work, spec.pbar)     # (B, N)
-        grads = _gradient(spec, space, gains, signal, interf, slack, lam, cfg.c)
+        grads = _gradient(spec, space, gains, signal, interf, slack, lam, cfg.c,
+                          scratch)
         eligible = _projected_grad_norms(work, grads) >= cfg.eps_grad
         moving = eligible.any(axis=1)
         if not moving.all():
@@ -205,22 +218,30 @@ def _ascent_batch(spec, space, P, lam, cfg, delta, active=None):
         if not rows.size:
             break
         iterations[rows] += 1
-        q = np.maximum(0.0, work + delta * grads)
+        q = np.multiply(delta, grads, out=grads)
+        q += work
+        np.maximum(0.0, q, out=q)
         sel_b, sel_i = eligible.nonzero()          # ordered by (b, then i)
         mrows = np.arange(sel_b.size)
-        dp = (q - work)[sel_b, sel_i]              # (M, S)
-        denom = by_tx[sel_i]                       # [m, i] = |h_ij|^2, j = sel_i[m]
+        dp = np.subtract(q, work, out=scratch[1][:rows.size])[sel_b, sel_i]  # (M, S)
+        own = np.multiply(geff, q, out=scratch[2][:rows.size])
+        own /= interf                              # every candidate's own row
+        np.log1p(own, out=own)
+        # the rows i != j of candidate (b, j): interference g_ij * dp + interf
+        # under the move, the signal unchanged
+        flat = (sel_b * n)[:, None] + others[sel_i]  # (M, N-1) rows of (B*N, S)
+        denom = off_tx[sel_i]
         denom *= dp[:, None, :]
-        denom += interf[sel_b]
-        denom[mrows, sel_i] = interf[sel_b, sel_i]
-        cand = signal[sel_b]
-        cand[mrows, sel_i] = geff[sel_i] * q[sel_b, sel_i]
+        denom += interf.reshape(-1, n_states).take(flat, axis=0)
+        cand = signal.reshape(-1, n_states).take(flat, axis=0)
         cand /= denom
-        np.log1p(cand, out=cand)                   # candidate rate tables
+        np.log1p(cand, out=cand)
+        rates = (own @ probs)[sel_b]               # (M, N) expected rates
+        rates[off[sel_i]] = (cand @ probs).ravel()
         cand_slack = slack[sel_b]
         cand_slack[mrows, sel_i] -= dp @ probs
         value = np.full((rows.size, n), -np.inf)
-        value[sel_b, sel_i] = (cand @ probs @ spec.weights
+        value[sel_b, sel_i] = (rates @ spec.weights
                                + (lam[sel_b] * cand_slack).sum(axis=-1)
                                - cfg.c * (cand_slack ** 2).sum(axis=-1))
         gain = value - base_value[:, None]

@@ -263,12 +263,14 @@ def test_config_overflowing_budget_names_field(which, dotted, value, tmp_path, c
     ("game.direct_gains", "game", {"direct_gains": [-1.0, 2.0]}),
     ("game.link_probs", "game", {"link_probs": {
         "direct": [[0.5, 0.5], [0.5], [0.5, 0.5]], "cross": [[[0.5, 0.5]] * 3] * 3}}),
+    ("game.link_probs", "game", {"link_probs": "foo"}),
+    ("game.link_probs", "game", {"link_probs": {"direct": [[0.5, 0.5]] * 3}}),
 ])
 def test_replaced_config_is_checked(field, section, changes):
     """A config made by ``dataclasses.replace`` is checked as a loaded one
     is.  Unchecked, these wrote a NaN sweep row, reported AL converged
     after its penalty overflowed, made ``run_analyze`` raise LinAlgError,
-    or raised a bare ValueError naming no field."""
+    or raised a bare ValueError, TypeError or KeyError naming no field."""
     config = (load_config(json.dumps(with_value(
         with_value(SMALL, "solver.which", "iwf"), "game.pbar", 1e300)))
         if changes == {"which": "pareto"} else bundled.config("example1"))

@@ -369,8 +369,9 @@ def test_interference_blocks_keep_every_bit():
     """The kernel walks the states in blocks of ``_STATE_BLOCK``: both
     tables have the bits of the whole-table formula on a game of two full
     blocks and a partial one, for a profile, a batch of two, a strided
-    view and a Fortran-ordered copy, and the tables of one receiver row
-    are that row of the whole tables."""
+    view and a Fortran-ordered copy, also when written into output tables
+    the caller passes, and the tables of one receiver row are that row of
+    the whole tables."""
     rng = np.random.default_rng(28)
     for spec in (reference_iwf.blocks_spec(),
                  reference_iwf.blocks_spec(alpha=[1.0, 0.5, 2.0])):
@@ -381,6 +382,11 @@ def test_interference_blocks_keep_every_bit():
         for X in (P, np.stack([P, 2.0 * P]), wide[:, 1::2], np.asfortranarray(P)):
             tables = interference(spec, space, X)
             for got, want in zip(tables, reference_iwf.interference(spec, space, X)):
+                assert_same_bits(got, want)
+            given = tuple(np.full(X.shape, np.nan) for _ in tables)
+            for got, buf, want in zip(_interference(spec, space, X, slice(None), given),
+                                      given, tables):
+                assert got is buf
                 assert_same_bits(got, want)
             for i in range(spec.n_players):
                 row = _interference(spec, space, X, slice(i, i + 1))

@@ -398,22 +398,52 @@ def test_ascent_matches_state_major_reference_on_random_games():
             checked += 1
 
 
+def test_single_player_ascent_matches_state_major_reference():
+    # one player: every candidate changes only its own row, so the tables
+    # of the other receivers' rates are empty; at the default cap
+    rng = np.random.default_rng(33)
+    spec = GameSpec(1, [0.4, 1.0, 2.5], [1.0], pbar=1.5,
+                    direct_probs=[[0.2, 0.5, 0.3]])
+    space = enumerate_states(spec)
+    starts = np.stack([random_start(spec, space, rng) for _ in range(3)])
+    lam = rng.uniform(0.0, 1.0, size=(3, 1))
+    P, iters, capped = assert_ascent_matches_reference(
+        spec, space, starts, lam, AlConfig(), np.array([True, True, False]))
+    assert iters[:2].min() > 60 and iters[2] == 0  # past the random games' cap
+
+
+def assert_multi_start_matches_reference(spec, space, cfg, monkeypatch):
+    new = multi_start(spec, space, cfg)
+    with monkeypatch.context() as patch:
+        patch.setattr("ifgame.pareto._ascent_batch", reference_ascent_batch)
+        ref = multi_start(spec, space, cfg)
+    assert new.best_sum_rate == ref.best_sum_rate
+    for got, want in zip(new.per_start, ref.per_start):
+        assert got.sum_rate == want.sum_rate
+        assert got.outer_iterations == want.outer_iterations
+        assert np.array_equal(got.multipliers, want.multipliers)
+        assert np.array_equal(got.profile, want.profile)
+
+
 def test_multi_start_matches_state_major_reference(monkeypatch):
     config = bundled.config("example1").solver.pareto
     spec = bundled.spec("example1")
     space = enumerate_states(spec)
     for seed in (0, 1):
-        cfg = dataclasses.replace(config, seed=seed)
-        new = multi_start(spec, space, cfg)
-        with monkeypatch.context() as patch:
-            patch.setattr("ifgame.pareto._ascent_batch", reference_ascent_batch)
-            ref = multi_start(spec, space, cfg)
-        assert new.best_sum_rate == ref.best_sum_rate
-        for got, want in zip(new.per_start, ref.per_start):
-            assert got.sum_rate == want.sum_rate
-            assert got.outer_iterations == want.outer_iterations
-            assert np.array_equal(got.multipliers, want.multipliers)
-            assert np.array_equal(got.profile, want.profile)
+        assert_multi_start_matches_reference(
+            spec, space, dataclasses.replace(config, seed=seed), monkeypatch)
+
+
+def test_multi_start_matches_state_major_reference_on_nonuniform_game(monkeypatch):
+    # unequal state probabilities weight every reduction over the states
+    # unequally, where the bundled games' uniform ones would hide a
+    # reordered sum
+    rng = np.random.default_rng(34)
+    spec = random_spec(rng, n_max=3, state_limit=300, min_players=3, min_states=20)
+    space = enumerate_states(spec)
+    assert np.unique(space.probs).size > 1
+    assert_multi_start_matches_reference(
+        spec, space, AlConfig(starts=2, max_outer=8), monkeypatch)
 
 
 def test_ascent_tie_moves_the_lowest_player():

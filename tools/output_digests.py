@@ -3,7 +3,11 @@
 Runs ``ifgame analyze``, ``solve``, ``sweep`` and ``simulate`` on each
 ``configs/*.json`` game, and ``simulate`` and ``solve --solver vi`` on
 ``perfbench/n4_simulate.json`` and on ``NONUNIFORM``, a game with
-non-uniform link probabilities and one zero-probability entry.  Then
+non-uniform link probabilities and one zero-probability entry.  On
+``NONUNIFORM`` it also runs ``solve --solver pareto`` with 2 starts of
+at most 20 multiplier rounds, which stops before AL converges and exits
+2, so that the augmented-Lagrangian bytes are covered under unequal
+state weights.  Then
 ``simulate``, and ``solve --solver iwf`` with the sequential scheme, on
 ``BLOCKS``, whose states fill two and a part of the interference
 kernel's blocks.  The last two games are written into the temporary
@@ -72,8 +76,8 @@ BLOCKS = {
 def runs(repo, tmp):
     """(run name, CLI arguments before ``--out``) of every CLI run, over
     the checkout's own ``configs/*.json`` in sorted order, then the n4,
-    the non-uniform and the blocks games; the last two are written into
-    ``tmp``."""
+    the non-uniform and the blocks games; the last two, and their
+    configs with solver settings, are written into ``tmp``."""
     for config in sorted((repo / "configs").glob("*.json")):
         for command in COMMANDS:
             yield f"{config.stem}-{command}", [command, "--config", str(config)]
@@ -84,6 +88,11 @@ def runs(repo, tmp):
     nonuniform.write_text(json.dumps(NONUNIFORM), encoding="utf-8")
     yield "nonuniform-simulate", ["simulate", "--config", str(nonuniform)]
     yield "nonuniform-solve-vi", ["solve", "--config", str(nonuniform), "--solver", "vi"]
+    pareto = Path(tmp) / "nonuniform-pareto.json"
+    pareto.write_text(json.dumps(dict(
+        NONUNIFORM, solver={"pareto": {"starts": 2, "max_outer": 20}})), encoding="utf-8")
+    yield "nonuniform-solve-pareto", ["solve", "--config", str(pareto),
+                                      "--solver", "pareto"]
     blocks = Path(tmp) / "blocks.json"
     blocks.write_text(json.dumps(BLOCKS), encoding="utf-8")
     yield "blocks-simulate", ["simulate", "--config", str(blocks)]
