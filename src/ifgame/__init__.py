@@ -5,8 +5,8 @@ condition checks, and local Pareto-optimal allocations by a distributed
 augmented-Lagrangian method."""
 
 from .game import (GameSpec, StateSpace, StateSpaceTooLargeError, average_powers,
-                   enumerate_states, expected_rates, interference, is_feasible,
-                   rate_table, sum_rate)
+                   enumerate_states, expected_rates, is_feasible, rate_table,
+                   sum_rate)
 from .spectral import (ConditionReport, InterferenceOperator, build_operator,
                        condition_report, contraction_condition, definiteness,
                        rho_blockdiag, spectral_radius)

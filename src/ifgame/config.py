@@ -243,13 +243,18 @@ def _check_products(spec: GameSpec, budgets, field, c=None):
     """Every product the solvers form from a budget must be finite.
 
     With pbar the largest of ``budgets`` and pi_min the smallest state
-    probability, a feasible policy can put pbar / pi_min in one state;
-    a receiver sums N such powers times the largest gain (alpha times a
-    direct gain, or a direct or cross gain), and the water-filling
-    floors divide that by the smallest alpha * direct gain.  With ``c``
-    given, the AL penalty c * sum_i slack_i^2 is formed too, with
-    |slack_i| up to pbar.  Each is evaluated in float64 in the order
-    the solvers form it, so an intermediate overflow shows as inf.
+    probability, a feasible policy can put pbar / pi_min in one state.
+    The floors f_i = hhat_i + sum_j Hhat_ij P_j add up N such powers
+    times a coupling cross / (alpha_i * direct), and every solver forms
+    f_i + P_i or P_i / f_i from them.  The check bounds the floors by
+    "the water-filling floor" below: N such powers times the largest
+    gain (alpha times a direct gain, or a direct or cross gain), "the
+    received power", over the smallest alpha * direct gain.  The
+    received power itself is no longer formed by any solver; its check
+    is kept, so the budgets accepted are unchanged.  With ``c`` given,
+    the AL penalty c * sum_i slack_i^2 is formed too, with |slack_i| up
+    to pbar.  Each is evaluated in float64, so an intermediate overflow
+    shows as inf.
     """
     n = spec.n_players
     def least(probs):  # the smallest positive probability of each link

@@ -25,7 +25,7 @@ from .config import ExperimentConfig
 from .game import (GameSpec, StateSpace, average_powers, enumerate_states,
                    expected_rates, is_feasible, rate_table)
 from .pareto import multi_start
-from .spectral import ConditionReport, condition_report
+from .spectral import ConditionReport, build_operator, condition_report
 from .vi import make_vi_problem, solve_regularized
 from .waterfilling import iterate_waterfilling
 
@@ -81,21 +81,20 @@ def build_game(config: ExperimentConfig) -> tuple[GameSpec, StateSpace]:
     return spec, enumerate_states(spec, cap=config.solver.state_cap)
 
 
-def _problem_and_conditions(spec, space, keep=True):
-    """The VI problem of the game, or None unless ``keep`` (which frees
-    its operator before any solver runs), and the condition checks, which
-    share the problem's operator."""
+def _problem_and_conditions(spec, space):
+    """The VI problem of the game and the condition checks, which share
+    the problem's operator."""
     problem = make_vi_problem(spec, space)
-    report = condition_report(spec, space, problem.op)
-    return problem if keep else None, report
+    return problem, condition_report(spec, problem.op)
 
 
 def run_analyze(config: ExperimentConfig) -> ConditionReport:
     """Uniqueness/convergence condition checks for the configured game."""
-    return condition_report(*build_game(config))
+    spec, space = build_game(config)
+    return condition_report(spec, build_operator(space))
 
 
-def _run_one_solver(name, spec, space, config, problem=None):
+def _run_one_solver(name, spec, space, config, problem):
     """Run one solver; VI runs on ``problem``, the caller's problem of the
     game, at ``spec``'s budgets."""
     if name == "iwf":
@@ -137,7 +136,7 @@ def run_solve(config: ExperimentConfig) -> RunResult:
     """
     spec, space = build_game(config)
     names = config.solver.names
-    problem, condition = _problem_and_conditions(spec, space, "vi" in names)
+    problem, condition = _problem_and_conditions(spec, space)
     outcomes = {}
     for name in names:
         outcomes[name] = _run_one_solver(name, spec, space, config, problem)
@@ -155,7 +154,7 @@ def run_sweep(config: ExperimentConfig) -> RunResult:
     """
     spec, space = build_game(config)
     names = config.solver.names
-    problem, condition = _problem_and_conditions(spec, space, "vi" in names)
+    problem, condition = _problem_and_conditions(spec, space)
     rows = []
     for value in config.sweep.values:
         point = dataclasses.replace(spec, pbar=value)
@@ -214,10 +213,8 @@ def ne_outcome_for_simulation(config: ExperimentConfig,
     The condition checks and the VI share one operator."""
     spec, space = build_game(config) if _game is None else _game
     problem, report = _problem_and_conditions(spec, space)
-    if report.contraction_ok:
-        problem = None  # free the operator before IWF runs
-        return report, _run_one_solver("iwf", spec, space, config)
-    return report, _run_one_solver("vi", spec, space, config, problem)
+    name = "iwf" if report.contraction_ok else "vi"
+    return report, _run_one_solver(name, spec, space, config, problem)
 
 
 # ---------------------------------------------------------------------------

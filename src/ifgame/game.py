@@ -6,11 +6,15 @@ alphabet H_d, cross gains |h_ij|^2 (i != j) in H_c, each link with its own
 categorical distribution.  Player i transmits with a stationary policy
 P_i(h) and receives
 
-    SINR_i = alpha_i |h_ii|^2 P_i(h) / (1 + sum_{j != i} |h_ij|^2 P_j(h)),
+    SINR_i = P_i(h) / f_i(h),
+    f_i(h) = hhat(h)_i + sum_j Hhat(h)_ij P_j(h)
+           = (1 + sum_{j != i} |h_ij|^2 P_j(h)) / (alpha_i |h_ii|^2),
 
-noise power normalized to 1.  Expected rates are in nats
-(natural logarithm), and the budget constraint is on the average power
-E_pi[P_i] <= Pbar_i.
+with hhat(h)_i = 1 / (alpha_i |h_ii|^2) and Hhat(h)_ij =
+|h_ij|^2 / (alpha_i |h_ii|^2), zero for j = i: the floors f are the
+water-filling floors of every solver, and noise power is normalized to
+1.  Expected rates are in nats (natural logarithm), and the budget
+constraint is on the average power E_pi[P_i] <= Pbar_i.
 
 A power profile is the float array of shape (N, N1) whose entry [i, k]
 is P_i at state k of the enumerated StateSpace; every solver returns
@@ -130,53 +134,61 @@ class GameSpec:
 
 @dataclass(frozen=True)
 class StateSpace:
-    """Enumerated channel states with their joint probabilities.
+    """Enumerated channel states: the best-response coupling of each state
+    and its probability.
 
-    ``gains[k]`` is the N x N gain matrix of state k, ``probs[k]`` its
-    probability.  The ordering is deterministic: links in row-major order
-    (1,1), (1,2), ..., (N,N), the last link's alphabet index varying
-    fastest (plain mixed-radix / lexicographic enumeration over the
-    positive-probability entries of each link's alphabet).
+    With |h_ij(k)|^2 the gains of state k, ``hhat[k, i]`` is
+    1 / (alpha_i |h_ii(k)|^2) and ``blocks[k, i, j]`` is
+    |h_ij(k)|^2 / (alpha_i |h_ii(k)|^2) for j != i, 0 for j = i;
+    ``probs[k]`` is the probability of state k.  These are the only
+    description of the channel the solvers read, so a space is built for
+    one alpha: a spec with other alpha needs its own ``enumerate_states``.
+    The ordering is deterministic: links in row-major order (1,1), (1,2),
+    ..., (N,N), the last link's alphabet index varying fastest (plain
+    mixed-radix / lexicographic enumeration over the positive-probability
+    entries of each link's alphabet).
 
-    The gains are stored player-major: ``gains.transpose(1, 2, 0)``, with
-    entry [i, j, k] = |h_ij(k)|^2, is C-contiguous, so every kernel reads
-    the row of a link over all states in place.  Gains must be finite and
-    positive, probabilities finite, nonnegative and summing to 1 within
-    1e-9.
+    Both tables are stored player-major: ``hhat.T`` and
+    ``blocks.transpose(1, 2, 0)``, with entry [i, j, k] = Hhat(k)_ij, are
+    C-contiguous, so every kernel reads the row of a receiver or a link
+    over all states in place.  hhat must be finite and positive, the
+    blocks finite and nonnegative with zero diagonals, the probabilities
+    finite, nonnegative and summing to 1 within 1e-9.
     """
 
-    gains: np.ndarray  # (N1, N, N), player-major in memory
-    probs: np.ndarray  # (N1,)
+    hhat: np.ndarray    # (N1, N), player-major in memory
+    blocks: np.ndarray  # (N1, N, N), player-major in memory
+    probs: np.ndarray   # (N1,)
 
     def __post_init__(self):
-        g = np.asarray(self.gains, dtype=float)
+        h = np.asarray(self.hhat, dtype=float)
+        b = np.asarray(self.blocks, dtype=float)
         p = np.array(self.probs, dtype=float)
-        if g.ndim != 3 or g.shape[1] != g.shape[2] or p.shape != (g.shape[0],):
+        if (b.ndim != 3 or b.shape[1] != b.shape[2] or h.shape != b.shape[:2]
+                or p.shape != (b.shape[0],)):
             raise ValueError("inconsistent state-space shapes")
-        if not np.all((g > 0) & (g < np.inf)):
-            raise ValueError("channel gains must be finite and positive")
+        if not np.all((h > 0) & (h < np.inf)):
+            raise ValueError("hhat must be finite and positive")
+        if not (np.all((b >= 0) & (b < np.inf)) and not np.einsum('kii->ki', b).any()):
+            raise ValueError("blocks must be finite and nonnegative, with zero "
+                             "diagonals")
         # "not <=" rather than ">" so that NaN probabilities fail too
         if not (np.all((p >= 0) & (p < np.inf)) and abs(p.sum() - 1.0) <= 1e-9):
             raise ValueError("state probabilities must be finite, nonnegative "
                              "and sum to 1")
-        g = g.transpose(1, 2, 0).copy().transpose(2, 0, 1)  # owned, player-major
-        g.flags.writeable = False
-        p.flags.writeable = False
-        object.__setattr__(self, "gains", g)
-        object.__setattr__(self, "probs", p)
+        h = h.T.copy().T  # owned, player-major
+        b = b.transpose(1, 2, 0).copy().transpose(2, 0, 1)
+        for name, value in (("hhat", h), ("blocks", b), ("probs", p)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     @property
     def n_states(self):
-        return self.gains.shape[0]
+        return self.blocks.shape[0]
 
     @property
     def n_players(self):
-        return self.gains.shape[1]
-
-    @property
-    def direct_gains(self):
-        """|h_ii|^2 of every player at every state, shape (N1, N)."""
-        return np.einsum('kii->ki', self.gains)
+        return self.blocks.shape[1]
 
 
 def _per_link(direct, cross):
@@ -228,6 +240,12 @@ def enumerate_states(spec: GameSpec, cap: int = DEFAULT_STATE_CAP) -> StateSpace
     dimension limit.  The links of one support entry are set all at
     once, and only those of probability other than exactly 1.0 join the
     product, since multiplying by 1.0 changes no bit.
+
+    The gain table is then divided in place into the StateSpace's
+    tables: each entry by alpha_i |h_ii|^2 into the blocks, with the
+    diagonal set to 0, and hhat = 1 / (alpha_i |h_ii|^2).  No gain table
+    is kept, so the space is built for ``spec.alpha``: a spec with other
+    alpha needs its own enumeration.
     """
     n = spec.n_players
     total = state_count(spec, cap)
@@ -239,7 +257,7 @@ def enumerate_states(spec: GameSpec, cap: int = DEFAULT_STATE_CAP) -> StateSpace
     only_prob = _per_link(spec.direct_probs.max(axis=1), spec.cross_probs.max(axis=2))
     grid = sizes[~one].tolist()
     axes = np.cumsum(~one) - 1  # the grid axis of each link of several entries
-    gains = np.empty((n, n, total))  # player-major, as StateSpace stores it
+    gains = np.empty((n, n, total))  # player-major, as StateSpace stores its blocks
     gains[one] = only_gain[one][:, None]
     probs = np.ones(grid)
     for link in np.flatnonzero(~one | (only_prob != 1.0)).tolist():
@@ -254,7 +272,12 @@ def enumerate_states(spec: GameSpec, cap: int = DEFAULT_STATE_CAP) -> StateSpace
         support = pvec > 0
         gains[i, j].reshape(grid)[...] = alphabet[support].reshape(shape)
         probs *= pvec[support].reshape(shape)
-    return StateSpace(gains=gains.transpose(2, 0, 1), probs=probs.reshape(total))
+    diag = np.arange(n)
+    geff = spec.alpha[:, None] * gains[diag, diag]  # alpha_i |h_ii|^2, (N, N1)
+    gains /= geff[:, None, :]
+    gains[diag, diag] = 0.0
+    return StateSpace(hhat=(1.0 / geff).T, blocks=gains.transpose(2, 0, 1),
+                      probs=probs.reshape(total))
 
 
 def _transmitter_sum(G, X, out):
@@ -271,66 +294,51 @@ def _transmitter_sum(G, X, out):
     return out
 
 
-#: states per block of the interference kernel: a (4, 8192) table of
-#: floats is 256 KB, so a block's chain of operations stays in L2
+#: states per block of the floors kernel: a (4, 8192) table of floats
+#: is 256 KB, so a block's chain of operations stays in L2
 _STATE_BLOCK = 8192
 
 
-def _interference(spec, space, P, rows, out=None):
-    """``interference`` of the receivers ``rows`` (a slice) alone, shape
-    P.shape[:-2] + (len(rows), N1), into the pair of tables ``out`` if
-    given.
+def _floors(space, P, rows=slice(None), out=None):
+    """Floors f_i(h) = hhat(h)_i + sum_j Hhat(h)_ij P_j(h) of the receivers
+    ``rows`` (a slice) under the profiles P (..., N, N1), shape
+    P.shape[:-2] + (len(rows), N1), into ``out`` if given.
 
-    The states are taken in blocks of ``_STATE_BLOCK``, each block
-    through the whole chain of elementwise operations, so every element
+    The one kernel of every solver.  The coupling is summed over the
+    transmitters j in index order (``_transmitter_sum``), the own term
+    included: the blocks' zero diagonal drops it, so no noise is added to
+    a received power and lost again.  The tables are read in place,
+    player-major, and the states taken in blocks of ``_STATE_BLOCK``,
+    each block through the whole chain of operations, so every element
     goes through the same operations in the same order as on the whole
-    table, whatever the batch shape, layout or block.  A game of one
-    block is not sliced.
+    table, whatever the batch shape, layout or block, and a row has the
+    same bits whichever rows are formed.  A game of one block is not
+    sliced.
     """
-    mine = P[..., rows, :]
-    own, interf = out or (np.empty(mine.shape), np.empty(mine.shape))
-    tables = (space.direct_gains.T[rows], mine, space.gains.transpose(1, 2, 0)[rows],
-              P, own, interf)
+    f = np.empty(P[..., rows, :].shape) if out is None else out
+    tables = (space.blocks.transpose(1, 2, 0)[rows], space.hhat.T[rows], P, f)
     n_states = P.shape[-1]
-    blocks = ([tables] if n_states <= _STATE_BLOCK else
+    pieces = ([tables] if n_states <= _STATE_BLOCK else
               [[t[..., start:start + _STATE_BLOCK] for t in tables]
                for start in range(0, n_states, _STATE_BLOCK)])
-    alpha = spec.alpha[rows, None]
-    for direct, p, gains, x, o, f in blocks:
-        np.multiply(direct, p, out=o)
-        _transmitter_sum(gains, x, f)
-        f += 1.0
-        f -= o
-        o *= alpha
-    return own, interf
-
-
-def interference(spec: GameSpec, space: StateSpace, P):
-    """Received signal and interference of every player at every state.
-
-    For powers P of shape (..., N, N1) returns (signal, interf) of the
-    same shape: signal = alpha_i |h_ii|^2 P_i(h) and
-    interf = 1 + sum_{j != i} |h_ij|^2 P_j(h).  Every solver builds on
-    these two tables: the SINR is their ratio, the water-filling floors
-    are interf / (alpha_i |h_ii|^2), and they feed the rate gradient.
-    The received power is summed over the transmitters j in index order
-    (the own term included, then subtracted), so the bits do not depend
-    on the memory layout or batch shape of P.  The gains are read in
-    place, player-major, and the states in blocks of ``_STATE_BLOCK``,
-    which changes no bit (``_interference``).
-    """
-    return _interference(spec, space, P, slice(None))
+    for coupling, hhat, x, o in pieces:
+        _transmitter_sum(coupling, x, o)
+        o += hhat
+    return f
 
 
 def rate_table(spec, space, prof):
-    """Per-state rates log(1 + SINR_i(h)) in nats, shape (..., N1, N).
+    """Per-state rates log(1 + P_i(h) / f_i(h)) in nats, shape (..., N1, N),
+    with f the floors (``_floors``).
 
     The table is state-major and C-ordered, so the reductions over
     states in expected_rates and the Monte-Carlo average always sum in
     the same order.
     """
-    signal, interf = interference(spec, space, np.asarray(prof, float))
-    return np.ascontiguousarray(np.swapaxes(np.log1p(signal / interf), -1, -2))
+    P = np.asarray(prof, float)
+    f = _floors(space, P)
+    np.log1p(np.divide(P, f, out=f), out=f)
+    return np.ascontiguousarray(np.swapaxes(f, -1, -2))
 
 
 def expected_rates(spec, space, prof):

@@ -24,12 +24,10 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .game import (GameSpec, StateSpace, _interference, _transmitter_sum,
-                   expected_rates, interference)
+from .game import GameSpec, StateSpace, _floors, _transmitter_sum, expected_rates
 
 
 @dataclass(frozen=True)
@@ -101,45 +99,33 @@ def _lagrangian(spec, space, P, lam, c):
     return value + np.einsum('...i,...i->...', lam, slack) - c * (slack ** 2).sum(axis=-1)
 
 
-class _Gains(NamedTuple):
-    """Player-major gains and the per-game factors of the gradient."""
-
-    by_tx: np.ndarray  # by_tx[j, i, k] = |h_ij(k)|^2, (N, N, N1), contiguous
-    diag: np.ndarray   # |h_ii(k)|^2, (N, N1)
-    wg: np.ndarray     # w_i alpha_i |h_ii(k)|^2, (N, N1)
-
-
-def _gains(spec, space):
-    """_Gains of a state space: a by-transmitter copy of its gains, and
-    views of its direct gains."""
-    diag = space.direct_gains.T
-    return _Gains(np.ascontiguousarray(space.gains.transpose(2, 1, 0)), diag,
-                  spec.weights[:, None] * (spec.alpha[:, None] * diag))
+def _by_transmitter(space):
+    """The blocks read by transmitter, (N, N, N1): entry [i, j, k] is
+    Hhat(k)_ji, and row [:, j] is receiver j's contiguous row of the
+    player-major blocks."""
+    return space.blocks.transpose(2, 1, 0)
 
 
-def _gradient(spec, space, gains, signal, interf, slack, lam, c, scratch=None):
+def _gradient(spec, space, floors, P, slack, lam, c, scratch=None):
     """Gradient of L w.r.t. every power variable, shape (..., N, N1), from
-    the interference tables of the profiles and their budget slacks.
+    the profiles P, their floors and their budget slacks.
 
-    Per state h:  dL/dP_i(h) = pi(h) * [ w_i g_ii A_i
-        - sum_{j != i} w_j |h_ji|^2 s_j A_j B_j  - lam_i + 2c (pbar_i - E[P_i]) ]
-    with g_ii = alpha_i |h_ii|^2, s_j the received own signal, A_j and
-    B_j the reciprocals of (1 + I_j + s_j) and (1 + I_j).  The sum over
-    j is the interference kernel's transmitter loop on the by-transmitter
-    gains, the own term included and then subtracted.  ``scratch`` is
-    three tables shaped like ``signal`` to work in, the first of which
-    returns the gradient; fresh ones are made if it is not given.
+    Per state h, with f the floors:  dL/dP_i(h) = pi(h) * [ w_i / (f_i + P_i)
+        - sum_j Hhat_ji w_j P_j / (f_j (f_j + P_j))  - lam_i
+        + 2c (pbar_i - E[P_i]) ].
+    The sum over j is the floors kernel's transmitter loop on the blocks
+    read by transmitter, whose zero diagonal drops the own term; the
+    product f_j (f_j + P_j) is never formed.  ``scratch`` is three tables
+    shaped like ``P`` to work in, the first of which returns the
+    gradient; fresh ones are made if it is not given.
     """
-    a, w_sab, cross = scratch or [np.empty(signal.shape) for _ in range(3)]
-    np.add(interf, signal, out=a)
-    np.divide(1.0, a, out=a)
-    np.multiply(spec.weights[:, None], signal, out=w_sab)
-    w_sab *= a
-    w_sab /= interf
-    _transmitter_sum(gains.by_tx, w_sab, cross)
-    cross -= gains.diag * w_sab
-    grad = np.multiply(gains.wg, a, out=a)    # the per-state bracket, in place
-    grad -= cross
+    own, moved, cross = scratch or [np.empty(P.shape) for _ in range(3)]
+    np.add(floors, P, out=own)
+    np.divide(spec.weights[:, None], own, out=own)   # w_i / (f_i + P_i)
+    np.multiply(own, P, out=moved)
+    moved /= floors
+    _transmitter_sum(_by_transmitter(space), moved, cross)
+    grad = np.subtract(own, cross, out=own)         # the per-state bracket, in place
     grad -= lam[..., :, None]
     grad += 2.0 * c * slack[..., :, None]
     grad *= space.probs
@@ -148,8 +134,7 @@ def _gradient(spec, space, gains, signal, interf, slack, lam, c, scratch=None):
 
 def _grad_all(spec, space, P, lam, c):
     """Gradient of L w.r.t. every power variable, shape (..., N, N1)."""
-    signal, interf = interference(spec, space, P)
-    return _gradient(spec, space, _gains(spec, space), signal, interf,
+    return _gradient(spec, space, _floors(space, P), P,
                      _slack(space, P, spec.pbar), lam, c)
 
 
@@ -176,16 +161,17 @@ def _ascent_batch(spec, space, P, lam, cfg, delta, active=None):
 
     All intermediates are shared between the gradient and the candidate
     values.  Candidate (b, j) differs from profile b only in row j, so
-    only its own rate and the interference terms g_ij * (q_j - P_j) of
-    the receivers i != j change: the own rates of every candidate come
-    from one (B, N, N1) table, and the other receivers' rates from an
-    (M, N-1, N1) table of the M candidates, built on a contiguous copy
-    of the off-diagonal gains made once per call.  Every table is
-    player-major, like the gains.  The tables hold only the members
-    still ascending: the rows of ``active`` are gathered once per call,
-    a member is dropped when it stops, and its rows are written back
-    into P then or at the end.  The interference and gradient tables are
-    made once per call and sliced to the members still ascending.  Every
+    only its own rate log1p(q_j / f_j) and the floors f_i + Hhat_ij *
+    (q_j - P_j) of the receivers i != j change: the own rates of every
+    candidate come from one (B, N, N1) table, and the other receivers'
+    rates log1p(P_i / (f_i + Hhat_ij dp)) from an (M, N-1, N1) table of
+    the M candidates, built on a contiguous copy of the off-diagonal
+    blocks made once per call.  Every table is player-major, like the
+    blocks.  The tables hold only the members still ascending: the rows
+    of ``active`` are gathered once per call, a member is dropped when
+    it stops, and its rows are written back into P then or at the end.
+    The floors and gradient tables are made once per call and sliced to
+    the members still ascending.  Every
     member goes through the same arithmetic as in a table of the whole
     batch, so its bits do not depend on which other members are still
     ascending.
@@ -194,27 +180,24 @@ def _ascent_batch(spec, space, P, lam, cfg, delta, active=None):
     rows = np.arange(batch) if active is None else active.nonzero()[0]
     iterations = np.zeros(batch, dtype=int)
     probs = space.probs
-    gains = _gains(spec, space)
-    geff = spec.alpha[:, None] * gains.diag           # (N, S)
     off = ~np.eye(n, dtype=bool)
     others = off.nonzero()[1].reshape(n, n - 1)       # [j] = the rows i != j
-    off_tx = gains.by_tx[off].reshape(n, n - 1, n_states)  # [j, m] = |h_ij|^2
-    tables = np.empty((5, rows.size, n, n_states))    # reused by every step
+    off_tx = _by_transmitter(space)[off].reshape(n, n - 1, n_states)  # [j, m] = Hhat_ij
+    tables = np.empty((4, rows.size, n, n_states))    # reused by every step
     work, lam = P[rows], lam[rows]
     base_value = _lagrangian(spec, space, work, lam, cfg.c)
     for _ in range(cfg.max_inner):
-        signal, interf, *scratch = tables[:, :rows.size]  # (B, N, S) each
-        _interference(spec, space, work, slice(None), (signal, interf))
+        floors, *scratch = tables[:, :rows.size]  # (B, N, S) each
+        _floors(space, work, out=floors)
         slack = _slack(space, work, spec.pbar)     # (B, N)
-        grads = _gradient(spec, space, gains, signal, interf, slack, lam, cfg.c,
-                          scratch)
+        grads = _gradient(spec, space, floors, work, slack, lam, cfg.c, scratch)
         eligible = _projected_grad_norms(work, grads) >= cfg.eps_grad
         moving = eligible.any(axis=1)
         if not moving.all():
             P[rows[~moving]] = work[~moving]
-            rows, work, lam, base_value, eligible, signal, interf, slack, grads = (
+            rows, work, lam, base_value, eligible, floors, slack, grads = (
                 x[moving] for x in (rows, work, lam, base_value, eligible,
-                                    signal, interf, slack, grads))
+                                    floors, slack, grads))
         if not rows.size:
             break
         iterations[rows] += 1
@@ -224,16 +207,15 @@ def _ascent_batch(spec, space, P, lam, cfg, delta, active=None):
         sel_b, sel_i = eligible.nonzero()          # ordered by (b, then i)
         mrows = np.arange(sel_b.size)
         dp = np.subtract(q, work, out=scratch[1][:rows.size])[sel_b, sel_i]  # (M, S)
-        own = np.multiply(geff, q, out=scratch[2][:rows.size])
-        own /= interf                              # every candidate's own row
-        np.log1p(own, out=own)
-        # the rows i != j of candidate (b, j): interference g_ij * dp + interf
-        # under the move, the signal unchanged
+        own = np.divide(q, floors, out=scratch[2][:rows.size])
+        np.log1p(own, out=own)                     # every candidate's own row
+        # the rows i != j of candidate (b, j): floors Hhat_ij * dp + f_i
+        # under the move, the power P_i unchanged
         flat = (sel_b * n)[:, None] + others[sel_i]  # (M, N-1) rows of (B*N, S)
         denom = off_tx[sel_i]
         denom *= dp[:, None, :]
-        denom += interf.reshape(-1, n_states).take(flat, axis=0)
-        cand = signal.reshape(-1, n_states).take(flat, axis=0)
+        denom += floors.reshape(-1, n_states).take(flat, axis=0)
+        cand = work.reshape(-1, n_states).take(flat, axis=0)
         cand /= denom
         np.log1p(cand, out=cand)
         rates = (own @ probs)[sel_b]               # (M, N) expected rates

@@ -1,7 +1,8 @@
 """Uniqueness and convergence condition checks for the power game.
 
 The water-filling best response is affine in the opponents' powers with a
-block-diagonal coupling operator: per state h,
+block-diagonal coupling operator, whose tables a StateSpace holds: per
+state h,
 
     hhat(h)_i   = 1 / (alpha_i |h_ii|^2),
     Hhat(h)_ij  = |h_ij|^2 / (alpha_i |h_ii|^2)   (i != j, zero diagonal),
@@ -131,19 +132,12 @@ class ConditionReport:
     min_sym_eig: float
 
 
-def build_operator(spec: GameSpec, space: StateSpace) -> InterferenceOperator:
-    """Assemble hhat, the Hhat blocks and Smax for an enumerated game.
-
-    alpha_i is folded into the effective direct gain alpha_i * |h_ii|^2.
-    Like the gains, hhat and the blocks are computed player-major, so
-    ``hhat.T`` and ``blocks.transpose(1, 2, 0)`` are C-contiguous.
-    """
-    geff = spec.alpha[:, None] * space.direct_gains.T
-    blocks = space.gains.transpose(1, 2, 0) / geff[:, None, :]
-    n = space.n_players
-    blocks[np.arange(n), np.arange(n)] = 0.0
-    return InterferenceOperator(hhat=(1.0 / geff).T, blocks=blocks.transpose(2, 0, 1),
-                                smax=blocks.max(axis=2))
+def build_operator(space: StateSpace) -> InterferenceOperator:
+    """The operator of an enumerated game: the space's hhat and Hhat
+    blocks, read in place and player-major, not copied, and their
+    entrywise max Smax."""
+    return InterferenceOperator(hhat=space.hhat, blocks=space.blocks,
+                                smax=space.blocks.max(axis=0))
 
 
 def spectral_radius(matrix) -> float:
@@ -310,12 +304,10 @@ def _best_tau(op, eps):
     return tau if _step_norm(op, tau, eps) < 1.0 else None
 
 
-def condition_report(spec: GameSpec, space: StateSpace,
-                     op: InterferenceOperator | None = None) -> ConditionReport:
-    """Run every check once and collect the results; the certificate is
-    the operator's ``definite``, shared with every VI problem on it."""
-    if op is None:
-        op = build_operator(spec, space)
+def condition_report(spec: GameSpec, op: InterferenceOperator) -> ConditionReport:
+    """Run every check once on the game's operator ``build_operator(space)``
+    and collect the results; the certificate is the operator's
+    ``definite``, shared with every VI problem on it."""
     rho_s = spectral_radius(op.smax)
     ratio, _ = contraction_condition(spec)
     psd, pd, min_eig = op.definite

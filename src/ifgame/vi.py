@@ -100,7 +100,7 @@ class ViReport:
 
 
 def make_vi_problem(spec: GameSpec, space: StateSpace) -> ViProblem:
-    return ViProblem(op=build_operator(spec, space), probs=space.probs,
+    return ViProblem(op=build_operator(space), probs=space.probs,
                      pbar=spec.pbar)
 
 
@@ -117,8 +117,8 @@ def _eval_F(problem, P, eps=0.0):
     """F_eps on player-major rows, (N, N1): hhat + (1 + eps) P + Hhat P.
 
     The coupling sum_j Hhat(h)_ij P_j(h) is summed over j in index
-    order by the interference kernel's transmitter loop, on the
-    operator's player-major memory read in place.
+    order by the floors kernel's transmitter loop, on the operator's
+    player-major memory read in place.
     """
     op = problem.op
     coupled = _transmitter_sum(op.blocks.transpose(1, 2, 0), P, np.empty(P.shape))

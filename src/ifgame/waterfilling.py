@@ -3,7 +3,8 @@
 Against fixed opponents, player i's optimal policy is water-filling on
 the per-state floors
 
-    f_i(h) = (1 + sum_{j != i} |h_ij|^2 P_j(h)) / (alpha_i |h_ii|^2):
+    f_i(h) = hhat(h)_i + sum_j Hhat(h)_ij P_j(h)
+           = (1 + sum_{j != i} |h_ij|^2 P_j(h)) / (alpha_i |h_ii|^2):
 
     P_i(h) = max{0, level - f_i(h)},
 
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import ULP_FLOOR, GameSpec, StateSpace, _interference
+from .game import ULP_FLOOR, GameSpec, StateSpace, _floors
 
 SCHEME_CHOICES = ("simultaneous", "sequential")
 
@@ -131,34 +132,14 @@ def _breakpoint_levels(floors, probs, pbars, mass=None) -> np.ndarray:
     return rows[np.arange(len(rows)), k.ravel()].reshape(k.shape)
 
 
-def _divisors(spec, space):
-    """alpha_i |h_ii(h)|^2 of every player at every state, (N, N1): the
-    divisors of the floors."""
-    return spec.alpha[:, None] * space.direct_gains.T
-
-
-def _floors(spec, space, P, rows, divisor=None):
-    """Floors f_i(h) of the players ``rows`` (a slice) under the frozen
-    profile P, (len(rows), N1), over the ``_divisors`` table if given;
-    row i has the same bits whichever rows are formed."""
-    _, interf = _interference(spec, space, P, rows)
-    interf /= (_divisors(spec, space) if divisor is None else divisor)[rows]
-    return interf
-
-
 def interference_floors(spec: GameSpec, space: StateSpace, prof) -> np.ndarray:
     """Floors f_i(h) of every player under the same frozen profile, (N, N1)."""
-    return _floors(spec, space, np.asarray(prof, float), slice(None))
+    return _floors(space, np.asarray(prof, float))
 
 
-def waterfill_map(spec: GameSpec, space: StateSpace, prof, *,
-                  divisor=None) -> np.ndarray:
-    """Best responses of all players to the same frozen profile, (N, N1).
-
-    ``divisor``, the (N, N1) table alpha_i |h_ii|^2, is formed here
-    unless a caller that maps many profiles of one game passes it.
-    """
-    floors = _floors(spec, space, np.asarray(prof, float), slice(None), divisor)
+def waterfill_map(spec: GameSpec, space: StateSpace, prof) -> np.ndarray:
+    """Best responses of all players to the same frozen profile, (N, N1)."""
+    floors = _floors(space, np.asarray(prof, float))
     levels = waterfill_levels(floors, space.probs, spec.pbar)
     best = np.subtract(levels[:, None], floors, out=floors)
     return np.maximum(0.0, best, out=best)
@@ -178,8 +159,7 @@ def iterate_waterfilling(spec: GameSpec, space: StateSpace,
     ``simultaneous`` updates every player from the same previous profile
     (Jacobi, the scheme the contraction analysis covers); ``sequential``
     updates players in index order using fresh values (Gauss-Seidel),
-    forming only the updated player's floors.  The floors' divisors
-    alpha_i |h_ii|^2 are formed once per call.
+    forming only the updated player's floors.
     Non-convergence within ``config.max_iter`` sweeps is reported, not
     raised.
     """
@@ -189,14 +169,13 @@ def iterate_waterfilling(spec: GameSpec, space: StateSpace,
     converged = False
     iterations = 0
     tol = max(config.tol, ULP_FLOOR * spec.pbar.max())
-    divisor = _divisors(spec, space)
     for iterations in range(1, config.max_iter + 1):
         if config.scheme == "simultaneous":
-            new = waterfill_map(spec, space, P, divisor=divisor)
+            new = waterfill_map(spec, space, P)
         else:
             new = P.copy()
             for i in range(n):
-                floors = _floors(spec, space, new, slice(i, i + 1), divisor)[0]
+                floors = _floors(space, new, slice(i, i + 1))[0]
                 level = waterfill_levels(floors, space.probs, spec.pbar[i])
                 new[i] = np.maximum(0.0, level - floors)
         # P is this loop's own buffer: its zeros, its copy of init, or an

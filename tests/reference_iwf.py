@@ -1,4 +1,4 @@
-"""Whole-table interference and iterative water-filling, kept as bit-level
+"""Whole-table floors and iterative water-filling, kept as bit-level
 references.
 
 Every table here is formed whole, in fresh arrays, and the sequential
@@ -25,27 +25,21 @@ from output_digests import BLOCKS  # noqa: E402
 
 def blocks_spec(alpha=None):
     """The game ``BLOCKS`` of ``tools/output_digests.py``, 3 players and
-    3^9 = 19 683 states: two full blocks of the interference kernel and a
+    3^9 = 19 683 states: two full blocks of the floors kernel and a
     partial one; ``alpha`` replaces its modulation constants."""
     spec = load_config(json.dumps(BLOCKS)).game.spec
     return spec if alpha is None else dataclasses.replace(spec, alpha=alpha)
 
 
-def interference(spec, space, P):
-    """(signal, interf) over all states at once: the received power summed
-    over the transmitters in index order, the own term included and then
-    subtracted."""
-    G = space.gains.transpose(1, 2, 0)
-    own = np.einsum('iik->ik', G) * P
-    received = G[:, 0] * P[..., 0:1, :]
-    for j in range(1, spec.n_players):
-        received = received + G[:, j] * P[..., j:j + 1, :]
-    return own * spec.alpha[:, None], received + 1.0 - own
-
-
-def floors(spec, space, P):
-    _, interf = interference(spec, space, P)
-    return interf / (spec.alpha[:, None] * space.direct_gains.T)
+def floors(space, P):
+    """The floors over all states at once: the coupling summed over the
+    transmitters in index order, the own term's zero block entry
+    included, then hhat added."""
+    H = space.blocks.transpose(1, 2, 0)
+    coupled = H[:, 0] * P[..., 0:1, :]
+    for j in range(1, space.n_players):
+        coupled = coupled + H[:, j] * P[..., j:j + 1, :]
+    return coupled + space.hhat.T
 
 
 def iterate_waterfilling(spec, space, config):
@@ -56,13 +50,13 @@ def iterate_waterfilling(spec, space, config):
     tol = max(config.tol, ULP_FLOOR * spec.pbar.max())
     for iterations in range(1, config.max_iter + 1):
         if config.scheme == "simultaneous":
-            f = floors(spec, space, P)
+            f = floors(space, P)
             levels = waterfill_levels(f, space.probs, spec.pbar)
             new = np.maximum(0.0, levels[:, None] - f)
         else:
             new = P.copy()
             for i in range(n):
-                f = floors(spec, space, new)[i]
+                f = floors(space, new)[i]
                 level = waterfill_levels(f, space.probs, spec.pbar[i])
                 new[i] = np.maximum(0.0, level - f)
         residual = float(np.abs(new - P).max())

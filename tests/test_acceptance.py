@@ -59,7 +59,7 @@ def test_criterion_2_contraction_equivalence():
     ok = True
     for spec in spec_pool():
         space = enumerate_states(spec)
-        op = build_operator(spec, space)
+        op = build_operator(space)
         rho = spectral_radius(op.smax)
         if spec.n_players == 1:
             row_sum = 0.0
@@ -79,7 +79,7 @@ def test_criterion_3_blockdiag_radius_equivalence():
     worst = 0.0
     for spec in spec_pool():
         space = enumerate_states(spec)
-        op = build_operator(spec, space)
+        op = build_operator(space)
         worst = max(worst, abs(rho_blockdiag(op) - spectral_radius(op.smax)))
     report(3, worst <= 1e-9, f"max |rho(Hhat) - rho(Smax)| = {worst:.2e} "
                              f"over 200 specs")
@@ -88,7 +88,7 @@ def test_criterion_3_blockdiag_radius_equivalence():
 def test_criterion_4_pd_without_contraction():
     spec = bundled.spec("pd_not_contractive")
     space = enumerate_states(spec)
-    op = build_operator(spec, space)
+    op = build_operator(space)
     rho = spectral_radius(op.smax)
     sym = 0.5 * (op.blocks + op.blocks.transpose(0, 2, 1))
     sym[:, np.arange(3), np.arange(3)] += 1.0

@@ -23,10 +23,14 @@ from ifgame.config import (IwfConfig, OutputConfig, SimulateConfig, SolverConfig
                            SweepConfig, ViConfig)
 from ifgame.experiments import build_game, ne_outcome_for_simulation
 from ifgame.game import DEFAULT_STATE_CAP
-from ifgame.spectral import condition_report
+from ifgame.spectral import build_operator, condition_report
 from ifgame.vi import solve_regularized, solve_strong
 from ifgame.waterfilling import iterate_waterfilling
 import bundled
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+
+from output_digests import HUGE_OWN_POWER  # noqa: E402
 
 SMALL = {
     "game": {"players": 2, "direct_gains": [2.0, 1.0],
@@ -309,6 +313,43 @@ def test_large_finite_budget_solves_without_overflow():
         assert np.isfinite(outcome.rates).all() and np.isfinite(outcome.sum_rate)
 
 
+#: three players whose budgets span 17 orders of magnitude, where AL met
+#: the same lost noise in its candidate rates
+HUGE_OWN_POWER_AL = {
+    "game": {"players": 3, "direct_gains": [784499.9469679989],
+             "cross_gains": [8295.122679081567, 5885.786721500934],
+             "pbar": [5.393560125593128e-06, 15.596023048565536, 411605427198.83594]},
+    "solver": {"which": "pareto", "pareto": {"starts": 2, "max_outer": 20,
+                                             "max_inner": 100}},
+}
+
+
+def solve_warning_free(doc):
+    """The one solver outcome of ``run_solve`` on ``doc``, with every
+    warning an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = run_solve(load_config(json.dumps(doc)))
+    (outcome,) = result.solvers.values()
+    assert np.isfinite(outcome.rates).all() and np.isfinite(outcome.sum_rate)
+    return outcome
+
+
+def test_iwf_keeps_the_noise_at_a_huge_own_power():
+    # a floor formed as (1 + received) - own lost the unit noise here:
+    # zero floors, an infinite sum rate and converged = true
+    outcome = solve_warning_free(dict(HUGE_OWN_POWER, solver={"which": "iwf"}))
+    assert outcome.converged
+    assert outcome.sum_rate == pytest.approx(37.0473, rel=1e-5)
+
+
+def test_al_keeps_the_noise_at_a_huge_own_power():
+    # AL stops at its round cap here, unconverged (the CLI exits 2)
+    outcome = solve_warning_free(HUGE_OWN_POWER_AL)
+    assert not outcome.converged and outcome.iterations == 20
+    assert outcome.sum_rate == pytest.approx(31.394, rel=1e-4)
+
+
 @pytest.mark.parametrize("pbar", [1e7, 1e8])
 def test_large_budget_stopping_tests_reach_the_rounding_floor(pbar):
     """On example 1 at a large budget the iterates settle a few ulps of
@@ -341,7 +382,8 @@ def test_every_subcommand_reports_the_same_conditions(name):
     """analyze, and solve with and without the VI, share one set-up of the
     condition checks, which report what ``condition_report`` reports."""
     config = bundled.config(name)
-    expected = condition_report(*build_game(config))
+    spec, space = build_game(config)
+    expected = condition_report(spec, build_operator(space))
     assert run_analyze(config) == expected
     for which in ("iwf", "vi"):
         solver = dataclasses.replace(config.solver, which=which)

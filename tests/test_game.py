@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from ifgame import (GameSpec, StateSpace, StateSpaceTooLargeError, average_powers,
-                    enumerate_states, expected_rates, interference,
-                    interference_floors, is_feasible, rate_table, sum_rate)
-from ifgame.game import _STATE_BLOCK, _interference
+                    enumerate_states, expected_rates, interference_floors,
+                    is_feasible, rate_table, sum_rate)
+from ifgame.game import _STATE_BLOCK, _floors
 import bundled
 import reference_iwf
 from util_random import random_feasible_profile, random_spec
@@ -40,10 +40,28 @@ def brute_force_states(spec):
     return np.array(gains), np.array(probs)
 
 
-def loop_sinr_and_floor(spec, space, P, k, i):
-    """Plain-Python reference: SINR and water-filling floor of player i
-    at state k."""
-    g = space.gains[k]
+def coupling_tables(gains, alpha):
+    """(hhat, blocks) of a state-major gain table (K, N, N), formed as
+    ``enumerate_states`` forms them: each gain divided by
+    alpha_i |h_ii|^2, the diagonal set to 0, and hhat = 1 / (alpha_i |h_ii|^2)."""
+    gains = np.asarray(gains, float)
+    n = gains.shape[1]
+    geff = np.asarray(alpha, float) * np.einsum('kii->ki', gains)
+    blocks = gains / geff[:, :, None]
+    blocks[:, np.arange(n), np.arange(n)] = 0.0
+    return 1.0 / geff, blocks
+
+
+def space_of(gains, probs, alpha):
+    """The StateSpace of a state-major gain table."""
+    hhat, blocks = coupling_tables(gains, alpha)
+    return StateSpace(hhat=hhat, blocks=blocks, probs=probs)
+
+
+def loop_sinr_and_floor(spec, gains, P, k, i):
+    """Plain-Python reference from the gains: SINR and water-filling floor
+    of player i at state k."""
+    g = gains[k]
     received = sum(g[i, j] * P[j, k] for j in range(spec.n_players) if j != i)
     sinr = spec.alpha[i] * g[i, i] * P[i, k] / (1.0 + received)
     floor = (1.0 + received) / (spec.alpha[i] * g[i, i])
@@ -51,9 +69,10 @@ def loop_sinr_and_floor(spec, space, P, k, i):
 
 
 def brute_force_rate(spec, space, P, i):
+    gains, _ = brute_force_states(spec)  # every state has positive probability
     total = 0.0
     for k in range(space.n_states):
-        sinr, _ = loop_sinr_and_floor(spec, space, P, k, i)
+        sinr, _ = loop_sinr_and_floor(spec, gains, P, k, i)
         total += space.probs[k] * math.log(1.0 + sinr)
     return total
 
@@ -63,7 +82,7 @@ def test_singleton_product():
     space = enumerate_states(spec)
     assert space.n_states == 1
     assert space.probs[0] == 1.0
-    assert space.gains[0, 0, 0] == 2.0
+    assert space.hhat[0, 0] == 0.5 and space.blocks[0, 0, 0] == 0.0
 
 
 def test_three_player_count_and_uniform_probs():
@@ -85,8 +104,10 @@ def test_enumeration_matches_brute_force():
         spec = random_spec(rng, state_limit=800)
         space = enumerate_states(spec)
         gains, probs = brute_force_states(spec)
-        assert gains.shape == space.gains.shape
-        assert np.array_equal(gains, space.gains)
+        hhat, blocks = coupling_tables(gains, spec.alpha)
+        assert blocks.shape == space.blocks.shape and hhat.shape == space.hhat.shape
+        assert np.array_equal(blocks, space.blocks)
+        assert np.array_equal(hhat, space.hhat)
         assert np.allclose(probs, space.probs, rtol=0, atol=1e-15)
         assert abs(space.probs.sum() - 1.0) <= 1e-9
 
@@ -116,8 +137,9 @@ def unravel_states(spec):
 
 
 def test_enumeration_matches_unravel_reference_bit_for_bit():
-    """Broadcasting along one axis per link gives the gains and the
-    probabilities of the unravel reference bit for bit: on random
+    """Broadcasting along one axis per link gives the coupling tables of
+    the unravel reference's gains and its probabilities bit for bit, for
+    the spec's alpha: on random
     non-uniform games, a zero-probability entry, size-1 links, one
     player, one-state games of 7 and 120 players (49 and 14 400 links),
     one-entry links of probability 1 - 1e-13, which join the product
@@ -142,14 +164,18 @@ def test_enumeration_matches_unravel_reference_bit_for_bit():
                           direct_probs=[[0.3, 0.7], [near, 0.0], [0.5, 0.5]],
                           cross_probs=cross))
     specs.append(bundled.n4_spec())
+    specs[5] = dataclasses.replace(specs[5],
+                                   alpha=rng.uniform(0.5, 2.0, specs[5].n_players))
     for spec in specs:
         space = enumerate_states(spec)
         gains, probs = unravel_states(spec)
-        assert space.gains.tobytes() == np.ascontiguousarray(gains).tobytes()
+        hhat, blocks = coupling_tables(gains, spec.alpha)
+        assert space.hhat.tobytes() == hhat.tobytes()
+        assert space.blocks.tobytes() == blocks.tobytes()
         assert space.probs.tobytes() == probs.tobytes()
     assert space.n_states == 65536
-    assert enumerate_states(specs[-4]).gains.shape == (1, 7, 7)
-    assert enumerate_states(specs[-3]).gains.shape == (1, 120, 120)
+    assert enumerate_states(specs[-4]).blocks.shape == (1, 7, 7)
+    assert enumerate_states(specs[-3]).blocks.shape == (1, 120, 120)
     # links (1, 1) and (2, 0) multiply by near in link order, between
     # the factors of the two-entry links (0, 0) and (2, 2)
     assert enumerate_states(specs[-2]).probs.tolist() == (
@@ -170,53 +196,77 @@ def test_enumeration_keeps_only_positive_probability_states():
     assert space.n_states == 4
     assert np.all(space.probs == 0.25)
     gains, probs = brute_force_states(spec)
-    assert np.array_equal(space.gains, gains[probs > 0])
+    hhat, blocks = coupling_tables(gains[probs > 0], spec.alpha)
+    assert np.array_equal(space.hhat, hhat) and np.array_equal(space.blocks, blocks)
     assert np.array_equal(space.probs, probs[probs > 0])
     with pytest.raises(StateSpaceTooLargeError, match="needs 4 entries"):
         enumerate_states(spec, cap=3)
 
 
 def test_state_space_stores_gains_player_major():
-    # every kernel reads the row [i, j, :] of a link over all states in place
-    spec = bundled.spec("example1")
+    # every kernel reads the row [i, j, :] of a block entry, and the row
+    # [i, :] of hhat, over all states in place
+    spec = dataclasses.replace(bundled.spec("example1"), alpha=[1.0, 0.5, 2.0])
     space = enumerate_states(spec)
     gains, probs = brute_force_states(spec)
-    built = StateSpace(gains=gains, probs=probs)
+    hhat, blocks = coupling_tables(gains, spec.alpha)
+    built = StateSpace(hhat=hhat, blocks=blocks, probs=probs)
     for s in (space, built):
-        assert s.gains.shape == (512, 3, 3)
-        assert s.gains.transpose(1, 2, 0).flags.c_contiguous
-        assert not s.gains.flags.writeable
-        assert np.array_equal(s.gains, gains)
+        assert s.blocks.shape == (512, 3, 3) and s.hhat.shape == (512, 3)
+        assert s.blocks.transpose(1, 2, 0).flags.c_contiguous
+        assert s.hhat.T.flags.c_contiguous
+        for table in (s.hhat, s.blocks, s.probs):
+            assert not table.flags.writeable
+        assert np.array_equal(s.blocks, blocks) and np.array_equal(s.hhat, hhat)
 
 
 def test_state_space_owns_its_gains():
-    gains = np.array([[[2.0, 0.5], [0.5, 1.0]], [[1.0, 0.5], [0.5, 2.0]]])
+    hhat = np.array([[0.5, 1.0], [1.0, 0.5]])
+    blocks = np.array([[[0.0, 0.25], [0.5, 0.0]], [[0.0, 0.5], [0.25, 0.0]]])
     probs = np.array([0.5, 0.5])
-    space = StateSpace(gains=gains, probs=probs)
-    gains[0, 0, 0] = 7.0
+    space = StateSpace(hhat=hhat, blocks=blocks, probs=probs)
+    hhat[0, 0] = blocks[0, 0, 1] = 7.0
     probs[0] = 0.25
-    assert space.gains[0, 0, 0] == 2.0 and space.probs[0] == 0.5
-    # an input that is already player-major is copied too
-    pm = np.ascontiguousarray(gains.transpose(1, 2, 0))
-    space = StateSpace(gains=pm.transpose(2, 0, 1), probs=[0.5, 0.5])
-    pm[0, 0, 0] = 3.0
-    assert space.gains[0, 0, 0] == 7.0
+    assert space.hhat[0, 0] == 0.5 and space.blocks[0, 0, 1] == 0.25
+    assert space.probs[0] == 0.5
+    # inputs that are already player-major are copied too
+    pm_hhat = space.hhat.T.copy()
+    pm_blocks = space.blocks.transpose(1, 2, 0).copy()
+    space = StateSpace(hhat=pm_hhat.T, blocks=pm_blocks.transpose(2, 0, 1),
+                       probs=[0.5, 0.5])
+    pm_hhat[0, 0] = pm_blocks[0, 1, 0] = 3.0
+    assert space.hhat[0, 0] == 0.5 and space.blocks[0, 0, 1] == 0.25
 
 
 @pytest.mark.parametrize("probs", [[float("nan")], [1.5, -0.5],
                                    [float("inf"), -float("inf")]])
 def test_state_space_rejects_bad_probabilities(probs):
-    gains = np.ones((len(probs), 2, 2))
+    n1 = len(probs)
     with pytest.raises(ValueError, match="probabilities"):
-        StateSpace(gains=gains, probs=probs)
+        StateSpace(hhat=np.ones((n1, 2)), blocks=np.zeros((n1, 2, 2)), probs=probs)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1.0])
 def test_state_space_rejects_bad_gains(bad):
-    gains = np.ones((2, 2, 2))
-    gains[1, 0, 1] = bad
-    with pytest.raises(ValueError, match="gains must be finite and positive"):
-        StateSpace(gains=gains, probs=[0.5, 0.5])
+    """hhat = 1 / (alpha_i |h_ii|^2) must be finite and positive; the
+    blocks |h_ij|^2 / (alpha_i |h_ii|^2) finite and nonnegative, with
+    zero diagonals."""
+    hhat, blocks = np.ones((2, 2)), np.zeros((2, 2, 2))
+    hhat[1, 0] = bad
+    with pytest.raises(ValueError, match="hhat must be finite and positive"):
+        StateSpace(hhat=hhat, blocks=blocks, probs=[0.5, 0.5])
+    hhat[1, 0] = 1.0
+    blocks[1, 0, 1] = bad
+    if bad == 0.0:
+        space = StateSpace(hhat=hhat, blocks=blocks, probs=[0.5, 0.5])
+        assert space.blocks[1, 0, 1] == 0.0
+    else:
+        with pytest.raises(ValueError, match="blocks must be finite and nonnegative"):
+            StateSpace(hhat=hhat, blocks=blocks, probs=[0.5, 0.5])
+    blocks[1, 0, 1] = 0.0
+    blocks[0, 1, 1] = 0.5  # a diagonal entry
+    with pytest.raises(ValueError, match="with zero diagonals"):
+        StateSpace(hhat=hhat, blocks=blocks, probs=[0.5, 0.5])
 
 
 @pytest.mark.parametrize("key", ["pbar", "alpha", "weights"])
@@ -244,7 +294,8 @@ def test_game_spec_default_probabilities_are_uniform():
                  (spec.cross_probs, given.cross_probs)):
         assert a.tobytes() == b.tobytes()
     space, other = enumerate_states(spec), enumerate_states(given)
-    assert space.gains.tobytes() == other.gains.tobytes()
+    assert space.hhat.tobytes() == other.hhat.tobytes()
+    assert space.blocks.tobytes() == other.blocks.tobytes()
     assert space.probs.tobytes() == other.probs.tobytes()
 
 
@@ -292,9 +343,10 @@ def test_sinr_hand_values():
     spec = GameSpec(2, [1.0, 3.0], [0.5], pbar=1.0)
 
     def sinr(state, p):
-        space = StateSpace(gains=[state], probs=[1.0])
-        signal, interf = interference(spec, space, np.array(p, float)[:, None])
-        return float(signal[0, 0] / interf[0, 0])
+        # SINR = P / f, with f the floors
+        space = space_of([state], [1.0], spec.alpha)
+        P = np.array(p, float)[:, None]
+        return float(P[0, 0] / interference_floors(spec, space, P)[0, 0])
 
     state = np.array([[3.0, 0.5], [0.5, 1.0]])
     assert sinr(state, [2.0, 2.0]) == pytest.approx(3.0)
@@ -309,24 +361,23 @@ def test_rate_table_and_floors_match_loop_reference():
         spec = random_spec(rng, state_limit=400)
         spec = dataclasses.replace(spec, alpha=rng.uniform(0.5, 2.0, size=spec.n_players))
         space = enumerate_states(spec)
+        gains, _ = brute_force_states(spec)  # every state has positive probability
         P = random_feasible_profile(rng, spec, space)
         rates = rate_table(spec, space, P)
         floors = interference_floors(spec, space, P)
-        signal, interf = interference(spec, space, P)
         assert rates.shape == (space.n_states, spec.n_players)
         assert rates.flags.c_contiguous
-        assert floors.shape == signal.shape == interf.shape == P.shape
+        assert floors.shape == P.shape
         for k in range(space.n_states):
             for i in range(spec.n_players):
-                sinr, floor = loop_sinr_and_floor(spec, space, P, k, i)
+                sinr, floor = loop_sinr_and_floor(spec, gains, P, k, i)
                 assert rates[k, i] == pytest.approx(math.log1p(sinr), rel=1e-13, abs=1e-15)
                 assert floors[i, k] == pytest.approx(floor, rel=1e-13)
-                assert signal[i, k] / interf[i, k] == pytest.approx(sinr, rel=1e-13,
-                                                                    abs=1e-15)
+                assert P[i, k] / floors[i, k] == pytest.approx(sinr, rel=1e-13, abs=1e-15)
 
 
 def test_interference_is_layout_independent():
-    # the received power is summed over transmitters in index order, so a
+    # the floors sum the coupling over transmitters in index order, so a
     # profile gives the same bits in any memory layout or batch position
     rng = np.random.default_rng(15)
     specs = [bundled.spec("example1"), bundled.spec("pd_not_contractive")]
@@ -340,24 +391,19 @@ def test_interference_is_layout_independent():
     for spec in specs:
         space = enumerate_states(spec)
         P = random_feasible_profile(rng, spec, space)
-        want = interference(spec, space, P)
-        # whole-table reference: transmitters in index order, own term
-        # included and then subtracted
-        G = space.gains.transpose(1, 2, 0)
-        own = np.einsum('iik->ik', G) * P
-        received = sum(G[:, j] * P[j] for j in range(spec.n_players))
-        assert np.array_equal(want[0], spec.alpha[:, None] * own)
-        assert np.array_equal(want[1], 1.0 + received - own)
+        want = interference_floors(spec, space, P)
+        # whole-table reference: transmitters in index order, the own
+        # term's zero block entry included, then hhat
+        H = space.blocks.transpose(1, 2, 0)
+        coupled = sum(H[:, j] * P[j] for j in range(spec.n_players))
+        assert np.array_equal(want, coupled + space.hhat.T)
         batch = np.stack([np.zeros_like(P), P, 2.0 * P])
         copies = [np.asfortranarray(P), batch[1], np.asfortranarray(batch)[1],
                   batch.transpose(0, 2, 1).copy().transpose(0, 2, 1)[1]]
-        for table in want:
-            assert table.shape == P.shape
+        assert want.shape == P.shape
         for other in copies:
-            for got, ref in zip(interference(spec, space, other), want):
-                assert np.array_equal(got, ref)
-        for got, ref in zip(interference(spec, space, batch), want):
-            assert np.array_equal(got[1], ref)
+            assert np.array_equal(interference_floors(spec, space, other), want)
+        assert np.array_equal(interference_floors(spec, space, batch)[1], want)
 
 
 def assert_same_bits(got, want):
@@ -366,12 +412,12 @@ def assert_same_bits(got, want):
 
 
 def test_interference_blocks_keep_every_bit():
-    """The kernel walks the states in blocks of ``_STATE_BLOCK``: both
-    tables have the bits of the whole-table formula on a game of two full
-    blocks and a partial one, for a profile, a batch of two, a strided
-    view and a Fortran-ordered copy, also when written into output tables
-    the caller passes, and the tables of one receiver row are that row of
-    the whole tables."""
+    """The floors kernel walks the states in blocks of ``_STATE_BLOCK``:
+    the floors have the bits of the whole-table formula on a game of two
+    full blocks and a partial one, for a profile, a batch of two, a
+    strided view and a Fortran-ordered copy, also when written into an
+    output table the caller passes, and the floors of one receiver row
+    are that row of the whole table."""
     rng = np.random.default_rng(28)
     for spec in (reference_iwf.blocks_spec(),
                  reference_iwf.blocks_spec(alpha=[1.0, 0.5, 2.0])):
@@ -380,18 +426,15 @@ def test_interference_blocks_keep_every_bit():
         P = random_feasible_profile(rng, spec, space)
         wide = np.repeat(random_feasible_profile(rng, spec, space), 2, axis=1)
         for X in (P, np.stack([P, 2.0 * P]), wide[:, 1::2], np.asfortranarray(P)):
-            tables = interference(spec, space, X)
-            for got, want in zip(tables, reference_iwf.interference(spec, space, X)):
-                assert_same_bits(got, want)
-            given = tuple(np.full(X.shape, np.nan) for _ in tables)
-            for got, buf, want in zip(_interference(spec, space, X, slice(None), given),
-                                      given, tables):
-                assert got is buf
-                assert_same_bits(got, want)
+            floors = interference_floors(spec, space, X)
+            assert_same_bits(floors, reference_iwf.floors(space, X))
+            given = np.full(X.shape, np.nan)
+            got = _floors(space, X, out=given)
+            assert got is given
+            assert_same_bits(got, floors)
             for i in range(spec.n_players):
-                row = _interference(spec, space, X, slice(i, i + 1))
-                for got, want in zip(row, tables):
-                    assert_same_bits(got, want[..., i:i + 1, :])
+                assert_same_bits(_floors(space, X, slice(i, i + 1)),
+                                 floors[..., i:i + 1, :])
 
 
 def test_expected_rate_basics():

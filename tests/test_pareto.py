@@ -282,21 +282,17 @@ def test_default_delta_scales_with_state_probability():
 
 # --- state-major einsum ascent, kept only as a reference -------------------
 
-def reference_interference(spec, space, P):
-    """(signal, interf) of shape (..., N1, N) from einsum contractions."""
-    direct = np.einsum('kii->ki', space.gains)
-    received = np.einsum('kij,...jk->...ki', space.gains, P)
-    own = np.einsum('ki,...ik->...ki', direct, P)
-    return spec.alpha * own, 1.0 + received - own
+def reference_floors(space, P):
+    """Floors of shape (..., N1, N) from an einsum contraction."""
+    return np.einsum('kij,...jk->...ki', space.blocks, P) + space.hhat
 
 
-def reference_gradient(spec, space, signal, interf, slack, lam, c):
-    diag = np.einsum('kii->ki', space.gains)
-    a = 1.0 / (interf + signal)
-    w_sab = spec.weights * signal * a / interf
-    cross = np.einsum('kji,...kj->...ki', space.gains, w_sab) - diag * w_sab
-    per_state = (spec.weights * (spec.alpha * diag) * a - cross
-                 - lam[..., None, :] + 2.0 * c * slack[..., None, :])
+def reference_gradient(spec, space, floors, P, slack, lam, c):
+    Pt = np.swapaxes(P, -1, -2)
+    own = spec.weights / (floors + Pt)
+    moved = own * Pt / floors
+    cross = np.einsum('kji,...kj->...ki', space.blocks, moved)
+    per_state = own - cross - lam[..., None, :] + 2.0 * c * slack[..., None, :]
     return np.einsum('k,...ki->...ik', space.probs, per_state)
 
 
@@ -308,14 +304,13 @@ def reference_ascent_batch(spec, space, P, lam, cfg, delta, active=None):
     active = active.copy()
     iterations = np.zeros(batch, dtype=int)
     probs = space.probs
-    geff = spec.alpha * np.einsum('kii->ki', space.gains)
     base_value = _lagrangian(spec, space, P, lam, cfg.c)
     for _ in range(cfg.max_inner):
         if not active.any():
             break
-        signal, interf = reference_interference(spec, space, P)
+        floors = reference_floors(space, P)
         slack = spec.pbar - P @ probs
-        grads = reference_gradient(spec, space, signal, interf, slack, lam, cfg.c)
+        grads = reference_gradient(spec, space, floors, P, slack, lam, cfg.c)
         pg = np.where(P > 0, grads, np.maximum(grads, 0.0))
         eligible = (np.sqrt((pg ** 2).sum(axis=-1)) >= cfg.eps_grad) & active[:, None]
         active &= eligible.any(axis=1)
@@ -326,14 +321,14 @@ def reference_ascent_batch(spec, space, P, lam, cfg, delta, active=None):
         sel_b, sel_i = eligible.nonzero()
         mrows = np.arange(sel_b.size)
         dp = (q - P)[sel_b, sel_i]
-        denom = interf[sel_b] + space.gains[:, :, sel_i].transpose(2, 0, 1) \
+        denom = floors[sel_b] + space.blocks[:, :, sel_i].transpose(2, 0, 1) \
             * dp[:, :, None]
-        denom[mrows, :, sel_i] = interf[sel_b, :, sel_i]
-        cand_signal = signal[sel_b]
-        cand_signal[mrows, :, sel_i] = geff[:, sel_i].T * q[sel_b, sel_i]
+        denom[mrows, :, sel_i] = floors[sel_b, :, sel_i]
+        cand_powers = np.swapaxes(P, -1, -2)[sel_b]
+        cand_powers[mrows, :, sel_i] = q[sel_b, sel_i]
         cand_slack = slack[sel_b]
         cand_slack[mrows, sel_i] -= dp @ probs
-        values = (np.einsum('k,mki,i->m', probs, np.log1p(cand_signal / denom),
+        values = (np.einsum('k,mki,i->m', probs, np.log1p(cand_powers / denom),
                             spec.weights)
                   + np.einsum('mi,mi->m', lam[sel_b], cand_slack)
                   - cfg.c * (cand_slack ** 2).sum(axis=-1))

@@ -8,7 +8,8 @@ import pytest
 
 from ifgame import (GameSpec, InterferenceOperator, build_operator,
                     condition_report, contraction_condition, definiteness,
-                    enumerate_states, rho_blockdiag, spectral_radius)
+                    enumerate_states, make_vi_problem, rho_blockdiag,
+                    spectral_radius)
 from ifgame import spectral
 from ifgame.spectral import _band, _clears, _sym
 import bundled
@@ -17,7 +18,7 @@ from util_random import random_spec
 
 def bundled_operator(name):
     spec = bundled.spec(name)
-    return build_operator(spec, enumerate_states(spec))
+    return build_operator(enumerate_states(spec))
 
 
 def dense_rho(matrix):
@@ -27,11 +28,11 @@ def dense_rho(matrix):
 def test_single_player_operator_is_trivial():
     spec = GameSpec(1, [2.0, 0.5], [1.0], pbar=1.0)
     space = enumerate_states(spec)
-    op = build_operator(spec, space)
+    op = build_operator(space)
     assert np.all(op.blocks == 0.0)
     assert op.smax.shape == (1, 1) and op.smax[0, 0] == 0.0
     assert rho_blockdiag(op) == 0.0
-    assert np.allclose(op.hhat[:, 0], 1.0 / space.gains[:, 0, 0])
+    assert np.allclose(op.hhat[:, 0], 1.0 / np.array([2.0, 0.5]))
 
 
 def test_operator_is_player_major_in_memory():
@@ -41,6 +42,16 @@ def test_operator_is_player_major_in_memory():
         op = bundled_operator(name)
         assert op.blocks.transpose(1, 2, 0).flags.c_contiguous
         assert op.hhat.T.flags.c_contiguous
+
+
+def test_operator_and_vi_problem_wrap_the_space_tables():
+    """The operator, and so every VI problem, reads the state space's own
+    hhat and blocks: a run holds one (N1, N, N) channel table."""
+    for spec in (bundled.spec("example1"), GameSpec(1, [2.0, 0.5], [1.0], pbar=1.0)):
+        space = enumerate_states(spec)
+        for op in (build_operator(space), make_vi_problem(spec, space).op):
+            assert op.blocks is space.blocks and op.hhat is space.hhat
+            assert np.array_equal(op.smax, space.blocks.max(axis=0))
 
 
 def test_operator_entry_ranges():
@@ -59,8 +70,8 @@ def test_operator_entry_ranges():
 def test_alpha_folds_into_effective_gain():
     base = GameSpec(2, [2.0], [0.5], pbar=1.0)
     scaled = GameSpec(2, [2.0], [0.5], pbar=1.0, alpha=[2.0, 4.0])
-    op_b = build_operator(base, enumerate_states(base))
-    op_s = build_operator(scaled, enumerate_states(scaled))
+    op_b = build_operator(enumerate_states(base))
+    op_s = build_operator(enumerate_states(scaled))
     assert np.allclose(op_s.hhat, op_b.hhat / np.array([2.0, 4.0]))
     assert np.allclose(op_s.blocks[:, 0, :], op_b.blocks[:, 0, :] / 2.0)
     assert np.allclose(op_s.blocks[:, 1, :], op_b.blocks[:, 1, :] / 4.0)
@@ -112,7 +123,7 @@ def test_rho_blockdiag_equals_smax_rho():
     for _ in range(30):
         spec = random_spec(rng, state_limit=800)
         space = enumerate_states(spec)
-        op = build_operator(spec, space)
+        op = build_operator(space)
         r_blocks = rho_blockdiag(op)
         assert r_blocks == pytest.approx(spectral_radius(op.smax), abs=1e-9)
         dense = max(dense_rho(b) for b in op.blocks)
@@ -130,8 +141,8 @@ def test_condition_report_rho_hhat_is_rho_blockdiag():
               for s in specs[-10:]]
     for spec in specs:
         space = enumerate_states(spec)
-        op = build_operator(spec, space)
-        assert condition_report(spec, space, op).rho_hhat == rho_blockdiag(op)
+        op = build_operator(space)
+        assert condition_report(spec, op).rho_hhat == rho_blockdiag(op)
 
 
 def test_contraction_condition_values():
@@ -151,7 +162,7 @@ def test_contraction_equivalence_on_random_specs():
     for _ in range(50):
         spec = random_spec(rng, state_limit=800, uniform_probs=True)
         space = enumerate_states(spec)
-        op = build_operator(spec, space)
+        op = build_operator(space)
         rho = spectral_radius(op.smax)
         ratio, ok = contraction_condition(spec)
         assert (rho < 1.0) == (ratio < 1.0) == ok
@@ -163,19 +174,19 @@ def test_ratio_bound_honours_alpha():
     # alpha scales the effective direct gain, so the row-sum bound must too
     for alpha in ([0.5, 0.5, 0.5], [0.5, 1.0, 2.0], [3.0, 1.0, 1.0]):
         spec = dataclasses.replace(bundled.spec("example1"), alpha=alpha)
-        report = condition_report(spec, enumerate_states(spec))
+        report = condition_report(spec, build_operator(enumerate_states(spec)))
         assert report.ratio_bound >= report.rho_smax - 1e-12
-        row_sums = build_operator(spec, enumerate_states(spec)).smax.sum(axis=1)
+        row_sums = build_operator(enumerate_states(spec)).smax.sum(axis=1)
         assert report.ratio_bound == pytest.approx(row_sums.max(), rel=1e-12)
     half = dataclasses.replace(bundled.spec("example1"), alpha=0.5)
-    report = condition_report(half, enumerate_states(half))
+    report = condition_report(half, build_operator(enumerate_states(half)))
     assert report.ratio_bound == pytest.approx(4.0 / 3.0)
     assert report.rho_smax == pytest.approx(4.0 / 3.0)
 
 
 def test_definiteness_single_player():
     spec = GameSpec(1, [1.0], [1.0], pbar=1.0)
-    psd, pd, min_eig = definiteness(build_operator(spec, enumerate_states(spec)))
+    psd, pd, min_eig = definiteness(build_operator(enumerate_states(spec)))
     assert psd and pd
     assert min_eig == pytest.approx(1.0)
 
@@ -184,7 +195,7 @@ def test_definiteness_closed_form_block():
     # singleton alphabets: one state, every off-diagonal ratio 0.2/0.3 = 2/3;
     # I + (2/3)(J - I) has eigenvalues {7/3, 1/3, 1/3}
     spec = GameSpec(3, [0.3], [0.2], pbar=1.0)
-    op = build_operator(spec, enumerate_states(spec))
+    op = build_operator(enumerate_states(spec))
     psd, pd, min_eig = definiteness(op)
     assert psd and pd
     assert min_eig == pytest.approx(1.0 / 3.0, abs=1e-12)
@@ -192,7 +203,7 @@ def test_definiteness_closed_form_block():
 
 def test_pd_without_contraction_instance():
     spec = bundled.spec("pd_not_contractive")
-    report = condition_report(spec, enumerate_states(spec))
+    report = condition_report(spec, build_operator(enumerate_states(spec)))
     assert report.rho_hhat > 1.0
     assert report.rho_hhat == pytest.approx(4.0 / 3.0, abs=1e-9)
     assert report.htilde_pd and report.min_sym_eig > 0.0
@@ -205,7 +216,7 @@ def test_small_radius_implies_positive_definite():
     while seen < 25:
         spec = random_spec(rng, state_limit=800)
         space = enumerate_states(spec)
-        op = build_operator(spec, space)
+        op = build_operator(space)
         if spectral_radius(op.smax) >= 1.0:
             continue
         seen += 1
@@ -215,10 +226,11 @@ def test_small_radius_implies_positive_definite():
 
 def test_condition_report_consistency():
     for spec in (bundled.spec("example1"), bundled.spec("example2")):
-        rep = condition_report(spec, enumerate_states(spec))
+        op = build_operator(enumerate_states(spec))
+        rep = condition_report(spec, op)
         assert rep.contraction_ok == (rep.rho_smax < 1.0)
         assert rep.rho_hhat == pytest.approx(rep.rho_smax, abs=1e-9)
-        assert rep.htilde_pd == (rep.min_sym_eig > _band(build_operator(spec, enumerate_states(spec))))
+        assert rep.htilde_pd == (rep.min_sym_eig > _band(op))
 
 
 def test_representatives_stand_for_every_block_up_to_relabelling():
@@ -231,7 +243,7 @@ def test_representatives_stand_for_every_block_up_to_relabelling():
     for k in range(20):
         spec = random_spec(rng, n_max=3, state_limit=800, min_players=2,
                            uniform_probs=k % 2 == 0)
-        ops.append(build_operator(spec, enumerate_states(spec)))
+        ops.append(build_operator(enumerate_states(spec)))
     for op in ops:
         reps = op.representatives
         assert np.unique(reps).size == reps.size
@@ -249,7 +261,7 @@ def test_representatives_stand_for_every_block_up_to_relabelling():
 def test_fewer_representatives_than_distinct_blocks():
     """Exchangeable players leave fewer classes than distinct blocks."""
     n4 = bundled.n4_spec()
-    for op in (bundled_operator("example1"), build_operator(n4, enumerate_states(n4))):
+    for op in (bundled_operator("example1"), build_operator(enumerate_states(n4))):
         distinct = np.unique(op.blocks.reshape(op.n_states, -1), axis=0)
         assert op.representatives.size < len(distinct)
 
@@ -287,7 +299,7 @@ def test_definiteness_matches_every_block_bit_for_bit():
     specs.append(GameSpec(2, [1.0], [1.5], pbar=1.0))
     flags = set()
     for spec in specs:
-        op = build_operator(spec, enumerate_states(spec))
+        op = build_operator(enumerate_states(spec))
         got, want = definiteness(op), all_blocks_definiteness(op)
         assert got == want
         assert all(type(flag) is bool for flag in got[:2]) and type(got[2]) is float
@@ -324,7 +336,7 @@ def test_flags_allow_only_the_rounding_band():
     ulp wide, not 1e-10; the bundled boundary game stays PSD."""
     for cross, flags in ((1.0 + 5e-11, (False, False)), (1.0 - 5e-11, (True, True))):
         spec = GameSpec(2, [1.0], [cross], pbar=1.0)
-        report = condition_report(spec, enumerate_states(spec))
+        report = condition_report(spec, build_operator(enumerate_states(spec)))
         assert (report.htilde_psd, report.htilde_pd) == flags
         assert abs(report.min_sym_eig) == pytest.approx(5e-11, rel=1e-6)
     op = bundled_operator("psd_boundary")
@@ -336,10 +348,10 @@ def test_fallback_step_needs_a_positive_modulus(monkeypatch):
     when sigma = eps + min_sym_eig - delta > 0; otherwise the step is
     eps / L^2 and not guaranteed."""
     spec = GameSpec(2, [1.0, 2.0], [1.0 + 5e-11], pbar=1.0)
-    op = build_operator(spec, enumerate_states(spec))
+    op = build_operator(enumerate_states(spec))
     m = op.definite[2]
     assert op.step(1e-11) == (1e-11 / (op.lipschitz + 1e-11) ** 2, False)
     monkeypatch.setattr(spectral, "_best_tau", lambda steps, eps: None)
-    op = build_operator(spec, enumerate_states(spec))
+    op = build_operator(enumerate_states(spec))
     sigma = 1e-9 + m - _band(op)
     assert op.step(1e-9) == (sigma / (op.lipschitz + 1e-9) ** 2, True)

@@ -12,6 +12,7 @@ from ifgame import (GameSpec, IwfConfig, ViConfig, enumerate_states,
                     project_block, solve_regularized, solve_strong,
                     waterfill_map, wf_residual)
 from ifgame.config import SweepConfig
+from ifgame.game import state_count
 from ifgame.spectral import _best_tau, _step_norm
 from ifgame.vi import _eval_F, _project_face, _projection_step, _uniform_start
 import bundled
@@ -591,16 +592,17 @@ def test_parameter_validation():
 
 def random_games(rng, count, n_players, uniform_probs):
     """VI problems of ``count`` seeded random games with ``n_players``
-    players, from 4 to a few hundred states, and random alpha."""
+    players, from 4 to a few hundred states, and random alpha.  The space
+    is enumerated after alpha is replaced: it is built for its spec's
+    alpha."""
     out = []
     while len(out) < count:
         spec = random_spec(rng, n_max=max(n_players), state_limit=300,
                            uniform_probs=uniform_probs)
-        space = enumerate_states(spec)
-        if spec.n_players not in n_players or space.n_states < 4:
+        if spec.n_players not in n_players or state_count(spec) < 4:
             continue
         spec = dataclasses.replace(spec, alpha=rng.uniform(0.3, 3.0, size=spec.n_players))
-        out.append(make_vi_problem(spec, space))
+        out.append(make_vi_problem(spec, enumerate_states(spec)))
     return out
 
 

@@ -45,14 +45,17 @@ def fill(floors, probs, pbar):
 def test_floor_values():
     spec = GameSpec(2, [1.0, 2.0], [0.5], pbar=1.0)
     space = enumerate_states(spec)
+    # links in row-major order, the last fastest, and only the direct
+    # links vary: |h_11|^2 is 1, 1, 2, 2 over the four states
+    direct = np.repeat([1.0, 2.0], 2)
     zero = np.zeros((2, space.n_states))
     f = interference_floors(spec, space, zero)[0]
-    assert np.allclose(f, 1.0 / space.gains[:, 0, 0])
+    assert np.allclose(f, 1.0 / direct)
     # |h_ii|^2 = 2 with one interferer 0.5 * P_j = 1 gives (1+1)/2 = 1
     prof = np.array([[0.0] * space.n_states, [2.0] * space.n_states])
     f = interference_floors(spec, space, prof)[0]
-    k = np.flatnonzero(space.gains[:, 0, 0] == 2.0)
-    assert np.allclose(f[k], 1.0)
+    assert np.allclose(f[direct == 2.0], 1.0)
+    assert np.allclose(f[direct == 1.0], 2.0)
 
 
 def test_floor_affine_increasing_in_interferer():
@@ -319,8 +322,7 @@ def test_best_response_single_user_classic():
     spec = GameSpec(1, [2.0, 0.5], [1.0], pbar=1.0, alpha=[2.0])
     space = enumerate_states(spec)
     powers = waterfill_map(spec, space, np.zeros((1, space.n_states)))[0]
-    oracle = bisect_waterfill(1.0 / (2.0 * space.gains[:, 0, 0]),
-                              space.probs, 1.0)
+    oracle = bisect_waterfill(1.0 / (2.0 * np.array([2.0, 0.5])), space.probs, 1.0)
     assert np.abs(powers - oracle).max() < 1e-9
 
 

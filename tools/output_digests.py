@@ -9,9 +9,10 @@ at most 20 multiplier rounds, which stops before AL converges and exits
 2, so that the augmented-Lagrangian bytes are covered under unequal
 state weights.  Then
 ``simulate``, and ``solve --solver iwf`` with the sequential scheme, on
-``BLOCKS``, whose states fill two and a part of the interference
-kernel's blocks.  The last two games are written into the temporary
-directory the outputs go to.  Prints one line per output file, and one
+``BLOCKS``, whose states fill two and a part of the floors
+kernel's blocks.  Last, ``solve --solver iwf`` on ``HUGE_OWN_POWER``,
+where one player's own received power passes 2^53.  The last three
+games are written into the temporary directory the outputs go to.  Prints one line per output file, and one
 for the standard output and one for the standard error of each run,
 sorted by path:
 
@@ -60,7 +61,7 @@ NONUNIFORM = {
     "simulate": {"slots": 100000, "seed": 3},
 }
 
-#: 3 players, 3^9 = 19 683 states: two full blocks of the interference
+#: 3 players, 3^9 = 19 683 states: two full blocks of the floors
 #: kernel and a partial one.  The contraction condition holds, so
 #: ``simulate`` runs IWF
 BLOCKS = {
@@ -73,11 +74,25 @@ BLOCKS = {
 }
 
 
+#: 2 players, 4 states, budgets 1 and 1e16: player 2's own received
+#: power passes 2^53, where a floor formed as (1 + received) - own
+#: loses the unit noise
+HUGE_OWN_POWER = {
+    "game": {
+        "players": 2,
+        "direct_gains": [2.0, 1.0],
+        "cross_gains": [0.3, 0.1],
+        "pbar": [1.0, 1e16],
+    },
+}
+
+
 def runs(repo, tmp):
     """(run name, CLI arguments before ``--out``) of every CLI run, over
     the checkout's own ``configs/*.json`` in sorted order, then the n4,
-    the non-uniform and the blocks games; the last two, and their
-    configs with solver settings, are written into ``tmp``."""
+    the non-uniform, the blocks and the huge-own-power games; the last
+    three, and their configs with solver settings, are written into
+    ``tmp``."""
     for config in sorted((repo / "configs").glob("*.json")):
         for command in COMMANDS:
             yield f"{config.stem}-{command}", [command, "--config", str(config)]
@@ -101,6 +116,9 @@ def runs(repo, tmp):
         dict(BLOCKS, solver={"iwf": {"scheme": "sequential"}})), encoding="utf-8")
     yield "blocks-solve-iwf-sequential", ["solve", "--config", str(sequential),
                                           "--solver", "iwf"]
+    huge = Path(tmp) / "huge-own-power.json"
+    huge.write_text(json.dumps(HUGE_OWN_POWER), encoding="utf-8")
+    yield "huge-own-power-solve-iwf", ["solve", "--config", str(huge), "--solver", "iwf"]
 
 
 def digest(data):

@@ -7,7 +7,7 @@ one per line:
   * for each exported class, each public member defined in its body:
     ``InterferenceOperator.definite``;
   * for each exported function, its parameter list:
-    ``condition_report(spec, space, op)``.
+    ``condition_report(spec, op)``.
 
 Run it at two commits and ``diff`` the results to see which public
 names, members and parameters a change adds or removes:
