@@ -10,8 +10,7 @@ Three 3-user games, each with two-element gain alphabets drawn uniformly
 
 import pathlib
 
-from ifgame import (GameSpec, build_operator, condition_report, enumerate_states,
-                    load_config_file)
+from ifgame import GameSpec, condition_report, enumerate_states, load_config_file
 
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 
@@ -30,7 +29,7 @@ games = {
 print(f"{'game':42s} {'rho(Smax)':>10s} {'ratio':>8s} {'contr':>6s} "
       f"{'PD':>4s} {'min sym eig':>12s}")
 for name, spec in games.items():
-    report = condition_report(spec, build_operator(enumerate_states(spec)))
+    report = condition_report(spec, enumerate_states(spec))
     print(f"{name:42s} {report.rho_smax:10.4f} {report.ratio_bound:8.4f} "
           f"{str(report.contraction_ok):>6s} {str(report.htilde_pd):>4s} "
           f"{report.min_sym_eig:12.4f}")

@@ -45,7 +45,7 @@ def solve_and_print(name, config):
     if sim.converged:
         gap = np.abs(sim.profile - vi.solution).max()
         print(f"  |IWF - VI| = {gap:.2e}")
-    print(f"  NE sum rate = {sum_rate(spec, space, vi.solution):.6f} nats")
+    print(f"  NE sum rate = {sum_rate(space, vi.solution):.6f} nats")
     print()
 
 

@@ -17,7 +17,7 @@ for name, config in [("example1 (budget 1.0)", "example1"),
     spec = load_config_file(CONFIGS / f"{config}.json").game.spec
     space = enumerate_states(spec)
     ne = solve_regularized(make_vi_problem(spec, space)).solution
-    ne_rate = sum_rate(spec, space, ne)
+    ne_rate = sum_rate(space, ne)
 
     report = multi_start(spec, space, AlConfig(starts=10, seed=0))
     print(f"=== {name} ===")

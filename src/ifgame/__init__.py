@@ -7,9 +7,8 @@ augmented-Lagrangian method."""
 from .game import (GameSpec, StateSpace, StateSpaceTooLargeError, average_powers,
                    enumerate_states, expected_rates, is_feasible, rate_table,
                    sum_rate)
-from .spectral import (ConditionReport, InterferenceOperator, build_operator,
-                       condition_report, contraction_condition, definiteness,
-                       rho_blockdiag, spectral_radius)
+from .spectral import (ConditionReport, condition_report, contraction_condition,
+                       definiteness, rho_blockdiag, spectral_radius)
 from .waterfilling import (IwfConfig, IwfReport, interference_floors,
                            iterate_waterfilling, waterfill_levels, waterfill_map,
                            wf_residual)

@@ -25,7 +25,7 @@ from .config import ExperimentConfig
 from .game import (GameSpec, StateSpace, average_powers, enumerate_states,
                    expected_rates, is_feasible, rate_table)
 from .pareto import multi_start
-from .spectral import ConditionReport, build_operator, condition_report
+from .spectral import ConditionReport, condition_report
 from .vi import make_vi_problem, solve_regularized
 from .waterfilling import iterate_waterfilling
 
@@ -81,22 +81,15 @@ def build_game(config: ExperimentConfig) -> tuple[GameSpec, StateSpace]:
     return spec, enumerate_states(spec, cap=config.solver.state_cap)
 
 
-def _problem_and_conditions(spec, space):
-    """The VI problem of the game and the condition checks, which share
-    the problem's operator."""
-    problem = make_vi_problem(spec, space)
-    return problem, condition_report(spec, problem.op)
-
-
 def run_analyze(config: ExperimentConfig) -> ConditionReport:
     """Uniqueness/convergence condition checks for the configured game."""
     spec, space = build_game(config)
-    return condition_report(spec, build_operator(space))
+    return condition_report(spec, space)
 
 
-def _run_one_solver(name, spec, space, config, problem):
-    """Run one solver; VI runs on ``problem``, the caller's problem of the
-    game, at ``spec``'s budgets."""
+def _run_one_solver(name, spec, space, config):
+    """Run one solver on the game at ``spec``'s budgets; the VI reads its
+    certificate and steps from ``space``, shared with every other caller."""
     if name == "iwf":
         rep = iterate_waterfilling(spec, space, config.solver.iwf)
         profile, converged = rep.profile, rep.converged
@@ -107,8 +100,7 @@ def _run_one_solver(name, spec, space, config, problem):
             # the PSD status is already in the report; other warnings pass
             warnings.filterwarnings("ignore", "Htilde is not positive semidefinite",
                                     UserWarning)
-            rep = solve_regularized(dataclasses.replace(problem, pbar=spec.pbar),
-                                    config.solver.vi)
+            rep = solve_regularized(make_vi_problem(spec, space), config.solver.vi)
         profile, converged = rep.solution, rep.converged
         iterations = sum(p[1] for p in rep.eps_path)
         residual = rep.eps_path[-1][2]  # natural residual of the solution
@@ -120,7 +112,7 @@ def _run_one_solver(name, spec, space, config, problem):
         residual = float(max(s.feasibility_residuals.max() for s in rep.per_start))
     else:
         raise ValueError(f"unknown solver {name!r}")
-    rates = expected_rates(spec, space, profile)
+    rates = expected_rates(space, profile)
     return SolverOutcome(name=name, profile=profile,
                          sum_rate=float(rates.sum()), rates=rates,
                          avg_powers=average_powers(space, profile),
@@ -135,33 +127,31 @@ def run_solve(config: ExperimentConfig) -> RunResult:
     the run continues with the remaining solvers.
     """
     spec, space = build_game(config)
-    names = config.solver.names
-    problem, condition = _problem_and_conditions(spec, space)
+    condition = condition_report(spec, space)
     outcomes = {}
-    for name in names:
-        outcomes[name] = _run_one_solver(name, spec, space, config, problem)
+    for name in config.solver.names:
+        outcomes[name] = _run_one_solver(name, spec, space, config)
     return RunResult(condition=condition, solvers=outcomes)
 
 
 def run_sweep(config: ExperimentConfig) -> RunResult:
     """Re-solve the game for every sweep value of the common budget.
 
-    The game and the VI problem are built once; only the budget changes
-    from point to point, so the points share the VI step data.  Produces
-    one row per value with the NE sum rates (both solvers) and the best
-    Pareto sum rate; a non-converged solver's entry is NaN and flags the
-    row.
+    The game is built once; only the budget changes from point to point,
+    so the points share the state space, and with it the certificate and
+    the VI steps searched for each eps.  Produces one row per value with
+    the NE sum rates (both solvers) and the best Pareto sum rate; a
+    non-converged solver's entry is NaN and flags the row.
     """
     spec, space = build_game(config)
-    names = config.solver.names
-    problem, condition = _problem_and_conditions(spec, space)
+    condition = condition_report(spec, space)
     rows = []
     for value in config.sweep.values:
         point = dataclasses.replace(spec, pbar=value)
         row = {"pbar": float(value), "ne_iwf": float("nan"),
                "ne_vi": float("nan"), "pareto": float("nan"), "converged": True}
-        for name in names:
-            outcome = _run_one_solver(name, point, space, config, problem)
+        for name in config.solver.names:
+            outcome = _run_one_solver(name, point, space, config)
             key = {"iwf": "ne_iwf", "vi": "ne_vi", "pareto": "pareto"}[name]
             row[key] = outcome.sum_rate if outcome.converged else float("nan")
             row["converged"] &= outcome.converged
@@ -188,10 +178,10 @@ def run_simulate(config: ExperimentConfig, profile: np.ndarray,
         raise ValueError("profile must be feasible for the simulation")
     counts = np.random.default_rng(sim.seed).multinomial(
         sim.slots, space.probs).astype(float)
-    rates = rate_table(spec, space, P)          # (N1, N)
+    rates = rate_table(space, P)  # (N1, N)
     emp_rate = counts @ rates / sim.slots
     emp_power = P @ counts / sim.slots
-    # expected_rates(spec, space, P), bit for bit, from the table above
+    # expected_rates(space, P), bit for bit, from the table above
     ana_rate = np.einsum('k,...ki->...i', space.probs, rates)
     ana_power = average_powers(space, P)
     with np.errstate(divide='ignore', invalid='ignore'):
@@ -210,11 +200,11 @@ def ne_outcome_for_simulation(config: ExperimentConfig,
     """NE policy used by the simulate subcommand: iterative water-filling
     when the contraction condition holds, the regularized VI otherwise.
     A caller that passes ``_game`` has already run ``build_game(config)``.
-    The condition checks and the VI share one operator."""
+    The condition checks and the VI share the space's certificate."""
     spec, space = build_game(config) if _game is None else _game
-    problem, report = _problem_and_conditions(spec, space)
+    report = condition_report(spec, space)
     name = "iwf" if report.contraction_ok else "vi"
-    return report, _run_one_solver(name, spec, space, config, problem)
+    return report, _run_one_solver(name, spec, space, config)
 
 
 # ---------------------------------------------------------------------------

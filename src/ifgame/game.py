@@ -25,9 +25,12 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
+
+from . import spectral
 
 DEFAULT_STATE_CAP = 100_000
 
@@ -154,11 +157,18 @@ class StateSpace:
     over all states in place.  hhat must be finite and positive, the
     blocks finite and nonnegative with zero diagonals, the probabilities
     finite, nonnegative and summing to 1 within 1e-9.
+
+    The space is also the operator F(P) = hhat + (I + Hhat) P of the
+    game's variational inequality: ``smax``, the PSD certificate
+    ``definite``, ``sym_gram``, ``lipschitz`` and ``step(eps)`` are
+    computed on first use and kept, so every caller on one space shares
+    them (see ``ifgame.spectral``).
     """
 
     hhat: np.ndarray    # (N1, N), player-major in memory
     blocks: np.ndarray  # (N1, N, N), player-major in memory
     probs: np.ndarray   # (N1,)
+    _taus: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         h = np.asarray(self.hhat, dtype=float)
@@ -189,6 +199,51 @@ class StateSpace:
     @property
     def n_players(self):
         return self.blocks.shape[1]
+
+    @cached_property
+    def smax(self):
+        """Smax, the (N, N) entrywise max of the blocks."""
+        return self.blocks.max(axis=0)
+
+    @cached_property
+    def definite(self):
+        """The PSD certificate ``spectral.definiteness(self)``:
+        (psd, pd, min_sym_eig)."""
+        return spectral.definiteness(self)
+
+    @cached_property
+    def sym_gram(self):
+        """S = H + H^T and G = H^T H for each block H of
+        ``spectral.representatives(self)``; every norm here is a max over
+        blocks, and a relabelling of the players, an orthogonal
+        similarity, keeps the norms of a block."""
+        h = self.blocks[spectral.representatives(self)]
+        return h + h.transpose(0, 2, 1), np.einsum('kji,kjl->kil', h, h)
+
+    @cached_property
+    def lipschitz(self):
+        """||Htilde||_2 = max over blocks of the largest singular value of
+        I + H, whose Gram matrix is I + S + G."""
+        S, G = self.sym_gram
+        return float(np.sqrt(1.0 + np.linalg.eigvalsh(S + G)[:, -1].max()))
+
+    def step(self, eps):
+        """(tau(eps), guaranteed): the searched step
+        ``spectral._best_tau``, whose certified contraction guarantees
+        convergence, else sigma / L^2 with sigma = eps + min_sym_eig -
+        delta (delta = ``spectral._band(self)``) and L = ||Htilde||_2 +
+        eps, guaranteed when sigma > 0, where F_eps is strongly monotone
+        with modulus sigma; with sigma <= 0 the step is eps / L^2, not
+        guaranteed."""
+        if eps not in self._taus:
+            tau = spectral._best_tau(self, eps)
+            if tau is not None:
+                self._taus[eps] = (tau, True)
+            else:
+                sigma = eps + self.definite[2] - spectral._band(self)
+                tau = (sigma if sigma > 0 else eps) / (self.lipschitz + eps) ** 2
+                self._taus[eps] = (tau, sigma > 0)
+        return self._taus[eps]
 
 
 def _per_link(direct, cross):
@@ -327,7 +382,7 @@ def _floors(space, P, rows=slice(None), out=None):
     return f
 
 
-def rate_table(spec, space, prof):
+def rate_table(space, prof):
     """Per-state rates log(1 + P_i(h) / f_i(h)) in nats, shape (..., N1, N),
     with f the floors (``_floors``).
 
@@ -341,9 +396,9 @@ def rate_table(spec, space, prof):
     return np.ascontiguousarray(np.swapaxes(f, -1, -2))
 
 
-def expected_rates(spec, space, prof):
+def expected_rates(space, prof):
     """Expected rates E_h[log(1 + SINR_i)] of all players, shape (..., N)."""
-    return np.einsum('k,...ki->...i', space.probs, rate_table(spec, space, prof))
+    return np.einsum('k,...ki->...i', space.probs, rate_table(space, prof))
 
 
 def average_powers(space, prof):
@@ -351,9 +406,9 @@ def average_powers(space, prof):
     return np.asarray(prof, float) @ space.probs
 
 
-def sum_rate(spec: GameSpec, space: StateSpace, prof) -> float:
+def sum_rate(space: StateSpace, prof) -> float:
     """Total expected rate over all players (nats)."""
-    return float(expected_rates(spec, space, prof).sum())
+    return float(expected_rates(space, prof).sum())
 
 
 def is_feasible(space: StateSpace, prof, pbar) -> np.ndarray:

@@ -95,7 +95,7 @@ def _slack(space, P, pbar):
 
 def _lagrangian(spec, space, P, lam, c):
     slack = _slack(space, P, spec.pbar)
-    value = expected_rates(spec, space, P) @ spec.weights
+    value = expected_rates(space, P) @ spec.weights
     return value + np.einsum('...i,...i->...', lam, slack) - c * (slack ** 2).sum(axis=-1)
 
 
@@ -282,7 +282,7 @@ def _solve_outer_batch(spec, space, P, lam, cfg, track=False):
         outer_iters += active
         residuals[active] = np.abs(slack[active])
         if track:
-            rates = expected_rates(spec, space, P).sum(axis=-1)
+            rates = expected_rates(space, P).sum(axis=-1)
             for b in active.nonzero()[0]:
                 trail[b].append(float(rates[b]))
         # a member is done only when feasible *and* the ascent reached
@@ -321,7 +321,7 @@ def multi_start(spec: GameSpec, space: StateSpace,
     P, lam, iters, residuals, conv, trail = _solve_outer_batch(
         spec, space, starts, lam, config, track=track)
     P = _cap_budgets(space, P, spec.pbar)
-    rates = expected_rates(spec, space, P).sum(axis=-1)
+    rates = expected_rates(space, P).sum(axis=-1)
     per_start = [StartResult(profile=P[j], sum_rate=float(rates[j]),
                              outer_iterations=int(iters[j]),
                              feasibility_residuals=residuals[j].copy(),

@@ -26,13 +26,14 @@ guaranteed to work:
     even when rho(Hhat) >= 1;
   * the step certificate: a step tau with ||I - tau (Htilde + eps I)||_2
     < 1, which makes the projection iteration on F_eps a contraction
-    (Facchinei & Pang 2003, Sec. 12.1); InterferenceOperator.step
-    searches it.
+    (Facchinei & Pang 2003, Sec. 12.1); StateSpace.step searches it with
+    ``_best_tau``.
 
-The certificate, ||Htilde||_2 and tau(eps) depend on the operator alone,
-so the operator computes each on first use and keeps it: the condition
-checks and every VI problem on one operator share them, and tau is
-searched once per eps.
+The certificate, ||Htilde||_2 and tau(eps) depend on the state space
+alone, so the StateSpace computes each on first use and keeps it
+(``definite``, ``lipschitz``, ``step``): the condition checks and every
+VI problem on one space share them, whichever asks first, and tau is
+searched once per eps.  The algorithms below are functions of a space.
 
 Spectral radii come from numpy's batched eigenvalue solver applied to the
 N x N blocks; the block-diagonal operator is never densified.
@@ -40,83 +41,13 @@ N x N blocks; the block-diagonal operator is never densified.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .game import GameSpec, StateSpace
-
-
-@dataclass(frozen=True)
-class InterferenceOperator:
-    """Blockwise interference coupling of the best-response map."""
-
-    hhat: np.ndarray    # (N1, N): hhat[k] is the block of state k; player-major
-    blocks: np.ndarray  # (N1, N, N): Hhat(h) per state, zero diagonals; player-major
-    smax: np.ndarray    # (N, N): entrywise max of the blocks
-    _taus: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    @property
-    def n_states(self):
-        return self.blocks.shape[0]
-
-    @property
-    def n_players(self):
-        return self.blocks.shape[1]
-
-    @cached_property
-    def definite(self):
-        """The PSD certificate ``definiteness(self)``: (psd, pd, min_sym_eig)."""
-        return definiteness(self)
-
-    @cached_property
-    def representatives(self):
-        """Index of the first block of each class of blocks equal up to a
-        relabelling of the players: each block's players are ordered by
-        their sorted row entries, then their sorted column entries (ties in
-        index order), and equal relabelled blocks are one class.  A tie can
-        split a class in two, which costs only time."""
-        b = self.blocks
-        keys = np.concatenate([np.sort(b, axis=2), np.sort(b, axis=1).transpose(0, 2, 1)], 2)
-        perm = np.lexsort(keys.transpose(2, 0, 1)[::-1], axis=-1)
-        rows = b[np.arange(self.n_states)[:, None, None], perm[:, :, None], perm[:, None, :]]
-        rows = rows.reshape(self.n_states, -1)
-        order = np.lexsort(rows.T)  # equal rows end up adjacent, in index order
-        rows = rows[order]
-        return order[np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)]]
-
-    @cached_property
-    def sym_gram(self):
-        """S = H + H^T and G = H^T H for each representative block H; every
-        norm here is a max over blocks, and a relabelling of the players, an
-        orthogonal similarity, keeps the norms of a block."""
-        h = self.blocks[self.representatives]
-        return h + h.transpose(0, 2, 1), np.einsum('kji,kjl->kil', h, h)
-
-    @cached_property
-    def lipschitz(self):
-        """||Htilde||_2 = max over blocks of the largest singular value of
-        I + H, whose Gram matrix is I + S + G."""
-        S, G = self.sym_gram
-        return float(np.sqrt(1.0 + np.linalg.eigvalsh(S + G)[:, -1].max()))
-
-    def step(self, eps):
-        """(tau(eps), guaranteed): the searched step, whose certified
-        contraction guarantees convergence, else sigma / L^2 with
-        sigma = eps + min_sym_eig - delta (delta = ``_band(self)``) and
-        L = ||Htilde||_2 + eps, guaranteed when sigma > 0, where F_eps is
-        strongly monotone with modulus sigma; with sigma <= 0 the step is
-        eps / L^2, not guaranteed."""
-        if eps not in self._taus:
-            tau = _best_tau(self, eps)
-            if tau is not None:
-                self._taus[eps] = (tau, True)
-            else:
-                sigma = eps + self.definite[2] - _band(self)
-                tau = (sigma if sigma > 0 else eps) / (self.lipschitz + eps) ** 2
-                self._taus[eps] = (tau, sigma > 0)
-        return self._taus[eps]
+if TYPE_CHECKING:  # game imports this module
+    from .game import GameSpec, StateSpace
 
 
 @dataclass(frozen=True)
@@ -132,14 +63,6 @@ class ConditionReport:
     min_sym_eig: float
 
 
-def build_operator(space: StateSpace) -> InterferenceOperator:
-    """The operator of an enumerated game: the space's hhat and Hhat
-    blocks, read in place and player-major, not copied, and their
-    entrywise max Smax."""
-    return InterferenceOperator(hhat=space.hhat, blocks=space.blocks,
-                                smax=space.blocks.max(axis=0))
-
-
 def spectral_radius(matrix) -> float:
     """rho(A) = max |eigenvalue| of a square matrix."""
     a = np.asarray(matrix, dtype=float)
@@ -148,9 +71,9 @@ def spectral_radius(matrix) -> float:
     return float(np.abs(np.linalg.eigvals(a)).max())
 
 
-def rho_blockdiag(op: InterferenceOperator) -> float:
+def rho_blockdiag(space: StateSpace) -> float:
     """rho of the block-diagonal operator: max over blocks of rho(Hhat(h))."""
-    return float(np.abs(np.linalg.eigvals(op.blocks)).max(-1).max())
+    return float(np.abs(np.linalg.eigvals(space.blocks)).max(-1).max())
 
 
 def contraction_condition(spec: GameSpec) -> tuple[float, bool]:
@@ -172,7 +95,7 @@ _SAMPLE = 64
 _CHUNK = 4096
 
 
-def _band(op) -> float:
+def _band(space) -> float:
     """delta = 16 N^2 u R, the rounding band of ``definiteness``.
 
     u = 2^-53, and R = 1 + max_i (row sum + column sum of Smax)_i / 2
@@ -186,9 +109,9 @@ def _band(op) -> float:
     Accuracy and Stability of Numerical Algorithms, 2nd ed., 2002,
     Thm 10.3).
     """
-    s = op.smax
+    s = space.smax
     norm = 1.0 + 0.5 * float((s.sum(axis=0) + s.sum(axis=1)).max())
-    return 16 * op.n_players ** 2 * 2.0 ** -53 * norm
+    return 16 * space.n_players ** 2 * 2.0 ** -53 * norm
 
 
 def _sym(h):
@@ -224,7 +147,7 @@ def _clears(a, t, band):
     return clear
 
 
-def definiteness(op: InterferenceOperator) -> tuple[bool, bool, float]:
+def definiteness(space: StateSpace) -> tuple[bool, bool, float]:
     """Quadratic-form definiteness of Htilde = I + Hhat.
 
     Returns (psd, pd, min_sym_eig) where min_sym_eig is the smallest
@@ -232,7 +155,7 @@ def definiteness(op: InterferenceOperator) -> tuple[bool, bool, float]:
     symmetric part is what bounds (P-V)^T Htilde (P-V), which is the
     quantity the monotonicity analysis needs; for nonsymmetric blocks it
     is not implied by eigenvalues having positive real parts.  With the
-    rounding band delta = ``_band(op)``, psd is min_sym_eig >= -delta and
+    rounding band delta = ``_band(space)``, psd is min_sym_eig >= -delta and
     pd is min_sym_eig > delta.
 
     min_sym_eig is, bit for bit, the minimum of eigvalsh's smallest
@@ -241,17 +164,17 @@ def definiteness(op: InterferenceOperator) -> tuple[bool, bool, float]:
     among the ``_SAMPLE`` largest, then, chunk by chunk, each block that
     ``_clears`` does not certify above the minimum found so far.
     """
-    h = op.blocks.transpose(1, 2, 0)  # player-major, C-contiguous
-    band = _band(op)
+    h = space.blocks.transpose(1, 2, 0)  # player-major, C-contiguous
+    band = _band(space)
     # twice the Gershgorin radius of each block: its largest row sum of S
     radius = (h.sum(axis=0) + h.sum(axis=1)).max(axis=0)
-    sampled = op.n_states > _SAMPLE
+    sampled = space.n_states > _SAMPLE
     # np.sort, which the solvers use anyway: the first argpartition call
     # maps in about 0.25 MB more of numpy's code
     sample = (np.flatnonzero(radius >= np.sort(radius)[-_SAMPLE])[:_SAMPLE]
               if sampled else slice(None))
     m = np.linalg.eigvalsh(_sym(h[:, :, sample]).transpose(2, 0, 1))[:, 0].min()
-    for start in range(0, op.n_states if sampled else 0, _CHUNK):
+    for start in range(0, space.n_states if sampled else 0, _CHUNK):
         a = _sym(h[:, :, start:start + _CHUNK])
         left = ~_clears(a, m, band)
         if left.any():
@@ -260,22 +183,39 @@ def definiteness(op: InterferenceOperator) -> tuple[bool, bool, float]:
     return bool(m >= -band), bool(m > band), m
 
 
-def _step_norm(op, tau, eps):
+def representatives(space):
+    """Index of the first block of each class of blocks equal up to a
+    relabelling of the players: each block's players are ordered by their
+    sorted row entries, then their sorted column entries (ties in index
+    order), and equal relabelled blocks are one class.  A tie can split a
+    class in two, which costs only time."""
+    b = space.blocks
+    keys = np.concatenate([np.sort(b, axis=2), np.sort(b, axis=1).transpose(0, 2, 1)], 2)
+    perm = np.lexsort(keys.transpose(2, 0, 1)[::-1], axis=-1)
+    rows = b[np.arange(space.n_states)[:, None, None], perm[:, :, None], perm[:, None, :]]
+    rows = rows.reshape(space.n_states, -1)
+    order = np.lexsort(rows.T)  # equal rows end up adjacent, in index order
+    rows = rows[order]
+    return order[np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)]]
+
+
+def _step_norm(space, tau, eps):
     """||I - tau (Htilde + eps I)||_2 over the blocks.
 
     With a = 1 - tau (1 + eps) each block is a I - tau H, whose Gram
-    matrix is a^2 I - a tau S + tau^2 G (S and G from ``sym_gram``); its
-    top eigenvalue is a^2 plus that of tau^2 G - a tau S, solved for
-    one block of each relabelling class (``representatives``) in one
-    batched eigvalsh: a relabelled block has the same norm.
+    matrix is a^2 I - a tau S + tau^2 G (S and G, the space's
+    ``sym_gram``); its top eigenvalue is a^2 plus that of
+    tau^2 G - a tau S, solved for one block of each relabelling class
+    (``representatives``) in one batched eigvalsh: a relabelled block
+    has the same norm.
     """
-    S, G = op.sym_gram
+    S, G = space.sym_gram
     a = 1.0 - tau * (1.0 + eps)
     top = np.linalg.eigvalsh((tau * tau) * G - (a * tau) * S)[:, -1].max()
     return float(np.sqrt(a * a + top))
 
 
-def _best_tau(op, eps):
+def _best_tau(space, eps):
     """Step minimizing the contraction norm ||I - tau*(Htilde + eps I)||_2.
 
     The norm is a convex function of tau (max of singular values of an
@@ -290,30 +230,30 @@ def _best_tau(op, eps):
     r = 0.5 * (np.sqrt(5.0) - 1.0)
     lo, hi = 0.0, 4.0
     t1, t2 = hi - r * (hi - lo), lo + r * (hi - lo)
-    f1, f2 = _step_norm(op, t1, eps), _step_norm(op, t2, eps)
+    f1, f2 = _step_norm(space, t1, eps), _step_norm(space, t2, eps)
     for _ in range(30):
         if f1 <= f2:
             hi, t2, f2 = t2, t1, f1
             t1 = hi - r * (hi - lo)
-            f1 = _step_norm(op, t1, eps)
+            f1 = _step_norm(space, t1, eps)
         else:
             lo, t1, f1 = t1, t2, f2
             t2 = lo + r * (hi - lo)
-            f2 = _step_norm(op, t2, eps)
+            f2 = _step_norm(space, t2, eps)
     tau = 0.5 * (lo + t2) if f1 <= f2 else 0.5 * (t1 + hi)
-    return tau if _step_norm(op, tau, eps) < 1.0 else None
+    return tau if _step_norm(space, tau, eps) < 1.0 else None
 
 
-def condition_report(spec: GameSpec, op: InterferenceOperator) -> ConditionReport:
-    """Run every check once on the game's operator ``build_operator(space)``
-    and collect the results; the certificate is the operator's
-    ``definite``, shared with every VI problem on it."""
-    rho_s = spectral_radius(op.smax)
+def condition_report(spec: GameSpec, space: StateSpace) -> ConditionReport:
+    """Run every check once on the game's state space and collect the
+    results; the certificate is the space's ``definite``, shared with
+    every VI problem on it."""
+    rho_s = spectral_radius(space.smax)
     ratio, _ = contraction_condition(spec)
-    psd, pd, min_eig = op.definite
+    psd, pd, min_eig = space.definite
     return ConditionReport(
         rho_smax=rho_s,
-        rho_hhat=rho_s,  # = rho_blockdiag(op): Smax is a block and dominates
+        rho_hhat=rho_s,  # = rho_blockdiag(space): Smax is a block and dominates
         ratio_bound=ratio,
         contraction_ok=bool(rho_s < 1.0),
         htilde_psd=psd,

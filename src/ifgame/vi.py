@@ -39,7 +39,7 @@ import numpy as np
 
 from .game import ULP_FLOOR, GameSpec, StateSpace, _transmitter_sum
 # unused here, but perfbench/layers.py wraps ifgame.vi.definiteness by name
-from .spectral import InterferenceOperator, build_operator, definiteness  # noqa: F401
+from .spectral import definiteness  # noqa: F401
 from .waterfilling import (_breakpoint_levels, _equal_weight_sums,
                            waterfill_levels)
 
@@ -70,25 +70,25 @@ class ViConfig:
 
 @dataclass(frozen=True)
 class ViProblem:
-    """Operator data plus the per-player feasible-set description."""
+    """The game's state space, which is the operator and holds the state
+    probabilities, and the per-player budgets of the feasible set."""
 
-    op: InterferenceOperator
-    probs: np.ndarray
+    space: StateSpace
     pbar: np.ndarray
 
     @property
     def n_players(self):
-        return self.op.n_players
+        return self.space.n_players
 
     @property
     def n_states(self):
-        return self.op.n_states
+        return self.space.n_states
 
     @cached_property
     def _mass(self):
         """``_equal_weight_sums`` of the state probabilities, for every
         face projection of this problem."""
-        return _equal_weight_sums(self.probs, self.n_states)
+        return _equal_weight_sums(self.space.probs, self.n_states)
 
 
 @dataclass(frozen=True)
@@ -100,8 +100,7 @@ class ViReport:
 
 
 def make_vi_problem(spec: GameSpec, space: StateSpace) -> ViProblem:
-    return ViProblem(op=build_operator(space), probs=space.probs,
-                     pbar=spec.pbar)
+    return ViProblem(space=space, pbar=spec.pbar)
 
 
 def _as_rows(problem, prof):
@@ -117,13 +116,13 @@ def _eval_F(problem, P, eps=0.0):
     """F_eps on player-major rows, (N, N1): hhat + (1 + eps) P + Hhat P.
 
     The coupling sum_j Hhat(h)_ij P_j(h) is summed over j in index
-    order by the floors kernel's transmitter loop, on the operator's
+    order by the floors kernel's transmitter loop, on the space's
     player-major memory read in place.
     """
-    op = problem.op
-    coupled = _transmitter_sum(op.blocks.transpose(1, 2, 0), P, np.empty(P.shape))
+    space = problem.space
+    coupled = _transmitter_sum(space.blocks.transpose(1, 2, 0), P, np.empty(P.shape))
     out = np.multiply(1.0 + eps, P)
-    out += op.hhat.T
+    out += space.hhat.T
     out += coupled
     return out
 
@@ -162,7 +161,7 @@ def _project_face(problem, floors):
     """
     # no all-active check: it passes on 94 of the 9 752 projections of the
     # pd_not_contractive sweep and costs ~7 us of a ~21 us call at (3, 512)
-    levels = _breakpoint_levels(floors, problem.probs, problem.pbar, problem._mass)
+    levels = _breakpoint_levels(floors, problem.space.probs, problem.pbar, problem._mass)
     np.subtract(levels[:, None], floors, out=floors)
     return np.maximum(0.0, floors, out=floors)
 
@@ -194,7 +193,7 @@ def solve_strong(problem: ViProblem, eps: float, config: ViConfig = ViConfig(),
                  init=None) -> tuple[np.ndarray, int]:
     """Projection iteration P <- Pi_K(P - tau F_eps(P)) at fixed eps.
 
-    tau is ``problem.op.step(eps)``, searched once per operator and eps;
+    tau is ``problem.space.step(eps)``, searched once per space and eps;
     a step without a convergence guarantee is taken with a warning.
     Stops when both the successive-iterate gap and the natural residual
     of F_eps fall below max(``config.inner_tol``, ULP_FLOOR * max(pbar));
@@ -202,10 +201,10 @@ def solve_strong(problem: ViProblem, eps: float, config: ViConfig = ViConfig(),
     reached (no exception).  eps = 0 is accepted only when Htilde is
     positive definite, where F itself is strongly monotone.
     """
-    if not (eps > 0 or (eps == 0 and problem.op.definite[1])):
+    if not (eps > 0 or (eps == 0 and problem.space.definite[1])):
         raise ValueError("eps must be positive, or zero on a positive "
                          "definite problem")
-    tau, guaranteed = problem.op.step(eps)
+    tau, guaranteed = problem.space.step(eps)
     if not guaranteed:
         warnings.warn("Htilde is not positive semidefinite; the projection "
                       "iteration has no convergence guarantee", stacklevel=2)
@@ -239,12 +238,12 @@ def solve_regularized(problem: ViProblem, config: ViConfig = ViConfig(),
     path stops as soon as the natural residual of the *unregularized* F
     drops below max(``config.outer_tol``, ULP_FLOOR * max(pbar)), or after
     ``config.max_outer`` rounds.  It also stops before the first round
-    whose step has no convergence guarantee (``problem.op.step``); if
+    whose step has no convergence guarantee (``problem.space.step``); if
     that is the first round, the path is the one row (eps0, 0, residual
     of the start).
     """
     P = _uniform_start(problem) if init is None else _as_rows(problem, init)
-    psd, pd, _ = problem.op.definite
+    psd, pd, _ = problem.space.definite
     if not psd:
         warnings.warn("Htilde is not positive semidefinite; regularization "
                       "path has no convergence guarantee", stacklevel=2)
@@ -256,7 +255,7 @@ def solve_regularized(problem: ViProblem, config: ViConfig = ViConfig(),
     tau = 0.0
     outer_tol = max(config.outer_tol, ULP_FLOOR * problem.pbar.max())
     for n, eps in enumerate(epsilons):
-        step, guaranteed = problem.op.step(eps)
+        step, guaranteed = problem.space.step(eps)
         if not guaranteed:
             if not path:
                 residual = natural_residual(problem, P)

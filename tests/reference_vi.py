@@ -32,13 +32,13 @@ def breakpoint_levels(floors, probs, pbars):
 
 
 def eval_F_table(problem, table, eps=0.0):
-    coupled = np.einsum('kij,kj->ki', problem.op.blocks, table)
-    return problem.op.hhat + (1.0 + eps) * table + coupled
+    coupled = np.einsum('kij,kj->ki', problem.space.blocks, table)
+    return problem.space.hhat + (1.0 + eps) * table + coupled
 
 
 def project_face(problem, table):
     floors = -table.T
-    levels = breakpoint_levels(floors, problem.probs, problem.pbar)
+    levels = breakpoint_levels(floors, problem.space.probs, problem.pbar)
     return np.maximum(0.0, levels[:, None] - floors).T
 
 
@@ -68,22 +68,22 @@ def solve_regularized(problem, config):
 
     Returns (solution powers (N, N1), eps path, converged, tau used).
     """
-    op = problem.op
+    space = problem.space
     table = np.tile(problem.pbar[None, :], (problem.n_states, 1))
-    if op.definite[1]:
-        tau = op.step(0.0)[0]
+    if space.definite[1]:
+        tau = space.step(0.0)[0]
         table, inner = solve_strong(problem, 0.0, config, table, tau)
         residual = natural_residual(problem, table)
         return (table.T.copy(),
                 [(0.0, int(inner), residual)], residual < config.outer_tol, float(tau))
-    psd = op.definite[0]
+    psd = space.definite[0]
     prev = None
     path = []
     converged = False
     tau = 0.0
     for n in range(config.max_outer):
         eps = config.eps0 * config.decay ** n
-        step, certified = op.step(eps)
+        step, certified = space.step(eps)
         if not (psd or certified):
             if not path:
                 residual = natural_residual(problem, table)

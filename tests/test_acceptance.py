@@ -10,10 +10,10 @@ import time
 
 import numpy as np
 
-from ifgame import (IwfConfig, ViConfig, build_operator, enumerate_states,
-                    iterate_waterfilling, make_vi_problem, natural_residual,
-                    project_block, run_analyze, run_simulate, run_sweep,
-                    solve_regularized, spectral_radius, wf_residual)
+from ifgame import (IwfConfig, ViConfig, enumerate_states, iterate_waterfilling,
+                    make_vi_problem, natural_residual, project_block, run_analyze,
+                    run_simulate, run_sweep, solve_regularized, spectral_radius,
+                    wf_residual)
 from ifgame.cli import main
 from ifgame.config import SimulateConfig, SweepConfig
 from ifgame.experiments import build_game, ne_outcome_for_simulation
@@ -59,8 +59,7 @@ def test_criterion_2_contraction_equivalence():
     ok = True
     for spec in spec_pool():
         space = enumerate_states(spec)
-        op = build_operator(space)
-        rho = spectral_radius(op.smax)
+        rho = spectral_radius(space.smax)
         if spec.n_players == 1:
             row_sum = 0.0
         else:
@@ -79,8 +78,7 @@ def test_criterion_3_blockdiag_radius_equivalence():
     worst = 0.0
     for spec in spec_pool():
         space = enumerate_states(spec)
-        op = build_operator(space)
-        worst = max(worst, abs(rho_blockdiag(op) - spectral_radius(op.smax)))
+        worst = max(worst, abs(rho_blockdiag(space) - spectral_radius(space.smax)))
     report(3, worst <= 1e-9, f"max |rho(Hhat) - rho(Smax)| = {worst:.2e} "
                              f"over 200 specs")
 
@@ -88,9 +86,8 @@ def test_criterion_3_blockdiag_radius_equivalence():
 def test_criterion_4_pd_without_contraction():
     spec = bundled.spec("pd_not_contractive")
     space = enumerate_states(spec)
-    op = build_operator(space)
-    rho = spectral_radius(op.smax)
-    sym = 0.5 * (op.blocks + op.blocks.transpose(0, 2, 1))
+    rho = spectral_radius(space.smax)
+    sym = 0.5 * (space.blocks + space.blocks.transpose(0, 2, 1))
     sym[:, np.arange(3), np.arange(3)] += 1.0
     per_block_min = np.linalg.eigvalsh(sym)[:, 0]
     ok = rho > 1.0 and np.all(per_block_min > 0.0)

@@ -23,7 +23,7 @@ from ifgame.config import (IwfConfig, OutputConfig, SimulateConfig, SolverConfig
                            SweepConfig, ViConfig)
 from ifgame.experiments import build_game, ne_outcome_for_simulation
 from ifgame.game import DEFAULT_STATE_CAP
-from ifgame.spectral import build_operator, condition_report
+from ifgame.spectral import condition_report
 from ifgame.vi import solve_regularized, solve_strong
 from ifgame.waterfilling import iterate_waterfilling
 import bundled
@@ -383,7 +383,7 @@ def test_every_subcommand_reports_the_same_conditions(name):
     condition checks, which report what ``condition_report`` reports."""
     config = bundled.config(name)
     spec, space = build_game(config)
-    expected = condition_report(spec, build_operator(space))
+    expected = condition_report(spec, space)
     assert run_analyze(config) == expected
     for which in ("iwf", "vi"):
         solver = dataclasses.replace(config.solver, which=which)
@@ -606,36 +606,40 @@ def count_calls(monkeypatch, calls, module, name):
 
 
 def test_sweep_builds_vi_data_once(monkeypatch):
-    """The sweep builds the operator and its certificate once and searches
-    tau once per distinct eps: at eps = 0 only on a PD game, along the
-    eps path on the PSD-boundary game."""
+    """The sweep computes the certificate once and searches tau once per
+    distinct eps: at eps = 0 only on a PD game, along the eps path on the
+    PSD-boundary game.  So does a library caller that runs the condition
+    checks, then solves the VI at every budget on one space."""
     for name, searches in (("pd_not_contractive", 1), ("psd_boundary", 26)):
         assert_sweep_builds_vi_data_once(monkeypatch, name, searches)
 
 
 def assert_sweep_builds_vi_data_once(monkeypatch, name, searches):
-    import ifgame.experiments
     import ifgame.spectral
     import ifgame.vi
     calls = {}
     for module in (ifgame.spectral, ifgame.vi):
-        count_calls(monkeypatch, calls, module, "build_operator")
         count_calls(monkeypatch, calls, module, "definiteness")
     count_calls(monkeypatch, calls, ifgame.spectral, "_best_tau")
     config = dataclasses.replace(bundled.config(name), sweep=SweepConfig())
     rows = run_sweep(config).sweep_rows
-    monkeypatch.undo()
-    assert calls["build_operator"] == 1
     assert calls["definiteness"] == 1
-    # each point equals a solve on its own problem, built from scratch
+    assert calls["_best_tau"] == searches
+    # each point equals a solve on its own problem, built from scratch on
+    # a fresh space after its condition checks: the library sequence
+    calls.clear()
     spec, space = build_game(config)
+    condition_report(spec, space)
     eps_values = set()
     for row in rows:
         point = dataclasses.replace(spec, pbar=row["pbar"])
         rep = solve_regularized(make_vi_problem(point, space), config.solver.vi)
         assert rep.converged
-        assert row["ne_vi"] == float(expected_rates(point, space, rep.solution).sum())
+        assert row["ne_vi"] == float(expected_rates(space, rep.solution).sum())
         eps_values.update(eps for eps, _, _ in rep.eps_path)
+    monkeypatch.undo()
+    assert len(rows) > 1
+    assert calls["definiteness"] == 1
     assert calls["_best_tau"] == len(eps_values) == searches
 
 
@@ -982,7 +986,9 @@ def test_cli_simulate_enumerates_once(monkeypatch, tmp_path):
     assert calls == {"enumerate_states": 1, "GameSpec": 1}
 
 
-def test_cli_solve_and_simulate_build_operator_once(monkeypatch, tmp_path):
+def test_cli_solve_and_simulate_certify_once(monkeypatch, tmp_path):
+    """Each CLI run computes the certificate once, shared by the
+    condition checks and the VI through the space."""
     import ifgame.spectral
     import ifgame.vi
     # simulate chooses VI on pd_not_contractive (no contraction)
@@ -992,9 +998,7 @@ def test_cli_solve_and_simulate_build_operator_once(monkeypatch, tmp_path):
     for k, argv in enumerate(runs):
         calls = {}
         for module in (ifgame.spectral, ifgame.vi):
-            count_calls(monkeypatch, calls, module, "build_operator")
             count_calls(monkeypatch, calls, module, "definiteness")
         assert main(argv + ["--out", str(tmp_path / str(k))]) == 0
         monkeypatch.undo()
-        assert calls["build_operator"] == 1, argv
         assert calls["definiteness"] == 1, argv

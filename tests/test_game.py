@@ -363,7 +363,7 @@ def test_rate_table_and_floors_match_loop_reference():
         space = enumerate_states(spec)
         gains, _ = brute_force_states(spec)  # every state has positive probability
         P = random_feasible_profile(rng, spec, space)
-        rates = rate_table(spec, space, P)
+        rates = rate_table(space, P)
         floors = interference_floors(spec, space, P)
         assert rates.shape == (space.n_states, spec.n_players)
         assert rates.flags.c_contiguous
@@ -440,8 +440,8 @@ def test_interference_blocks_keep_every_bit():
 def test_expected_rate_basics():
     spec = GameSpec(1, [1.0], [1.0], pbar=1.0)
     space = enumerate_states(spec)
-    assert expected_rates(spec, space, np.zeros((1, 1)))[0] == 0.0
-    assert expected_rates(spec, space, np.ones((1, 1)))[0] == pytest.approx(math.log(2.0))
+    assert expected_rates(space, np.zeros((1, 1)))[0] == 0.0
+    assert expected_rates(space, np.ones((1, 1)))[0] == pytest.approx(math.log(2.0))
 
 
 def test_expected_rate_equals_brute_force_oracle():
@@ -449,7 +449,7 @@ def test_expected_rate_equals_brute_force_oracle():
     spec = bundled.spec("example1")
     space = enumerate_states(spec)
     P = random_feasible_profile(rng, spec, space)
-    rates = expected_rates(spec, space, P)
+    rates = expected_rates(space, P)
     for i in range(3):
         assert rates[i] == pytest.approx(brute_force_rate(spec, space, P, i), abs=1e-12)
 
@@ -470,14 +470,14 @@ def test_average_power_two_states_hand_value():
 def test_sum_rate_cases():
     spec1 = GameSpec(1, [1.0], [1.0], pbar=1.0)
     space1 = enumerate_states(spec1)
-    assert sum_rate(spec1, space1, np.zeros((1, 1))) == 0.0
-    assert sum_rate(spec1, space1, np.ones((1, 1))) == pytest.approx(
-        expected_rates(spec1, space1, np.ones((1, 1)))[0])
+    assert sum_rate(space1, np.zeros((1, 1))) == 0.0
+    assert sum_rate(space1, np.ones((1, 1))) == pytest.approx(
+        expected_rates(space1, np.ones((1, 1)))[0])
     spec2 = GameSpec(2, [2.0], [0.3], pbar=1.0)
     space2 = enumerate_states(spec2)
     P = np.full((2, space2.n_states), 1.0)
-    assert sum_rate(spec2, space2, P) == pytest.approx(
-        2.0 * expected_rates(spec2, space2, P)[0])
+    assert sum_rate(space2, P) == pytest.approx(
+        2.0 * expected_rates(space2, P)[0])
 
 
 def test_is_feasible():
@@ -517,7 +517,7 @@ def test_rate_concave_in_own_powers():
         mix, pa, pb = base.copy(), base.copy(), base.copy()
         mix[i] = theta * a[i] + (1 - theta) * b[i]
         pa[i], pb[i] = a[i], b[i]
-        r_mix, r_a, r_b = (expected_rates(spec, space, prof)[i] for prof in (mix, pa, pb))
+        r_mix, r_a, r_b = (expected_rates(space, prof)[i] for prof in (mix, pa, pb))
         assert r_mix >= theta * r_a + (1 - theta) * r_b - 1e-9
 
 
@@ -533,8 +533,8 @@ def test_rate_monotone_in_interferer_power():
         k = int(rng.integers(space.n_states))
         bumped = P.copy()
         bumped[j, k] += 0.5
-        assert expected_rates(spec, space, bumped)[i] <= \
-            expected_rates(spec, space, P)[i] + 1e-12
+        assert expected_rates(space, bumped)[i] <= \
+            expected_rates(space, P)[i] + 1e-12
 
 
 def test_expected_rates_matches_expected_rate():
@@ -542,7 +542,7 @@ def test_expected_rates_matches_expected_rate():
     spec = random_spec(rng)
     space = enumerate_states(spec)
     P = random_feasible_profile(rng, spec, space)
-    rates = expected_rates(spec, space, P)
-    per_state = rate_table(spec, space, P)
+    rates = expected_rates(space, P)
+    per_state = rate_table(space, P)
     for i in range(spec.n_players):
         assert rates[i] == pytest.approx(float(space.probs @ per_state[:, i]), abs=1e-14)

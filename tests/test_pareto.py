@@ -46,7 +46,7 @@ def test_lagrangian_budget_tight_equals_weighted_rates():
     lam = np.array([0.4, 0.9])
     value = _lagrangian(spec, space, P, lam, 10.0)
     assert value == pytest.approx(float(spec.weights @
-                                        expected_rates(spec, space, P)), abs=1e-12)
+                                        expected_rates(space, P)), abs=1e-12)
 
 
 def test_lagrangian_zero_profile_is_pure_penalty():

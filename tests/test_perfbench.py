@@ -6,6 +6,7 @@ wrapper behind, or sees a probe stop before its step cap reports the run
 as failed.  These tests read the harness and change nothing in it.
 """
 
+import csv
 import sys
 from pathlib import Path
 
@@ -32,6 +33,23 @@ def test_tracer_wraps_every_layer_and_restores_it():
             assert getattr(module, attr) is not original
     for module, names in before.items():
         assert vars(module) == names
+
+
+def test_traced_solve_counts_the_certificate_and_vi_iterations(tmp_path):
+    """A traced VI solve of a PD, non-contractive game reads one
+    certificate, one eps round, and as many inner iterations as the run
+    reports in sum_rates.csv."""
+    argv = ["solve", "--config", str(run.ROOT / "configs" / "pd_not_contractive.json"),
+            "--out", str(tmp_path)]
+    with layers.Tracer() as tracer:
+        layers.install(tracer)
+        assert cli.main(argv) == 0
+    metrics = layers.span_metrics(tracer.spans)
+    with open(tmp_path / "sum_rates.csv", newline="") as fh:
+        (row,) = [r for r in csv.DictReader(fh) if r["solver"] == "vi"]
+    assert metrics["spectral.definiteness_calls"] == 1
+    assert metrics["vi.rounds"] == 1
+    assert metrics["vi.inner_iters"] == int(row["iterations"])
 
 
 # the probe seeds of ``run.py --trace 1 --seed 0`` and ``--seed 1``

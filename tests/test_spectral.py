@@ -1,4 +1,5 @@
-"""Interference operator, spectral radii, and the solver-guarantee checks."""
+"""The state space as the interference operator, spectral radii, and the
+solver-guarantee checks."""
 
 import dataclasses
 import itertools
@@ -6,19 +7,17 @@ import itertools
 import numpy as np
 import pytest
 
-from ifgame import (GameSpec, InterferenceOperator, build_operator,
-                    condition_report, contraction_condition, definiteness,
-                    enumerate_states, make_vi_problem, rho_blockdiag,
+from ifgame import (GameSpec, StateSpace, condition_report, contraction_condition,
+                    definiteness, enumerate_states, make_vi_problem, rho_blockdiag,
                     spectral_radius)
 from ifgame import spectral
-from ifgame.spectral import _band, _clears, _sym
+from ifgame.spectral import _band, _clears, _sym, representatives
 import bundled
 from util_random import random_spec
 
 
-def bundled_operator(name):
-    spec = bundled.spec(name)
-    return build_operator(enumerate_states(spec))
+def bundled_space(name):
+    return enumerate_states(bundled.spec(name))
 
 
 def dense_rho(matrix):
@@ -27,8 +26,7 @@ def dense_rho(matrix):
 
 def test_single_player_operator_is_trivial():
     spec = GameSpec(1, [2.0, 0.5], [1.0], pbar=1.0)
-    space = enumerate_states(spec)
-    op = build_operator(space)
+    op = enumerate_states(spec)
     assert np.all(op.blocks == 0.0)
     assert op.smax.shape == (1, 1) and op.smax[0, 0] == 0.0
     assert rho_blockdiag(op) == 0.0
@@ -37,27 +35,26 @@ def test_single_player_operator_is_trivial():
 
 def test_operator_is_player_major_in_memory():
     # the VI iteration reads blocks.transpose(1, 2, 0) and hhat.T in
-    # place, so no VI run copies the operator
+    # place, so no VI run copies them
     for name in bundled.NAMES:
-        op = bundled_operator(name)
+        op = bundled_space(name)
         assert op.blocks.transpose(1, 2, 0).flags.c_contiguous
         assert op.hhat.T.flags.c_contiguous
 
 
 def test_operator_and_vi_problem_wrap_the_space_tables():
-    """The operator, and so every VI problem, reads the state space's own
-    hhat and blocks: a run holds one (N1, N, N) channel table."""
+    """The space is the operator, and every VI problem reads the space's
+    own hhat and blocks: a run holds one (N1, N, N) channel table."""
     for spec in (bundled.spec("example1"), GameSpec(1, [2.0, 0.5], [1.0], pbar=1.0)):
         space = enumerate_states(spec)
-        for op in (build_operator(space), make_vi_problem(spec, space).op):
-            assert op.blocks is space.blocks and op.hhat is space.hhat
-            assert np.array_equal(op.smax, space.blocks.max(axis=0))
+        assert make_vi_problem(spec, space).space is space
+        assert np.array_equal(space.smax, space.blocks.max(axis=0))
 
 
 def test_operator_entry_ranges():
-    op1 = bundled_operator("example1")
+    op1 = bundled_space("example1")
     assert op1.smax.max() == pytest.approx(0.5 / 1.5)
-    opc = bundled_operator("pd_not_contractive")
+    opc = bundled_space("pd_not_contractive")
     assert opc.smax.max() == pytest.approx(0.2 / 0.3)
     for op in (op1, opc):
         n = op.n_players
@@ -70,8 +67,8 @@ def test_operator_entry_ranges():
 def test_alpha_folds_into_effective_gain():
     base = GameSpec(2, [2.0], [0.5], pbar=1.0)
     scaled = GameSpec(2, [2.0], [0.5], pbar=1.0, alpha=[2.0, 4.0])
-    op_b = build_operator(enumerate_states(base))
-    op_s = build_operator(enumerate_states(scaled))
+    op_b = enumerate_states(base)
+    op_s = enumerate_states(scaled)
     assert np.allclose(op_s.hhat, op_b.hhat / np.array([2.0, 4.0]))
     assert np.allclose(op_s.blocks[:, 0, :], op_b.blocks[:, 0, :] / 2.0)
     assert np.allclose(op_s.blocks[:, 1, :], op_b.blocks[:, 1, :] / 4.0)
@@ -84,9 +81,9 @@ def test_spectral_radius_zero_and_shape_guard():
 
 
 def test_spectral_radius_example_values():
-    op1 = bundled_operator("example1")
+    op1 = bundled_space("example1")
     assert spectral_radius(op1.smax) == pytest.approx(2.0 / 3.0, abs=1e-9)
-    op2 = bundled_operator("example2")
+    op2 = bundled_space("example2")
     assert spectral_radius(op2.smax) == pytest.approx(4.0 / 3.0, abs=1e-9)
 
 
@@ -122,8 +119,7 @@ def test_rho_blockdiag_equals_smax_rho():
     rng = np.random.default_rng(5)
     for _ in range(30):
         spec = random_spec(rng, state_limit=800)
-        space = enumerate_states(spec)
-        op = build_operator(space)
+        op = enumerate_states(spec)
         r_blocks = rho_blockdiag(op)
         assert r_blocks == pytest.approx(spectral_radius(op.smax), abs=1e-9)
         dense = max(dense_rho(b) for b in op.blocks)
@@ -141,8 +137,7 @@ def test_condition_report_rho_hhat_is_rho_blockdiag():
               for s in specs[-10:]]
     for spec in specs:
         space = enumerate_states(spec)
-        op = build_operator(space)
-        assert condition_report(spec, op).rho_hhat == rho_blockdiag(op)
+        assert condition_report(spec, space).rho_hhat == rho_blockdiag(space)
 
 
 def test_contraction_condition_values():
@@ -161,9 +156,7 @@ def test_contraction_equivalence_on_random_specs():
     rng = np.random.default_rng(6)
     for _ in range(50):
         spec = random_spec(rng, state_limit=800, uniform_probs=True)
-        space = enumerate_states(spec)
-        op = build_operator(space)
-        rho = spectral_radius(op.smax)
+        rho = spectral_radius(enumerate_states(spec).smax)
         ratio, ok = contraction_condition(spec)
         assert (rho < 1.0) == (ratio < 1.0) == ok
         if spec.n_players > 1:
@@ -174,19 +167,20 @@ def test_ratio_bound_honours_alpha():
     # alpha scales the effective direct gain, so the row-sum bound must too
     for alpha in ([0.5, 0.5, 0.5], [0.5, 1.0, 2.0], [3.0, 1.0, 1.0]):
         spec = dataclasses.replace(bundled.spec("example1"), alpha=alpha)
-        report = condition_report(spec, build_operator(enumerate_states(spec)))
+        space = enumerate_states(spec)
+        report = condition_report(spec, space)
         assert report.ratio_bound >= report.rho_smax - 1e-12
-        row_sums = build_operator(enumerate_states(spec)).smax.sum(axis=1)
+        row_sums = space.smax.sum(axis=1)
         assert report.ratio_bound == pytest.approx(row_sums.max(), rel=1e-12)
     half = dataclasses.replace(bundled.spec("example1"), alpha=0.5)
-    report = condition_report(half, build_operator(enumerate_states(half)))
+    report = condition_report(half, enumerate_states(half))
     assert report.ratio_bound == pytest.approx(4.0 / 3.0)
     assert report.rho_smax == pytest.approx(4.0 / 3.0)
 
 
 def test_definiteness_single_player():
     spec = GameSpec(1, [1.0], [1.0], pbar=1.0)
-    psd, pd, min_eig = definiteness(build_operator(enumerate_states(spec)))
+    psd, pd, min_eig = definiteness(enumerate_states(spec))
     assert psd and pd
     assert min_eig == pytest.approx(1.0)
 
@@ -195,15 +189,14 @@ def test_definiteness_closed_form_block():
     # singleton alphabets: one state, every off-diagonal ratio 0.2/0.3 = 2/3;
     # I + (2/3)(J - I) has eigenvalues {7/3, 1/3, 1/3}
     spec = GameSpec(3, [0.3], [0.2], pbar=1.0)
-    op = build_operator(enumerate_states(spec))
-    psd, pd, min_eig = definiteness(op)
+    psd, pd, min_eig = definiteness(enumerate_states(spec))
     assert psd and pd
     assert min_eig == pytest.approx(1.0 / 3.0, abs=1e-12)
 
 
 def test_pd_without_contraction_instance():
     spec = bundled.spec("pd_not_contractive")
-    report = condition_report(spec, build_operator(enumerate_states(spec)))
+    report = condition_report(spec, enumerate_states(spec))
     assert report.rho_hhat > 1.0
     assert report.rho_hhat == pytest.approx(4.0 / 3.0, abs=1e-9)
     assert report.htilde_pd and report.min_sym_eig > 0.0
@@ -216,17 +209,16 @@ def test_small_radius_implies_positive_definite():
     while seen < 25:
         spec = random_spec(rng, state_limit=800)
         space = enumerate_states(spec)
-        op = build_operator(space)
-        if spectral_radius(op.smax) >= 1.0:
+        if spectral_radius(space.smax) >= 1.0:
             continue
         seen += 1
-        psd, pd, _ = definiteness(op)
+        psd, pd, _ = definiteness(space)
         assert psd and pd
 
 
 def test_condition_report_consistency():
     for spec in (bundled.spec("example1"), bundled.spec("example2")):
-        op = build_operator(enumerate_states(spec))
+        op = enumerate_states(spec)
         rep = condition_report(spec, op)
         assert rep.contraction_ok == (rep.rho_smax < 1.0)
         assert rep.rho_hhat == pytest.approx(rep.rho_smax, abs=1e-9)
@@ -239,13 +231,13 @@ def test_representatives_stand_for_every_block_up_to_relabelling():
     blocks, and every block is a simultaneous row and column permutation of
     some representative, found by trying all N! orders of its players."""
     rng = np.random.default_rng(31)
-    ops = [bundled_operator(name) for name in bundled.NAMES]
+    ops = [bundled_space(name) for name in bundled.NAMES]
     for k in range(20):
         spec = random_spec(rng, n_max=3, state_limit=800, min_players=2,
                            uniform_probs=k % 2 == 0)
-        ops.append(build_operator(enumerate_states(spec)))
+        ops.append(enumerate_states(spec))
     for op in ops:
-        reps = op.representatives
+        reps = representatives(op)
         assert np.unique(reps).size == reps.size
         assert 0 <= reps.min() and reps.max() < op.n_states
         h = op.blocks[reps]
@@ -261,9 +253,9 @@ def test_representatives_stand_for_every_block_up_to_relabelling():
 def test_fewer_representatives_than_distinct_blocks():
     """Exchangeable players leave fewer classes than distinct blocks."""
     n4 = bundled.n4_spec()
-    for op in (bundled_operator("example1"), build_operator(enumerate_states(n4))):
+    for op in (bundled_space("example1"), enumerate_states(n4)):
         distinct = np.unique(op.blocks.reshape(op.n_states, -1), axis=0)
-        assert op.representatives.size < len(distinct)
+        assert representatives(op).size < len(distinct)
 
 
 def all_blocks_definiteness(op):
@@ -299,7 +291,7 @@ def test_definiteness_matches_every_block_bit_for_bit():
     specs.append(GameSpec(2, [1.0], [1.5], pbar=1.0))
     flags = set()
     for spec in specs:
-        op = build_operator(enumerate_states(spec))
+        op = enumerate_states(spec)
         got, want = definiteness(op), all_blocks_definiteness(op)
         assert got == want
         assert all(type(flag) is bool for flag in got[:2]) and type(got[2]) is float
@@ -317,8 +309,8 @@ def test_ldl_certificate_never_clears_a_block_at_or_below_t():
     for n in range(1, 6):
         h = rng.uniform(0.0, 1.5, size=(n, n, count))
         h[np.arange(n), np.arange(n)] = 0.0
-        op = InterferenceOperator(hhat=np.ones((count, n)), blocks=h.transpose(2, 0, 1),
-                                  smax=h.max(axis=2))
+        op = StateSpace(hhat=np.ones((count, n)), blocks=h.transpose(2, 0, 1),
+                        probs=np.full(count, 1.0 / count))
         band = _band(op)
         a = _sym(h)
         low = np.linalg.eigvalsh(a.transpose(2, 0, 1))[:, 0]
@@ -336,10 +328,10 @@ def test_flags_allow_only_the_rounding_band():
     ulp wide, not 1e-10; the bundled boundary game stays PSD."""
     for cross, flags in ((1.0 + 5e-11, (False, False)), (1.0 - 5e-11, (True, True))):
         spec = GameSpec(2, [1.0], [cross], pbar=1.0)
-        report = condition_report(spec, build_operator(enumerate_states(spec)))
+        report = condition_report(spec, enumerate_states(spec))
         assert (report.htilde_psd, report.htilde_pd) == flags
         assert abs(report.min_sym_eig) == pytest.approx(5e-11, rel=1e-6)
-    op = bundled_operator("psd_boundary")
+    op = bundled_space("psd_boundary")
     assert op.definite[:2] == (True, False) and 0 < _band(op) < 1e-13
 
 
@@ -348,10 +340,10 @@ def test_fallback_step_needs_a_positive_modulus(monkeypatch):
     when sigma = eps + min_sym_eig - delta > 0; otherwise the step is
     eps / L^2 and not guaranteed."""
     spec = GameSpec(2, [1.0, 2.0], [1.0 + 5e-11], pbar=1.0)
-    op = build_operator(enumerate_states(spec))
+    op = enumerate_states(spec)
     m = op.definite[2]
     assert op.step(1e-11) == (1e-11 / (op.lipschitz + 1e-11) ** 2, False)
     monkeypatch.setattr(spectral, "_best_tau", lambda steps, eps: None)
-    op = build_operator(enumerate_states(spec))
+    op = enumerate_states(spec)
     sigma = 1e-9 + m - _band(op)
     assert op.step(1e-9) == (sigma / (op.lipschitz + 1e-9) ** 2, True)

@@ -32,9 +32,9 @@ def dense_operator(problem):
     n, n1 = problem.n_players, problem.n_states
     dense = np.zeros((n * n1, n * n1))
     for k in range(n1):
-        block = np.eye(n) + problem.op.blocks[k]
+        block = np.eye(n) + problem.space.blocks[k]
         dense[k * n:(k + 1) * n, k * n:(k + 1) * n] = block
-    return dense, problem.op.hhat.ravel()
+    return dense, problem.space.hhat.ravel()
 
 
 def flat_F(problem, P, eps=0.0):
@@ -45,7 +45,7 @@ def flat_F(problem, P, eps=0.0):
 def test_eval_F_trivial_and_dense_oracle():
     spec, space, problem = small_problem()
     zero = np.zeros((2, space.n_states))
-    assert np.array_equal(flat_F(problem, zero), problem.op.hhat.ravel())
+    assert np.array_equal(flat_F(problem, zero), problem.space.hhat.ravel())
 
     rng = np.random.default_rng(1)
     dense, hvec = dense_operator(problem)
@@ -60,14 +60,14 @@ def test_eval_F_single_player_is_shift():
     space = enumerate_states(spec)
     problem = make_vi_problem(spec, space)
     P = np.array([[0.3, 0.7]])
-    assert np.allclose(flat_F(problem, P), P[0] + problem.op.hhat[:, 0])
+    assert np.allclose(flat_F(problem, P), P[0] + problem.space.hhat[:, 0])
 
 
 def test_eval_F_eps_properties():
     spec, space, problem = small_problem()
     rng = np.random.default_rng(2)
     zero = np.zeros((2, space.n_states))
-    assert np.array_equal(flat_F(problem, zero, 0.5), problem.op.hhat.ravel())
+    assert np.array_equal(flat_F(problem, zero, 0.5), problem.space.hhat.ravel())
     P = random_feasible_profile(rng, spec, space)
     assert np.abs(flat_F(problem, P, 0.25)
                   - (flat_F(problem, P) + 0.25 * P.T.ravel())).max() < 1e-14
@@ -182,7 +182,7 @@ def test_projection_iteration_gap_is_monotone():
     space = enumerate_states(spec)
     problem = make_vi_problem(spec, space)
     eps = 0.01
-    tau = problem.op.step(eps)[0]
+    tau = problem.space.step(eps)[0]
     P = _uniform_start(problem)
     gaps = []
     for _ in range(60):
@@ -253,8 +253,8 @@ def test_step_norm_matches_gram_reference():
     ulp = np.finfo(float).eps
     for name in bundled.NAMES:
         spec = bundled.spec(name)
-        problem = make_vi_problem(spec, enumerate_states(spec))
-        steps, blocks = problem.op, problem.op.blocks
+        steps = enumerate_states(spec)
+        blocks = steps.blocks
         for k in range(30):
             eps = 2.0 ** -k
             for tau in np.linspace(0.05, 4.0, 8):
@@ -277,26 +277,25 @@ def test_step_norm_matches_gram_reference():
         problem = make_vi_problem(spec, enumerate_states(spec))
         for eps in (1.0, 0.3, 1e-3, 1e-8):
             for tau in rng.uniform(0.0, 4.0, size=6):
-                assert _step_norm(problem.op, tau, eps) == pytest.approx(
-                    reference_step_norm(problem.op.blocks, tau, eps), rel=1e-12)
+                assert _step_norm(problem.space, tau, eps) == pytest.approx(
+                    reference_step_norm(problem.space.blocks, tau, eps), rel=1e-12)
         checked += 1
 
 
 def bundled_steps():
-    """Operators of the bundled games."""
-    return [make_vi_problem(spec, enumerate_states(spec)).op
-            for spec in map(bundled.spec, bundled.NAMES)]
+    """State spaces of the bundled games."""
+    return [enumerate_states(spec) for spec in map(bundled.spec, bundled.NAMES)]
 
 
 def random_alpha_steps(rng, count, shared=False):
-    """Operators of ``count`` seeded random games with random alpha, one
+    """State spaces of ``count`` seeded random games with random alpha, one
     value for every player if ``shared``, which keeps players exchangeable."""
     out = []
     while len(out) < count:
         spec = random_spec(rng, state_limit=400)
         spec = dataclasses.replace(
             spec, alpha=rng.uniform(0.3, 3.0, size=None if shared else spec.n_players))
-        out.append(make_vi_problem(spec, enumerate_states(spec)).op)
+        out.append(enumerate_states(spec))
     return out
 
 
@@ -354,7 +353,7 @@ def test_memoized_tau_search_equals_every_block_search(monkeypatch):
     cases += [(steps, [2.0 ** -int(k) for k in rng.permutation(12)])
               for steps in random_alpha_steps(rng, 30, shared=True)]
     n4 = bundled.n4_spec()
-    cases.append((make_vi_problem(n4, enumerate_states(n4)).op, [0.0]))
+    cases.append((enumerate_states(n4), [0.0]))
     for steps, eps_values in cases:
         S, G = whole = all_blocks_sym_gram(steps)
         assert steps.lipschitz == float(
@@ -427,7 +426,7 @@ def test_solver_warns_without_psd_certificate():
     space = enumerate_states(spec)
     problem = make_vi_problem(spec, space)
     from ifgame import definiteness
-    psd, _, _ = definiteness(problem.op)
+    psd, _, _ = definiteness(space)
     assert not psd
     with pytest.warns(UserWarning):
         solve_strong(problem, 0.5, ViConfig(inner_tol=1e-6, max_inner=200))
@@ -454,7 +453,7 @@ def test_path_stops_at_first_uncertified_step():
     whose step search certifies nothing, instead of iterating at the
     uncertified sigma / L^2 step to the cap in every later round."""
     problem = make_vi_problem(*uncertified_repro())
-    assert not problem.op.definite[0]
+    assert not problem.space.definite[0]
     # room for 4 rounds past the last certified one, at a cap that bounds
     # each of them and still leaves every certified round converging
     config = ViConfig(max_outer=12, max_inner=20_000)
@@ -465,8 +464,8 @@ def test_path_stops_at_first_uncertified_step():
     assert not report.converged
     assert report.eps_path[-1][2] == natural_residual(problem, report.solution)
     assert report.eps_path[-1][2] > config.outer_tol
-    assert report.tau_used == problem.op.step(2.0 ** -7)[0]
-    assert problem.op.step(2.0 ** -8)[1] is False
+    assert report.tau_used == problem.space.step(2.0 ** -7)[0]
+    assert problem.space.step(2.0 ** -8)[1] is False
     # no step is certified at the first eps: one row at the start
     spec = GameSpec(3, [0.08, 0.1], [0.2], pbar=1.0)
     problem = make_vi_problem(spec, enumerate_states(spec))
@@ -483,7 +482,7 @@ def test_solve_strong_warns_only_without_a_guaranteed_step():
     contraction down to eps = 2^-7: there the iteration converges, and
     only at 2^-8, where no step is certified, does it warn."""
     problem = make_vi_problem(*uncertified_repro())
-    assert not problem.op.definite[0]
+    assert not problem.space.definite[0]
     config = ViConfig(inner_tol=1e-6, max_inner=200)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -504,8 +503,8 @@ def test_fallback_step_is_guaranteed_only_on_psd_games(monkeypatch):
     spec = GameSpec(3, [0.08], [0.2], pbar=1.0)
     indefinite = make_vi_problem(spec, enumerate_states(spec))
     for problem, psd in ((psd_game, True), (indefinite, False)):
-        assert problem.op.definite[0] is psd
-        tau, guaranteed = problem.op.step(0.5)
+        assert problem.space.definite[0] is psd
+        tau, guaranteed = problem.space.step(0.5)
         assert guaranteed is psd and tau > 0
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -518,9 +517,9 @@ def test_regularized_checks_definiteness_once(monkeypatch):
     calls = []
     original = ifgame.spectral.definiteness
 
-    def counted(op):
-        calls.append(op)
-        return original(op)
+    def counted(space):
+        calls.append(space)
+        return original(space)
 
     monkeypatch.setattr(ifgame.spectral, "definiteness", counted)
     # a PSD, not PD game walks the eps path
@@ -572,13 +571,13 @@ def test_vi_config_rejects_zero_max_outer():
 
 def test_parameter_validation():
     spec, space, problem = small_problem()
-    assert problem.op.definite[1]
+    assert problem.space.definite[1]
     with pytest.raises(ValueError, match="eps"):
         solve_strong(problem, eps=-1e-300)
     solve_strong(problem, eps=0.0)  # F itself is strongly monotone
     spec = bundled.spec("psd_boundary")
     boundary = make_vi_problem(spec, enumerate_states(spec))
-    assert boundary.op.definite[:2] == (True, False)
+    assert boundary.space.definite[:2] == (True, False)
     for eps in (0.0, -0.5):
         with pytest.raises(ValueError, match="eps"):
             solve_strong(boundary, eps=eps)
@@ -648,7 +647,7 @@ def test_player_major_iteration_matches_reference_on_random_games():
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)
                 report = assert_same_solve(
-                    problem, config if problem.op.definite[0] else capped)
+                    problem, config if problem.space.definite[0] else capped)
             converged += report.converged
     assert converged >= 10
 
@@ -664,7 +663,7 @@ def test_player_major_iteration_at_four_players_moves_by_rounding():
         checked = 0
         while checked < 3:
             problem = random_games(rng, 1, (4,), uniform)[0]
-            if not problem.op.definite[0]:
+            if not problem.space.definite[0]:
                 continue
             report, (powers, path, converged, tau) = solve_both(problem, config)
             scale = np.abs(powers).max()
@@ -729,7 +728,7 @@ def test_eps_path_converges_on_psd_boundary_game():
     spec = bundled.spec("psd_boundary")
     space = enumerate_states(spec)
     problem = make_vi_problem(spec, space)
-    psd, pd, min_eig = problem.op.definite
+    psd, pd, min_eig = problem.space.definite
     assert psd and not pd and abs(min_eig) <= 1e-12
     config = ViConfig()
     report = solve_regularized(problem, config)
@@ -754,13 +753,13 @@ def test_direct_solve_beats_the_eps_path_on_pd_games():
         spec = random_spec(rng, state_limit=800, uniform_probs=len(problems) % 2 == 0,
                            min_players=2)
         problem = make_vi_problem(spec, enumerate_states(spec))
-        if problem.op.definite[1]:
+        if problem.space.definite[1]:
             problems.append(problem)
     for d in (1e-1, 3e-2, 1e-2, 3e-3, 1e-3, 3e-4, 1e-4, 3e-5, 1e-5, 3e-6, 1e-6,
               3e-7, 1e-7, 3e-8, 1e-8, 3e-9, 1e-9, 3e-10):
         spec = GameSpec(2, [1.0, 2.0], [1.0 - d, 0.5 * (1.0 - d)], pbar=1.0)
         problem = make_vi_problem(spec, enumerate_states(spec))
-        assert problem.op.definite[1] and problem.op.definite[2] == pytest.approx(d, rel=1e-5)
+        assert problem.space.definite[1] and problem.space.definite[2] == pytest.approx(d, rel=1e-5)
         problems.append(problem)
     config = ViConfig()
     for problem in problems:
@@ -779,7 +778,7 @@ def dense_natural_residual(problem, P):
     dense, hvec = dense_operator(problem)
     F = (hvec + dense @ P.T.ravel()).reshape(problem.n_states, problem.n_players).T
     floors = F - P  # Pi_K(x) is water-filling on the floors -x
-    projected = [bisect_waterfill(f, problem.probs, pbar)
+    projected = [bisect_waterfill(f, problem.space.probs, pbar)
                  for f, pbar in zip(floors, problem.pbar)]
     return float(np.abs(P - np.array(projected)).max())
 
@@ -796,7 +795,7 @@ def test_reported_convergence_holds_for_random_games():
     while checked < 30:
         uniform = checked % 2 == 0
         problem = random_games(rng, 1, (1, 2, 3, 4), uniform)[0]
-        if not problem.op.definite[0]:
+        if not problem.space.definite[0]:
             continue
         report = solve_regularized(problem, config)
         assert all(np.isfinite(r) for _, _, r in report.eps_path)

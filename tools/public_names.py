@@ -5,9 +5,9 @@ one per line:
 
   * every name it imports from the package's modules;
   * for each exported class, each public member defined in its body:
-    ``InterferenceOperator.definite``;
+    ``StateSpace.definite``;
   * for each exported function, its parameter list:
-    ``condition_report(spec, op)``.
+    ``condition_report(spec, space)``.
 
 Run it at two commits and ``diff`` the results to see which public
 names, members and parameters a change adds or removes:
