@@ -115,9 +115,10 @@ def _gradient(spec, space, floors, P, slack, lam, c, scratch=None):
         + 2c (pbar_i - E[P_i]) ].
     The sum over j is the floors kernel's transmitter loop on the blocks
     read by transmitter, whose zero diagonal drops the own term; the
-    product f_j (f_j + P_j) is never formed.  ``scratch`` is three tables
-    shaped like ``P`` to work in, the first of which returns the
-    gradient; fresh ones are made if it is not given.
+    product f_j (f_j + P_j) is never formed, and the multiplier and
+    penalty terms are added as one constant per row.  ``scratch`` is
+    three tables shaped like ``P`` to work in, the first of which returns
+    the gradient; fresh ones are made if it is not given.
     """
     own, moved, cross = scratch or [np.empty(P.shape) for _ in range(3)]
     np.add(floors, P, out=own)
@@ -126,8 +127,7 @@ def _gradient(spec, space, floors, P, slack, lam, c, scratch=None):
     moved /= floors
     _transmitter_sum(_by_transmitter(space), moved, cross)
     grad = np.subtract(own, cross, out=own)         # the per-state bracket, in place
-    grad -= lam[..., :, None]
-    grad += 2.0 * c * slack[..., :, None]
+    grad += (2.0 * c * slack - lam)[..., :, None]
     grad *= space.probs
     return grad
 
@@ -170,8 +170,17 @@ def _ascent_batch(spec, space, P, lam, cfg, delta, active=None):
     blocks.  The tables hold only the members still ascending: the rows
     of ``active`` are gathered once per call, a member is dropped when
     it stops, and its rows are written back into P then or at the end.
-    The floors and gradient tables are made once per call and sliced to
-    the members still ascending.  Every
+    The gradient tables are made once per call and sliced to the members
+    still ascending.
+
+    The floors and the budget slacks are formed once per call and then
+    carried: a move of player j changes only the floors of the receivers
+    i != j (the blocks' diagonal is zero) and the slack of player j, and
+    the chosen candidate has formed both, as its denominators
+    f_i + Hhat_ij dp and its candidate slack.  A carried floor is a sum
+    of the previous floor and a signed change, so it can lose digits when
+    a move removes most of a dominant interferer; the error stays until
+    the call ends, and the next call starts from fresh floors.  Every
     member goes through the same arithmetic as in a table of the whole
     batch, so its bits do not depend on which other members are still
     ascending.
@@ -183,13 +192,13 @@ def _ascent_batch(spec, space, P, lam, cfg, delta, active=None):
     off = ~np.eye(n, dtype=bool)
     others = off.nonzero()[1].reshape(n, n - 1)       # [j] = the rows i != j
     off_tx = _by_transmitter(space)[off].reshape(n, n - 1, n_states)  # [j, m] = Hhat_ij
-    tables = np.empty((4, rows.size, n, n_states))    # reused by every step
+    tables = np.empty((3, rows.size, n, n_states))    # reused by every step
     work, lam = P[rows], lam[rows]
+    floors = _floors(space, work)                      # (B, N, S), carried
+    slack = _slack(space, work, spec.pbar)             # (B, N), carried
     base_value = _lagrangian(spec, space, work, lam, cfg.c)
     for _ in range(cfg.max_inner):
-        floors, *scratch = tables[:, :rows.size]  # (B, N, S) each
-        _floors(space, work, out=floors)
-        slack = _slack(space, work, spec.pbar)     # (B, N)
+        scratch = list(tables[:, :rows.size])     # (B, N, S) each
         grads = _gradient(spec, space, floors, work, slack, lam, cfg.c, scratch)
         eligible = _projected_grad_norms(work, grads) >= cfg.eps_grad
         moving = eligible.any(axis=1)
@@ -231,6 +240,12 @@ def _ascent_batch(spec, space, P, lam, cfg, delta, active=None):
         members = np.arange(rows.size)
         work[members, pick] = q[members, pick]
         base_value = value[members, pick]
+        # the chosen candidates' floors and slacks are the next step's
+        slot = np.zeros((rows.size, n), dtype=int)
+        slot[sel_b, sel_i] = mrows
+        chosen = slot[members, pick]
+        floors.reshape(-1, n_states)[flat[chosen]] = denom[chosen]
+        slack = cand_slack[chosen]
     P[rows] = work
     capped = np.zeros(batch, dtype=bool)
     capped[rows] = True

@@ -1,18 +1,22 @@
 """Augmented-Lagrangian ascent for local Pareto-optimal allocations."""
 
 import dataclasses
+import functools
+import json
 import warnings
 
 import numpy as np
 import pytest
 
 from ifgame import (AlConfig, GameSpec, average_powers, enumerate_states,
-                    expected_rates, is_feasible, multi_start, random_start,
-                    steepest_ascent)
+                    expected_rates, is_feasible, load_config, multi_start,
+                    random_start, steepest_ascent)
+from ifgame.game import _floors
 from ifgame.pareto import (_ascent_batch, _cap_budgets, _default_delta, _grad_all,
-                           _lagrangian, _projected_grad_norms, _slack,
+                           _gradient, _lagrangian, _projected_grad_norms, _slack,
                            _solve_outer_batch)
 import bundled
+from test_experiments import HUGE_OWN_POWER_AL
 from util_random import random_feasible_profile, random_spec
 
 
@@ -292,12 +296,18 @@ def reference_gradient(spec, space, floors, P, slack, lam, c):
     own = spec.weights / (floors + Pt)
     moved = own * Pt / floors
     cross = np.einsum('kji,...kj->...ki', space.blocks, moved)
-    per_state = own - cross - lam[..., None, :] + 2.0 * c * slack[..., None, :]
+    per_state = own - cross + (2.0 * c * slack - lam)[..., None, :]
     return np.einsum('k,...ki->...ik', space.probs, per_state)
 
 
-def reference_ascent_batch(spec, space, P, lam, cfg, delta, active=None):
-    """Steepest ascent on (B, N1, N) tables with a per-member argmax loop."""
+def reference_ascent_batch(spec, space, P, lam, cfg, delta, active=None,
+                           carry=True):
+    """Steepest ascent on (B, N1, N) tables with a per-member argmax loop.
+
+    With ``carry`` the floors and slacks are formed once and then taken
+    from the chosen candidate, as ``_ascent_batch`` takes them; without
+    it they are formed afresh at every step.
+    """
     batch, n, _ = P.shape
     if active is None:
         active = np.ones(batch, dtype=bool)
@@ -305,11 +315,14 @@ def reference_ascent_batch(spec, space, P, lam, cfg, delta, active=None):
     iterations = np.zeros(batch, dtype=int)
     probs = space.probs
     base_value = _lagrangian(spec, space, P, lam, cfg.c)
-    for _ in range(cfg.max_inner):
+    floors = reference_floors(space, P)
+    slack = spec.pbar - P @ probs
+    for step in range(cfg.max_inner):
         if not active.any():
             break
-        floors = reference_floors(space, P)
-        slack = spec.pbar - P @ probs
+        if step and not carry:
+            floors = reference_floors(space, P)
+            slack = spec.pbar - P @ probs
         grads = reference_gradient(spec, space, floors, P, slack, lam, cfg.c)
         pg = np.where(P > 0, grads, np.maximum(grads, 0.0))
         eligible = (np.sqrt((pg ** 2).sum(axis=-1)) >= cfg.eps_grad) & active[:, None]
@@ -338,7 +351,14 @@ def reference_ascent_batch(spec, space, P, lam, cfg, delta, active=None):
             pick = group[np.argmax(gain[group])]
             P[b, sel_i[pick], :] = q[b, sel_i[pick], :]
             base_value[b] = values[pick]
+            floors[b] = denom[pick]
+            slack[b] = cand_slack[pick]
     return P, iterations, active
+
+
+def fresh_floor_ascent_batch(*args, **kwargs):
+    """The reference ascent forming its floors and slacks at every step."""
+    return reference_ascent_batch(*args, carry=False, **kwargs)
 
 
 def assert_ascent_matches_reference(spec, space, starts, lam, cfg, active):
@@ -407,38 +427,54 @@ def test_single_player_ascent_matches_state_major_reference():
     assert iters[:2].min() > 60 and iters[2] == 0  # past the random games' cap
 
 
-def assert_multi_start_matches_reference(spec, space, cfg, monkeypatch):
-    new = multi_start(spec, space, cfg)
+@functools.cache
+def multi_start_of(name, cfg):
+    """(spec, space, multi_start report) of a bundled game, or of
+    "nonuniform": a seeded random 3-player game with unequal state
+    probabilities; made once for the pins and the drift test."""
+    if name == "nonuniform":
+        spec = random_spec(np.random.default_rng(34), n_max=3, state_limit=300,
+                           min_players=3, min_states=20)
+    else:
+        spec = bundled.spec(name)
+    space = enumerate_states(spec)
+    return spec, space, multi_start(spec, space, cfg)
+
+
+def multi_start_with(ascent, spec, space, cfg, monkeypatch):
     with monkeypatch.context() as patch:
-        patch.setattr("ifgame.pareto._ascent_batch", reference_ascent_batch)
-        ref = multi_start(spec, space, cfg)
+        patch.setattr("ifgame.pareto._ascent_batch", ascent)
+        return multi_start(spec, space, cfg)
+
+
+def assert_multi_start_matches_reference(name, cfg, monkeypatch):
+    spec, space, new = multi_start_of(name, cfg)
+    ref = multi_start_with(reference_ascent_batch, spec, space, cfg, monkeypatch)
     assert new.best_sum_rate == ref.best_sum_rate
     for got, want in zip(new.per_start, ref.per_start):
         assert got.sum_rate == want.sum_rate
         assert got.outer_iterations == want.outer_iterations
         assert np.array_equal(got.multipliers, want.multipliers)
         assert np.array_equal(got.profile, want.profile)
+    return space
+
+
+EXAMPLE1_SEEDS = [dataclasses.replace(bundled.config("example1").solver.pareto, seed=seed)
+                  for seed in (0, 1)]
 
 
 def test_multi_start_matches_state_major_reference(monkeypatch):
-    config = bundled.config("example1").solver.pareto
-    spec = bundled.spec("example1")
-    space = enumerate_states(spec)
-    for seed in (0, 1):
-        assert_multi_start_matches_reference(
-            spec, space, dataclasses.replace(config, seed=seed), monkeypatch)
+    for cfg in EXAMPLE1_SEEDS:
+        assert_multi_start_matches_reference("example1", cfg, monkeypatch)
 
 
 def test_multi_start_matches_state_major_reference_on_nonuniform_game(monkeypatch):
     # unequal state probabilities weight every reduction over the states
     # unequally, where the bundled games' uniform ones would hide a
     # reordered sum
-    rng = np.random.default_rng(34)
-    spec = random_spec(rng, n_max=3, state_limit=300, min_players=3, min_states=20)
-    space = enumerate_states(spec)
+    space = assert_multi_start_matches_reference(
+        "nonuniform", AlConfig(starts=2, max_outer=8), monkeypatch)
     assert np.unique(space.probs).size > 1
-    assert_multi_start_matches_reference(
-        spec, space, AlConfig(starts=2, max_outer=8), monkeypatch)
 
 
 def test_ascent_tie_moves_the_lowest_player():
@@ -451,3 +487,53 @@ def test_ascent_tie_moves_the_lowest_player():
         np.array([True]))
     assert iters[0] == 1 and capped[0]
     assert P[0, 0, 0] != 0.5 and P[0, 1, 0] == 0.5
+
+
+def test_carried_floors_and_slacks_stay_accurate(monkeypatch):
+    # the ascent carries its floors and slacks from the chosen candidate;
+    # at every step they must stay close to fresh ones of the same iterate
+    rng = np.random.default_rng(35)
+    huge = load_config(json.dumps(HUGE_OWN_POWER_AL)).game.spec
+    # on the game of budgets 17 orders apart a move can remove most of a
+    # dominant interferer, and the carried floor loses digits
+    games = [(bundled.spec("example1"), 1e-13), (bundled.spec("example2"), 1e-13),
+             (huge, 1e-10)]
+    for spec, tol in games:
+        space = enumerate_states(spec)
+        steps = []
+
+        def spy(spec, space, floors, P, slack, lam, c, scratch=None):
+            fresh = _floors(space, P)
+            assert np.isfinite(floors).all() and (floors > 0).all()
+            assert np.all(np.abs(floors - fresh) <= tol * fresh)
+            budget = np.maximum(spec.pbar, P @ space.probs)
+            assert np.all(np.abs(slack - _slack(space, P, spec.pbar)) <= tol * budget)
+            steps.append(P.shape[0])
+            return _gradient(spec, space, floors, P, slack, lam, c, scratch)
+
+        starts = np.stack([random_start(spec, space, rng) for _ in range(3)])
+        lam = rng.uniform(0.0, 1.0, size=(3, spec.n_players))
+        with monkeypatch.context() as patch:
+            patch.setattr("ifgame.pareto._gradient", spy)
+            _, iters, _ = _ascent_batch(spec, space, starts, lam, AlConfig(),
+                                        _default_delta(space, AlConfig()))
+        # every start ran all 300 steps, and each step was checked
+        assert np.all(iters == AlConfig().max_inner)
+        assert steps == [3] * AlConfig().max_inner
+
+
+def test_multi_start_drifts_little_from_fresh_floors(monkeypatch):
+    # carried floors and slacks change only last bits: every start keeps
+    # its outer rounds and flags against the ascent forming them afresh
+    cases = [("example1", cfg) for cfg in EXAMPLE1_SEEDS]
+    cases += [("example2", AlConfig(starts=3, max_outer=10)),
+              ("nonuniform", AlConfig(starts=2, max_outer=8))]
+    for name, cfg in cases:
+        spec, space, new = multi_start_of(name, cfg)
+        ref = multi_start_with(fresh_floor_ascent_batch, spec, space, cfg, monkeypatch)
+        assert new.converged == ref.converged
+        for got, want in zip(new.per_start, ref.per_start):
+            assert got.outer_iterations == want.outer_iterations
+            assert got.converged == want.converged
+            assert got.sum_rate == pytest.approx(want.sum_rate, rel=1e-12)
+            assert np.abs(got.profile - want.profile).max() <= 1e-12 * spec.pbar.max()
